@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import (
+    DEFAULT_SCAN_GRID,
+    MIN_SCAN_GRID,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_trace_norm,
@@ -85,7 +87,7 @@ class SweepSpec:
     gamma: float = 0.0
     delta: float = 0.0
     yz_angle: float = 0.0
-    scan_grid: int = 4096
+    scan_grid: int = DEFAULT_SCAN_GRID
 
     def __post_init__(self):
         if self.swept not in ("s_x", "beta"):
@@ -98,6 +100,8 @@ class SweepSpec:
             raise InvalidInputError(f"lam must lie in [0, 1], got {self.lam!r}")
         if not 0.0 <= self.a_overlap <= 1.0:
             raise InvalidInputError(f"a_overlap must lie in [0, 1], got {self.a_overlap!r}")
+        if self.scan_grid < MIN_SCAN_GRID:
+            raise InvalidInputError(f"scan grid must be at least {MIN_SCAN_GRID}")
         if self.swept == "s_x":
             if self.beta is None:
                 raise InvalidInputError("sweeping s_x requires a fixed beta")
@@ -345,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta", type=parse_angle, default=0.0)
     sweep.add_argument("--yz-angle", dest="yz_angle", type=parse_angle, default=0.0,
                        help="direction of the (s_y, s_z) share of lam")
-    sweep.add_argument("--scan-grid", dest="scan_grid", type=int, default=4096,
+    sweep.add_argument("--scan-grid", dest="scan_grid", type=int, default=DEFAULT_SCAN_GRID,
                        help="phase-grid size of the visibility scan oracle")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)

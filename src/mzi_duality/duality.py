@@ -141,19 +141,27 @@ def visibility_closed(
     return min(max(v, 0.0), 1.0)
 
 
-def _refine_extremum(probe, lo: float, hi: float, find_max: bool) -> float:
-    # Ternary search on a bracket that contains exactly one extremum of the
-    # (sinusoidal, hence locally unimodal) fringe.
-    while hi - lo > PHASE_REFINE_TOL:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        f1, f2 = probe(np.array([m1, m2]))
-        if (f1 < f2) == find_max:
-            lo = m1
-        else:
-            hi = m2
-    return float(probe(np.array([0.5 * (lo + hi)]))[0])
+# Interior samples per bracket and refinement round. Narrowing a bracket to
+# its best sample +- one spacing shrinks it by (n + 1) / 2 = 8 per round.
+_REFINE_SAMPLES = 15
+_SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
+
+
+def _refine_extrema(probe, phi_max: float, phi_min: float, step: float) -> np.ndarray:
+    # Bracket search on [phi - step, phi + step] around the grid maximum and
+    # minimum, both brackets in one probe call per round. Each bracket holds
+    # exactly one extremum of the (sinusoidal, hence locally unimodal)
+    # fringe, so the extremum lies within one spacing of the best sample.
+    lo = np.array([phi_max, phi_min]) - step
+    width = 2.0 * step
+    while width > PHASE_REFINE_TOL:
+        spacing = width / (_REFINE_SAMPLES + 1)
+        samples = lo[:, None] + spacing * _SAMPLE_INDEX
+        values = probe(samples.ravel()).reshape(samples.shape)
+        best = np.array([samples[0, values[0].argmax()], samples[1, values[1].argmin()]])
+        lo = best - spacing
+        width = 2.0 * spacing
+    return probe(lo + 0.5 * width)
 
 
 def visibility_scan(
@@ -165,8 +173,11 @@ def visibility_scan(
     """Fringe contrast measured by explicit extremization over the phase dial.
 
     Evaluates the port-a probability through the full operator pipeline on a
-    uniform phase grid over [0, 2*pi), then refines both extrema by ternary
-    search. Serves as the independent oracle for visibility_closed.
+    uniform phase grid over [0, 2*pi), then refines the maximum and the
+    minimum together: each round samples both brackets at 15 interior phases
+    in a single probe call and narrows each to its best sample +- one
+    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Serves as
+    the independent oracle for visibility_closed.
     """
     if grid_size < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
@@ -176,14 +187,9 @@ def visibility_scan(
     values = probe(phis)
     k_max = int(np.argmax(values))  # ties resolve toward the smallest phase
     k_min = int(np.argmin(values))
-    p_max = max(
-        _refine_extremum(probe, phis[k_max] - step, phis[k_max] + step, find_max=True),
-        float(values[k_max]),
-    )
-    p_min = min(
-        _refine_extremum(probe, phis[k_min] - step, phis[k_min] + step, find_max=False),
-        float(values[k_min]),
-    )
+    refined_max, refined_min = _refine_extrema(probe, phis[k_max], phis[k_min], step)
+    p_max = max(float(refined_max), float(values[k_max]))
+    p_min = min(float(refined_min), float(values[k_min]))
     total = p_max + p_min
     if total < 1e-12:
         raise UndefinedVisibilityError(

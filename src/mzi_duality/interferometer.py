@@ -177,6 +177,10 @@ def _lift_path(u: np.ndarray) -> np.ndarray:
     return tensor(u, IDENTITY_2)
 
 
+# The input splitter is always the symmetric one, so it is lifted once.
+_INPUT_SPLITTER = _lift_path(beam_splitter(BeamSplitterAngle(math.pi / 2)))
+
+
 def evolve(
     state: BlochState,
     det: DetectorConfig,
@@ -189,7 +193,7 @@ def evolve(
         _lift_path(beam_splitter(beta))
         @ marking_operator(det)
         @ _lift_path(phase_shifter(phi))
-        @ _lift_path(beam_splitter(BeamSplitterAngle(math.pi / 2)))
+        @ _INPUT_SPLITTER
     )
     return DensityOperator(w @ joint_in @ w.conj().T)
 
@@ -267,30 +271,25 @@ def phase_probe(
 ):
     """Fast port-a probability evaluator over arrays of phase settings.
 
-    Identical to detection_probability_numeric(evolve(...)) per element, only
-    reorganized: the phase-independent operator products are built once, and
-    each call scales the tail columns by the phase diagonal.
+    Equal to detection_probability_numeric(evolve(...)) per element, only
+    reorganized. With the tail T = (recombiner x 1)(marking), the phase
+    diagonal d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}) and the
+    prepared state P behind the input splitter, the final state is
+    W P W^dagger with W = T diag(d), so the port-a probability is
+    Re sum_jk M_jk d_j conj(d_k) with M = P o (T[2:]^T conj(T[2:])), an
+    elementwise product built once per probe. Each call then costs one exp,
+    one (4x4)@(4xN) product and one reduction over the phase vectors.
     """
     joint_in = tensor(bloch_to_density(state).matrix, _DETECTOR_START)
-    front = _lift_path(beam_splitter(BeamSplitterAngle(math.pi / 2)))
-    prepared = front @ joint_in @ front.conj().T
-    tail = _lift_path(beam_splitter(beta)) @ marking_operator(det)
+    prepared = _INPUT_SPLITTER @ joint_in @ _INPUT_SPLITTER.conj().T
+    port_a = (_lift_path(beam_splitter(beta)) @ marking_operator(det))[2:, :]
+    m = prepared * (port_a.T @ port_a.conj())
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * np.asarray(phis, dtype=float))
-        diag = np.stack([phase.conj(), phase.conj(), phase, phase], axis=-1)
-        w = tail[None, :, :] * diag[:, None, :]
-        rho_f = w @ prepared @ w.conj().swapaxes(1, 2)
-        return rho_f[:, 2, 2].real + rho_f[:, 3, 3].real
+        phase = np.exp(-1j * np.asarray(phis, dtype=float))
+        d = np.empty((4, phase.size), dtype=complex)
+        d[:2] = phase
+        d[2:] = phase.conj()
+        return (d * (m @ d.conj())).sum(axis=0).real
 
     return probe
-
-
-def detection_probability_sweep(
-    state: BlochState,
-    det: DetectorConfig,
-    beta: BeamSplitterAngle,
-    phis: np.ndarray,
-) -> np.ndarray:
-    """Port-a probability for a batch of phase settings, via the operator pipeline."""
-    return phase_probe(state, det, beta)(phis)

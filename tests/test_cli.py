@@ -186,6 +186,20 @@ def test_sweep_cli_writes_deterministic_csv(tmp_path):
     assert b"\r" not in data
 
 
+def test_sweep_cli_rejects_scan_grid_below_minimum(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = [
+        "sweep", "--param", "sx", "--lo", "-0.5", "--hi", "0.5", "--steps", "3",
+        "--lam", "0.36", "--A", "0.5", "--beta", "pi/2", "--scan-grid", "10",
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "scan grid" in err
+    assert "degenerate" not in err
+    assert not out.exists()
+
+
 def test_sweep_cli_rejects_unwritable_output(tmp_path):
     argv = [
         "sweep", "--param", "beta", "--lo", "0", "--hi", "pi", "--steps", "3",

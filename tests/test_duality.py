@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzi_duality import duality
 from mzi_duality.duality import (
     DualityReport,
     MeasurementBasis,
@@ -29,7 +30,12 @@ from mzi_duality.errors import (
     NoExtremumError,
     UndefinedVisibilityError,
 )
-from mzi_duality.interferometer import BeamSplitterAngle, BlochState, DetectorConfig
+from mzi_duality.interferometer import (
+    BeamSplitterAngle,
+    BlochState,
+    DetectorConfig,
+    phase_probe,
+)
 from mzi_duality.verify import (
     draw_beta,
     draw_bloch_state,
@@ -119,6 +125,53 @@ def test_scan_is_invariant_under_detector_phases():
             grid_size=256,
         )
         assert abs(base - other) <= 1e-10
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Phase arrays passed to each probe that visibility_scan builds."""
+    calls = []
+    build = duality.phase_probe
+
+    def recording_phase_probe(*args):
+        probe = build(*args)
+
+        def recording_probe(phis):
+            calls.append(np.array(phis))
+            return probe(phis)
+
+        return recording_probe
+
+    monkeypatch.setattr(duality, "phase_probe", recording_phase_probe)
+    return calls
+
+
+def test_default_scan_makes_at_most_16_probe_calls(probe_calls):
+    state = BlochState(0.2, -0.4, 0.5)
+    det = DetectorConfig(0.7, 0.3, 1.9)
+    beta = BeamSplitterAngle(0.8)
+    scan = visibility_scan(state, det, beta)
+    assert len(probe_calls) <= 16
+    assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("extremum,offset", [("max", 0.0), ("min", math.pi)])
+def test_scan_refines_across_zero_phase(probe_calls, extremum, offset):
+    # alpha = 0, so the fringe cos(gamma + 2*phi) peaks (or, shifted by pi,
+    # dips) at phi = -0.15 step, just below 0: that extremum sits at grid
+    # index 0 and its bracket [-step, step] crosses phi = 0. An odd grid keeps
+    # the twin extremum half a turn away off the grid, so index 0 wins outright.
+    grid_size = 4095
+    step = 2 * math.pi / grid_size
+    state = BlochState(0.1, 0.0, 0.9)
+    det = DetectorConfig(0.8, offset + 0.3 * step, 0.4)
+    beta = BeamSplitterAngle(1.1)
+    scan = visibility_scan(state, det, beta, grid_size=grid_size)
+    grid, refinements = probe_calls[0], probe_calls[1:]
+    values = phase_probe(state, det, beta)(grid)
+    assert (np.argmax(values) if extremum == "max" else np.argmin(values)) == 0
+    assert min(phis.min() for phis in refinements) < 0.0
+    assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
 def test_scan_rejects_small_grid():

@@ -15,10 +15,10 @@ from mzi_duality.interferometer import (
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
-    detection_probability_sweep,
     evolve,
     evolve_closed_form,
     marking_operator,
+    phase_probe,
     phase_shifter,
 )
 from mzi_duality.linalg import DensityOperator, partial_trace_path, tensor
@@ -286,7 +286,31 @@ def test_detection_probability_sweep_matches_scalar_pipeline():
     det = DetectorConfig(0.7, 0.3, 1.9)
     beta = BeamSplitterAngle(0.8)
     phis = np.array([0.0, 0.31, 2.9, 5.5])
-    batch = detection_probability_sweep(state, det, beta, phis)
+    batch = phase_probe(state, det, beta)(phis)
     for k, phi in enumerate(phis):
         scalar = detection_probability_numeric(evolve(state, det, beta, PhaseShift(phi)))
         assert abs(batch[k] - scalar) <= 1e-14
+
+
+def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
+    rng = np.random.default_rng(41)
+    states = [
+        BlochState(0.6, 0.0, 0.8),
+        BlochState(0.0, 1.0, 0.0),
+        BlochState(-1.0, 0.0, 0.0),
+        BlochState(-0.3, 0.2, -0.4),
+        BlochState(0.0, 0.0, 0.0),
+    ]
+    cases = [
+        (state, DetectorConfig(a, rng.uniform(-10, 10), rng.uniform(-10, 10)), BeamSplitterAngle(b))
+        for state in states
+        for a in (0.0, 1.0, rng.uniform())
+        for b in (0.0, math.pi / 2, math.pi, rng.uniform(0, math.pi))
+    ]
+    cases += [draw_point(rng)[:3] for _ in range(50)]
+    for state, det, beta in cases:
+        phis = rng.uniform(-10, 10, 6)
+        batch = phase_probe(state, det, beta)(phis)
+        for phi, p in zip(phis, batch):
+            scalar = detection_probability_numeric(evolve(state, det, beta, PhaseShift(phi)))
+            assert abs(p - scalar) <= 1e-14
