@@ -191,7 +191,7 @@ def visibility_scan(
     p_max = max(float(refined_max), float(values[k_max]))
     p_min = min(float(refined_min), float(values[k_min]))
     total = p_max + p_min
-    if total < 1e-12:
+    if total <= DENOMINATOR_TOL:
         raise UndefinedVisibilityError(
             "monitored port has zero intensity; fringe contrast is 0/0"
         )

@@ -76,7 +76,9 @@ def tensor(path_factor, detector_factor) -> np.ndarray:
     b = _as_matrix(detector_factor, "detector factor")
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise InvalidInputError("tensor expects two 2x2 factors")
-    return np.kron(a, b)
+    # Entry (2i+k, 2j+l) is the single product a[i,j]*b[k,l], as in np.kron,
+    # without np.kron's generic-shape overhead.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _coerce_density(rho, name: str) -> DensityOperator:

@@ -7,6 +7,7 @@ and reports the case count, failure count, and worst observed error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -120,6 +121,17 @@ def draw_point(rng):
 # --- brute-force extremum oracles (vectorized closed forms on a fine grid) ---
 
 
+@functools.lru_cache(maxsize=None)
+def _beta_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The splitter-angle grid and its trig do not depend on the draw; build
+    # them on first use (not at import) and share them read-only.
+    beta = np.arange(step, math.pi, step)
+    arrays = (beta, np.sin(beta), np.cos(beta))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def grid_visibility_peak_fixed_beta(
     lam: float, a_overlap: float, beta: BeamSplitterAngle, step: float = GRID_STEP
 ) -> tuple[float, float]:
@@ -135,10 +147,14 @@ def grid_visibility_peak_fixed_beta(
 def grid_visibility_peak_fixed_sx(
     s_x: float, lam: float, a_overlap: float, step: float = GRID_STEP
 ) -> tuple[float, float]:
-    """Argmax and max of V over the splitter angle by exhaustive grid."""
-    beta = np.arange(step, math.pi, step)
+    """Argmax and max of V over the splitter angle by exhaustive grid.
+
+    Every grid point is evaluated on each call; the beta grid and its sine and
+    cosine are computed once per ``step`` and reused.
+    """
+    beta, sin_beta, cos_beta = _beta_grid(step)
     amp = math.sqrt(max(lam - s_x * s_x, 0.0))
-    values = a_overlap * np.sin(beta) * amp / (1.0 + s_x * np.cos(beta))
+    values = a_overlap * sin_beta * amp / (1.0 + s_x * cos_beta)
     k = int(np.argmax(values))
     return float(beta[k]), float(values[k])
 
@@ -146,9 +162,13 @@ def grid_visibility_peak_fixed_sx(
 def grid_distinguishability_valley(
     s_x: float, a_overlap: float, step: float = GRID_STEP
 ) -> tuple[float, float]:
-    """Argmin and min of D over the splitter angle by exhaustive grid."""
-    beta = np.arange(step, math.pi, step)
-    ratio = (a_overlap * np.sin(beta) / (1.0 + s_x * np.cos(beta))) ** 2 * (
+    """Argmin and min of D over the splitter angle by exhaustive grid.
+
+    Every grid point is evaluated on each call; the beta grid and its sine and
+    cosine are computed once per ``step`` and reused.
+    """
+    beta, sin_beta, cos_beta = _beta_grid(step)
+    ratio = (a_overlap * sin_beta / (1.0 + s_x * cos_beta)) ** 2 * (
         (1.0 - s_x) * (1.0 + s_x)
     )
     values = np.sqrt(np.maximum(1.0 - ratio, 0.0))

@@ -184,6 +184,35 @@ def test_scan_undefined_on_dark_port():
         visibility_scan(BlochState(1, 0, 0), DetectorConfig(0.5), BeamSplitterAngle(math.pi))
 
 
+# 1 + s_x cos(beta) about 1e-13 and about 1e-10, reached along s_x and along beta.
+@pytest.mark.parametrize(
+    "s_x, beta",
+    [
+        (1.0 - 1e-13, math.pi),
+        (-(1.0 - 1e-13), 0.0),
+        (1.0, math.pi - math.sqrt(2e-13)),
+        (1.0 - 1e-10, math.pi),
+        (-(1.0 - 1e-10), 0.0),
+        (1.0, math.pi - math.sqrt(2e-10)),
+    ],
+)
+def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta):
+    state = pure_state(s_x)
+    angle = BeamSplitterAngle(beta)
+    outcomes = []
+    for route in (
+        lambda: visibility_closed(state, 0.5, angle),
+        lambda: visibility_scan(state, DetectorConfig(0.5), angle),
+    ):
+        try:
+            route()
+            outcomes.append(False)
+        except UndefinedVisibilityError:
+            outcomes.append(True)
+    undefined = 1.0 + s_x * math.cos(beta) <= duality.DENOMINATOR_TOL
+    assert outcomes == [undefined, undefined]
+
+
 # --- path weights ---------------------------------------------------------------
 
 

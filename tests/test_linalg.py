@@ -72,6 +72,11 @@ def test_tensor_rejects_nonfinite():
         tensor(bad, IDENTITY_2)
 
 
+@given(complex_2x2(), complex_2x2())
+def test_tensor_is_bitwise_kron(a, b):
+    assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+
 @settings(max_examples=100, deadline=None)
 @given(complex_2x2(), complex_2x2(), complex_2x2(), complex_2x2())
 def test_tensor_mixed_product_property(a, b, c, d):
