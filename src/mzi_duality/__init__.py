@@ -17,7 +17,6 @@ from .duality import (
     distinguishability_valley,
     duality_report,
     min_error_basis,
-    min_error_basis_closed_form,
     path_weights,
     visibility_closed,
     visibility_peak_fixed_beta,
@@ -87,7 +86,6 @@ __all__ = [
     "hermitian_eig2",
     "marking_operator",
     "min_error_basis",
-    "min_error_basis_closed_form",
     "partial_trace_detector",
     "partial_trace_path",
     "path_weights",

@@ -12,7 +12,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,16 @@ from .duality import (
     MIN_SCAN_GRID,
     complementarity_residual,
     distinguishability_closed,
+    distinguishability_kernel,
     distinguishability_trace_norm,
     duality_report,
     path_weights,
+    splitter_trig,
     visibility_closed,
+    visibility_kernel,
     visibility_scan,
 )
-from .errors import DualityError, InvalidInputError
+from .errors import DualityError, InvalidInputError, require_finite
 from .interferometer import BeamSplitterAngle, BlochState, DetectorConfig
 from .verify import RunConfig, all_passed, run_verification
 
@@ -88,6 +91,7 @@ class SweepSpec:
     delta: float = 0.0
     yz_angle: float = 0.0
     scan_grid: int = DEFAULT_SCAN_GRID
+    detector: DetectorConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.swept not in ("s_x", "beta"):
@@ -98,8 +102,10 @@ class SweepSpec:
             raise InvalidInputError("sweep range must satisfy lo < hi")
         if not 0.0 <= self.lam <= 1.0 + 1e-12:
             raise InvalidInputError(f"lam must lie in [0, 1], got {self.lam!r}")
-        if not 0.0 <= self.a_overlap <= 1.0:
-            raise InvalidInputError(f"a_overlap must lie in [0, 1], got {self.a_overlap!r}")
+        require_finite(yz_angle=self.yz_angle)
+        object.__setattr__(
+            self, "detector", DetectorConfig(self.a_overlap, self.gamma, self.delta)
+        )
         if self.scan_grid < MIN_SCAN_GRID:
             raise InvalidInputError(f"scan grid must be at least {MIN_SCAN_GRID}")
         if self.swept == "s_x":
@@ -112,6 +118,7 @@ class SweepSpec:
         else:
             if self.s_x is None:
                 raise InvalidInputError("sweeping beta requires a fixed s_x")
+            require_finite(s_x=self.s_x)
             if self.s_x * self.s_x > self.lam + 1e-12:
                 raise InvalidInputError("fixed s_x must satisfy s_x^2 <= lam")
             if self.lo < 0.0 or self.hi > math.pi:
@@ -132,13 +139,12 @@ def _sweep_row(spec: SweepSpec, value: float) -> list[float]:
     else:
         s_x, beta = spec.s_x, BeamSplitterAngle(float(value))
     state = _state_at(spec.lam, s_x, spec.yz_angle)
-    det = DetectorConfig(spec.a_overlap, spec.gamma, spec.delta)
     weights = path_weights(s_x, beta)
     return [
         visibility_closed(state, spec.a_overlap, beta),
-        visibility_scan(state, det, beta, grid_size=spec.scan_grid),
+        visibility_scan(state, spec.detector, beta, grid_size=spec.scan_grid),
         distinguishability_closed(s_x, beta, spec.a_overlap),
-        distinguishability_trace_norm(det, weights),
+        distinguishability_trace_norm(spec.detector, weights),
         complementarity_residual(state, spec.a_overlap, beta),
         weights.omega_a,
         weights.omega_b,
@@ -167,48 +173,24 @@ _BETA_CURVES = (("beta=pi/4", math.pi / 4), ("beta=pi/2", math.pi / 2), ("beta=3
 _SX_CURVES = (("sx=-0.5", -0.5), ("sx=0", 0.0), ("sx=0.5", 0.5))
 
 
-def _visibility_sx_table(lam: float, a_overlap: float) -> list[str]:
-    lines = ["curve,param,V_closed"]
-    lo = math.sqrt(lam)
-    grid = np.linspace(-lo, lo, FIGURE_POINTS)
-    for label, beta_value in _BETA_CURVES:
-        beta = BeamSplitterAngle(beta_value)
-        for s_x in grid:
-            state = _state_at(lam, float(s_x), 0.0)
-            v = visibility_closed(state, a_overlap, beta)
-            lines.append(f"{label},{_fmt(float(s_x))},{_fmt(v)}")
-    return lines
-
-
-def _visibility_beta_table(lam: float, a_overlap: float) -> list[str]:
-    lines = ["curve,param,V_closed"]
-    grid = np.linspace(0.0, math.pi, FIGURE_POINTS)
-    for label, s_x in _SX_CURVES:
-        state = _state_at(lam, s_x, 0.0)
-        for beta_value in grid:
-            v = visibility_closed(state, a_overlap, BeamSplitterAngle(float(beta_value)))
-            lines.append(f"{label},{_fmt(float(beta_value))},{_fmt(v)}")
-    return lines
-
-
-def _distinguishability_sx_table(a_overlap: float) -> list[str]:
-    lines = ["curve,param,D_closed"]
-    grid = np.linspace(-1.0, 1.0, FIGURE_POINTS)
-    for label, beta_value in _BETA_CURVES:
-        beta = BeamSplitterAngle(beta_value)
-        for s_x in grid:
-            d = distinguishability_closed(float(s_x), beta, a_overlap)
-            lines.append(f"{label},{_fmt(float(s_x))},{_fmt(d)}")
-    return lines
-
-
-def _distinguishability_beta_table(a_overlap: float) -> list[str]:
-    lines = ["curve,param,D_closed"]
-    grid = np.linspace(0.0, math.pi, FIGURE_POINTS)
-    for label, s_x in _SX_CURVES:
-        for beta_value in grid:
-            d = distinguishability_closed(s_x, BeamSplitterAngle(float(beta_value)), a_overlap)
-            lines.append(f"{label},{_fmt(float(beta_value))},{_fmt(d)}")
+def _figure_table(quantity: str, swept: str, lam: float, a_overlap: float) -> list[str]:
+    """One preset family: V or D over s_x (three betas) or beta (three s_x)."""
+    lines = [f"curve,param,{quantity}_closed"]
+    if swept == "s_x":
+        edge = math.sqrt(lam)
+        grid, curves = np.linspace(-edge, edge, FIGURE_POINTS), _BETA_CURVES
+    else:
+        grid, curves = np.linspace(0.0, math.pi, FIGURE_POINTS), _SX_CURVES
+    params = [_fmt(p) for p in grid.tolist()]
+    for label, fixed in curves:
+        s_x, beta = (grid, fixed) if swept == "s_x" else (fixed, grid)
+        sin_beta, cos_beta = splitter_trig(beta)
+        if quantity == "V":
+            yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
+            values = visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta).clip(0.0, 1.0)
+        else:
+            values = distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta)
+        lines += [f"{label},{p},{_fmt(v)}" for p, v in zip(params, values.tolist())]
     return lines
 
 
@@ -216,14 +198,14 @@ def figure_tables() -> dict[str, list[str]]:
     """The eight bundled preset curve families, keyed by file stem."""
     third = 1.0 / 3.0
     return {
-        "fig2a": _visibility_sx_table(lam=9.0 / 25.0, a_overlap=third),
-        "fig2b": _visibility_beta_table(lam=9.0 / 25.0, a_overlap=third),
-        "fig2c": _visibility_sx_table(lam=1.0, a_overlap=third),
-        "fig2d": _visibility_beta_table(lam=1.0, a_overlap=third),
-        "fig3a": _distinguishability_sx_table(a_overlap=third),
-        "fig3b": _distinguishability_beta_table(a_overlap=third),
-        "fig3c": _distinguishability_sx_table(a_overlap=0.8),
-        "fig3d": _distinguishability_beta_table(a_overlap=0.8),
+        "fig2a": _figure_table("V", "s_x", lam=9.0 / 25.0, a_overlap=third),
+        "fig2b": _figure_table("V", "beta", lam=9.0 / 25.0, a_overlap=third),
+        "fig2c": _figure_table("V", "s_x", lam=1.0, a_overlap=third),
+        "fig2d": _figure_table("V", "beta", lam=1.0, a_overlap=third),
+        "fig3a": _figure_table("D", "s_x", lam=1.0, a_overlap=third),
+        "fig3b": _figure_table("D", "beta", lam=1.0, a_overlap=third),
+        "fig3c": _figure_table("D", "s_x", lam=1.0, a_overlap=0.8),
+        "fig3d": _figure_table("D", "beta", lam=1.0, a_overlap=0.8),
     }
 
 
@@ -280,6 +262,13 @@ def _cmd_figures(args) -> int:
     return 0
 
 
+def _convert(kind, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _cmd_verify(args) -> int:
     settings: dict = {}
     if args.config is not None:
@@ -288,20 +277,28 @@ def _cmd_verify(args) -> int:
                 settings = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(settings, dict):
+            raise InvalidInputError("config file must hold a JSON object")
         unknown = set(settings) - {"seed", "draws", "tolerances"}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    tolerances = dict(settings.get("tolerances", {}))
+    tolerances = settings.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise InvalidInputError("config tolerances must be a JSON object of name: value")
+    tolerances = {
+        name: _convert(float, value, f"tolerance {name!r}") for name, value in tolerances.items()
+    }
     for item in args.tolerance:
         name, _, value = item.partition("=")
         if not value:
             raise InvalidInputError(f"tolerance override must look like name=value: {item!r}")
-        tolerances[name] = float(value)
-    config = RunConfig(
-        seed=args.seed if args.seed is not None else int(settings.get("seed", 42)),
-        draws=args.draws if args.draws is not None else int(settings.get("draws", 1000)),
-        tolerances=tolerances,
-    )
+        tolerances[name] = _convert(float, value, f"tolerance {name!r}")
+    seed, draws = args.seed, args.draws
+    if seed is None:
+        seed = _convert(int, settings.get("seed", 42), "seed")
+    if draws is None:
+        draws = _convert(int, settings.get("draws", 1000), "draws")
+    config = RunConfig(seed=seed, draws=draws, tolerances=tolerances)
     summary = run_verification(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if all_passed(summary) else 1

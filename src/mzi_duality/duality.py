@@ -43,15 +43,36 @@ MIN_SCAN_GRID = 64
 DEFAULT_SCAN_GRID = 4096
 
 
-def _sin_beta(beta: float) -> float:
-    # The closest double to the half-turn boundary is treated as an exact
-    # half turn, so the boundary statements V=0, D=1, residual=0 hold exactly.
-    return 0.0 if beta == math.pi else math.sin(beta)
+def splitter_trig(beta):
+    """(sin beta, cos beta) of a splitter angle or an array of them.
+
+    The closest double to the half-turn boundary is treated as an exact half
+    turn, so the boundary statements V=0, D=1, residual=0 hold exactly.
+    """
+    if isinstance(beta, np.ndarray):
+        return np.where(beta == math.pi, 0.0, np.sin(beta)), np.cos(beta)
+    return (0.0 if beta == math.pi else math.sin(beta)), math.cos(beta)
 
 
 def _port_denominator(s_x: float, beta: float) -> float:
     den = 1.0 + s_x * math.cos(beta)
     return den
+
+
+# The closed forms for V and D, written once. Arguments are scalars or
+# broadcastable arrays; callers supply the trig (splitter_trig) and check the
+# port denominator 1 + s_x cos(beta) themselves. V comes back unclipped.
+
+
+def visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta):
+    """V = A sin(beta) |(s_y, s_z)| / (1 + s_x cos(beta))."""
+    return a_overlap * sin_beta * yz / (1.0 + s_x * cos_beta)
+
+
+def distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta):
+    """D = sqrt(1 - (A sin(beta) / (1 + s_x cos(beta)))^2 (1 - s_x)(1 + s_x))."""
+    ratio = (a_overlap * sin_beta / (1.0 + s_x * cos_beta)) ** 2 * (1.0 - s_x) * (1.0 + s_x)
+    return np.sqrt(np.maximum(1.0 - ratio, 0.0))
 
 
 def _check_overlap(a_overlap: float) -> None:
@@ -137,7 +158,7 @@ def visibility_closed(
         raise UndefinedVisibilityError(
             "monitored port has zero intensity; fringe contrast is 0/0"
         )
-    v = a_overlap * _sin_beta(beta.beta) * state.yz_norm / den
+    v = visibility_kernel(state.s_x, state.yz_norm, a_overlap, *splitter_trig(beta.beta))
     return min(max(v, 0.0), 1.0)
 
 
@@ -212,13 +233,18 @@ def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     return PathWeights(omega_a, omega_b)
 
 
-def detector_mixture(det: DetectorConfig, weights: PathWeights) -> DensityOperator:
-    """Detector state conditioned on the monitored port: a two-branch mixture."""
+def _detector_branches(det: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
+    # Detector states left by path b (unmarked, rho_d) and path a (marked,
+    # U rho_d U^dagger).
     u = det.unitary
     rho_d = np.outer(det.reference_state, det.reference_state.conj())
-    return DensityOperator(
-        weights.omega_b * rho_d + weights.omega_a * (u @ rho_d @ u.conj().T)
-    )
+    return rho_d, u @ rho_d @ u.conj().T
+
+
+def detector_mixture(det: DetectorConfig, weights: PathWeights) -> DensityOperator:
+    """Detector state conditioned on the monitored port: a two-branch mixture."""
+    unmarked, marked = _detector_branches(det)
+    return DensityOperator(weights.omega_b * unmarked + weights.omega_a * marked)
 
 
 def distinguishability_closed(
@@ -237,14 +263,12 @@ def distinguishability_closed(
         raise InvalidInputError(
             "monitored port has zero intensity; distinguishability undefined"
         )
-    ratio = (a_overlap * _sin_beta(beta.beta) / den) ** 2 * (1.0 - s_x) * (1.0 + s_x)
-    return math.sqrt(max(1.0 - ratio, 0.0))
+    return float(distinguishability_kernel(s_x, a_overlap, *splitter_trig(beta.beta)))
 
 
 def _discrimination_operator(det: DetectorConfig, weights: PathWeights) -> np.ndarray:
-    u = det.unitary
-    rho_d = np.outer(det.reference_state, det.reference_state.conj())
-    return weights.omega_a * (u @ rho_d @ u.conj().T) - weights.omega_b * rho_d
+    unmarked, marked = _detector_branches(det)
+    return weights.omega_a * marked - weights.omega_b * unmarked
 
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
@@ -272,52 +296,6 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     return MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
 
 
-def min_error_basis_closed_form(
-    det: DetectorConfig, weights: PathWeights
-) -> MeasurementBasis:
-    """Textbook closed-form expressions for the optimal discrimination basis.
-
-    Valid on interior parameter points only: 0 < a_overlap < 1, omega_a > 0,
-    and a real positive overlap (gamma = 0); the formulas are singular at the
-    domain edges. Retained purely as a secondary oracle for min_error_basis.
-    """
-    a = det.a_overlap
-    if not 0.0 < a < 1.0:
-        raise InvalidInputError("closed-form basis requires 0 < a_overlap < 1")
-    if weights.omega_a <= 0.0:
-        raise InvalidInputError("closed-form basis requires omega_a > 0")
-    if abs(math.remainder(det.gamma, TWO_PI)) > 1e-9:
-        raise InvalidInputError("closed-form basis assumes a real overlap (gamma = 0)")
-
-    wa = weights.omega_a
-    wb = weights.omega_b
-    bias = math.sqrt(1.0 - 4.0 * wa * wb * a * a)
-    root = math.sqrt(1.0 - a * a)
-    coeff_a = (1.0 - bias) / (2.0 * wa * a)
-    coeff_b = (1.0 + bias) / (2.0 * wa * a)
-    norm_a = math.sqrt(
-        (1.0 - 4.0 * wa * wb * a * a - bias * (1.0 - 2.0 * wa * a * a))
-        / (2.0 * wa * wa * a * a * (1.0 - a * a))
-    )
-    norm_b = math.sqrt(
-        (1.0 - 4.0 * wa * wb * a * a + bias * (1.0 - 2.0 * wa * a * a))
-        / (2.0 * wa * wa * a * a * (1.0 - a * a))
-    )
-    marked = det.marked_state
-    reference = det.reference_state
-    m_a = (marked - coeff_a * reference) / (norm_a * root)
-    m_b = (marked - coeff_b * reference) / (norm_b * root)
-    # The printed normalization constants cancel to ~1e-12 near the domain
-    # corners; certify them at a conditioning-appropriate tolerance, then
-    # tighten to machine precision so the basis contract holds.
-    norm_defect = max(abs(np.linalg.norm(m_a) - 1.0), abs(np.linalg.norm(m_b) - 1.0))
-    if norm_defect > 1e-9:
-        raise InvalidInputError(
-            f"closed-form normalization failed its self-check ({norm_defect:.3e})"
-        )
-    return MeasurementBasis(m_a / np.linalg.norm(m_a), m_b / np.linalg.norm(m_b))
-
-
 def complementarity_residual(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
@@ -326,7 +304,8 @@ def complementarity_residual(
     den = _port_denominator(state.s_x, beta.beta)
     if den <= DENOMINATOR_TOL:
         raise InvalidInputError("monitored port has zero intensity; residual undefined")
-    return (a_overlap * _sin_beta(beta.beta) / den) ** 2 * (1.0 - state.lam)
+    sin_beta, _ = splitter_trig(beta.beta)
+    return (a_overlap * sin_beta / den) ** 2 * (1.0 - state.lam)
 
 
 def visibility_peak_fixed_beta(

@@ -7,12 +7,15 @@ import pytest
 from mzi_duality.cli import (
     SWEEP_HEADER,
     SweepSpec,
+    _fmt,
     figure_tables,
     main,
     parse_angle,
     run_sweep,
 )
+from mzi_duality.duality import distinguishability_closed, visibility_closed
 from mzi_duality.errors import InvalidInputError
+from mzi_duality.interferometer import BeamSplitterAngle, BlochState
 
 
 # --- angle parsing ---------------------------------------------------------------
@@ -108,6 +111,12 @@ def test_sweep_spec_validation():
         SweepSpec(swept="beta", lo=0, hi=math.pi, steps=5, lam=0.2, a_overlap=0.5, s_x=0.6)
     with pytest.raises(InvalidInputError):
         SweepSpec(swept="phi", lo=0, hi=1, steps=5, lam=0.2, a_overlap=0.5)
+    with pytest.raises(InvalidInputError):
+        small_sx_spec(gamma=math.nan)
+    with pytest.raises(InvalidInputError):
+        small_sx_spec(yz_angle=math.inf)
+    with pytest.raises(InvalidInputError):
+        SweepSpec(swept="beta", lo=0, hi=math.pi, steps=5, lam=0.2, a_overlap=0.5, s_x=math.nan)
 
 
 def test_sweep_rows_satisfy_the_complementarity_identity():
@@ -227,6 +236,34 @@ def test_figure_tables_have_expected_shape(tables):
         assert lines[0] == expected_header
 
 
+FIGURE_PARAMETERS = {  # stem -> (lam, a_overlap)
+    "fig2a": (9 / 25, 1 / 3), "fig2b": (9 / 25, 1 / 3),
+    "fig2c": (1.0, 1 / 3), "fig2d": (1.0, 1 / 3),
+    "fig3a": (1.0, 1 / 3), "fig3b": (1.0, 1 / 3),
+    "fig3c": (1.0, 0.8), "fig3d": (1.0, 0.8),
+}
+
+
+def test_figure_rows_match_the_scalar_closed_forms(tables):
+    # The tables are evaluated as arrays; every row must be the byte-exact
+    # formatted value the scalar API gives at that row's parameters.
+    for stem, lines in tables.items():
+        lam, a_overlap = FIGURE_PARAMETERS[stem]
+        for line in lines[1:]:
+            label, param, value = line.split(",")
+            name, _, fixed = label.partition("=")
+            if name == "beta":
+                s_x, beta = float(param), BeamSplitterAngle(parse_angle(fixed))
+            else:
+                s_x, beta = float(fixed), BeamSplitterAngle(float(param))
+            if stem.startswith("fig2"):
+                state = BlochState(s_x, 0.0, math.sqrt(max(lam - s_x * s_x, 0.0)))
+                expected = visibility_closed(state, a_overlap, beta)
+            else:
+                expected = distinguishability_closed(s_x, beta, a_overlap)
+            assert value == _fmt(expected), (stem, line)
+
+
 def parse_curves(lines):
     curves = {}
     for line in lines[1:]:
@@ -330,6 +367,8 @@ def test_verify_injected_fault_fails(capsys):
 def test_verify_rejects_unknown_tolerance(capsys):
     assert main(["verify", "--draws", "5", "--tolerance", "bogus=1e-3"]) == 2
     assert "unknown tolerance" in capsys.readouterr().err
+    assert main(["verify", "--draws", "5", "--tolerance", "visibility_oracle=abc"]) == 2
+    assert "visibility_oracle" in capsys.readouterr().err
 
 
 def test_verify_rejects_nonpositive_draws(capsys):
@@ -351,3 +390,6 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     assert main(["verify", "--config", str(config)]) == 2
     config.write_text(json.dumps({"seeds": 3}))
     assert main(["verify", "--config", str(config)]) == 2
+    for bad in ({"draws": "x"}, {"tolerances": [1, 2]}, [1]):
+        config.write_text(json.dumps(bad))
+        assert main(["verify", "--config", str(config)]) == 2

@@ -17,7 +17,6 @@ from mzi_duality.duality import (
     distinguishability_valley,
     duality_report,
     min_error_basis,
-    min_error_basis_closed_form,
     path_weights,
     visibility_closed,
     visibility_peak_fixed_beta,
@@ -44,6 +43,7 @@ from mzi_duality.verify import (
     grid_visibility_peak_fixed_beta,
     grid_visibility_peak_fixed_sx,
 )
+from mzi_duality.verify import _min_error_basis_closed_form
 
 THIRD = 1.0 / 3.0
 HALF_PI = math.pi / 2
@@ -375,7 +375,7 @@ def test_basis_matches_literal_closed_form_on_interior_points():
         omega_a = rng.uniform(0.05, 0.95)
         w = PathWeights(omega_a, 1.0 - omega_a)
         numeric = min_error_basis(det, w)
-        literal = min_error_basis_closed_form(det, w)
+        literal = _min_error_basis_closed_form(det, w)
         for v, ref in ((numeric.m_a, literal.m_a), (numeric.m_b, literal.m_b)):
             overlap = np.vdot(ref, v)
             aligned = ref * (overlap / abs(overlap))
@@ -385,13 +385,13 @@ def test_basis_matches_literal_closed_form_on_interior_points():
 def test_literal_closed_form_preconditions():
     w = PathWeights(0.5, 0.5)
     with pytest.raises(InvalidInputError):
-        min_error_basis_closed_form(DetectorConfig(0.0), w)
+        _min_error_basis_closed_form(DetectorConfig(0.0), w)
     with pytest.raises(InvalidInputError):
-        min_error_basis_closed_form(DetectorConfig(1.0), w)
+        _min_error_basis_closed_form(DetectorConfig(1.0), w)
     with pytest.raises(InvalidInputError):
-        min_error_basis_closed_form(DetectorConfig(0.5, gamma=1.0), w)
+        _min_error_basis_closed_form(DetectorConfig(0.5, gamma=1.0), w)
     with pytest.raises(InvalidInputError):
-        min_error_basis_closed_form(DetectorConfig(0.5), PathWeights(0.0, 1.0))
+        _min_error_basis_closed_form(DetectorConfig(0.5), PathWeights(0.0, 1.0))
 
 
 def test_measurement_reaches_the_optimal_success_probability():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mzi_duality import verify
+from mzi_duality.duality import distinguishability_kernel
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
@@ -22,10 +23,7 @@ def per_call_peak_fixed_sx(s_x, lam, a_overlap, step=GRID_STEP):
 
 def per_call_valley(s_x, a_overlap, step=GRID_STEP):
     beta = np.arange(step, math.pi, step)
-    ratio = (a_overlap * np.sin(beta) / (1.0 + s_x * np.cos(beta))) ** 2 * (
-        (1.0 - s_x) * (1.0 + s_x)
-    )
-    values = np.sqrt(np.maximum(1.0 - ratio, 0.0))
+    values = distinguishability_kernel(s_x, a_overlap, np.sin(beta), np.cos(beta))
     k = int(np.argmin(values))
     return float(beta[k]), float(values[k])
 
