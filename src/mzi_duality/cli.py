@@ -269,6 +269,13 @@ def _convert(kind, value, what: str):
         raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
+def _config_int(value, what: str) -> int:
+    # int() would truncate 2.9 and accept true as 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return _convert(int, value, what)
+
+
 def _cmd_verify(args) -> int:
     settings: dict = {}
     if args.config is not None:
@@ -295,9 +302,9 @@ def _cmd_verify(args) -> int:
         tolerances[name] = _convert(float, value, f"tolerance {name!r}")
     seed, draws = args.seed, args.draws
     if seed is None:
-        seed = _convert(int, settings.get("seed", 42), "seed")
+        seed = _config_int(settings.get("seed", 42), "seed")
     if draws is None:
-        draws = _convert(int, settings.get("draws", 1000), "draws")
+        draws = _config_int(settings.get("draws", 1000), "draws")
     config = RunConfig(seed=seed, draws=draws, tolerances=tolerances)
     summary = run_verification(config)
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -266,10 +266,51 @@ def detection_probability_closed(
     return base + osc
 
 
+# Phase-product tables of the visibility scan's uniform grids, one entry
+# (grid, re, im) per grid size, filled on first use and read-only.
+_SCAN_GRIDS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Real and imaginary parts of the 16-row table d_j conj(d_k), row 4j + k,
+    # one column per phase, for the phase diagonal d of each phase.
+    phase = np.exp(-1j * phis)
+    d = np.empty((4, phase.size), dtype=complex)
+    d[:2] = phase
+    d[2:] = phase.conj()
+    table = (d[:, None, :] * d.conj()[None, :, :]).reshape(16, phase.size)
+    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+
+
+def _phase_table(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The cached table serves only the cached grid array itself; any other
+    # array, an equal copy included, gets its table built on the fly.
+    cached = _SCAN_GRIDS.get(phis.size)
+    if cached is not None and cached[0] is phis:
+        return cached[1], cached[2]
+    return _phase_products(phis)
+
+
+def _scan_grid(grid_size: int) -> np.ndarray:
+    """The uniform phase grid step * arange(grid_size), step = 2*pi/grid_size.
+
+    Built once per grid size together with its phase-product table, both
+    read-only; a probe handed this very array reads the cached table.
+    """
+    cached = _SCAN_GRIDS.get(grid_size)
+    if cached is None:
+        grid = (TWO_PI / grid_size) * np.arange(grid_size)
+        cached = (grid, *_phase_products(grid))
+        for arr in cached:
+            arr.setflags(write=False)
+        _SCAN_GRIDS[grid_size] = cached
+    return cached[0]
+
+
 def phase_probe(
     state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle
 ):
-    """Fast port-a probability evaluator over arrays of phase settings.
+    """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
     reorganized. With the tail T = (recombiner x 1)(marking), the phase
@@ -277,19 +318,20 @@ def phase_probe(
     prepared state P behind the input splitter, the final state is
     W P W^dagger with W = T diag(d), so the port-a probability is
     Re sum_jk M_jk d_j conj(d_k) with M = P o (T[2:]^T conj(T[2:])), an
-    elementwise product built once per probe. Each call then costs one exp,
-    one (4x4)@(4xN) product and one reduction over the phase vectors.
+    elementwise product built once per probe. Each call sums all 16 terms at
+    every phase as two real matrix-vector products,
+    Re(M).ravel() @ re - Im(M).ravel() @ im, where (re, im) is the table of
+    products d_j conj(d_k). The table of a grid from _scan_grid is built once
+    per grid size; any other phase array gets one built per call.
     """
     joint_in = tensor(bloch_to_density(state).matrix, _DETECTOR_START)
     prepared = _INPUT_SPLITTER @ joint_in @ _INPUT_SPLITTER.conj().T
     port_a = (_lift_path(beam_splitter(beta)) @ marking_operator(det))[2:, :]
-    m = prepared * (port_a.T @ port_a.conj())
+    m = (prepared * (port_a.T @ port_a.conj())).ravel()
+    m_re, m_im = m.real.copy(), m.imag.copy()
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        phase = np.exp(-1j * np.asarray(phis, dtype=float))
-        d = np.empty((4, phase.size), dtype=complex)
-        d[:2] = phase
-        d[2:] = phase.conj()
-        return (d * (m @ d.conj())).sum(axis=0).real
+        re, im = _phase_table(np.asarray(phis, dtype=float))
+        return m_re @ re - m_im @ im
 
     return probe

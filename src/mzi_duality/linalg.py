@@ -9,6 +9,7 @@ The composite index convention is path-first: the basis vector
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 EIGEN_TOL = 1e-10
 DEGENERATE_GAP = 1e-14
+_SMALLEST_NORMAL = sys.float_info.min
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,7 +112,29 @@ def _phase_normalized(vector: np.ndarray) -> np.ndarray:
     # both construction branches below guarantee it is nonzero.
     v = vector / np.linalg.norm(vector)
     lead = v[0]
+    if abs(lead) < _SMALLEST_NORMAL:
+        # Below the normal range 1/|lead| overflows, and v[0] may even have
+        # underflowed to zero: take the phase of the unnormalized lead,
+        # scaled exactly by a power of two to order one.
+        lead = vector[0]
+        shift = -math.frexp(max(abs(lead.real), abs(lead.imag)))[1]
+        lead = complex(math.ldexp(lead.real, shift), math.ldexp(lead.imag, shift))
     return v * (np.conj(lead) / abs(lead))
+
+
+def _eigen_parts(h, caller: str) -> tuple[np.ndarray, float, float]:
+    # The validated Hermitian 2x2 matrix with the mean and the half-gap of
+    # its eigenvalues, which are mean +- radius.
+    m = _as_matrix(h, "hermitian matrix")
+    if m.shape != (2, 2):
+        raise InvalidInputError(f"{caller} expects a 2x2 matrix")
+    defect = hermiticity_defect(m)
+    if defect > HERMITIAN_TOL:
+        raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
+    a = m[0, 0].real
+    c = m[1, 1].real
+    radius = math.hypot(0.5 * (a - c), abs(complex(m[0, 1])))
+    return m, 0.5 * (a + c), radius
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -122,19 +146,11 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     nonzero component is real and positive, making the output deterministic.
     A spectrum with gap below ``DEGENERATE_GAP`` returns the canonical basis.
     """
-    m = _as_matrix(h, "hermitian matrix")
-    if m.shape != (2, 2):
-        raise InvalidInputError("hermitian_eig2 expects a 2x2 matrix")
-    defect = hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
-
+    m, mean, radius = _eigen_parts(h, "hermitian_eig2")
     a = m[0, 0].real
     c = m[1, 1].real
     b = complex(m[0, 1])
-    mean = 0.5 * (a + c)
     half_diff = 0.5 * (a - c)
-    radius = math.hypot(half_diff, abs(b))
     values = np.array([mean + radius, mean - radius])
 
     if b == 0:
@@ -160,5 +176,5 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
-    values, _ = hermitian_eig2(h)
-    return float(np.abs(values).sum())
+    _, mean, radius = _eigen_parts(h, "trace_norm")
+    return float(abs(mean + radius) + abs(mean - radius))

@@ -420,8 +420,9 @@ def run_check(
         err = error(rng)
         if err is None:
             continue
-        worst = max(worst, err)
-        failures += err > tol
+        # np.maximum and the negated test let a NaN error stick and fail.
+        worst = float(np.maximum(worst, err))
+        failures += not (err <= tol)
     return failures, worst
 
 

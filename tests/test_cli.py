@@ -390,6 +390,16 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     assert main(["verify", "--config", str(config)]) == 2
     config.write_text(json.dumps({"seeds": 3}))
     assert main(["verify", "--config", str(config)]) == 2
-    for bad in ({"draws": "x"}, {"tolerances": [1, 2]}, [1]):
+    for bad in (
+        {"draws": "x"},
+        {"tolerances": [1, 2]},
+        [1],
+        {"draws": 2.9, "seed": True},
+        {"draws": 2.9},
+        {"seed": True},
+        {"draws": False},
+        {"seed": 1.5},
+        {"draws": float("inf")},
+    ):
         config.write_text(json.dumps(bad))
         assert main(["verify", "--config", str(config)]) == 2

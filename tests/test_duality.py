@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,15 @@ def test_basis_for_orthogonal_states_is_the_states_themselves():
     overlap_b = abs(np.vdot(basis.m_b, det.reference_state))
     assert overlap_a == pytest.approx(1.0, abs=1e-12)
     assert overlap_b == pytest.approx(1.0, abs=1e-12)
+
+
+def test_basis_is_finite_for_a_subnormal_overlap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        basis = min_error_basis(DetectorConfig(1e-320, 0.3, 0.2), PathWeights(0.4, 0.6))
+    vectors = np.column_stack([basis.m_a, basis.m_b])
+    assert np.isfinite(vectors).all()
+    assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
 
 
 def test_basis_degenerates_when_states_coincide():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzi_duality import interferometer
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.interferometer import (
     BeamSplitterAngle,
@@ -314,3 +319,80 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
         for phi, p in zip(phis, batch):
             scalar = detection_probability_numeric(evolve(state, det, beta, PhaseShift(phi)))
             assert abs(p - scalar) <= 1e-14
+
+
+# --- the scan grid's cached phase-product table -----------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_scan_grid_table_is_built_on_first_use_once_per_size():
+    # A fresh interpreter, so no earlier test has filled the cache.
+    code = textwrap.dedent(
+        """
+        import math
+        from collections import Counter
+        import mzi_duality
+        import mzi_duality.cli
+        from mzi_duality import interferometer as i
+
+        assert i._SCAN_GRIDS == {}
+        builds = Counter()
+        build = i._phase_products
+
+        def counting_phase_products(phis):
+            builds[phis.size] += 1
+            return build(phis)
+
+        i._phase_products = counting_phase_products
+        args = (
+            mzi_duality.BlochState(0.2, -0.4, 0.5),
+            mzi_duality.DetectorConfig(0.7, 0.3, 1.9),
+            mzi_duality.BeamSplitterAngle(0.8),
+        )
+        for grid_size in (4096, 4096, 512, 4096, 512):
+            mzi_duality.visibility_scan(*args, grid_size=grid_size)
+        assert sorted(i._SCAN_GRIDS) == [512, 4096]
+        assert builds[4096] == 1 and builds[512] == 1
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_scan_grid_and_its_table_are_read_only():
+    grid = interferometer._scan_grid(4096)
+    assert interferometer._scan_grid(4096) is grid
+    np.testing.assert_array_equal(grid, (2 * math.pi / 4096) * np.arange(4096))
+    cached = interferometer._SCAN_GRIDS[4096]
+    assert cached[0] is grid
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_probe_reads_the_cached_table_only_for_the_grid_itself(monkeypatch):
+    state = BlochState(0.2, -0.4, 0.5)
+    det = DetectorConfig(0.7, 0.3, 1.9)
+    beta = BeamSplitterAngle(0.8)
+    grid = interferometer._scan_grid(4096)
+    builds = []
+    build = interferometer._phase_products
+
+    def counting_phase_products(phis):
+        builds.append(phis.size)
+        return build(phis)
+
+    monkeypatch.setattr(interferometer, "_phase_products", counting_phase_products)
+    probe = phase_probe(state, det, beta)
+    cached = probe(grid)
+    assert builds == []
+    fresh = probe(grid.copy())
+    assert builds == [4096]
+    assert np.array_equal(cached, fresh)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,25 @@ def test_eig_rejects_nonhermitian():
 def test_eig_rejects_wrong_shape():
     with pytest.raises(InvalidInputError):
         hermitian_eig2(np.eye(4))
+    with pytest.raises(InvalidInputError):
+        trace_norm(np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        [[0, 5e-324j], [-5e-324j, 1]],  # subnormal leading entry
+        [[0, 2e-308j], [-2e-308j, 1]],  # just below the normal range
+        [[0, 1e-320], [1e-320, 1e10]],  # lead underflows to zero on normalizing
+    ],
+)
+def test_eig_vectors_stay_finite_for_a_tiny_lead(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, vectors = hermitian_eig2(h)
+    assert np.isfinite(vectors).all()
+    assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
+    assert np.abs(np.asarray(h) @ vectors - vectors * values).max() <= 1e-10 * max(1.0, values[0])
 
 
 def test_hermiticity_defect_measures_asymmetry():
@@ -260,3 +281,13 @@ def test_trace_norm_rejects_nonhermitian():
 def test_trace_norm_dominates_trace(d0, d1, re, im):
     h = np.array([[d0, re + 1j * im], [re - 1j * im, d1]])
     assert trace_norm(h) >= abs(d0 + d1) - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_entry, finite_entry, finite_entry, finite_entry)
+def test_trace_norm_is_the_eigensolver_sum_bitwise(d0, d1, re, im):
+    h = np.array([[d0, re + 1j * im], [re - 1j * im, d1]])
+    values, _ = hermitian_eig2(h)
+    norm = trace_norm(h)
+    assert type(norm) is float
+    assert norm == float(np.abs(values).sum())

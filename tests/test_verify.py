@@ -62,3 +62,11 @@ def test_non_default_step_gets_its_own_grid():
         0.3, 0.7, 0.6, step
     )
     assert grid_distinguishability_valley(0.3, 0.6, step) == per_call_valley(0.3, 0.6, step)
+
+
+def test_nan_error_counts_as_a_failure(monkeypatch):
+    checks = dict(verify.CHECKS, nan_check=verify.Check(lambda rng: math.nan, 1.0))
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    failures, worst = verify.run_check("nan_check", np.random.default_rng(0), 5, 1.0)
+    assert failures == 5
+    assert math.isnan(worst)
