@@ -17,21 +17,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import (
+    DARK_PORT_CONTRAST,
+    DARK_PORT_WEIGHTS,
     DEFAULT_SCAN_GRID,
+    DENOMINATOR_TOL,
     MIN_SCAN_GRID,
-    complementarity_residual,
-    distinguishability_closed,
+    WEIGHT_RANGE_MESSAGE,
+    WEIGHT_SUM_MESSAGE,
+    WEIGHT_TOL,
     distinguishability_kernel,
-    distinguishability_trace_norm,
+    distinguishability_trace_norms,
     duality_report,
     path_weights,
+    residual_kernel,
     splitter_trig,
-    visibility_closed,
     visibility_kernel,
-    visibility_scan,
+    visibility_scans,
+    weights_kernel,
 )
-from .errors import DualityError, InvalidInputError, require_finite
-from .interferometer import BeamSplitterAngle, BlochState, DetectorConfig
+from .errors import DualityError, InvalidInputError, require_finite, require_in_range
+from .interferometer import (
+    BLOCH_LENGTH_MESSAGE,
+    BLOCH_NORM_TOL,
+    BeamSplitterAngle,
+    BlochState,
+    DetectorConfig,
+)
 from .verify import RunConfig, all_passed, run_verification
 
 SWEEP_HEADER = "param,V_closed,V_scan,D_closed,D_trace,residual,omega_a,omega_b"
@@ -100,8 +111,7 @@ class SweepSpec:
             raise InvalidInputError("steps must be at least 2")
         if not self.lo < self.hi:
             raise InvalidInputError("sweep range must satisfy lo < hi")
-        if not 0.0 <= self.lam <= 1.0 + 1e-12:
-            raise InvalidInputError(f"lam must lie in [0, 1], got {self.lam!r}")
+        require_in_range("lam", self.lam, hi=1.0 + 1e-12)
         require_finite(yz_angle=self.yz_angle)
         object.__setattr__(
             self, "detector", DetectorConfig(self.a_overlap, self.gamma, self.delta)
@@ -128,42 +138,75 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-def _state_at(lam: float, s_x: float, yz_angle: float) -> BlochState:
-    r = math.sqrt(max(lam - s_x * s_x, 0.0))
-    return BlochState(s_x, r * math.sin(yz_angle), r * math.cos(yz_angle))
-
-
-def _sweep_row(spec: SweepSpec, value: float) -> list[float]:
-    if spec.swept == "s_x":
-        s_x, beta = float(value), BeamSplitterAngle(spec.beta)
-    else:
-        s_x, beta = spec.s_x, BeamSplitterAngle(float(value))
-    state = _state_at(spec.lam, s_x, spec.yz_angle)
-    weights = path_weights(s_x, beta)
-    return [
-        visibility_closed(state, spec.a_overlap, beta),
-        visibility_scan(state, spec.detector, beta, grid_size=spec.scan_grid),
-        distinguishability_closed(s_x, beta, spec.a_overlap),
-        distinguishability_trace_norm(spec.detector, weights),
-        complementarity_residual(state, spec.a_overlap, beta),
-        weights.omega_a,
-        weights.omega_b,
-    ]
+def _blank_reasons(checks, n: int) -> list:
+    # Per row, the message of the first check in ``checks`` that fails there,
+    # or None. A check is (failing mask, message), the message a string or a
+    # function of the row index.
+    reasons = [None] * n
+    for failing, message in checks:
+        for i in np.flatnonzero(failing).tolist():
+            if reasons[i] is None:
+                reasons[i] = message(i) if callable(message) else message
+    return reasons
 
 
 def run_sweep(spec: SweepSpec) -> list[str]:
-    """CSV lines (header first) for the sweep; degenerate points get empty fields."""
+    """CSV lines (header first) for the sweep; degenerate points get empty fields.
+
+    Every column is computed for all rows at once. A row is left blank, with
+    a warning on stderr, where the scalar API would raise: the checks run in
+    its order (input state, path weights, then the scan), and the warning
+    quotes the first one that fails.
+    """
+    params = spec.grid()
+    fixed = np.full_like(params, spec.beta if spec.swept == "s_x" else spec.s_x)
+    s_x, beta = (params, fixed) if spec.swept == "s_x" else (fixed, params)
+    # The input state of each row, as BlochState would hold it.
+    r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
+    s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
+    bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
+    # math.hypot, as in BlochState.yz_norm: np.hypot rounds differently.
+    yz = np.array([math.hypot(y, z) for y, z in zip(s_y.tolist(), s_z.tolist())])
+    a = spec.a_overlap
+    sin_beta, cos_beta = splitter_trig(beta)
+    # Rows at the dark port divide by a zero denominator; they are blanked.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega_a, omega_b = weights_kernel(s_x, beta, cos_beta)
+        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector, beta, spec.scan_grid)
+        columns = np.column_stack([
+            visibility_kernel(s_x, yz, a, sin_beta, cos_beta).clip(0.0, 1.0),
+            v_scan,
+            distinguishability_kernel(s_x, a, sin_beta, cos_beta),
+            distinguishability_trace_norms(spec.detector, omega_a, omega_b),
+            residual_kernel(s_x, bloch_lam, a, sin_beta, cos_beta),
+            omega_a,
+            omega_b,
+        ])
+
+    def outside(w):
+        return ~((-WEIGHT_TOL <= w) & (w <= 1.0 + WEIGHT_TOL))
+
+    def weight_message(name, w):
+        return lambda i: WEIGHT_RANGE_MESSAGE.format(name=name, value=float(w[i]))
+
+    # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
+    reasons = _blank_reasons([
+        (bloch_lam > 1.0 + BLOCH_NORM_TOL,
+         lambda i: BLOCH_LENGTH_MESSAGE.format(float(bloch_lam[i]))),
+        (1.0 + s_x * cos_beta <= DENOMINATOR_TOL, DARK_PORT_WEIGHTS),
+        (outside(omega_a), weight_message("omega_a", omega_a)),
+        (outside(omega_b), weight_message("omega_b", omega_b)),
+        (np.abs(omega_a + omega_b - 1.0) > WEIGHT_TOL, WEIGHT_SUM_MESSAGE),
+        (~scanned, DARK_PORT_CONTRAST),
+    ], len(params))
     lines = [SWEEP_HEADER]
-    for value in spec.grid():
-        try:
-            fields = [_fmt(v) for v in _sweep_row(spec, float(value))]
-        except DualityError as exc:
-            print(
-                f"warning: {spec.swept}={_fmt(float(value))} is degenerate ({exc})",
-                file=sys.stderr,
-            )
+    for value, row, reason in zip(params.tolist(), columns.tolist(), reasons):
+        if reason is None:
+            fields = [_fmt(v) for v in row]
+        else:
+            print(f"warning: {spec.swept}={_fmt(value)} is degenerate ({reason})", file=sys.stderr)
             fields = [""] * 7
-        lines.append(",".join([_fmt(float(value))] + fields))
+        lines.append(",".join([_fmt(value)] + fields))
     return lines
 
 

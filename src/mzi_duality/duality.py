@@ -21,6 +21,7 @@ from .errors import (
     NoExtremumError,
     UndefinedVisibilityError,
     require_finite,
+    require_in_range,
 )
 from .interferometer import (
     TWO_PI,
@@ -28,9 +29,12 @@ from .interferometer import (
     BlochState,
     DetectorConfig,
     _scan_grid,
-    phase_probe,
+    port_matrices,
+    probabilities_at,
+    probabilities_on,
 )
-from .linalg import DensityOperator, hermitian_eig2, trace_norm
+from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
+from .linalg import DensityOperator, _trace_norms, hermitian_eig2, trace_norm
 
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -42,6 +46,11 @@ RESIDUAL_FLOOR = -1e-12
 PHASE_REFINE_TOL = 1e-12
 MIN_SCAN_GRID = 64
 DEFAULT_SCAN_GRID = 4096
+
+DARK_PORT_WEIGHTS = "monitored port has zero intensity; weights undefined"
+DARK_PORT_CONTRAST = "monitored port has zero intensity; fringe contrast is 0/0"
+WEIGHT_RANGE_MESSAGE = "{name} out of [0, 1]: {value!r}"
+WEIGHT_SUM_MESSAGE = "path weights must sum to 1"
 
 
 def splitter_trig(beta):
@@ -60,9 +69,11 @@ def _port_denominator(s_x: float, beta: float) -> float:
     return den
 
 
-# The closed forms for V and D, written once. Arguments are scalars or
-# broadcastable arrays; callers supply the trig (splitter_trig) and check the
-# port denominator 1 + s_x cos(beta) themselves. V comes back unclipped.
+# The closed forms for V, D, the residual and the path weights, written once.
+# Arguments are scalars or broadcastable arrays; callers supply the trig
+# (splitter_trig) and check the port denominator 1 + s_x cos(beta)
+# themselves. V comes back unclipped. Squares are written as products, which
+# round the same for floats and arrays (a float's ** 2 goes through pow).
 
 
 def visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta):
@@ -72,14 +83,21 @@ def visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta):
 
 def distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta):
     """D = sqrt(1 - (A sin(beta) / (1 + s_x cos(beta)))^2 (1 - s_x)(1 + s_x))."""
-    ratio = (a_overlap * sin_beta / (1.0 + s_x * cos_beta)) ** 2 * (1.0 - s_x) * (1.0 + s_x)
-    return np.sqrt(np.maximum(1.0 - ratio, 0.0))
+    ratio = a_overlap * sin_beta / (1.0 + s_x * cos_beta)
+    return np.sqrt(np.maximum(1.0 - ratio * ratio * (1.0 - s_x) * (1.0 + s_x), 0.0))
 
 
-def _check_overlap(a_overlap: float) -> None:
-    require_finite(a_overlap=a_overlap)
-    if not 0.0 <= a_overlap <= 1.0:
-        raise InvalidInputError(f"a_overlap must lie in [0, 1], got {a_overlap!r}")
+def residual_kernel(s_x, lam, a_overlap, sin_beta, cos_beta):
+    """1 - V^2 - D^2 = (A sin(beta) / (1 + s_x cos(beta)))^2 (1 - lam)."""
+    ratio = a_overlap * sin_beta / (1.0 + s_x * cos_beta)
+    return ratio * ratio * (1.0 - lam)
+
+
+def weights_kernel(s_x, beta, cos_beta):
+    """(omega_a, omega_b) = (cos^2(beta/2) (1 + s_x), sin^2(beta/2) (1 - s_x)) / (1 + s_x cos(beta))."""
+    den = 1.0 + s_x * cos_beta
+    cos_half, sin_half = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    return cos_half * cos_half * (1.0 + s_x) / den, sin_half * sin_half * (1.0 - s_x) / den
 
 
 @dataclass(frozen=True)
@@ -91,12 +109,10 @@ class PathWeights:
 
     def __post_init__(self):
         require_finite(omega_a=self.omega_a, omega_b=self.omega_b)
-        if not -WEIGHT_TOL <= self.omega_a <= 1.0 + WEIGHT_TOL:
-            raise InvalidInputError(f"omega_a out of [0, 1]: {self.omega_a!r}")
-        if not -WEIGHT_TOL <= self.omega_b <= 1.0 + WEIGHT_TOL:
-            raise InvalidInputError(f"omega_b out of [0, 1]: {self.omega_b!r}")
+        require_in_range("omega_a", self.omega_a, -WEIGHT_TOL, 1.0 + WEIGHT_TOL, WEIGHT_RANGE_MESSAGE)
+        require_in_range("omega_b", self.omega_b, -WEIGHT_TOL, 1.0 + WEIGHT_TOL, WEIGHT_RANGE_MESSAGE)
         if abs(self.omega_a + self.omega_b - 1.0) > WEIGHT_TOL:
-            raise InvalidInputError("path weights must sum to 1")
+            raise InvalidInputError(WEIGHT_SUM_MESSAGE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +169,11 @@ def visibility_closed(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """Fringe contrast (max-min)/(max+min) of the port-a probability, closed form."""
-    _check_overlap(a_overlap)
+    require_finite(a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
     den = _port_denominator(state.s_x, beta.beta)
     if den <= DENOMINATOR_TOL:
-        raise UndefinedVisibilityError(
-            "monitored port has zero intensity; fringe contrast is 0/0"
-        )
+        raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
     v = visibility_kernel(state.s_x, state.yz_norm, a_overlap, *splitter_trig(beta.beta))
     return min(max(v, 0.0), 1.0)
 
@@ -169,23 +184,75 @@ def visibility_closed(
 # whole cached 4096-point grid, so 31 samples beat 15 (11 rounds) end to end.
 _REFINE_SAMPLES = 31
 _SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
+# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB,
+# and its refinement arrays a fraction of that, whatever the number of points.
+_SCAN_CHUNK = 32
 
 
-def _refine_extrema(probe, phi_max: float, phi_min: float, step: float) -> np.ndarray:
-    # Bracket search on [phi - step, phi + step] around the grid maximum and
-    # minimum, both brackets in one probe call per round. Each bracket holds
-    # exactly one extremum of the (sinusoidal, hence locally unimodal)
-    # fringe, so the extremum lies within one spacing of the best sample.
-    lo = np.array([phi_max, phi_min]) - step
+def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, step: float):
+    # Bracket search on [phi - step, phi + step] around each point's grid
+    # maximum and minimum, all 2n brackets in one probe call per round. Each
+    # bracket holds exactly one extremum of the (sinusoidal, hence locally
+    # unimodal) fringe, so the extremum lies within one spacing of the best
+    # sample.
+    n = len(m)
+    pairs = np.concatenate([m, m])
+    rows = np.arange(2 * n)
+    lo = np.concatenate([phi_max, phi_min]) - step
     width = 2.0 * step
     while width > PHASE_REFINE_TOL:
         spacing = width / (_REFINE_SAMPLES + 1)
         samples = lo[:, None] + spacing * _SAMPLE_INDEX
-        values = probe(samples.ravel()).reshape(samples.shape)
-        best = np.array([samples[0, values[0].argmax()], samples[1, values[1].argmin()]])
-        lo = best - spacing
+        values = probabilities_at(pairs, samples)
+        best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
+        lo = samples[rows, best] - spacing
         width = 2.0 * spacing
-    return probe(lo + 0.5 * width)
+    refined = probabilities_at(pairs, (lo + 0.5 * width)[:, None])[:, 0]
+    return refined[:n], refined[n:]
+
+
+def _scan_block(m: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # p_max and p_min of each folded point of a block: the grid, then the
+    # refinement, keeping the grid value where it is better.
+    values = probabilities_on(m, phis)
+    rows = np.arange(len(m))
+    k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
+    k_min = values.argmin(axis=1)
+    grid_max, grid_min = values[rows, k_max], values[rows, k_min]
+    refined_max, refined_min = _refine_extrema(m, phis[k_max], phis[k_min], TWO_PI / len(phis))
+    return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
+
+
+def visibility_scans(s_x, s_y, s_z, det: DetectorConfig, beta, grid_size: int = DEFAULT_SCAN_GRID):
+    """Fringe contrast of n points by explicit extremization over the phase dial.
+
+    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
+    point, of validated inputs; ``det`` serves every point. Returns
+    ``(visibility, defined)``: ``defined`` is False, and the visibility NaN,
+    where p_max + p_min <= DENOMINATOR_TOL (contrast 0/0).
+
+    Folds all points at once (interferometer.port_matrices), then scans them
+    in blocks of _SCAN_CHUNK points. A block's port-a probabilities on a
+    uniform phase grid over [0, 2*pi) come from one product with the grid's
+    cached phase-product table. The block's maxima and minima are then
+    refined together: each round samples all its brackets at 31 interior
+    phases in a single probe call and narrows each to its best sample +- one
+    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
+    sampled phase sums all 16 terms of the pipeline's quadratic form.
+    """
+    if grid_size < MIN_SCAN_GRID:
+        raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
+    m = port_matrices(s_x, s_y, s_z, det, beta)
+    phis = _scan_grid(grid_size)
+    p_max, p_min = np.empty((2, len(m)))
+    for start in range(0, len(m), _SCAN_CHUNK):
+        block = slice(start, start + _SCAN_CHUNK)
+        p_max[block], p_min[block] = _scan_block(m[block], phis)
+    total = p_max + p_min
+    defined = total > DENOMINATOR_TOL
+    visibility = np.full(len(m), np.nan)
+    np.divide(p_max - p_min, total, out=visibility, where=defined)
+    return visibility, defined
 
 
 def visibility_scan(
@@ -196,33 +263,18 @@ def visibility_scan(
 ) -> float:
     """Fringe contrast measured by explicit extremization over the phase dial.
 
-    Evaluates the port-a probability through the full operator pipeline on a
-    uniform phase grid over [0, 2*pi), then refines the maximum and the
-    minimum together: each round samples both brackets at 31 interior phases
-    in a single probe call and narrows each to its best sample +- one
-    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
-    sampled phase sums all 16 terms of the probe's quadratic form; the grid's
-    phase products come from a table built once per grid_size (see
-    interferometer.phase_probe), the brackets' on the fly. Serves as the
-    independent oracle for visibility_closed.
+    The one-point case of visibility_scans, which holds the method: the
+    port-a probability through the full operator pipeline on a uniform phase
+    grid over [0, 2*pi), then both extrema refined to PHASE_REFINE_TOL, every
+    sampled phase summing all 16 terms of the pipeline's quadratic form.
+    Serves as the independent oracle for visibility_closed.
     """
-    if grid_size < MIN_SCAN_GRID:
-        raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
-    probe = phase_probe(state, det, beta)
-    step = TWO_PI / grid_size
-    phis = _scan_grid(grid_size)
-    values = probe(phis)
-    k_max = int(np.argmax(values))  # ties resolve toward the smallest phase
-    k_min = int(np.argmin(values))
-    refined_max, refined_min = _refine_extrema(probe, phis[k_max], phis[k_min], step)
-    p_max = max(float(refined_max), float(values[k_max]))
-    p_min = min(float(refined_min), float(values[k_min]))
-    total = p_max + p_min
-    if total <= DENOMINATOR_TOL:
-        raise UndefinedVisibilityError(
-            "monitored port has zero intensity; fringe contrast is 0/0"
-        )
-    return (p_max - p_min) / total
+    visibility, defined = visibility_scans(
+        [state.s_x], [state.s_y], [state.s_z], det, [beta.beta], grid_size
+    )
+    if not defined[0]:
+        raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
+    return float(visibility[0])
 
 
 def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
@@ -230,13 +282,10 @@ def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     require_finite(s_x=s_x)
     if abs(s_x) > 1.0 + WEIGHT_TOL:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    den = _port_denominator(s_x, beta.beta)
-    if den <= DENOMINATOR_TOL:
-        raise InvalidInputError("monitored port has zero intensity; weights undefined")
-    half = 0.5 * beta.beta
-    omega_a = math.cos(half) ** 2 * (1.0 + s_x) / den
-    omega_b = math.sin(half) ** 2 * (1.0 - s_x) / den
-    return PathWeights(omega_a, omega_b)
+    if _port_denominator(s_x, beta.beta) <= DENOMINATOR_TOL:
+        raise InvalidInputError(DARK_PORT_WEIGHTS)
+    omega_a, omega_b = weights_kernel(s_x, beta.beta, math.cos(beta.beta))
+    return PathWeights(float(omega_a), float(omega_b))
 
 
 def _detector_branches(det: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +309,8 @@ def distinguishability_closed(
 
     Algebraically equal to sqrt(1 - 4*omega_a*omega_b*a_overlap^2).
     """
-    require_finite(s_x=s_x)
-    _check_overlap(a_overlap)
+    require_finite(s_x=s_x, a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
     if abs(s_x) > 1.0 + WEIGHT_TOL:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
     den = _port_denominator(s_x, beta.beta)
@@ -280,6 +329,17 @@ def _discrimination_operator(det: DetectorConfig, weights: PathWeights) -> np.nd
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
     return trace_norm(_discrimination_operator(det, weights))
+
+
+def distinguishability_trace_norms(det: DetectorConfig, omega_a, omega_b) -> np.ndarray:
+    """distinguishability_trace_norm over 1-D arrays of path weights.
+
+    The weights are taken as validated (see PathWeights); the trace norms
+    come from one stacked 2x2 eigenvalue pass.
+    """
+    unmarked, marked = _detector_branches(det)
+    ops = np.asarray(omega_a)[:, None, None] * marked - np.asarray(omega_b)[:, None, None] * unmarked
+    return _trace_norms(ops)
 
 
 def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBasis:
@@ -306,22 +366,21 @@ def complementarity_residual(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """The gap 1 - V^2 - D^2, in closed form; zero exactly on the saturation slices."""
-    _check_overlap(a_overlap)
+    require_finite(a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
     den = _port_denominator(state.s_x, beta.beta)
     if den <= DENOMINATOR_TOL:
         raise InvalidInputError("monitored port has zero intensity; residual undefined")
-    sin_beta, _ = splitter_trig(beta.beta)
-    return (a_overlap * sin_beta / den) ** 2 * (1.0 - state.lam)
+    return residual_kernel(state.s_x, state.lam, a_overlap, *splitter_trig(beta.beta))
 
 
 def visibility_peak_fixed_beta(
     lam: float, a_overlap: float, beta: BeamSplitterAngle
 ) -> tuple[float, float]:
     """Location and value of the visibility peak over s_x at a fixed splitter angle."""
-    require_finite(lam=lam)
-    _check_overlap(a_overlap)
-    if lam < 0.0 or lam > 1.0 + WEIGHT_TOL:
-        raise InvalidInputError(f"lam must lie in [0, 1], got {lam!r}")
+    require_finite(lam=lam, a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
+    require_in_range("lam", lam, hi=1.0 + WEIGHT_TOL)
     if not 0.0 < beta.beta < math.pi:
         raise InvalidInputError("peak over s_x requires beta strictly inside (0, pi)")
     if lam == 0.0:
@@ -335,8 +394,8 @@ def visibility_peak_fixed_sx(
     s_x: float, lam: float, a_overlap: float
 ) -> tuple[float, float]:
     """Location and value of the visibility peak over the splitter angle at fixed s_x."""
-    require_finite(s_x=s_x, lam=lam)
-    _check_overlap(a_overlap)
+    require_finite(s_x=s_x, lam=lam, a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
     if abs(s_x) > 1.0:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
     if abs(s_x) == 1.0:
@@ -354,8 +413,8 @@ def visibility_peak_fixed_sx(
 
 def distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, float]:
     """Location and value of the distinguishability minimum over the splitter angle."""
-    require_finite(s_x=s_x)
-    _check_overlap(a_overlap)
+    require_finite(s_x=s_x, a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
     if abs(s_x) > 1.0:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
     if abs(s_x) == 1.0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, plus the scalar input guard."""
+"""Exception types shared across the package, plus the scalar input guards."""
 
 import math
 
@@ -35,3 +35,18 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
+RANGE_MESSAGE = "{name} must lie in [0, 1], got {value!r}"
+
+
+def require_in_range(name: str, value, lo: float = 0.0, hi: float = 1.0,
+                     message: str = RANGE_MESSAGE) -> None:
+    """Raise InvalidInputError unless lo <= value <= hi; NaN fails.
+
+    ``message`` is formatted with ``name`` and ``value``. Every range checked
+    here is nominally [0, 1]; ``lo`` and ``hi`` may widen it by a rounding
+    slack that the message does not show.
+    """
+    if not lo <= value <= hi:
+        raise InvalidInputError(message.format(name=name, value=value))

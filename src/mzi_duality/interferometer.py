@@ -14,17 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_finite
+from .errors import InvalidInputError, require_finite, require_in_range
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
+    _kron2,
     tensor,
 )
 
 BLOCH_NORM_TOL = 1e-12
+BLOCH_LENGTH_MESSAGE = "Bloch vector length squared {!r} exceeds 1"
 TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
@@ -47,9 +49,7 @@ class BlochState:
     def __post_init__(self):
         require_finite(s_x=self.s_x, s_y=self.s_y, s_z=self.s_z)
         if self.lam > 1.0 + BLOCH_NORM_TOL:
-            raise InvalidInputError(
-                f"Bloch vector length squared {self.lam!r} exceeds 1"
-            )
+            raise InvalidInputError(BLOCH_LENGTH_MESSAGE.format(self.lam))
 
     @property
     def lam(self) -> float:
@@ -113,10 +113,7 @@ class DetectorConfig:
 
     def __post_init__(self):
         require_finite(a_overlap=self.a_overlap, gamma=self.gamma, delta=self.delta)
-        if not 0.0 <= self.a_overlap <= 1.0:
-            raise InvalidInputError(
-                f"a_overlap must lie in [0, 1], got {self.a_overlap!r}"
-            )
+        require_in_range("a_overlap", self.a_overlap)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -307,31 +304,75 @@ def _scan_grid(grid_size: int) -> np.ndarray:
     return cached[0]
 
 
+def port_matrices(s_x, s_y, s_z, det: DetectorConfig, beta) -> np.ndarray:
+    """Port-a matrices of n points, folded in one stacked pass: shape (n, 4, 4).
+
+    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays with one entry per
+    point; ``det`` marks every point. With the tail
+    T = (recombiner x 1)(marking) and the prepared state P behind the input
+    splitter, each point's matrix is M = P o (T[2:]^T conj(T[2:])), an
+    elementwise product, so the port-a probability at phase phi is
+    Re sum_jk M_jk d_j conj(d_k) for the phase diagonal
+    d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). The density and
+    splitter factors are stacked along the first axis and multiplied with
+    the marking operator as in evolve; inputs are taken as validated.
+    """
+    column = [np.asarray(v, dtype=float)[:, None, None] for v in (s_x, s_y, s_z)]
+    rho = 0.5 * (IDENTITY_2 + column[0] * PAULI_X + column[1] * PAULI_Y + column[2] * PAULI_Z)
+    prepared = _INPUT_SPLITTER @ _kron2(rho, _DETECTOR_START) @ _INPUT_SPLITTER.conj().T
+    half = 0.5 * np.asarray(beta, dtype=float)
+    cos_h, sin_h = np.cos(half), np.sin(half)
+    splitter = np.empty(half.shape + (2, 2), dtype=complex)
+    splitter[:, 0, 0], splitter[:, 0, 1] = cos_h, -sin_h
+    splitter[:, 1, 0], splitter[:, 1, 1] = sin_h, cos_h
+    port_a = (_kron2(splitter, IDENTITY_2) @ marking_operator(det))[:, 2:, :]
+    return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
+
+
+def probabilities_on(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Port-a probabilities of the folded points ``m`` (n, 4, 4) at one shared
+    1-D phase array: shape (n, len(phis)).
+
+    Sums all 16 terms at every phase as two real matrix products,
+    Re(M) @ re - Im(M) @ im, where (re, im) is the 16-row table of products
+    d_j conj(d_k), row 4j + k. The table of a grid from _scan_grid is built
+    once per grid size; any other phase array gets one built per call.
+    """
+    flat = m.reshape(len(m), 16)
+    re, im = _phase_table(phis)
+    values = np.ascontiguousarray(flat.real) @ re
+    values -= np.ascontiguousarray(flat.imag) @ im
+    return values
+
+
+def probabilities_at(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Port-a probabilities of each folded point of ``m`` (n, 4, 4) at its own
+    row of phases ``phis`` (n, k): shape (n, k).
+
+    Evaluates the quadratic form Re sum_j d_j (M conj(d))_j with one batched
+    (n, 4, 4) @ (n, 4, k) product, so every phase still sums all 16 terms
+    M_jk d_j conj(d_k).
+    """
+    phase = np.exp(-1j * phis)[:, None, :]
+    d_conj = np.concatenate([phase.conj(), phase.conj(), phase, phase], axis=1)
+    terms = m @ d_conj
+    terms *= np.conjugate(d_conj, out=d_conj)  # d itself, conjugated in place
+    return terms.sum(axis=1).real
+
+
 def phase_probe(
     state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle
 ):
     """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
-    reorganized. With the tail T = (recombiner x 1)(marking), the phase
-    diagonal d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}) and the
-    prepared state P behind the input splitter, the final state is
-    W P W^dagger with W = T diag(d), so the port-a probability is
-    Re sum_jk M_jk d_j conj(d_k) with M = P o (T[2:]^T conj(T[2:])), an
-    elementwise product built once per probe. Each call sums all 16 terms at
-    every phase as two real matrix-vector products,
-    Re(M).ravel() @ re - Im(M).ravel() @ im, where (re, im) is the table of
-    products d_j conj(d_k). The table of a grid from _scan_grid is built once
-    per grid size; any other phase array gets one built per call.
+    reorganized: the one-point view of port_matrices, evaluated by
+    probabilities_on, which reads the cached table of a scan grid and builds
+    one for any other phase array.
     """
-    joint_in = tensor(bloch_to_density(state).matrix, _DETECTOR_START)
-    prepared = _INPUT_SPLITTER @ joint_in @ _INPUT_SPLITTER.conj().T
-    port_a = (_lift_path(beam_splitter(beta)) @ marking_operator(det))[2:, :]
-    m = (prepared * (port_a.T @ port_a.conj())).ravel()
-    m_re, m_im = m.real.copy(), m.imag.copy()
+    m = port_matrices([state.s_x], [state.s_y], [state.s_z], det, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        re, im = _phase_table(np.asarray(phis, dtype=float))
-        return m_re @ re - m_im @ im
+        return probabilities_on(m, np.asarray(phis, dtype=float))[0]
 
     return probe

@@ -78,9 +78,15 @@ def tensor(path_factor, detector_factor) -> np.ndarray:
     b = _as_matrix(detector_factor, "detector factor")
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise InvalidInputError("tensor expects two 2x2 factors")
+    return _kron2(a, b)
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Entry (2i+k, 2j+l) is the single product a[i,j]*b[k,l], as in np.kron,
-    # without np.kron's generic-shape overhead.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    # without np.kron's generic-shape overhead. Leading axes are stack axes
+    # and broadcast.
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def _coerce_density(rho, name: str) -> DensityOperator:
@@ -122,6 +128,13 @@ def _phase_normalized(vector: np.ndarray) -> np.ndarray:
     return v * (np.conj(lead) / abs(lead))
 
 
+def _mean_radius(a, c, off):
+    # Mean and half-gap of the eigenvalues mean +- radius of the Hermitian
+    # [[a, b], [conj(b), c]] with off = |b|; scalars, or arrays over a stack.
+    hypot = np.hypot if isinstance(a, np.ndarray) else math.hypot
+    return 0.5 * (a + c), hypot(0.5 * (a - c), off)
+
+
 def _eigen_parts(h, caller: str) -> tuple[np.ndarray, float, float]:
     # The validated Hermitian 2x2 matrix with the mean and the half-gap of
     # its eigenvalues, which are mean +- radius.
@@ -131,10 +144,8 @@ def _eigen_parts(h, caller: str) -> tuple[np.ndarray, float, float]:
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
-    a = m[0, 0].real
-    c = m[1, 1].real
-    radius = math.hypot(0.5 * (a - c), abs(complex(m[0, 1])))
-    return m, 0.5 * (a + c), radius
+    mean, radius = _mean_radius(m[0, 0].real, m[1, 1].real, abs(complex(m[0, 1])))
+    return m, mean, radius
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -163,13 +174,16 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
         return values, np.eye(2, dtype=complex)
 
     # Pick, per eigenvalue, the null-space construction whose leading entry
-    # involves no cancellation (|lambda - diagonal| is maximal).
+    # involves no cancellation (|lambda - diagonal| is maximal), and build
+    # that entry as |half_diff| + radius: lambda - diagonal written out, so it
+    # stays nonzero even where mean +- radius rounds back to the diagonal.
+    lead = abs(half_diff) + radius
     if half_diff >= 0:
-        v_top = np.array([values[0] - c, np.conj(b)])
-        v_bot = np.array([b, values[1] - a])
+        v_top = np.array([lead, np.conj(b)])
+        v_bot = np.array([b, -lead])
     else:
-        v_top = np.array([b, values[0] - a])
-        v_bot = np.array([values[1] - c, np.conj(b)])
+        v_top = np.array([b, lead])
+        v_bot = np.array([-lead, np.conj(b)])
     vectors = np.column_stack([_phase_normalized(v_top), _phase_normalized(v_bot)])
     return values, vectors
 
@@ -178,3 +192,11 @@ def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
     _, mean, radius = _eigen_parts(h, "trace_norm")
     return float(abs(mean + radius) + abs(mean - radius))
+
+
+def _trace_norms(h: np.ndarray) -> np.ndarray:
+    # trace_norm of each matrix of an (n, 2, 2) stack the caller built
+    # Hermitian and finite; |b| is np.hypot of its parts, as abs(complex) is.
+    off = h[:, 0, 1]
+    mean, radius = _mean_radius(h[:, 0, 0].real, h[:, 1, 1].real, np.hypot(off.real, off.imag))
+    return np.abs(mean + radius) + np.abs(mean - radius)

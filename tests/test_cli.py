@@ -13,8 +13,15 @@ from mzi_duality.cli import (
     parse_angle,
     run_sweep,
 )
-from mzi_duality.duality import distinguishability_closed, visibility_closed
-from mzi_duality.errors import InvalidInputError
+from mzi_duality.duality import (
+    complementarity_residual,
+    distinguishability_closed,
+    distinguishability_trace_norm,
+    path_weights,
+    visibility_closed,
+    visibility_scan,
+)
+from mzi_duality.errors import DualityError, InvalidInputError
 from mzi_duality.interferometer import BeamSplitterAngle, BlochState
 
 
@@ -177,6 +184,65 @@ def test_sweep_emits_empty_fields_on_degenerate_points(capsys):
     assert "degenerate" in capsys.readouterr().err
     complete = [line for line in lines[1:] if not line.endswith(",,,,,,,")]
     assert len(complete) == 4
+
+
+def scalar_sweep(spec):
+    """The sweep row by row through the public scalar API: (param, row or
+    None) per row, and the warnings, in the order the calls raise."""
+    rows, warnings = [], []
+    for value in spec.grid().tolist():
+        s_x, beta = (value, spec.beta) if spec.swept == "s_x" else (spec.s_x, value)
+        try:
+            r = math.sqrt(max(spec.lam - s_x * s_x, 0.0))
+            state = BlochState(s_x, r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle))
+            angle = BeamSplitterAngle(beta)
+            weights = path_weights(s_x, angle)
+            row = [
+                visibility_closed(state, spec.a_overlap, angle),
+                visibility_scan(state, spec.detector, angle, grid_size=spec.scan_grid),
+                distinguishability_closed(s_x, angle, spec.a_overlap),
+                distinguishability_trace_norm(spec.detector, weights),
+                complementarity_residual(state, spec.a_overlap, angle),
+                weights.omega_a,
+                weights.omega_b,
+            ]
+        except DualityError as exc:
+            warnings.append(f"warning: {spec.swept}={_fmt(value)} is degenerate ({exc})")
+            row = None
+        rows.append((value, row))
+    return rows, warnings
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(swept="s_x", lo=-0.6, hi=0.6, steps=41, lam=0.36, a_overlap=0.4,
+                  beta=1.1, gamma=2.0, delta=0.3, yz_angle=0.7),
+        # next to the dark port: 60 of 61 rows blank on the weights' sum
+        SweepSpec(swept="beta", lo=0.0, hi=1e-3, steps=61, lam=1.0, a_overlap=0.4,
+                  s_x=-0.9999999999, gamma=4.0, delta=1.0, yz_angle=2.5),
+        # Bloch length, weights range and dark-port rows
+        SweepSpec(swept="s_x", lo=-1.000000000001, hi=1.000000000001, steps=9,
+                  lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
+        SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
+                  a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7, scan_grid=256),
+    ],
+)
+def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
+    lines = run_sweep(spec)
+    rows, warnings = scalar_sweep(spec)
+    assert capsys.readouterr().err.splitlines() == warnings
+    assert lines[0] == SWEEP_HEADER and len(lines) == len(rows) + 1
+    for line, (value, row) in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert fields[0] == _fmt(value)
+        if row is None:
+            assert fields[1:] == [""] * 7
+            continue
+        for k in (0, 2, 4, 5, 6):  # closed forms and weights: byte for byte
+            assert fields[1 + k] == _fmt(row[k])
+        for k in (1, 3):  # V_scan and D_trace
+            assert abs(float(fields[1 + k]) - row[k]) <= 1e-15
 
 
 def test_sweep_cli_writes_deterministic_csv(tmp_path):

@@ -23,6 +23,7 @@ from mzi_duality.duality import (
     visibility_peak_fixed_beta,
     visibility_peak_fixed_sx,
     visibility_scan,
+    visibility_scans,
 )
 from mzi_duality.errors import (
     DegenerateBasisError,
@@ -130,20 +131,19 @@ def test_scan_is_invariant_under_detector_phases():
 
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """Phase arrays passed to each probe that visibility_scan builds."""
+    """Phase arrays of each probe evaluation a scan makes, in order: the grid
+    (probabilities_on), then each refinement round's brackets (probabilities_at)."""
     calls = []
-    build = duality.phase_probe
 
-    def recording_phase_probe(*args):
-        probe = build(*args)
-
-        def recording_probe(phis):
+    def recording(evaluate):
+        def recording_evaluate(m, phis):
             calls.append(np.array(phis))
-            return probe(phis)
+            return evaluate(m, phis)
 
-        return recording_probe
+        return recording_evaluate
 
-    monkeypatch.setattr(duality, "phase_probe", recording_phase_probe)
+    for name in ("probabilities_on", "probabilities_at"):
+        monkeypatch.setattr(duality, name, recording(getattr(duality, name)))
     return calls
 
 
@@ -175,6 +175,58 @@ def test_scan_refines_across_zero_phase(probe_calls, extremum, offset):
     assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
+# --- the stacked scan ---------------------------------------------------------------
+
+# Pure, pure, mixed and maximally mixed inputs at the splitter edges and
+# midpoint, ahead of seeded draws.
+EDGE_POINTS = [
+    (state, BeamSplitterAngle(beta))
+    for state in (
+        BlochState(0.6, 0.0, 0.8),
+        BlochState(0.0, 1.0, 0.0),
+        BlochState(-0.3, 0.2, -0.4),
+        BlochState(0.0, 0.0, 0.0),
+    )
+    for beta in (0.0, math.pi, HALF_PI)
+]
+
+
+def stack(points):
+    states = [state for state, _ in points]
+    return (
+        [s.s_x for s in states],
+        [s.s_y for s in states],
+        [s.s_z for s in states],
+    ), [beta.beta for _, beta in points]
+
+
+@pytest.mark.parametrize("a_overlap", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("n", [1, duality._SCAN_CHUNK, duality._SCAN_CHUNK + 1])
+def test_stacked_scan_equals_scalar_scans(n, a_overlap):
+    rng = np.random.default_rng(71)
+    det = DetectorConfig(a_overlap, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+    points = (EDGE_POINTS + [(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])[:n]
+    (s_x, s_y, s_z), betas = stack(points)
+    visibility, defined = visibility_scans(s_x, s_y, s_z, det, betas)
+    assert visibility.shape == (n,) and defined.all()
+    for (state, beta), v in zip(points, visibility):
+        assert abs(v - visibility_scan(state, det, beta)) <= 1e-15
+
+
+def test_stacked_scan_flags_only_the_dark_port():
+    det = DetectorConfig(0.5, 0.2, 0.1)
+    points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),
+              (BlochState(1.0, 0.0, 0.0), BeamSplitterAngle(math.pi))]
+    (s_x, s_y, s_z), betas = stack(points)
+    visibility, defined = visibility_scans(s_x, s_y, s_z, det, betas, grid_size=256)
+    assert defined.tolist() == [True, False]
+    (lit, lit_beta), (dark, dark_beta) = points
+    assert abs(visibility[0] - visibility_scan(lit, det, lit_beta, grid_size=256)) <= 1e-15
+    assert math.isnan(visibility[1])
+    with pytest.raises(UndefinedVisibilityError):
+        visibility_scan(dark, det, dark_beta, grid_size=256)
+
+
 def test_scan_rejects_small_grid():
     with pytest.raises(InvalidInputError):
         visibility_scan(BlochState(0, 0, 0), DetectorConfig(1.0), BeamSplitterAngle(1.0), grid_size=32)
@@ -183,6 +235,28 @@ def test_scan_rejects_small_grid():
 def test_scan_undefined_on_dark_port():
     with pytest.raises(UndefinedVisibilityError):
         visibility_scan(BlochState(1, 0, 0), DetectorConfig(0.5), BeamSplitterAngle(math.pi))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DetectorConfig(1.5), "a_overlap must lie in [0, 1], got 1.5"),
+        (lambda: DetectorConfig(math.nan), "a_overlap must be finite, got nan"),
+        (lambda: visibility_closed(BlochState(0, 0, 0), -0.5, BeamSplitterAngle(1.0)),
+         "a_overlap must lie in [0, 1], got -0.5"),
+        (lambda: complementarity_residual(BlochState(0, 0, 0), math.inf, BeamSplitterAngle(1.0)),
+         "a_overlap must be finite, got inf"),
+        (lambda: distinguishability_valley(0.2, 2.0), "a_overlap must lie in [0, 1], got 2.0"),
+        (lambda: PathWeights(1.5, -0.5), "omega_a out of [0, 1]: 1.5"),
+        (lambda: PathWeights(0.5, 1.5), "omega_b out of [0, 1]: 1.5"),
+        (lambda: PathWeights(math.nan, 0.5), "omega_a must be finite, got nan"),
+        (lambda: PathWeights(0.6, 0.6), "path weights must sum to 1"),
+    ],
+)
+def test_range_checks_keep_their_messages(build, message):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # 1 + s_x cos(beta) about 1e-13 and about 1e-10, reached along s_x and along beta.

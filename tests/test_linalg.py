@@ -11,6 +11,7 @@ from mzi_duality.linalg import (
     PAULI_X,
     PAULI_Z,
     DensityOperator,
+    _trace_norms,
     hermitian_eig2,
     hermiticity_defect,
     partial_trace_detector,
@@ -253,6 +254,25 @@ def test_eig_vectors_stay_finite_for_a_tiny_lead(h):
     assert np.isfinite(vectors).all()
     assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
     assert np.abs(np.asarray(h) @ vectors - vectors * values).max() <= 1e-10 * max(1.0, values[0])
+
+
+def test_eig_vectors_stay_finite_when_the_gap_rounds_away():
+    # The gap 2e-14 passes DEGENERATE_GAP, but mean +- radius rounds back to
+    # the diagonal, so an eigenvalue minus the diagonal cancels to zero.
+    h = np.array([[1e10, 1e-14], [1e-14, 1e10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, vectors = hermitian_eig2(h)
+    assert np.isfinite(vectors).all()
+    assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
+    assert np.abs((vectors * values) @ vectors.conj().T - h).max() <= 1e-15 * 1e10
+
+
+def test_stacked_trace_norms_match_the_scalar_trace_norm():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_hermitian(rng) for _ in range(200)])
+    expected = np.array([trace_norm(h) for h in stack])
+    assert np.abs(_trace_norms(stack) - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_hermiticity_defect_measures_asymmetry():
