@@ -11,7 +11,6 @@ from .duality import (
     MeasurementBasis,
     PathWeights,
     complementarity_residual,
-    detector_mixture,
     distinguishability_closed,
     distinguishability_trace_norm,
     distinguishability_valley,
@@ -47,7 +46,6 @@ from .interferometer import (
 from .linalg import (
     DensityOperator,
     hermitian_eig2,
-    partial_trace_detector,
     partial_trace_path,
     tensor,
     trace_norm,
@@ -76,7 +74,6 @@ __all__ = [
     "complementarity_residual",
     "detection_probability_closed",
     "detection_probability_numeric",
-    "detector_mixture",
     "distinguishability_closed",
     "distinguishability_trace_norm",
     "distinguishability_valley",
@@ -86,7 +83,6 @@ __all__ = [
     "hermitian_eig2",
     "marking_operator",
     "min_error_basis",
-    "partial_trace_detector",
     "partial_trace_path",
     "path_weights",
     "phase_shifter",

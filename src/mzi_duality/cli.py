@@ -172,12 +172,12 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_a, omega_b = weights_kernel(s_x, beta, cos_beta)
-        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector, beta, spec.scan_grid)
+        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta, spec.scan_grid)
         columns = np.column_stack([
             visibility_kernel(s_x, yz, a, sin_beta, cos_beta).clip(0.0, 1.0),
             v_scan,
             distinguishability_kernel(s_x, a, sin_beta, cos_beta),
-            distinguishability_trace_norms(spec.detector, omega_a, omega_b),
+            distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
             residual_kernel(s_x, bloch_lam, a, sin_beta, cos_beta),
             omega_a,
             omega_b,

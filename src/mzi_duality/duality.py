@@ -24,6 +24,7 @@ from .errors import (
     require_in_range,
 )
 from .interferometer import (
+    _DETECTOR_START,
     TWO_PI,
     BeamSplitterAngle,
     BlochState,
@@ -34,7 +35,7 @@ from .interferometer import (
     probabilities_on,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
-from .linalg import DensityOperator, _trace_norms, hermitian_eig2, trace_norm
+from .linalg import _trace_norms, hermitian_eig2, trace_norm
 
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -223,11 +224,12 @@ def _scan_block(m: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
 
 
-def visibility_scans(s_x, s_y, s_z, det: DetectorConfig, beta, grid_size: int = DEFAULT_SCAN_GRID):
+def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN_GRID):
     """Fringe contrast of n points by explicit extremization over the phase dial.
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
-    point, of validated inputs; ``det`` serves every point. Returns
+    point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
+    for every point or an (n, 2, 2) stack of them, one per point. Returns
     ``(visibility, defined)``: ``defined`` is False, and the visibility NaN,
     where p_max + p_min <= DENOMINATOR_TOL (contrast 0/0).
 
@@ -242,7 +244,7 @@ def visibility_scans(s_x, s_y, s_z, det: DetectorConfig, beta, grid_size: int = 
     """
     if grid_size < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
-    m = port_matrices(s_x, s_y, s_z, det, beta)
+    m = port_matrices(s_x, s_y, s_z, unitary, beta)
     phis = _scan_grid(grid_size)
     p_max, p_min = np.empty((2, len(m)))
     for start in range(0, len(m), _SCAN_CHUNK):
@@ -270,7 +272,7 @@ def visibility_scan(
     Serves as the independent oracle for visibility_closed.
     """
     visibility, defined = visibility_scans(
-        [state.s_x], [state.s_y], [state.s_z], det, [beta.beta], grid_size
+        [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], grid_size
     )
     if not defined[0]:
         raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
@@ -288,18 +290,11 @@ def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     return PathWeights(float(omega_a), float(omega_b))
 
 
-def _detector_branches(det: DetectorConfig) -> tuple[np.ndarray, np.ndarray]:
+def _detector_branches(unitary) -> tuple[np.ndarray, np.ndarray]:
     # Detector states left by path b (unmarked, rho_d) and path a (marked,
-    # U rho_d U^dagger).
-    u = det.unitary
-    rho_d = np.outer(det.reference_state, det.reference_state.conj())
-    return rho_d, u @ rho_d @ u.conj().T
-
-
-def detector_mixture(det: DetectorConfig, weights: PathWeights) -> DensityOperator:
-    """Detector state conditioned on the monitored port: a two-branch mixture."""
-    unmarked, marked = _detector_branches(det)
-    return DensityOperator(weights.omega_b * unmarked + weights.omega_a * marked)
+    # U rho_d U^dagger), for a (2, 2) marking unitary or an (n, 2, 2) stack.
+    u = np.asarray(unitary)
+    return _DETECTOR_START, u @ _DETECTOR_START @ u.conj().swapaxes(-1, -2)
 
 
 def distinguishability_closed(
@@ -322,7 +317,7 @@ def distinguishability_closed(
 
 
 def _discrimination_operator(det: DetectorConfig, weights: PathWeights) -> np.ndarray:
-    unmarked, marked = _detector_branches(det)
+    unmarked, marked = _detector_branches(det.unitary)
     return weights.omega_a * marked - weights.omega_b * unmarked
 
 
@@ -331,13 +326,14 @@ def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> 
     return trace_norm(_discrimination_operator(det, weights))
 
 
-def distinguishability_trace_norms(det: DetectorConfig, omega_a, omega_b) -> np.ndarray:
+def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     """distinguishability_trace_norm over 1-D arrays of path weights.
 
-    The weights are taken as validated (see PathWeights); the trace norms
-    come from one stacked 2x2 eigenvalue pass.
+    ``unitary`` is one (2, 2) marking unitary for every point or an
+    (n, 2, 2) stack of them. The weights are taken as validated (see
+    PathWeights); the trace norms come from one stacked 2x2 eigenvalue pass.
     """
-    unmarked, marked = _detector_branches(det)
+    unmarked, marked = _detector_branches(unitary)
     ops = np.asarray(omega_a)[:, None, None] * marked - np.asarray(omega_b)[:, None, None] * unmarked
     return _trace_norms(ops)
 

@@ -22,7 +22,7 @@ from .linalg import (
     PAULI_Z,
     DensityOperator,
     _kron2,
-    tensor,
+    check_densities,
 )
 
 BLOCH_NORM_TOL = 1e-12
@@ -65,10 +65,6 @@ class BlochState:
         # atan2(0, 0) = 0 keeps the (unobservable) phase deterministic when
         # the fringe amplitude vanishes.
         return math.atan2(self.s_y, self.s_z)
-
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.lam - 1.0) <= BLOCH_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -136,46 +132,102 @@ class DetectorConfig:
         return self.unitary[:, 0].copy()
 
 
+# The Pauli matrices X, Y, Z as the rows of a (3, 4) matrix.
+_PAULI_ROWS = np.array([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
+
+
+def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
+    # (1 + s . sigma) / 2 of each point of 1-D Bloch component arrays: (n, 2, 2).
+    # Each real and imaginary part of s . sigma is one component up to sign,
+    # so the product is exact.
+    s_dot_sigma = np.array([s_x, s_y, s_z], dtype=float).T @ _PAULI_ROWS
+    return 0.5 * (IDENTITY_2 + s_dot_sigma.reshape(-1, 2, 2))
+
+
 def bloch_to_density(state: BlochState) -> DensityOperator:
     """Density operator (1 + s . sigma) / 2 of a Bloch vector."""
-    m = 0.5 * (
-        IDENTITY_2
-        + state.s_x * PAULI_X
-        + state.s_y * PAULI_Y
-        + state.s_z * PAULI_Z
-    )
-    return DensityOperator(m)
+    return DensityOperator(_bloch_densities([state.s_x], [state.s_y], [state.s_z])[0])
+
+
+def _phase_shifters(phi) -> np.ndarray:
+    # diag(e^{-i*phi}, e^{+i*phi}) of a phase or of each of an array of them.
+    phi = np.asarray(phi, dtype=float)
+    d = np.zeros(phi.shape + (2, 2), dtype=complex)
+    d[..., 0, 0] = np.exp(-1j * phi)
+    d[..., 1, 1] = np.exp(1j * phi)
+    return d
 
 
 def phase_shifter(phi: PhaseShift) -> np.ndarray:
     """Arm-phase unitary diag(e^{-i*phi}, e^{+i*phi})."""
-    return np.array(
-        [[cmath.exp(-1j * phi.phi), 0], [0, cmath.exp(1j * phi.phi)]], dtype=complex
-    )
+    return _phase_shifters(phi.phi)
+
+
+def _beam_splitters(beta) -> np.ndarray:
+    # Rotation by beta about the y axis, for an angle or each of an array of them.
+    half = 0.5 * np.asarray(beta, dtype=float)
+    cos_h, sin_h = np.cos(half), np.sin(half)
+    splitter = np.empty(half.shape + (2, 2), dtype=complex)
+    splitter[..., 0, 0], splitter[..., 0, 1] = cos_h, -sin_h
+    splitter[..., 1, 0], splitter[..., 1, 1] = sin_h, cos_h
+    return splitter
 
 
 def beam_splitter(angle: BeamSplitterAngle) -> np.ndarray:
     """Beam-splitter unitary, a rotation by beta about the y axis."""
-    h = 0.5 * angle.beta
-    return np.array(
-        [[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]], dtype=complex
-    )
+    return _beam_splitters(angle.beta)
+
+
+def _marking_operators(unitary) -> np.ndarray:
+    # 1 (+) U for a (2, 2) marking unitary or each of an (n, 2, 2) stack.
+    unitary = np.asarray(unitary)
+    m = np.zeros(unitary.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = 1.0
+    m[..., 2:, 2:] = unitary
+    return m
 
 
 def marking_operator(det: DetectorConfig) -> np.ndarray:
     """Joint unitary that applies U on the detector exactly when the path is |a>."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[:2, :2] = IDENTITY_2
-    m[2:, 2:] = det.unitary
-    return m
+    return _marking_operators(det.unitary)
 
 
 def _lift_path(u: np.ndarray) -> np.ndarray:
-    return tensor(u, IDENTITY_2)
+    # u (x) 1 for a 2x2 path operator or each of a stack of them.
+    return _kron2(u, IDENTITY_2)
 
 
 # The input splitter is always the symmetric one, so it is lifted once.
 _INPUT_SPLITTER = _lift_path(beam_splitter(BeamSplitterAngle(math.pi / 2)))
+
+
+def _one_point(state, det, beta, phi) -> tuple:
+    # The stacked pipeline's arguments for a single point.
+    return [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], [phi.phi]
+
+
+def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    rho = check_densities(_bloch_densities(s_x, s_y, s_z))
+    w = (
+        _lift_path(_beam_splitters(beta))
+        @ _marking_operators(unitary)
+        @ _lift_path(_phase_shifters(phi))
+        @ _INPUT_SPLITTER
+    )
+    return w @ _kron2(rho, _DETECTOR_START) @ w.conj().swapaxes(-1, -2)
+
+
+def evolve_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    """evolve of n points at once: shape (n, 4, 4).
+
+    ``s_x``, ``s_y``, ``s_z``, ``beta`` and ``phi`` are 1-D arrays with one
+    entry per point, of validated inputs; ``unitary`` is one (2, 2) marking
+    unitary for every point or an (n, 2, 2) stack of them. The factors are
+    stacked along the first axis and multiplied as broadcast matrix
+    products, and every input and output matrix passes DensityOperator's
+    checks (linalg.check_densities).
+    """
+    return check_densities(_evolve(s_x, s_y, s_z, unitary, beta, phi))
 
 
 def evolve(
@@ -184,15 +236,56 @@ def evolve(
     beta: BeamSplitterAngle,
     phi: PhaseShift,
 ) -> DensityOperator:
-    """Full pipeline: symmetric splitter, phase shift, marking, then recombiner."""
-    joint_in = tensor(bloch_to_density(state).matrix, _DETECTOR_START)
-    w = (
-        _lift_path(beam_splitter(beta))
-        @ marking_operator(det)
-        @ _lift_path(phase_shifter(phi))
-        @ _INPUT_SPLITTER
+    """Full pipeline: symmetric splitter, phase shift, marking, then recombiner.
+
+    The one-point view of evolve_stack.
+    """
+    return DensityOperator(_evolve(*_one_point(state, det, beta, phi))[0])
+
+
+# The path factors of evolve_closed_form's terms b, ba, ab and a, with
+# s = sin(beta), c = cos(beta) and cross = s Z - c X:
+#   1 + c Z + s X = [[1 + c, s], [s, 1 - c]],
+#   cross - iY    = [[s, -(1 + c)], [1 - c, -s]],
+#   cross + iY    = [[s, 1 - c], [-(1 + c), -s]],
+#   1 - c Z - s X = [[1 - c, -s], [-s, 1 + c]],
+# as indices into (s, 1 + c, 1 - c) and signs.
+_PATH_ENTRY = np.array([[[1, 0], [0, 2]], [[0, 1], [2, 0]], [[0, 2], [1, 0]], [[2, 0], [0, 1]]])
+_PATH_SIGN = np.array([[[1, 1], [1, 1]], [[1, -1], [1, -1]], [[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
+
+
+def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    s_x, s_y, s_z, beta, phi = (np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi))
+    sin_b, cos_b = np.sin(beta), np.cos(beta)
+    trig = np.stack([sin_b, 1.0 + cos_b, 1.0 - cos_b], axis=-1)
+    paths = trig[:, _PATH_ENTRY] * _PATH_SIGN
+    # The detector factors r r^H, r m^H, m r^H and m m^H of the reference
+    # state r, the first basis state, and the marked state m = U r.
+    kets = np.zeros((len(s_x), 2, 2), dtype=complex)
+    kets[:, 0, 0] = 1.0
+    kets[:, 1] = np.asarray(unitary)[..., :, 0]
+    detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
+    fringe = np.exp(2j * phi)
+    amp = s_z + 1j * s_y
+    weights = np.stack(
+        [
+            0.25 * (1.0 - s_x),
+            -0.25 * np.conj(fringe) * np.conj(amp),
+            -0.25 * fringe * amp,
+            0.25 * (1.0 + s_x),
+        ],
+        axis=-1,
     )
-    return DensityOperator(w @ joint_in @ w.conj().T)
+    return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
+
+
+def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    """evolve_closed_form of n points at once: shape (n, 4, 4).
+
+    Takes evolve_stack's arguments; every matrix passes DensityOperator's
+    checks (linalg.check_densities).
+    """
+    return check_densities(_evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi))
 
 
 def evolve_closed_form(
@@ -206,27 +299,14 @@ def evolve_closed_form(
     Independent of :func:`evolve`; tests enforce entrywise agreement. The
     cross terms carry e^{-+2i*phi} because conjugating by
     diag(e^{-i*phi}, e^{+i*phi}) advances the inter-arm phase by 2*phi.
+    The one-point view of evolve_closed_form_stack.
     """
-    u = det.unitary
-    rho_d = _DETECTOR_START
-    b = beta.beta
-    cos_b = math.cos(b)
-    sin_b = math.sin(b)
-    cross_path = sin_b * PAULI_Z - cos_b * PAULI_X
-    amp = state.s_z + 1j * state.s_y
-    fringe = cmath.exp(2j * phi.phi)
+    return DensityOperator(_evolve_closed_form(*_one_point(state, det, beta, phi))[0])
 
-    term_b = 0.25 * (1.0 - state.s_x) * tensor(
-        IDENTITY_2 + cos_b * PAULI_Z + sin_b * PAULI_X, rho_d
-    )
-    term_ba = -0.25 * np.conj(fringe) * np.conj(amp) * tensor(
-        cross_path - 1j * PAULI_Y, rho_d @ u.conj().T
-    )
-    term_ab = -0.25 * fringe * amp * tensor(cross_path + 1j * PAULI_Y, u @ rho_d)
-    term_a = 0.25 * (1.0 + state.s_x) * tensor(
-        IDENTITY_2 - cos_b * PAULI_Z - sin_b * PAULI_X, u @ rho_d @ u.conj().T
-    )
-    return DensityOperator(term_b + term_ba + term_ab + term_a)
+
+def _port_a_probabilities(m: np.ndarray) -> np.ndarray:
+    # Port-a probability of a joint state or of each of a stack, clipped to [0, 1].
+    return np.minimum(np.maximum(m[..., 2, 2].real + m[..., 3, 3].real, 0.0), 1.0)
 
 
 def detection_probability_numeric(rho_f: DensityOperator) -> float:
@@ -235,8 +315,7 @@ def detection_probability_numeric(rho_f: DensityOperator) -> float:
         rho_f = DensityOperator(rho_f)
     if rho_f.dim != 4:
         raise InvalidInputError("detection probability expects a 4x4 density operator")
-    p = rho_f.matrix[2, 2].real + rho_f.matrix[3, 3].real
-    return min(max(p, 0.0), 1.0)
+    return float(_port_a_probabilities(rho_f.matrix))
 
 
 def detection_probability_closed(
@@ -304,28 +383,23 @@ def _scan_grid(grid_size: int) -> np.ndarray:
     return cached[0]
 
 
-def port_matrices(s_x, s_y, s_z, det: DetectorConfig, beta) -> np.ndarray:
+def port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
     """Port-a matrices of n points, folded in one stacked pass: shape (n, 4, 4).
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays with one entry per
-    point; ``det`` marks every point. With the tail
+    point; ``unitary`` is one (2, 2) marking unitary for every point or an
+    (n, 2, 2) stack of them, one per point. With the tail
     T = (recombiner x 1)(marking) and the prepared state P behind the input
     splitter, each point's matrix is M = P o (T[2:]^T conj(T[2:])), an
     elementwise product, so the port-a probability at phase phi is
     Re sum_jk M_jk d_j conj(d_k) for the phase diagonal
-    d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). The density and
-    splitter factors are stacked along the first axis and multiplied with
-    the marking operator as in evolve; inputs are taken as validated.
+    d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). The factors are
+    evolve_stack's, stacked along the first axis; inputs are taken as
+    validated.
     """
-    column = [np.asarray(v, dtype=float)[:, None, None] for v in (s_x, s_y, s_z)]
-    rho = 0.5 * (IDENTITY_2 + column[0] * PAULI_X + column[1] * PAULI_Y + column[2] * PAULI_Z)
+    rho = _bloch_densities(s_x, s_y, s_z)
     prepared = _INPUT_SPLITTER @ _kron2(rho, _DETECTOR_START) @ _INPUT_SPLITTER.conj().T
-    half = 0.5 * np.asarray(beta, dtype=float)
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    splitter = np.empty(half.shape + (2, 2), dtype=complex)
-    splitter[:, 0, 0], splitter[:, 0, 1] = cos_h, -sin_h
-    splitter[:, 1, 0], splitter[:, 1, 1] = sin_h, cos_h
-    port_a = (_kron2(splitter, IDENTITY_2) @ marking_operator(det))[:, 2:, :]
+    port_a = (_lift_path(_beam_splitters(beta)) @ _marking_operators(unitary))[:, 2:, :]
     return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
 
 
@@ -370,7 +444,7 @@ def phase_probe(
     probabilities_on, which reads the cached table of a scan grid and builds
     one for any other phase array.
     """
-    m = port_matrices([state.s_x], [state.s_y], [state.s_z], det, [beta.beta])
+    m = port_matrices([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
         return probabilities_on(m, np.asarray(phis, dtype=float))[0]

@@ -31,19 +31,53 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _as_matrix(value, name: str = "matrix") -> np.ndarray:
+def _as_matrix(value, name: str = "matrix", finite: bool = True) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] not in (2, 4):
         raise InvalidInputError(f"{name} must be 2x2 or 4x4, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must have finite entries")
     return arr
 
 
-def hermiticity_defect(matrix) -> float:
-    """Largest entrywise deviation of a matrix from its own adjoint."""
+def hermiticity_defect(matrix, axis=None):
+    """Largest entrywise deviation of a matrix from its own adjoint.
+
+    For an (n, d, d) stack: the largest over the stack, or one defect per
+    matrix with ``axis=(1, 2)``.
+    """
     m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
+    return abs(m - m.conj().swapaxes(-1, -2)).max(axis=axis)
+
+
+def trace_errors(m: np.ndarray) -> np.ndarray:
+    """|tr(rho) - 1| of a matrix or of each matrix of an (n, d, d) stack."""
+    return abs(m.trace(0, -2, -1) - 1.0)
+
+
+def check_densities(m: np.ndarray) -> np.ndarray:
+    """DensityOperator's checks on a d x d matrix or on every matrix of an
+    (n, d, d) stack, d = 2 or 4: finite entries, Hermitian, unit trace and
+    positive semidefinite. Returns ``m``.
+
+    Raises InvalidInputError with DensityOperator's message for the first
+    check, in DensityOperator's order, that any member fails, quoting the
+    worst member.
+    """
+    if not np.isfinite(m).all():
+        raise InvalidInputError("density operator must have finite entries")
+    defect = hermiticity_defect(m)
+    if defect > HERMITIAN_TOL:
+        raise InvalidInputError(f"density operator is not Hermitian (defect {defect:.3e})")
+    # The builtin max and min over one value per matrix: for a single matrix
+    # a numpy reduction would cost more than the comparison it feeds.
+    trace_err = max(trace_errors(m).flat)
+    if trace_err > TRACE_TOL:
+        raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
+    smallest = min(np.linalg.eigvalsh(m)[..., 0].flat)
+    if smallest < -POSITIVITY_TOL:
+        raise InvalidInputError(f"density operator has negative eigenvalue {smallest:.3e}")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +87,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.matrix, "density operator")
-        defect = hermiticity_defect(arr)
-        if defect > HERMITIAN_TOL:
-            raise InvalidInputError(f"density operator is not Hermitian (defect {defect:.3e})")
-        trace_err = abs(complex(arr.trace()) - 1.0)
-        if trace_err > TRACE_TOL:
-            raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
-        smallest = float(np.linalg.eigvalsh(arr)[0])
-        if smallest < -POSITIVITY_TOL:
-            raise InvalidInputError(f"density operator has negative eigenvalue {smallest:.3e}")
-        arr = arr.copy()
+        arr = _as_matrix(self.matrix, "density operator", finite=False).copy()
+        check_densities(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -95,22 +120,18 @@ def _coerce_density(rho, name: str) -> DensityOperator:
     return DensityOperator(_as_matrix(rho, name))
 
 
+def trace_path(m: np.ndarray) -> np.ndarray:
+    """Trace out the path (first) factor of a 4x4 matrix or of each matrix of
+    an (n, 4, 4) stack: shape (2, 2) or (n, 2, 2)."""
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-4, axis2=-2)
+
+
 def partial_trace_path(rho) -> DensityOperator:
     """Trace out the path (first) factor of a two-qubit state, keeping the detector."""
     state = _coerce_density(rho, "two-qubit state")
     if state.dim != 4:
         raise InvalidInputError("partial_trace_path expects a 4x4 density operator")
-    reduced = state.matrix.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    return DensityOperator(reduced)
-
-
-def partial_trace_detector(rho) -> DensityOperator:
-    """Trace out the detector (second) factor of a two-qubit state, keeping the path."""
-    state = _coerce_density(rho, "two-qubit state")
-    if state.dim != 4:
-        raise InvalidInputError("partial_trace_detector expects a 4x4 density operator")
-    reduced = state.matrix.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    return DensityOperator(reduced)
+    return DensityOperator(trace_path(state.matrix))
 
 
 def _phase_normalized(vector: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ Each suite draws random parameter points (seeded, so reruns are bit-identical),
 computes one quantity along two independent routes or checks one invariant,
 and reports the case count, failure count, and worst observed error. The
 suites live in one registry, ``CHECKS``, shared with the acceptance gate.
+Points are drawn one at a time; the suites that run the pipeline or the scan
+then evaluate all their draws in one stacked pass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .duality import (
     distinguishability_closed,
     distinguishability_kernel,
     distinguishability_trace_norm,
+    distinguishability_trace_norms,
     distinguishability_valley,
     min_error_basis,
     path_weights,
@@ -31,7 +34,7 @@ from .duality import (
     visibility_kernel,
     visibility_peak_fixed_beta,
     visibility_peak_fixed_sx,
-    visibility_scan,
+    visibility_scans,
 )
 from .errors import InvalidInputError
 from .interferometer import (
@@ -39,12 +42,12 @@ from .interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
+    _port_a_probabilities,
     detection_probability_closed,
-    detection_probability_numeric,
-    evolve,
-    evolve_closed_form,
+    evolve_closed_form_stack,
+    evolve_stack,
 )
-from .linalg import hermitian_eig2, hermiticity_defect, partial_trace_path
+from .linalg import check_densities, hermitian_eig2, hermiticity_defect, trace_errors, trace_path
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,48 +165,109 @@ def grid_distinguishability_valley(
     return float(beta[k]), float(values[k])
 
 
+# --- stacked checks: errors(rng, draws) -> (one error per draw, skipped mask) ---
+
+
+def _none_skipped(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return errors, np.zeros(len(errors), dtype=bool)
+
+
+def _draw_points(rng, draws):
+    # draw_point, one draw at a time, and the draws' stacked pipeline arguments.
+    points = [draw_point(rng) for _ in range(draws)]
+    states, dets, betas, phis = zip(*points)
+    stacked = (
+        np.array([s.s_x for s in states]),
+        np.array([s.s_y for s in states]),
+        np.array([s.s_z for s in states]),
+        np.stack([d.unitary for d in dets]),
+        np.array([b.beta for b in betas]),
+        np.array([p.phi for p in phis]),
+    )
+    return points, stacked
+
+
+def _largest_entries(m: np.ndarray) -> np.ndarray:
+    return np.abs(m).max(axis=(1, 2))
+
+
+def _pipeline_equivalence(rng, draws):
+    _, stacked = _draw_points(rng, draws)
+    return _none_skipped(_largest_entries(evolve_stack(*stacked) - evolve_closed_form_stack(*stacked)))
+
+
+def _detection_probability(rng, draws):
+    points, stacked = _draw_points(rng, draws)
+    numeric = _port_a_probabilities(evolve_stack(*stacked))
+    closed = np.array([detection_probability_closed(*point) for point in points])
+    return _none_skipped(np.abs(numeric - closed))
+
+
+def _state_validity(rng, draws):
+    _, stacked = _draw_points(rng, draws)
+    m = evolve_stack(*stacked)
+    negativity = np.maximum(0.0, -np.linalg.eigvalsh(m)[:, 0])
+    return _none_skipped(
+        np.maximum(np.maximum(hermiticity_defect(m, axis=(1, 2)), trace_errors(m)), negativity)
+    )
+
+
+def _reduced_detector_state(rng, draws):
+    _, stacked = _draw_points(rng, draws)
+    reduced = check_densities(trace_path(evolve_stack(*stacked)))
+    unmarked, marked = _detector_branches(stacked[3])
+    s_x = stacked[0][:, None, None]
+    expected = 0.5 * (1.0 - s_x) * unmarked + 0.5 * (1.0 + s_x) * marked
+    return _none_skipped(_largest_entries(reduced - expected))
+
+
+def _visibility_oracle(rng, draws):
+    points, (s_x, s_y, s_z, unitary, beta, _) = _draw_points(rng, draws)
+    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
+    closed = np.array([visibility_closed(state, det.a_overlap, b) for state, det, b, _ in points])
+    return _none_skipped(np.abs(scanned - closed))
+
+
+def _phase_invariance(rng, draws):
+    # gamma and delta shift the fringe and the unobservable off-diagonal phase
+    # of the marking unitary; neither measured quantity may move. Each draw
+    # is scanned under its own and a re-phased detector: the draws, then
+    # their re-phased copies, 2 * draws points in one 512-grid pass.
+    points, others = [], []
+    for _ in range(draws):
+        state, det, beta, _ = draw_point(rng)
+        others.append(
+            DetectorConfig(
+                det.a_overlap,
+                gamma=float(rng.uniform(0.0, TWO_PI)),
+                delta=float(rng.uniform(0.0, TWO_PI)),
+            )
+        )
+        points.append((state, det, path_weights(state.s_x, beta), beta.beta))
+    states, dets, weights, betas = zip(*points)
+    s_x, s_y, s_z = (np.tile([getattr(s, c) for s in states], 2) for c in ("s_x", "s_y", "s_z"))
+    unitary = np.stack([d.unitary for d in dets + tuple(others)])
+    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, np.tile(betas, 2), grid_size=512)
+    omega_a, omega_b = (np.tile([getattr(w, c) for w in weights], 2) for c in ("omega_a", "omega_b"))
+    norms = distinguishability_trace_norms(unitary, omega_a, omega_b)
+    return _none_skipped(
+        np.maximum(np.abs(scanned[:draws] - scanned[draws:]), np.abs(norms[:draws] - norms[draws:]))
+    )
+
+
 # --- per-draw checks: each returns its error, or None for a skipped draw ---
 
 
-def _pipeline_equivalence(rng):
-    state, det, beta, phi = draw_point(rng)
-    return float(
-        np.abs(
-            evolve(state, det, beta, phi).matrix
-            - evolve_closed_form(state, det, beta, phi).matrix
-        ).max()
-    )
+def _per_draw(error: Callable[[np.random.Generator], float | None]):
+    """The registry form errors(rng, draws) of a per-draw check: draws run
+    in order, and a None draw is skipped (its error slot holds NaN)."""
 
+    def errors(rng, draws):
+        values = [error(rng) for _ in range(draws)]
+        skipped = np.array([v is None for v in values])
+        return np.array([np.nan if v is None else v for v in values], dtype=float), skipped
 
-def _detection_probability(rng):
-    state, det, beta, phi = draw_point(rng)
-    numeric = detection_probability_numeric(evolve(state, det, beta, phi))
-    return abs(numeric - detection_probability_closed(state, det, beta, phi))
-
-
-def _state_validity(rng):
-    state, det, beta, phi = draw_point(rng)
-    m = evolve(state, det, beta, phi).matrix
-    return max(
-        hermiticity_defect(m),
-        abs(complex(m.trace()) - 1.0),
-        max(0.0, -float(np.linalg.eigvalsh(m)[0])),
-    )
-
-
-def _reduced_detector_state(rng):
-    state, det, beta, phi = draw_point(rng)
-    reduced = partial_trace_path(evolve(state, det, beta, phi)).matrix
-    unmarked, marked = _detector_branches(det)
-    expected = 0.5 * (1.0 - state.s_x) * unmarked + 0.5 * (1.0 + state.s_x) * marked
-    return float(np.abs(reduced - expected).max())
-
-
-def _visibility_oracle(rng):
-    state, det, beta, _ = draw_point(rng)
-    return abs(
-        visibility_scan(state, det, beta) - visibility_closed(state, det.a_overlap, beta)
-    )
+    return errors
 
 
 def _distinguishability_oracle(rng):
@@ -222,28 +286,6 @@ def _weights_identity(rng):
     return max(
         abs(d * d + 4.0 * weights.omega_a * weights.omega_b * det.a_overlap**2 - 1.0),
         abs(weights.omega_a + weights.omega_b - 1.0),
-    )
-
-
-def _phase_invariance(rng):
-    # gamma and delta shift the fringe and the unobservable off-diagonal phase
-    # of the marking unitary; neither measured quantity may move.
-    state, det, beta, _ = draw_point(rng)
-    other = DetectorConfig(
-        det.a_overlap,
-        gamma=float(rng.uniform(0.0, TWO_PI)),
-        delta=float(rng.uniform(0.0, TWO_PI)),
-    )
-    weights = path_weights(state.s_x, beta)
-    return max(
-        abs(
-            visibility_scan(state, det, beta, grid_size=512)
-            - visibility_scan(state, other, beta, grid_size=512)
-        ),
-        abs(
-            distinguishability_trace_norm(det, weights)
-            - distinguishability_trace_norm(other, weights)
-        ),
     )
 
 
@@ -387,7 +429,8 @@ def _extremum_loci(rng):
 
 
 class Check(NamedTuple):
-    error: Callable[[np.random.Generator], float | None]
+    # errors(rng, draws) -> (one error per draw, mask of skipped draws)
+    errors: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     tolerance: float
 
 
@@ -399,31 +442,28 @@ CHECKS: dict[str, Check] = {
     "state_validity": Check(_state_validity, 1e-10),
     "reduced_detector_state": Check(_reduced_detector_state, 1e-12),
     "visibility_oracle": Check(_visibility_oracle, 1e-9),
-    "distinguishability_oracle": Check(_distinguishability_oracle, 1e-10),
-    "weights_identity": Check(_weights_identity, 1e-12),
+    "distinguishability_oracle": Check(_per_draw(_distinguishability_oracle), 1e-10),
+    "weights_identity": Check(_per_draw(_weights_identity), 1e-12),
     "phase_invariance": Check(_phase_invariance, 1e-10),
-    "min_error_measurement": Check(_min_error_measurement, 1e-10),
-    "measurement_basis_closed_form": Check(_measurement_basis_closed_form, 1e-8),
-    "complementarity": Check(_complementarity, 1e-12),
-    "eig_reconstruction": Check(_eig_reconstruction, 1e-10),
-    "extremum_loci": Check(_extremum_loci, 1e-3),
+    "min_error_measurement": Check(_per_draw(_min_error_measurement), 1e-10),
+    "measurement_basis_closed_form": Check(_per_draw(_measurement_basis_closed_form), 1e-8),
+    "complementarity": Check(_per_draw(_complementarity), 1e-12),
+    "eig_reconstruction": Check(_per_draw(_eig_reconstruction), 1e-10),
+    "extremum_loci": Check(_per_draw(_extremum_loci), 1e-3),
 }
 
 
 def run_check(
     name: str, rng: np.random.Generator, draws: int, tol: float
 ) -> tuple[int, float]:
-    """(failures, worst error) of one registered check over ``draws`` draws."""
-    error = CHECKS[name].error
-    failures, worst = 0, 0.0
-    for _ in range(draws):
-        err = error(rng)
-        if err is None:
-            continue
-        # np.maximum and the negated test let a NaN error stick and fail.
-        worst = float(np.maximum(worst, err))
-        failures += not (err <= tol)
-    return failures, worst
+    """(failures, worst error) of one registered check over ``draws`` draws.
+
+    Skipped draws count neither way; an all-skipped run reports (0, 0.0).
+    """
+    errors, skipped = CHECKS[name].errors(rng, draws)
+    kept = errors[~skipped]
+    # The negated test and np.max let a NaN error fail and stick.
+    return int(np.count_nonzero(~(kept <= tol))), float(np.max(kept, initial=0.0))
 
 
 def run_verification(config: RunConfig) -> dict[str, dict[str, float]]:

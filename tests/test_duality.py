@@ -11,8 +11,8 @@ from mzi_duality.duality import (
     DualityReport,
     MeasurementBasis,
     PathWeights,
+    _detector_branches,
     complementarity_residual,
-    detector_mixture,
     distinguishability_closed,
     distinguishability_trace_norm,
     distinguishability_valley,
@@ -37,6 +37,7 @@ from mzi_duality.interferometer import (
     DetectorConfig,
     phase_probe,
 )
+from mzi_duality.linalg import DensityOperator
 from mzi_duality.verify import (
     draw_beta,
     draw_bloch_state,
@@ -207,7 +208,7 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     det = DetectorConfig(a_overlap, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
     points = (EDGE_POINTS + [(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])[:n]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, defined = visibility_scans(s_x, s_y, s_z, det, betas)
+    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
     assert visibility.shape == (n,) and defined.all()
     for (state, beta), v in zip(points, visibility):
         assert abs(v - visibility_scan(state, det, beta)) <= 1e-15
@@ -218,7 +219,7 @@ def test_stacked_scan_flags_only_the_dark_port():
     points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),
               (BlochState(1.0, 0.0, 0.0), BeamSplitterAngle(math.pi))]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, defined = visibility_scans(s_x, s_y, s_z, det, betas, grid_size=256)
+    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas, grid_size=256)
     assert defined.tolist() == [True, False]
     (lit, lit_beta), (dark, dark_beta) = points
     assert abs(visibility[0] - visibility_scan(lit, det, lit_beta, grid_size=256)) <= 1e-15
@@ -327,6 +328,12 @@ def test_path_weights_type_enforces_normalization():
 
 
 # --- detector mixture -------------------------------------------------------------
+
+
+def detector_mixture(det, weights):
+    # The detector state conditioned on the monitored port.
+    unmarked, marked = _detector_branches(det.unitary)
+    return DensityOperator(weights.omega_b * unmarked + weights.omega_a * marked)
 
 
 def test_mixture_ignores_pure_phase_marking():

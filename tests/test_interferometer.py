@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mzi_duality import interferometer
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.interferometer import (
+    BLOCH_NORM_TOL,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
@@ -22,6 +23,8 @@ from mzi_duality.interferometer import (
     detection_probability_numeric,
     evolve,
     evolve_closed_form,
+    evolve_closed_form_stack,
+    evolve_stack,
     marking_operator,
     phase_probe,
     phase_shifter,
@@ -49,12 +52,12 @@ def test_bloch_state_derived_quantities():
     assert s.lam == pytest.approx(0.26)
     assert s.yz_norm == pytest.approx(math.hypot(0.3, -0.4))
     assert s.alpha == pytest.approx(math.atan2(0.3, -0.4))
-    assert not s.is_pure
+    assert s.lam < 1.0 - BLOCH_NORM_TOL
 
 
 def test_bloch_state_pure_flag():
-    assert BlochState(0.0, 0.0, 1.0).is_pure
-    assert BlochState(0.6, 0.8, 0.0).is_pure
+    assert abs(BlochState(0.0, 0.0, 1.0).lam - 1.0) <= BLOCH_NORM_TOL
+    assert abs(BlochState(0.6, 0.8, 0.0).lam - 1.0) <= BLOCH_NORM_TOL
 
 
 def test_bloch_state_alpha_is_zero_on_the_axis():
@@ -200,6 +203,53 @@ def test_evolve_matches_closed_form():
         a = evolve(state, det, beta, phi).matrix
         b = evolve_closed_form(state, det, beta, phi).matrix
         assert np.abs(a - b).max() <= 1e-12
+
+
+# Pure, mixed and maximally mixed inputs at the overlap and splitter edges,
+# each at an arbitrary phase and marking phases gamma and delta.
+EDGE_STATES = [BlochState(0.6, 0.0, 0.8), BlochState(0.0, 1.0, 0.0),
+               BlochState(-0.3, 0.2, -0.4), BlochState(0.0, 0.0, 0.0)]
+
+
+def edge_points(rng):
+    return [
+        (state, DetectorConfig(a, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)),
+         BeamSplitterAngle(beta), PhaseShift(rng.uniform(0, 2 * math.pi)))
+        for state in EDGE_STATES
+        for a in (0.0, 1.0)
+        for beta in (0.0, math.pi / 2, math.pi)
+    ]
+
+
+def stacked_arguments(points):
+    states, dets, betas, phis = zip(*points)
+    return (
+        [s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states],
+        np.stack([d.unitary for d in dets]), [b.beta for b in betas], [p.phi for p in phis],
+    )
+
+
+def test_stacked_pipeline_equals_scalar_pipeline_at_edges_and_on_draws():
+    rng = np.random.default_rng(24)
+    points = edge_points(rng) + [draw_point(rng) for _ in range(200)]
+    stacked = evolve_stack(*stacked_arguments(points))
+    closed = evolve_closed_form_stack(*stacked_arguments(points))
+    assert stacked.shape == closed.shape == (len(points), 4, 4)
+    for point, m, c in zip(points, stacked, closed):
+        np.testing.assert_array_equal(m, evolve(*point).matrix)
+        assert np.abs(c - evolve_closed_form(*point).matrix).max() <= 1e-15
+
+
+def test_stacked_pipeline_takes_one_shared_unitary():
+    rng = np.random.default_rng(25)
+    det = DetectorConfig(0.4, 1.3, 2.1)
+    points = [(state, det, beta, phi) for state, _, beta, phi in edge_points(rng)]
+    s_x, s_y, s_z, _, beta, phi = stacked_arguments(points)
+    stacked = evolve_stack(s_x, s_y, s_z, det.unitary, beta, phi)
+    closed = evolve_closed_form_stack(s_x, s_y, s_z, det.unitary, beta, phi)
+    for point, m, c in zip(points, stacked, closed):
+        np.testing.assert_array_equal(m, evolve(*point).matrix)
+        assert np.abs(c - evolve_closed_form(*point).matrix).max() <= 1e-15
 
 
 def test_closed_form_single_term_survival():

@@ -12,12 +12,13 @@ from mzi_duality.linalg import (
     PAULI_Z,
     DensityOperator,
     _trace_norms,
+    check_densities,
     hermitian_eig2,
     hermiticity_defect,
-    partial_trace_detector,
     partial_trace_path,
     tensor,
     trace_norm,
+    trace_path,
 )
 
 I4 = np.eye(4, dtype=complex)
@@ -137,23 +138,52 @@ def test_partial_traces_of_product_state():
         np.testing.assert_allclose(
             partial_trace_path(joint).matrix, rho_det.matrix, atol=1e-12
         )
-        np.testing.assert_allclose(
-            partial_trace_detector(joint).matrix, rho_path.matrix, atol=1e-12
-        )
 
 
 def test_partial_trace_of_maximally_mixed():
     joint = DensityOperator(I4 / 4)
     np.testing.assert_allclose(partial_trace_path(joint).matrix, IDENTITY_2 / 2, atol=1e-15)
-    np.testing.assert_allclose(partial_trace_detector(joint).matrix, IDENTITY_2 / 2, atol=1e-15)
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(4)
     for _ in range(50):
         joint = random_density(rng, dim=4)
-        assert abs(partial_trace_detector(joint).matrix.trace() - 1) <= 1e-12
         assert abs(partial_trace_path(joint).matrix.trace() - 1) <= 1e-12
+
+
+def test_trace_path_of_a_stack_matches_each_partial_trace():
+    rng = np.random.default_rng(5)
+    joints = [random_density(rng, dim=4) for _ in range(20)]
+    reduced = trace_path(np.array([j.matrix for j in joints]))
+    assert reduced.shape == (20, 2, 2)
+    for joint, r in zip(joints, reduced):
+        np.testing.assert_array_equal(r, partial_trace_path(joint).matrix)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
+        np.diag([0.6, 0.6]).astype(complex),
+        np.diag([1.2, -0.2]).astype(complex),
+        np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex),
+        np.full((2, 2), np.nan, dtype=complex),
+    ],
+    ids=["not hermitian", "trace", "negative eigenvalue", "inf", "nan"],
+)
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_stack_with_one_invalid_member_raises_density_operator_message(bad, position):
+    rng = np.random.default_rng(6)
+    members = [random_density(rng).matrix for _ in range(6)]
+    members.insert(position, bad)
+    stack = np.array(members)
+    with pytest.raises(InvalidInputError) as single:
+        DensityOperator(bad)
+    with pytest.raises(InvalidInputError) as stacked:
+        check_densities(stack)
+    assert str(stacked.value) == str(single.value)
+    assert check_densities(np.delete(stack, position, axis=0)).shape == (6, 2, 2)
 
 
 def test_partial_trace_rejects_wrong_dim():
