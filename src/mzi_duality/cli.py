@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -354,7 +355,10 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed(summary) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused: parsing
+    # leaves the parser unchanged (append copies its default list).
     parser = argparse.ArgumentParser(
         prog="mzi-duality",
         description=(

@@ -185,8 +185,9 @@ def visibility_closed(
 # whole cached 4096-point grid, so 31 samples beat 15 (11 rounds) end to end.
 _REFINE_SAMPLES = 31
 _SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
-# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB,
-# and its refinement arrays a fraction of that, whatever the number of points.
+# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB
+# (the scan's work array holds them and the second product, 2 MB), and its
+# refinement arrays a fraction of that, whatever the number of points.
 _SCAN_CHUNK = 32
 
 
@@ -212,10 +213,11 @@ def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, ste
     return refined[:n], refined[n:]
 
 
-def _scan_block(m: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # p_max and p_min of each folded point of a block: the grid, then the
-    # refinement, keeping the grid value where it is better.
-    values = probabilities_on(m, phis)
+def _scan_block(m: np.ndarray, phis: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # p_max and p_min of each folded point of a block: the grid, its
+    # probabilities written into the scan's work array, then the refinement,
+    # keeping the grid value where it is better.
+    values = probabilities_on(m, phis, work)
     rows = np.arange(len(m))
     k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
     k_min = values.argmin(axis=1)
@@ -236,7 +238,9 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     Folds all points at once (interferometer.port_matrices), then scans them
     in blocks of _SCAN_CHUNK points. A block's port-a probabilities on a
     uniform phase grid over [0, 2*pi) come from one product with the grid's
-    cached phase-product table. The block's maxima and minima are then
+    cached phase-product table, written into one work array of shape
+    (2, min(n, _SCAN_CHUNK), grid_size) that the call allocates once and
+    every block reuses. The block's maxima and minima are then
     refined together: each round samples all its brackets at 31 interior
     phases in a single probe call and narrows each to its best sample +- one
     spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
@@ -246,10 +250,13 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
     m = port_matrices(s_x, s_y, s_z, unitary, beta)
     phis = _scan_grid(grid_size)
+    # One work array for every block's grid products, allocated per call so
+    # that the scan keeps no state between calls.
+    work = np.empty((2, min(len(m), _SCAN_CHUNK), grid_size))
     p_max, p_min = np.empty((2, len(m)))
     for start in range(0, len(m), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _scan_block(m[block], phis)
+        p_max[block], p_min[block] = _scan_block(m[block], phis, work)
     total = p_max + p_min
     defined = total > DENOMINATOR_TOL
     visibility = np.full(len(m), np.nan)
@@ -338,15 +345,10 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     return _trace_norms(ops)
 
 
-def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBasis:
-    """Projective measurement that discriminates the two detector states optimally.
-
-    ``m_a`` is the eigenvector of the weighted state difference with positive
-    eigenvalue (outcome a means: guess the marked state, i.e. path a), ``m_b``
-    the one with negative eigenvalue. Computed by eigendecomposition, which
-    stays well-conditioned over the whole parameter domain.
-    """
-    gamma_op = _discrimination_operator(det, weights)
+def _min_error_eig(gamma_op: np.ndarray) -> tuple[np.ndarray, MeasurementBasis]:
+    # Eigenvalues (descending) of a discrimination operator and the basis of
+    # its eigenvectors; DegenerateBasisError when the gap is at most
+    # BASIS_GAP_TOL.
     values, vectors = hermitian_eig2(gamma_op)
     if values[0] - values[1] <= BASIS_GAP_TOL:
         canonical = MeasurementBasis(
@@ -355,7 +357,18 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
         raise DegenerateBasisError(
             "detector states coincide; any orthonormal basis is optimal", canonical
         )
-    return MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
+    return values, MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
+
+
+def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBasis:
+    """Projective measurement that discriminates the two detector states optimally.
+
+    ``m_a`` is the eigenvector of the weighted state difference with positive
+    eigenvalue (outcome a means: guess the marked state, i.e. path a), ``m_b``
+    the one with negative eigenvalue. Computed by eigendecomposition, which
+    stays well-conditioned over the whole parameter domain.
+    """
+    return _min_error_eig(_discrimination_operator(det, weights))[1]
 
 
 def complementarity_residual(

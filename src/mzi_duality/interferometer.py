@@ -9,6 +9,7 @@ is expressed on the path basis (|b>, |a>), detector appended second.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,16 +112,20 @@ class DetectorConfig:
         require_finite(a_overlap=self.a_overlap, gamma=self.gamma, delta=self.delta)
         require_in_range("a_overlap", self.a_overlap)
 
-    @property
+    @functools.cached_property
     def unitary(self) -> np.ndarray:
-        """The marking unitary, unit determinant by construction."""
+        """The marking unitary, unit determinant by construction.
+
+        Built on first access and kept read-only on the instance; the cache
+        lives outside the dataclass fields, so equality and hashing ignore it.
+        """
         a = self.a_overlap
         b = math.sqrt(max(1.0 - a * a, 0.0))
         eg = cmath.exp(1j * self.gamma)
         ed = cmath.exp(1j * self.delta)
-        return np.array(
-            [[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex
-        )
+        u = np.array([[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex)
+        u.setflags(write=False)
+        return u
 
     @property
     def reference_state(self) -> np.ndarray:
@@ -403,7 +408,7 @@ def port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
     return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
 
 
-def probabilities_on(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
+def probabilities_on(m: np.ndarray, phis: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Port-a probabilities of the folded points ``m`` (n, 4, 4) at one shared
     1-D phase array: shape (n, len(phis)).
 
@@ -411,11 +416,19 @@ def probabilities_on(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
     Re(M) @ re - Im(M) @ im, where (re, im) is the 16-row table of products
     d_j conj(d_k), row 4j + k. The table of a grid from _scan_grid is built
     once per grid size; any other phase array gets one built per call.
+
+    The two products are written into ``work``, a float64 array of shape
+    (2, k, len(phis)) with k >= n, and the result is a view of ``work[0]``,
+    valid until ``work`` is written again; callers that evaluate many blocks
+    pass one work array for all of them. Without ``work``, one is allocated.
     """
     flat = m.reshape(len(m), 16)
     re, im = _phase_table(phis)
-    values = np.ascontiguousarray(flat.real) @ re
-    values -= np.ascontiguousarray(flat.imag) @ im
+    if work is None:
+        work = np.empty((2, len(m), len(phis)))
+    values, products = work[:, : len(m)]
+    np.matmul(np.ascontiguousarray(flat.real), re, out=values)
+    values -= np.matmul(np.ascontiguousarray(flat.imag), im, out=products)
     return values
 
 

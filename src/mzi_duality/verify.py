@@ -22,6 +22,7 @@ from .duality import (
     PathWeights,
     _detector_branches,
     _discrimination_operator,
+    _min_error_eig,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_kernel,
@@ -36,7 +37,7 @@ from .duality import (
     visibility_peak_fixed_sx,
     visibility_scans,
 )
-from .errors import InvalidInputError
+from .errors import DegenerateBasisError, InvalidInputError
 from .interferometer import (
     BeamSplitterAngle,
     BlochState,
@@ -293,10 +294,10 @@ def _min_error_measurement(rng):
     state, det, beta, _ = draw_point(rng)
     weights = path_weights(state.s_x, beta)
     gamma_op = _discrimination_operator(det, weights)
-    values, _ = hermitian_eig2(gamma_op)
-    if values[0] - values[1] <= 1e-12:
+    try:
+        values, basis = _min_error_eig(gamma_op)
+    except DegenerateBasisError:
         return None
-    basis = min_error_basis(det, weights)
     eig_err = max(
         float(np.abs(gamma_op @ basis.m_a - values[0] * basis.m_a).max()),
         float(np.abs(gamma_op @ basis.m_b - values[1] * basis.m_b).max()),

@@ -430,6 +430,14 @@ def test_verify_injected_fault_fails(capsys):
     assert summary["visibility_oracle"]["failures"] > 0
 
 
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # The parser is built once per process; an append option's values must
+    # not accumulate into its default from one main() call to the next.
+    assert main(["verify", "--draws", "1", "--tolerance", "extremum_loci=1e-30"]) == 1
+    assert main(["verify", "--draws", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_rejects_unknown_tolerance(capsys):
     assert main(["verify", "--draws", "5", "--tolerance", "bogus=1e-3"]) == 2
     assert "unknown tolerance" in capsys.readouterr().err

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -48,6 +53,7 @@ from mzi_duality.verify import (
 )
 from mzi_duality.verify import _min_error_basis_closed_form
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THIRD = 1.0 / 3.0
 HALF_PI = math.pi / 2
 
@@ -137,9 +143,9 @@ def probe_calls(monkeypatch):
     calls = []
 
     def recording(evaluate):
-        def recording_evaluate(m, phis):
+        def recording_evaluate(m, phis, *work):
             calls.append(np.array(phis))
-            return evaluate(m, phis)
+            return evaluate(m, phis, *work)
 
         return recording_evaluate
 
@@ -202,7 +208,9 @@ def stack(points):
 
 
 @pytest.mark.parametrize("a_overlap", [0.0, 1.0, 0.37])
-@pytest.mark.parametrize("n", [1, duality._SCAN_CHUNK, duality._SCAN_CHUNK + 1])
+@pytest.mark.parametrize(
+    "n", [1, duality._SCAN_CHUNK, duality._SCAN_CHUNK + 1, 2 * duality._SCAN_CHUNK + 1]
+)
 def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     rng = np.random.default_rng(71)
     det = DetectorConfig(a_overlap, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
@@ -212,6 +220,53 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     assert visibility.shape == (n,) and defined.all()
     for (state, beta), v in zip(points, visibility):
         assert abs(v - visibility_scan(state, det, beta)) <= 1e-15
+
+
+def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
+    # Each call owns its work array: a scan of many blocks followed by a
+    # smaller scan on another grid, and the reverse order, give the same bits.
+    rng = np.random.default_rng(73)
+    dets = [draw_detector(rng) for _ in range(2)]
+    inputs = []
+    for det, n, grid_size in zip(dets, (2 * duality._SCAN_CHUNK + 1, 5), (4096, 512)):
+        (s_x, s_y, s_z), betas = stack([(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])
+        inputs.append((s_x, s_y, s_z, det.unitary, betas, grid_size))
+    first = [visibility_scans(*args) for args in inputs]
+    second = [visibility_scans(*args) for args in reversed(inputs)][::-1]
+    for (v1, d1), (v2, d2) in zip(first, second):
+        assert v1.tobytes() == v2.tobytes() and np.array_equal(d1, d2)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="fault counts depend on glibc's allocator"
+)
+def test_scan_reuses_its_work_memory_across_blocks():
+    # A 241-point scan runs 8 blocks of 2 x 32 x 4096 doubles. Writing every
+    # block into the call's one work array keeps the minor page faults of a
+    # warm call far below the 512 pages that array spans.
+    code = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from mzi_duality import DetectorConfig
+        from mzi_duality.duality import visibility_scans
+
+        s_x = np.linspace(-0.6, 0.6, 241)
+        s_z = np.sqrt(np.maximum(0.36 - s_x * s_x, 0.0))
+        args = (s_x, np.zeros(241), s_z, DetectorConfig(0.8, 0.3, 0.2).unitary, np.full(241, 1.5))
+        for _ in range(2):
+            visibility_scans(*args)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        visibility_scans(*args)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 256
 
 
 def test_stacked_scan_flags_only_the_dark_port():

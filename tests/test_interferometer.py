@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -101,6 +102,25 @@ def test_detector_config_trivial_and_orthogonal_marking():
     np.testing.assert_allclose(
         DetectorConfig(0.0).unitary, np.array([[0, -1], [1, 0]]), atol=1e-15
     )
+
+
+def test_detector_unitary_is_built_once_and_read_only():
+    # Bit-equal to the marking-unitary formula, including the A = 0, 1 edges.
+    rng = np.random.default_rng(29)
+    for a in [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]:
+        gamma, delta = rng.uniform(-10.0, 10.0, 2).tolist()
+        det = DetectorConfig(a, gamma, delta)
+        assert det.unitary is det.unitary
+        assert not det.unitary.flags.writeable
+        b = math.sqrt(max(1.0 - a * a, 0.0))
+        eg, ed = cmath.exp(1j * gamma), cmath.exp(1j * delta)
+        expected = np.array([[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex)
+        assert det.unitary.tobytes() == expected.tobytes()
+        marked = det.marked_state
+        marked[0] += 1.0
+        assert det.unitary[0, 0] == expected[0, 0]
+        same = DetectorConfig(a, gamma, delta)
+        assert same == det and hash(same) == hash(det)
 
 
 def test_detector_config_rejects_bad_overlap():
