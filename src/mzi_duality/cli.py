@@ -21,28 +21,26 @@ from .duality import (
     DARK_PORT_CONTRAST,
     DARK_PORT_WEIGHTS,
     DEFAULT_SCAN_GRID,
-    DENOMINATOR_TOL,
     MIN_SCAN_GRID,
-    WEIGHT_RANGE_MESSAGE,
-    WEIGHT_SUM_MESSAGE,
-    WEIGHT_TOL,
     distinguishability_kernel,
     distinguishability_trace_norms,
     duality_report,
     path_weights,
+    port_is_dark,
     residual_kernel,
     splitter_trig,
     visibility_kernel,
     visibility_scans,
     weights_kernel,
+    weights_message,
 )
 from .errors import DualityError, InvalidInputError, require_finite, require_in_range
 from .interferometer import (
-    BLOCH_LENGTH_MESSAGE,
-    BLOCH_NORM_TOL,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    bloch_length_message,
+    port_denominator,
 )
 from .verify import RunConfig, all_passed, run_verification
 
@@ -139,25 +137,13 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-def _blank_reasons(checks, n: int) -> list:
-    # Per row, the message of the first check in ``checks`` that fails there,
-    # or None. A check is (failing mask, message), the message a string or a
-    # function of the row index.
-    reasons = [None] * n
-    for failing, message in checks:
-        for i in np.flatnonzero(failing).tolist():
-            if reasons[i] is None:
-                reasons[i] = message(i) if callable(message) else message
-    return reasons
-
-
 def run_sweep(spec: SweepSpec) -> list[str]:
     """CSV lines (header first) for the sweep; degenerate points get empty fields.
 
     Every column is computed for all rows at once. A row is left blank, with
-    a warning on stderr, where the scalar API would raise: the checks run in
-    its order (input state, path weights, then the scan), and the warning
-    quotes the first one that fails.
+    a warning on stderr, where the scalar API would raise: the rules run in
+    its order (Bloch length, dark port, path weights, then the scan), and the
+    warning quotes the first one that fails.
     """
     params = spec.grid()
     fixed = np.full_like(params, spec.beta if spec.swept == "s_x" else spec.s_x)
@@ -170,38 +156,30 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     yz = np.array([math.hypot(y, z) for y, z in zip(s_y.tolist(), s_z.tolist())])
     a = spec.a_overlap
     sin_beta, cos_beta = splitter_trig(beta)
+    den = port_denominator(s_x, cos_beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_a, omega_b = weights_kernel(s_x, beta, cos_beta)
+        omega_a, omega_b = weights_kernel(s_x, beta, den)
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta, spec.scan_grid)
         columns = np.column_stack([
-            visibility_kernel(s_x, yz, a, sin_beta, cos_beta).clip(0.0, 1.0),
+            visibility_kernel(yz, a, sin_beta, den).clip(0.0, 1.0),
             v_scan,
-            distinguishability_kernel(s_x, a, sin_beta, cos_beta),
+            distinguishability_kernel(s_x, a, sin_beta, den),
             distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
-            residual_kernel(s_x, bloch_lam, a, sin_beta, cos_beta),
+            residual_kernel(bloch_lam, a, sin_beta, den),
             omega_a,
             omega_b,
         ])
-
-    def outside(w):
-        return ~((-WEIGHT_TOL <= w) & (w <= 1.0 + WEIGHT_TOL))
-
-    def weight_message(name, w):
-        return lambda i: WEIGHT_RANGE_MESSAGE.format(name=name, value=float(w[i]))
-
-    # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
-    reasons = _blank_reasons([
-        (bloch_lam > 1.0 + BLOCH_NORM_TOL,
-         lambda i: BLOCH_LENGTH_MESSAGE.format(float(bloch_lam[i]))),
-        (1.0 + s_x * cos_beta <= DENOMINATOR_TOL, DARK_PORT_WEIGHTS),
-        (outside(omega_a), weight_message("omega_a", omega_a)),
-        (outside(omega_b), weight_message("omega_b", omega_b)),
-        (np.abs(omega_a + omega_b - 1.0) > WEIGHT_TOL, WEIGHT_SUM_MESSAGE),
-        (~scanned, DARK_PORT_CONTRAST),
-    ], len(params))
     lines = [SWEEP_HEADER]
-    for value, row, reason in zip(params.tolist(), columns.tolist(), reasons):
+    rules = zip(bloch_lam.tolist(), den.tolist(), omega_a.tolist(), omega_b.tolist(), scanned.tolist())
+    for value, row, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), columns.tolist(), rules):
+        # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
+        reason = (
+            bloch_length_message(lam)
+            or (DARK_PORT_WEIGHTS if port_is_dark(den_row) else None)
+            or weights_message(w_a, w_b)
+            or (None if defined else DARK_PORT_CONTRAST)
+        )
         if reason is None:
             fields = [_fmt(v) for v in row]
         else:
@@ -229,11 +207,12 @@ def _figure_table(quantity: str, swept: str, lam: float, a_overlap: float) -> li
     for label, fixed in curves:
         s_x, beta = (grid, fixed) if swept == "s_x" else (fixed, grid)
         sin_beta, cos_beta = splitter_trig(beta)
+        den = port_denominator(s_x, cos_beta)
         if quantity == "V":
             yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
-            values = visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta).clip(0.0, 1.0)
+            values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)
         else:
-            values = distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta)
+            values = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
         lines += [f"{label},{p},{_fmt(v)}" for p, v in zip(params, values.tolist())]
     return lines
 

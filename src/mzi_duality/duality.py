@@ -30,6 +30,7 @@ from .interferometer import (
     BlochState,
     DetectorConfig,
     _scan_grid,
+    port_denominator,
     port_matrices,
     probabilities_at,
     probabilities_on,
@@ -65,40 +66,53 @@ def splitter_trig(beta):
     return (0.0 if beta == math.pi else math.sin(beta)), math.cos(beta)
 
 
-def _port_denominator(s_x: float, beta: float) -> float:
-    den = 1.0 + s_x * math.cos(beta)
-    return den
+def port_is_dark(den):
+    """Whether a port denominator (interferometer.port_denominator), or each
+    of an array of them, leaves the monitored port dark, so that V, D, the
+    residual and the path weights are undefined there."""
+    return den <= DENOMINATOR_TOL
 
 
 # The closed forms for V, D, the residual and the path weights, written once.
 # Arguments are scalars or broadcastable arrays; callers supply the trig
-# (splitter_trig) and check the port denominator 1 + s_x cos(beta)
-# themselves. V comes back unclipped. Squares are written as products, which
-# round the same for floats and arrays (a float's ** 2 goes through pow).
+# (splitter_trig) and the port denominator den = 1 + s_x cos(beta)
+# (port_denominator), and check the latter with port_is_dark themselves. V
+# comes back unclipped. Squares are written as products, which round the same
+# for floats and arrays (a float's ** 2 goes through pow).
 
 
-def visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta):
-    """V = A sin(beta) |(s_y, s_z)| / (1 + s_x cos(beta))."""
-    return a_overlap * sin_beta * yz / (1.0 + s_x * cos_beta)
+def visibility_kernel(yz, a_overlap, sin_beta, den):
+    """V = A sin(beta) |(s_y, s_z)| / den."""
+    return a_overlap * sin_beta * yz / den
 
 
-def distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta):
-    """D = sqrt(1 - (A sin(beta) / (1 + s_x cos(beta)))^2 (1 - s_x)(1 + s_x))."""
-    ratio = a_overlap * sin_beta / (1.0 + s_x * cos_beta)
+def distinguishability_kernel(s_x, a_overlap, sin_beta, den):
+    """D = sqrt(1 - (A sin(beta) / den)^2 (1 - s_x)(1 + s_x))."""
+    ratio = a_overlap * sin_beta / den
     return np.sqrt(np.maximum(1.0 - ratio * ratio * (1.0 - s_x) * (1.0 + s_x), 0.0))
 
 
-def residual_kernel(s_x, lam, a_overlap, sin_beta, cos_beta):
-    """1 - V^2 - D^2 = (A sin(beta) / (1 + s_x cos(beta)))^2 (1 - lam)."""
-    ratio = a_overlap * sin_beta / (1.0 + s_x * cos_beta)
+def residual_kernel(lam, a_overlap, sin_beta, den):
+    """1 - V^2 - D^2 = (A sin(beta) / den)^2 (1 - lam)."""
+    ratio = a_overlap * sin_beta / den
     return ratio * ratio * (1.0 - lam)
 
 
-def weights_kernel(s_x, beta, cos_beta):
-    """(omega_a, omega_b) = (cos^2(beta/2) (1 + s_x), sin^2(beta/2) (1 - s_x)) / (1 + s_x cos(beta))."""
-    den = 1.0 + s_x * cos_beta
+def weights_kernel(s_x, beta, den):
+    """(omega_a, omega_b) = (cos^2(beta/2) (1 + s_x), sin^2(beta/2) (1 - s_x)) / den."""
     cos_half, sin_half = np.cos(0.5 * beta), np.sin(0.5 * beta)
     return cos_half * cos_half * (1.0 + s_x) / den, sin_half * sin_half * (1.0 - s_x) / den
+
+
+def weights_message(omega_a: float, omega_b: float) -> str | None:
+    """Why finite path weights are invalid, or None when each lies in [0, 1]
+    and they sum to 1, both within WEIGHT_TOL: the rule PathWeights enforces."""
+    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
+        if not -WEIGHT_TOL <= value <= 1.0 + WEIGHT_TOL:
+            return WEIGHT_RANGE_MESSAGE.format(name=name, value=value)
+    if abs(omega_a + omega_b - 1.0) > WEIGHT_TOL:
+        return WEIGHT_SUM_MESSAGE
+    return None
 
 
 @dataclass(frozen=True)
@@ -110,10 +124,9 @@ class PathWeights:
 
     def __post_init__(self):
         require_finite(omega_a=self.omega_a, omega_b=self.omega_b)
-        require_in_range("omega_a", self.omega_a, -WEIGHT_TOL, 1.0 + WEIGHT_TOL, WEIGHT_RANGE_MESSAGE)
-        require_in_range("omega_b", self.omega_b, -WEIGHT_TOL, 1.0 + WEIGHT_TOL, WEIGHT_RANGE_MESSAGE)
-        if abs(self.omega_a + self.omega_b - 1.0) > WEIGHT_TOL:
-            raise InvalidInputError(WEIGHT_SUM_MESSAGE)
+        message = weights_message(self.omega_a, self.omega_b)
+        if message is not None:
+            raise InvalidInputError(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +185,11 @@ def visibility_closed(
     """Fringe contrast (max-min)/(max+min) of the port-a probability, closed form."""
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    den = _port_denominator(state.s_x, beta.beta)
-    if den <= DENOMINATOR_TOL:
+    sin_beta, cos_beta = splitter_trig(beta.beta)
+    den = port_denominator(state.s_x, cos_beta)
+    if port_is_dark(den):
         raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
-    v = visibility_kernel(state.s_x, state.yz_norm, a_overlap, *splitter_trig(beta.beta))
+    v = visibility_kernel(state.yz_norm, a_overlap, sin_beta, den)
     return min(max(v, 0.0), 1.0)
 
 
@@ -213,11 +227,12 @@ def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, ste
     return refined[:n], refined[n:]
 
 
-def _scan_block(m: np.ndarray, phis: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # p_max and p_min of each folded point of a block: the grid, its
-    # probabilities written into the scan's work array, then the refinement,
-    # keeping the grid value where it is better.
-    values = probabilities_on(m, phis, work)
+def _scan_block(m: np.ndarray, grid: tuple, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # p_max and p_min of each folded point of a block: the probabilities on
+    # the grid (phases and phase-product table), written into the scan's work
+    # array, then the refinement, keeping the grid value where it is better.
+    phis, re, im = grid
+    values = probabilities_on(m, re, im, work)
     rows = np.arange(len(m))
     k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
     k_min = values.argmin(axis=1)
@@ -233,7 +248,8 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point. Returns
     ``(visibility, defined)``: ``defined`` is False, and the visibility NaN,
-    where p_max + p_min <= DENOMINATOR_TOL (contrast 0/0).
+    where p_max + p_min, the scan's own port denominator, leaves the port
+    dark (port_is_dark; contrast 0/0).
 
     Folds all points at once (interferometer.port_matrices), then scans them
     in blocks of _SCAN_CHUNK points. A block's port-a probabilities on a
@@ -249,16 +265,16 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     if grid_size < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
     m = port_matrices(s_x, s_y, s_z, unitary, beta)
-    phis = _scan_grid(grid_size)
+    grid = _scan_grid(grid_size)
     # One work array for every block's grid products, allocated per call so
     # that the scan keeps no state between calls.
     work = np.empty((2, min(len(m), _SCAN_CHUNK), grid_size))
     p_max, p_min = np.empty((2, len(m)))
     for start in range(0, len(m), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _scan_block(m[block], phis, work)
+        p_max[block], p_min[block] = _scan_block(m[block], grid, work)
     total = p_max + p_min
-    defined = total > DENOMINATOR_TOL
+    defined = ~port_is_dark(total)
     visibility = np.full(len(m), np.nan)
     np.divide(p_max - p_min, total, out=visibility, where=defined)
     return visibility, defined
@@ -291,9 +307,10 @@ def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     require_finite(s_x=s_x)
     if abs(s_x) > 1.0 + WEIGHT_TOL:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    if _port_denominator(s_x, beta.beta) <= DENOMINATOR_TOL:
+    den = port_denominator(s_x, math.cos(beta.beta))
+    if port_is_dark(den):
         raise InvalidInputError(DARK_PORT_WEIGHTS)
-    omega_a, omega_b = weights_kernel(s_x, beta.beta, math.cos(beta.beta))
+    omega_a, omega_b = weights_kernel(s_x, beta.beta, den)
     return PathWeights(float(omega_a), float(omega_b))
 
 
@@ -315,12 +332,13 @@ def distinguishability_closed(
     require_in_range("a_overlap", a_overlap)
     if abs(s_x) > 1.0 + WEIGHT_TOL:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    den = _port_denominator(s_x, beta.beta)
-    if den <= DENOMINATOR_TOL:
+    sin_beta, cos_beta = splitter_trig(beta.beta)
+    den = port_denominator(s_x, cos_beta)
+    if port_is_dark(den):
         raise InvalidInputError(
             "monitored port has zero intensity; distinguishability undefined"
         )
-    return float(distinguishability_kernel(s_x, a_overlap, *splitter_trig(beta.beta)))
+    return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
 def _discrimination_operator(det: DetectorConfig, weights: PathWeights) -> np.ndarray:
@@ -377,10 +395,11 @@ def complementarity_residual(
     """The gap 1 - V^2 - D^2, in closed form; zero exactly on the saturation slices."""
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    den = _port_denominator(state.s_x, beta.beta)
-    if den <= DENOMINATOR_TOL:
+    sin_beta, cos_beta = splitter_trig(beta.beta)
+    den = port_denominator(state.s_x, cos_beta)
+    if port_is_dark(den):
         raise InvalidInputError("monitored port has zero intensity; residual undefined")
-    return residual_kernel(state.s_x, state.lam, a_overlap, *splitter_trig(beta.beta))
+    return residual_kernel(state.lam, a_overlap, sin_beta, den)
 
 
 def visibility_peak_fixed_beta(

@@ -37,16 +37,11 @@ def require_finite(**values) -> None:
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
-RANGE_MESSAGE = "{name} must lie in [0, 1], got {value!r}"
-
-
-def require_in_range(name: str, value, lo: float = 0.0, hi: float = 1.0,
-                     message: str = RANGE_MESSAGE) -> None:
+def require_in_range(name: str, value, lo: float = 0.0, hi: float = 1.0) -> None:
     """Raise InvalidInputError unless lo <= value <= hi; NaN fails.
 
-    ``message`` is formatted with ``name`` and ``value``. Every range checked
-    here is nominally [0, 1]; ``lo`` and ``hi`` may widen it by a rounding
-    slack that the message does not show.
+    Every range checked here is nominally [0, 1]; ``lo`` and ``hi`` may widen
+    it by a rounding slack that the message does not show.
     """
     if not lo <= value <= hi:
-        raise InvalidInputError(message.format(name=name, value=value))
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")

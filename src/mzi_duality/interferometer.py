@@ -34,6 +34,14 @@ TWO_PI = 2.0 * math.pi
 _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
 
 
+def bloch_length_message(lam: float) -> str | None:
+    """Why a squared Bloch length ``lam`` is invalid, or None when it is at
+    most 1 within BLOCH_NORM_TOL: the rule BlochState enforces."""
+    if lam > 1.0 + BLOCH_NORM_TOL:
+        return BLOCH_LENGTH_MESSAGE.format(lam)
+    return None
+
+
 @dataclass(frozen=True)
 class BlochState:
     """Input path qubit given by its Bloch vector (s_x, s_y, s_z).
@@ -49,8 +57,9 @@ class BlochState:
 
     def __post_init__(self):
         require_finite(s_x=self.s_x, s_y=self.s_y, s_z=self.s_z)
-        if self.lam > 1.0 + BLOCH_NORM_TOL:
-            raise InvalidInputError(BLOCH_LENGTH_MESSAGE.format(self.lam))
+        message = bloch_length_message(self.lam)
+        if message is not None:
+            raise InvalidInputError(message)
 
     @property
     def lam(self) -> float:
@@ -323,6 +332,15 @@ def detection_probability_numeric(rho_f: DensityOperator) -> float:
     return float(_port_a_probabilities(rho_f.matrix))
 
 
+def port_denominator(s_x, cos_beta):
+    """The port-a intensity scale 1 + s_x cos(beta), of scalars or arrays.
+
+    Twice the phase-averaged port-a probability; every closed form divides by
+    it, and the monitored port is dark where it vanishes.
+    """
+    return 1.0 + s_x * cos_beta
+
+
 def detection_probability_closed(
     state: BlochState,
     det: DetectorConfig,
@@ -336,7 +354,7 @@ def detection_probability_closed(
     Bloch component and the detector overlap.
     """
     b = beta.beta
-    base = 0.5 * (1.0 + state.s_x * math.cos(b))
+    base = 0.5 * port_denominator(state.s_x, math.cos(b))
     osc = (
         0.5
         * det.a_overlap
@@ -345,11 +363,6 @@ def detection_probability_closed(
         * math.cos(state.alpha + det.gamma + 2.0 * phi.phi)
     )
     return base + osc
-
-
-# Phase-product tables of the visibility scan's uniform grids, one entry
-# (grid, re, im) per grid size, filled on first use and read-only.
-_SCAN_GRIDS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,29 +376,16 @@ def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
 
 
-def _phase_table(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The cached table serves only the cached grid array itself; any other
-    # array, an equal copy included, gets its table built on the fly.
-    cached = _SCAN_GRIDS.get(phis.size)
-    if cached is not None and cached[0] is phis:
-        return cached[1], cached[2]
-    return _phase_products(phis)
-
-
-def _scan_grid(grid_size: int) -> np.ndarray:
-    """The uniform phase grid step * arange(grid_size), step = 2*pi/grid_size.
-
-    Built once per grid size together with its phase-product table, both
-    read-only; a probe handed this very array reads the cached table.
-    """
-    cached = _SCAN_GRIDS.get(grid_size)
-    if cached is None:
-        grid = (TWO_PI / grid_size) * np.arange(grid_size)
-        cached = (grid, *_phase_products(grid))
-        for arr in cached:
-            arr.setflags(write=False)
-        _SCAN_GRIDS[grid_size] = cached
-    return cached[0]
+@functools.cache
+def _scan_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform phase grid step * arange(grid_size), step = 2*pi/grid_size,
+    and its phase-product table (re, im): built once per grid size, on first
+    use, and read-only."""
+    grid = (TWO_PI / grid_size) * np.arange(grid_size)
+    arrays = (grid, *_phase_products(grid))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
@@ -408,24 +408,19 @@ def port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
     return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
 
 
-def probabilities_on(m: np.ndarray, phis: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Port-a probabilities of the folded points ``m`` (n, 4, 4) at one shared
-    1-D phase array: shape (n, len(phis)).
+def probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Port-a probabilities of the folded points ``m`` (n, 4, 4) at the k
+    phases of one shared phase-product table: shape (n, k).
 
-    Sums all 16 terms at every phase as two real matrix products,
-    Re(M) @ re - Im(M) @ im, where (re, im) is the 16-row table of products
-    d_j conj(d_k), row 4j + k. The table of a grid from _scan_grid is built
-    once per grid size; any other phase array gets one built per call.
-
-    The two products are written into ``work``, a float64 array of shape
-    (2, k, len(phis)) with k >= n, and the result is a view of ``work[0]``,
-    valid until ``work`` is written again; callers that evaluate many blocks
-    pass one work array for all of them. Without ``work``, one is allocated.
+    ``(re, im)`` is the 16-row table of products d_j conj(d_k), row 4j + k,
+    with one column per phase (_phase_products; _scan_grid caches a scan
+    grid's). Every phase sums all 16 terms as two real matrix products,
+    Re(M) @ re - Im(M) @ im, written into ``work``, a float64 array of shape
+    (2, n', k) with n' >= n. The result is a view of ``work[0]``, valid until
+    ``work`` is written again, so callers that evaluate many blocks pass one
+    work array for all of them.
     """
     flat = m.reshape(len(m), 16)
-    re, im = _phase_table(phis)
-    if work is None:
-        work = np.empty((2, len(m), len(phis)))
     values, products = work[:, : len(m)]
     np.matmul(np.ascontiguousarray(flat.real), re, out=values)
     values -= np.matmul(np.ascontiguousarray(flat.imag), im, out=products)
@@ -454,12 +449,12 @@ def phase_probe(
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
     reorganized: the one-point view of port_matrices, evaluated by
-    probabilities_on, which reads the cached table of a scan grid and builds
-    one for any other phase array.
+    probabilities_on on a phase-product table and work array built per call.
     """
     m = port_matrices([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        return probabilities_on(m, np.asarray(phis, dtype=float))[0]
+        re, im = _phase_products(np.asarray(phis, dtype=float))
+        return probabilities_on(m, re, im, np.empty((2, 1, re.shape[1])))[0]
 
     return probe

@@ -47,6 +47,7 @@ from .interferometer import (
     detection_probability_closed,
     evolve_closed_form_stack,
     evolve_stack,
+    port_denominator,
 )
 from .linalg import check_densities, hermitian_eig2, hermiticity_defect, trace_errors, trace_path
 
@@ -114,11 +115,11 @@ def draw_point(rng):
 # --- brute-force extremum oracles (the closed-form kernels on a fine grid) ---
 
 
-@functools.lru_cache(maxsize=None)
-def _beta_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _beta_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The splitter-angle grid and its trig do not depend on the draw; build
     # them on first use (not at import) and share them read-only.
-    beta = np.arange(step, math.pi, step)
+    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
     arrays = (beta, np.sin(beta), np.cos(beta))
     for arr in arrays:
         arr.setflags(write=False)
@@ -126,42 +127,39 @@ def _beta_grid(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def grid_visibility_peak_fixed_beta(
-    lam: float, a_overlap: float, beta: BeamSplitterAngle, step: float = GRID_STEP
+    lam: float, a_overlap: float, beta: BeamSplitterAngle
 ) -> tuple[float, float]:
     """Argmax and max of V over s_x in [-sqrt(lam), sqrt(lam)] by exhaustive grid."""
     r = math.sqrt(lam)
-    s_x = np.arange(-r, r + 0.5 * step, step)
+    s_x = np.arange(-r, r + 0.5 * GRID_STEP, GRID_STEP)
     yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
-    values = visibility_kernel(s_x, yz, a_overlap, math.sin(beta.beta), math.cos(beta.beta))
+    den = port_denominator(s_x, math.cos(beta.beta))
+    values = visibility_kernel(yz, a_overlap, math.sin(beta.beta), den)
     k = int(np.argmax(values))
     return float(s_x[k]), float(values[k])
 
 
-def grid_visibility_peak_fixed_sx(
-    s_x: float, lam: float, a_overlap: float, step: float = GRID_STEP
-) -> tuple[float, float]:
+def grid_visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[float, float]:
     """Argmax and max of V over the splitter angle by exhaustive grid.
 
     Every grid point is evaluated on each call; the beta grid and its sine and
-    cosine are computed once per ``step`` and reused.
+    cosine are computed once and reused.
     """
-    beta, sin_beta, cos_beta = _beta_grid(step)
+    beta, sin_beta, cos_beta = _beta_grid()
     yz = math.sqrt(max(lam - s_x * s_x, 0.0))
-    values = visibility_kernel(s_x, yz, a_overlap, sin_beta, cos_beta)
+    values = visibility_kernel(yz, a_overlap, sin_beta, port_denominator(s_x, cos_beta))
     k = int(np.argmax(values))
     return float(beta[k]), float(values[k])
 
 
-def grid_distinguishability_valley(
-    s_x: float, a_overlap: float, step: float = GRID_STEP
-) -> tuple[float, float]:
+def grid_distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, float]:
     """Argmin and min of D over the splitter angle by exhaustive grid.
 
     Every grid point is evaluated on each call; the beta grid and its sine and
-    cosine are computed once per ``step`` and reused.
+    cosine are computed once and reused.
     """
-    beta, sin_beta, cos_beta = _beta_grid(step)
-    values = distinguishability_kernel(s_x, a_overlap, sin_beta, cos_beta)
+    beta, sin_beta, cos_beta = _beta_grid()
+    values = distinguishability_kernel(s_x, a_overlap, sin_beta, port_denominator(s_x, cos_beta))
     k = int(np.argmin(values))
     return float(beta[k]), float(values[k])
 

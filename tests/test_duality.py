@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzi_duality import duality
+from mzi_duality import duality, interferometer
+from mzi_duality.cli import SweepSpec, run_sweep
 from mzi_duality.duality import (
     DualityReport,
     MeasurementBasis,
@@ -139,18 +140,23 @@ def test_scan_is_invariant_under_detector_phases():
 @pytest.fixture
 def probe_calls(monkeypatch):
     """Phase arrays of each probe evaluation a scan makes, in order: the grid
-    (probabilities_on), then each refinement round's brackets (probabilities_at)."""
+    (probabilities_on, whose cached table _scan_grid holds with the grid),
+    then each refinement round's brackets (probabilities_at)."""
     calls = []
+    evaluate_on, evaluate_at = duality.probabilities_on, duality.probabilities_at
 
-    def recording(evaluate):
-        def recording_evaluate(m, phis, *work):
-            calls.append(np.array(phis))
-            return evaluate(m, phis, *work)
+    def recording_on(m, re, im, work):
+        grid, grid_re, grid_im = interferometer._scan_grid(re.shape[1])
+        assert grid_re is re and grid_im is im
+        calls.append(np.array(grid))
+        return evaluate_on(m, re, im, work)
 
-        return recording_evaluate
+    def recording_at(m, phis):
+        calls.append(np.array(phis))
+        return evaluate_at(m, phis)
 
-    for name in ("probabilities_on", "probabilities_at"):
-        monkeypatch.setattr(duality, name, recording(getattr(duality, name)))
+    monkeypatch.setattr(duality, "probabilities_on", recording_on)
+    monkeypatch.setattr(duality, "probabilities_at", recording_at)
     return calls
 
 
@@ -327,21 +333,37 @@ def test_range_checks_keep_their_messages(build, message):
         (1.0, math.pi - math.sqrt(2e-10)),
     ],
 )
-def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta):
+def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta, capsys):
+    # Every route calls the port dark at the same points, each with its own
+    # class and message; elsewhere it returns or raises something else.
     state = pure_state(s_x)
     angle = BeamSplitterAngle(beta)
+    routes = [
+        (lambda: visibility_closed(state, 0.5, angle),
+         UndefinedVisibilityError, duality.DARK_PORT_CONTRAST),
+        (lambda: visibility_scan(state, DetectorConfig(0.5), angle),
+         UndefinedVisibilityError, duality.DARK_PORT_CONTRAST),
+        (lambda: distinguishability_closed(s_x, angle, 0.5),
+         InvalidInputError, "monitored port has zero intensity; distinguishability undefined"),
+        (lambda: complementarity_residual(state, 0.5, angle),
+         InvalidInputError, "monitored port has zero intensity; residual undefined"),
+        (lambda: path_weights(s_x, angle), InvalidInputError, duality.DARK_PORT_WEIGHTS),
+    ]
     outcomes = []
-    for route in (
-        lambda: visibility_closed(state, 0.5, angle),
-        lambda: visibility_scan(state, DetectorConfig(0.5), angle),
-    ):
+    for route, error, message in routes:
         try:
             route()
             outcomes.append(False)
-        except UndefinedVisibilityError:
-            outcomes.append(True)
+        except (UndefinedVisibilityError, InvalidInputError) as exc:
+            outcomes.append((type(exc), str(exc)) == (error, message))
+    # The sweep row at this point, the first or last row of a two-row beta sweep.
+    lo, hi = sorted((beta, HALF_PI))
+    spec = SweepSpec(swept="beta", lo=lo, hi=hi, steps=2, lam=1.0, a_overlap=0.5, s_x=s_x)
+    row = run_sweep(spec)[1 if beta == lo else 2]
+    warning = f"warning: beta={row.split(',')[0]} is degenerate ({duality.DARK_PORT_WEIGHTS})"
+    outcomes.append(row.endswith(",,,,,,,") and warning in capsys.readouterr().err.splitlines())
     undefined = 1.0 + s_x * math.cos(beta) <= duality.DENOMINATOR_TOL
-    assert outcomes == [undefined, undefined]
+    assert outcomes == [undefined] * 6
 
 
 # --- path weights ---------------------------------------------------------------

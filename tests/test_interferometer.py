@@ -406,7 +406,7 @@ def test_scan_grid_table_is_built_on_first_use_once_per_size():
         import mzi_duality.cli
         from mzi_duality import interferometer as i
 
-        assert i._SCAN_GRIDS == {}
+        assert i._scan_grid.cache_info().currsize == 0
         builds = Counter()
         build = i._phase_products
 
@@ -422,7 +422,8 @@ def test_scan_grid_table_is_built_on_first_use_once_per_size():
         )
         for grid_size in (4096, 4096, 512, 4096, 512):
             mzi_duality.visibility_scan(*args, grid_size=grid_size)
-        assert sorted(i._SCAN_GRIDS) == [512, 4096]
+        info = i._scan_grid.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
         assert builds[4096] == 1 and builds[512] == 1
         print("ok")
         """
@@ -436,33 +437,14 @@ def test_scan_grid_table_is_built_on_first_use_once_per_size():
 
 
 def test_scan_grid_and_its_table_are_read_only():
-    grid = interferometer._scan_grid(4096)
-    assert interferometer._scan_grid(4096) is grid
+    cached = interferometer._scan_grid(4096)
+    hits = interferometer._scan_grid.cache_info().hits
+    assert interferometer._scan_grid(4096) is cached
+    assert interferometer._scan_grid.cache_info().hits == hits + 1
+    grid, re, im = cached
     np.testing.assert_array_equal(grid, (2 * math.pi / 4096) * np.arange(4096))
-    cached = interferometer._SCAN_GRIDS[4096]
-    assert cached[0] is grid
+    assert re.shape == im.shape == (16, 4096)
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-def test_probe_reads_the_cached_table_only_for_the_grid_itself(monkeypatch):
-    state = BlochState(0.2, -0.4, 0.5)
-    det = DetectorConfig(0.7, 0.3, 1.9)
-    beta = BeamSplitterAngle(0.8)
-    grid = interferometer._scan_grid(4096)
-    builds = []
-    build = interferometer._phase_products
-
-    def counting_phase_products(phis):
-        builds.append(phis.size)
-        return build(phis)
-
-    monkeypatch.setattr(interferometer, "_phase_products", counting_phase_products)
-    probe = phase_probe(state, det, beta)
-    cached = probe(grid)
-    assert builds == []
-    fresh = probe(grid.copy())
-    assert builds == [4096]
-    assert np.array_equal(cached, fresh)

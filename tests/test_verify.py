@@ -13,25 +13,25 @@ from mzi_duality.verify import (
 )
 
 
-def per_call_peak_fixed_sx(s_x, lam, a_overlap, step=GRID_STEP):
+def per_call_peak_fixed_sx(s_x, lam, a_overlap):
     # Reference: the beta grid and its trig rebuilt on every call.
-    beta = np.arange(step, math.pi, step)
+    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
     amp = math.sqrt(max(lam - s_x * s_x, 0.0))
     values = a_overlap * np.sin(beta) * amp / (1.0 + s_x * np.cos(beta))
     k = int(np.argmax(values))
     return float(beta[k]), float(values[k])
 
 
-def per_call_valley(s_x, a_overlap, step=GRID_STEP):
-    beta = np.arange(step, math.pi, step)
-    values = distinguishability_kernel(s_x, a_overlap, np.sin(beta), np.cos(beta))
+def per_call_valley(s_x, a_overlap):
+    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
+    values = distinguishability_kernel(s_x, a_overlap, np.sin(beta), 1.0 + s_x * np.cos(beta))
     k = int(np.argmin(values))
     return float(beta[k]), float(values[k])
 
 
 def test_beta_grid_is_built_once_and_read_only():
-    first = verify._beta_grid(GRID_STEP)
-    second = verify._beta_grid(GRID_STEP)
+    first = verify._beta_grid()
+    second = verify._beta_grid()
     assert len(first) == 3
     for a, b in zip(first, second):
         assert a is b
@@ -50,19 +50,6 @@ def test_grid_oracles_match_per_call_grid_exactly():
             s_x, lam, a_overlap
         )
         assert grid_distinguishability_valley(s_x, a_overlap) == per_call_valley(s_x, a_overlap)
-
-
-def test_non_default_step_gets_its_own_grid():
-    step = 1e-2
-    beta, sin_beta, cos_beta = verify._beta_grid(step)
-    assert beta is not verify._beta_grid(GRID_STEP)[0]
-    np.testing.assert_array_equal(beta, np.arange(step, math.pi, step))
-    np.testing.assert_array_equal(sin_beta, np.sin(beta))
-    np.testing.assert_array_equal(cos_beta, np.cos(beta))
-    assert grid_visibility_peak_fixed_sx(0.3, 0.7, 0.6, step) == per_call_peak_fixed_sx(
-        0.3, 0.7, 0.6, step
-    )
-    assert grid_distinguishability_valley(0.3, 0.6, step) == per_call_valley(0.3, 0.6, step)
 
 
 def register(monkeypatch, name, errors):
