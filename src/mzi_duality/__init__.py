@@ -23,6 +23,7 @@ from .duality import (
     visibility_scan,
 )
 from .errors import (
+    DarkPortError,
     DegenerateBasisError,
     DualityError,
     InvalidInputError,
@@ -34,20 +35,16 @@ from .interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
-    beam_splitter,
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
     evolve,
     evolve_closed_form,
-    marking_operator,
-    phase_shifter,
 )
 from .linalg import (
     DensityOperator,
     hermitian_eig2,
     partial_trace_path,
-    tensor,
     trace_norm,
 )
 from .verify import RunConfig, run_verification
@@ -57,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamSplitterAngle",
     "BlochState",
+    "DarkPortError",
     "DegenerateBasisError",
     "DensityOperator",
     "DetectorConfig",
@@ -69,7 +67,6 @@ __all__ = [
     "PhaseShift",
     "RunConfig",
     "UndefinedVisibilityError",
-    "beam_splitter",
     "bloch_to_density",
     "complementarity_residual",
     "detection_probability_closed",
@@ -81,13 +78,10 @@ __all__ = [
     "evolve",
     "evolve_closed_form",
     "hermitian_eig2",
-    "marking_operator",
     "min_error_basis",
     "partial_trace_path",
     "path_weights",
-    "phase_shifter",
     "run_verification",
-    "tensor",
     "trace_norm",
     "visibility_closed",
     "visibility_peak_fixed_beta",

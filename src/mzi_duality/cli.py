@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import (
-    DARK_PORT_CONTRAST,
-    DARK_PORT_WEIGHTS,
+    DARK_PORT,
     DEFAULT_SCAN_GRID,
     MIN_SCAN_GRID,
     distinguishability_kernel,
@@ -71,7 +70,10 @@ def parse_angle(text: str) -> float:
         mult = float(mult_text)
     value = mult * math.pi
     if match.group("div") is not None:
-        value /= float(match.group("div"))
+        divisor = float(match.group("div"))
+        if divisor == 0.0:
+            raise InvalidInputError(f"angle {text!r} divides by zero")
+        value /= divisor
     return value
 
 
@@ -176,9 +178,9 @@ def run_sweep(spec: SweepSpec) -> list[str]:
         # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
         reason = (
             bloch_length_message(lam)
-            or (DARK_PORT_WEIGHTS if port_is_dark(den_row) else None)
+            or (DARK_PORT if port_is_dark(den_row) else None)
             or weights_message(w_a, w_b)
-            or (None if defined else DARK_PORT_CONTRAST)
+            or (None if defined else DARK_PORT)
         )
         if reason is None:
             fields = [_fmt(v) for v in row]
@@ -259,7 +261,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fixed = {"beta": args.beta, "s_x": args.sx}
     spec = SweepSpec(
         swept=args.param,
         lo=args.lo,
@@ -267,8 +268,8 @@ def _cmd_sweep(args) -> int:
         steps=args.steps,
         lam=args.lam,
         a_overlap=args.a_overlap,
-        beta=fixed["beta"],
-        s_x=fixed["s_x"],
+        beta=args.beta,
+        s_x=args.sx,
         gamma=args.gamma,
         delta=args.delta,
         yz_angle=args.yz_angle,
@@ -404,10 +405,7 @@ def main(argv=None) -> int:
         args.param = "s_x"
     try:
         return args.handler(args)
-    except DualityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DualityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

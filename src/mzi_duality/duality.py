@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DarkPortError,
     DegenerateBasisError,
     InvalidInputError,
     NoExtremumError,
-    UndefinedVisibilityError,
     require_finite,
     require_in_range,
 )
@@ -49,8 +49,7 @@ PHASE_REFINE_TOL = 1e-12
 MIN_SCAN_GRID = 64
 DEFAULT_SCAN_GRID = 4096
 
-DARK_PORT_WEIGHTS = "monitored port has zero intensity; weights undefined"
-DARK_PORT_CONTRAST = "monitored port has zero intensity; fringe contrast is 0/0"
+DARK_PORT = "monitored port has zero intensity; V, D, the residual and the path weights are undefined"
 WEIGHT_RANGE_MESSAGE = "{name} out of [0, 1]: {value!r}"
 WEIGHT_SUM_MESSAGE = "path weights must sum to 1"
 
@@ -73,11 +72,24 @@ def port_is_dark(den):
     return den <= DENOMINATOR_TOL
 
 
+def _lit_port(s_x: float, beta: float) -> tuple[float, float]:
+    # The scalar closed forms' shared preamble: (sin beta, port denominator)
+    # of a point with |s_x| <= 1 (within WEIGHT_TOL) whose port is lit, else
+    # InvalidInputError or DarkPortError.
+    if abs(s_x) > 1.0 + WEIGHT_TOL:
+        raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
+    sin_beta, cos_beta = splitter_trig(beta)
+    den = port_denominator(s_x, cos_beta)
+    if port_is_dark(den):
+        raise DarkPortError(DARK_PORT)
+    return sin_beta, den
+
+
 # The closed forms for V, D, the residual and the path weights, written once.
 # Arguments are scalars or broadcastable arrays; callers supply the trig
 # (splitter_trig) and the port denominator den = 1 + s_x cos(beta)
-# (port_denominator), and check the latter with port_is_dark themselves. V
-# comes back unclipped. Squares are written as products, which round the same
+# (port_denominator), and check the latter with port_is_dark themselves (the
+# scalar API through _lit_port). V comes back unclipped. Squares are written as products, which round the same
 # for floats and arrays (a float's ** 2 goes through pow).
 
 
@@ -185,10 +197,7 @@ def visibility_closed(
     """Fringe contrast (max-min)/(max+min) of the port-a probability, closed form."""
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    sin_beta, cos_beta = splitter_trig(beta.beta)
-    den = port_denominator(state.s_x, cos_beta)
-    if port_is_dark(den):
-        raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
+    sin_beta, den = _lit_port(state.s_x, beta.beta)
     v = visibility_kernel(state.yz_norm, a_overlap, sin_beta, den)
     return min(max(v, 0.0), 1.0)
 
@@ -298,18 +307,14 @@ def visibility_scan(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], grid_size
     )
     if not defined[0]:
-        raise UndefinedVisibilityError(DARK_PORT_CONTRAST)
+        raise DarkPortError(DARK_PORT)
     return float(visibility[0])
 
 
 def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     """Prior weights of paths a and b given detection at the monitored port."""
     require_finite(s_x=s_x)
-    if abs(s_x) > 1.0 + WEIGHT_TOL:
-        raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    den = port_denominator(s_x, math.cos(beta.beta))
-    if port_is_dark(den):
-        raise InvalidInputError(DARK_PORT_WEIGHTS)
+    _, den = _lit_port(s_x, beta.beta)
     omega_a, omega_b = weights_kernel(s_x, beta.beta, den)
     return PathWeights(float(omega_a), float(omega_b))
 
@@ -330,25 +335,22 @@ def distinguishability_closed(
     """
     require_finite(s_x=s_x, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    if abs(s_x) > 1.0 + WEIGHT_TOL:
-        raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    sin_beta, cos_beta = splitter_trig(beta.beta)
-    den = port_denominator(s_x, cos_beta)
-    if port_is_dark(den):
-        raise InvalidInputError(
-            "monitored port has zero intensity; distinguishability undefined"
-        )
+    sin_beta, den = _lit_port(s_x, beta.beta)
     return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
-def _discrimination_operator(det: DetectorConfig, weights: PathWeights) -> np.ndarray:
-    unmarked, marked = _detector_branches(det.unitary)
-    return weights.omega_a * marked - weights.omega_b * unmarked
+def _discrimination_operator(unitary, omega_a, omega_b) -> np.ndarray:
+    # omega_a * marked - omega_b * unmarked: one (2, 2) operator for float
+    # weights, or an (n, 2, 2) stack for 1-D arrays of them.
+    unmarked, marked = _detector_branches(unitary)
+    if isinstance(omega_a, np.ndarray):
+        omega_a, omega_b = omega_a[:, None, None], omega_b[:, None, None]
+    return omega_a * marked - omega_b * unmarked
 
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return trace_norm(_discrimination_operator(det, weights))
+    return trace_norm(_discrimination_operator(det.unitary, weights.omega_a, weights.omega_b))
 
 
 def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
@@ -358,9 +360,7 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     (n, 2, 2) stack of them. The weights are taken as validated (see
     PathWeights); the trace norms come from one stacked 2x2 eigenvalue pass.
     """
-    unmarked, marked = _detector_branches(unitary)
-    ops = np.asarray(omega_a)[:, None, None] * marked - np.asarray(omega_b)[:, None, None] * unmarked
-    return _trace_norms(ops)
+    return _trace_norms(_discrimination_operator(unitary, omega_a, omega_b))
 
 
 def _min_error_eig(gamma_op: np.ndarray) -> tuple[np.ndarray, MeasurementBasis]:
@@ -386,7 +386,9 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     the one with negative eigenvalue. Computed by eigendecomposition, which
     stays well-conditioned over the whole parameter domain.
     """
-    return _min_error_eig(_discrimination_operator(det, weights))[1]
+    return _min_error_eig(
+        _discrimination_operator(det.unitary, weights.omega_a, weights.omega_b)
+    )[1]
 
 
 def complementarity_residual(
@@ -395,10 +397,7 @@ def complementarity_residual(
     """The gap 1 - V^2 - D^2, in closed form; zero exactly on the saturation slices."""
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    sin_beta, cos_beta = splitter_trig(beta.beta)
-    den = port_denominator(state.s_x, cos_beta)
-    if port_is_dark(den):
-        raise InvalidInputError("monitored port has zero intensity; residual undefined")
+    sin_beta, den = _lit_port(state.s_x, beta.beta)
     return residual_kernel(state.lam, a_overlap, sin_beta, den)
 
 
@@ -413,9 +412,15 @@ def visibility_peak_fixed_beta(
         raise InvalidInputError("peak over s_x requires beta strictly inside (0, pi)")
     if lam == 0.0:
         raise NoExtremumError("visibility is identically zero for a maximally mixed input")
-    s_x_star = -lam * math.cos(beta.beta)
-    state = BlochState(s_x_star, 0.0, math.sqrt(max(lam - s_x_star * s_x_star, 0.0)))
-    return s_x_star, visibility_closed(state, a_overlap, beta)
+    sin_beta, cos_beta = math.sin(beta.beta), math.cos(beta.beta)
+    # A sin(beta) sqrt(lam) / sqrt(1 - lam cos^2(beta)), not V at the peak,
+    # whose 1 + s_x_star cos(beta) cancels next to beta = 0 and pi; lam's
+    # rounding slack above 1 counts as a pure state.
+    pure = min(lam, 1.0)
+    v_star = a_overlap * math.sqrt(pure) * sin_beta / math.sqrt(
+        sin_beta * sin_beta + (1.0 - pure) * cos_beta * cos_beta
+    )
+    return -lam * cos_beta, min(max(v_star, 0.0), 1.0)
 
 
 def visibility_peak_fixed_sx(

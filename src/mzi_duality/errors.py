@@ -11,8 +11,14 @@ class InvalidInputError(DualityError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UndefinedVisibilityError(DualityError):
-    """Fringe contrast is 0/0: the monitored output port has identically zero intensity."""
+class DarkPortError(DualityError):
+    """The monitored output port is dark (1 + s_x cos beta vanishes), so V, D,
+    the residual and the path weights, which all divide by it, are undefined."""
+
+
+# The same class object, not a subclass, so that ``except`` clauses written
+# against this name still catch every dark port, whichever closed form raised.
+UndefinedVisibilityError = DarkPortError
 
 
 class NoExtremumError(DualityError):

@@ -172,11 +172,6 @@ def _phase_shifters(phi) -> np.ndarray:
     return d
 
 
-def phase_shifter(phi: PhaseShift) -> np.ndarray:
-    """Arm-phase unitary diag(e^{-i*phi}, e^{+i*phi})."""
-    return _phase_shifters(phi.phi)
-
-
 def _beam_splitters(beta) -> np.ndarray:
     # Rotation by beta about the y axis, for an angle or each of an array of them.
     half = 0.5 * np.asarray(beta, dtype=float)
@@ -185,11 +180,6 @@ def _beam_splitters(beta) -> np.ndarray:
     splitter[..., 0, 0], splitter[..., 0, 1] = cos_h, -sin_h
     splitter[..., 1, 0], splitter[..., 1, 1] = sin_h, cos_h
     return splitter
-
-
-def beam_splitter(angle: BeamSplitterAngle) -> np.ndarray:
-    """Beam-splitter unitary, a rotation by beta about the y axis."""
-    return _beam_splitters(angle.beta)
 
 
 def _marking_operators(unitary) -> np.ndarray:
@@ -201,18 +191,13 @@ def _marking_operators(unitary) -> np.ndarray:
     return m
 
 
-def marking_operator(det: DetectorConfig) -> np.ndarray:
-    """Joint unitary that applies U on the detector exactly when the path is |a>."""
-    return _marking_operators(det.unitary)
-
-
 def _lift_path(u: np.ndarray) -> np.ndarray:
     # u (x) 1 for a 2x2 path operator or each of a stack of them.
     return _kron2(u, IDENTITY_2)
 
 
 # The input splitter is always the symmetric one, so it is lifted once.
-_INPUT_SPLITTER = _lift_path(beam_splitter(BeamSplitterAngle(math.pi / 2)))
+_INPUT_SPLITTER = _lift_path(_beam_splitters(math.pi / 2))
 
 
 def _one_point(state, det, beta, phi) -> tuple:

@@ -97,15 +97,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def tensor(path_factor, detector_factor) -> np.ndarray:
-    """Kronecker product with the path factor first and the detector factor second."""
-    a = _as_matrix(path_factor, "path factor")
-    b = _as_matrix(detector_factor, "detector factor")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise InvalidInputError("tensor expects two 2x2 factors")
-    return _kron2(a, b)
-
-
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Entry (2i+k, 2j+l) is the single product a[i,j]*b[k,l], as in np.kron,
     # without np.kron's generic-shape overhead. Leading axes are stack axes

@@ -42,6 +42,7 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    TWO_PI,
     PhaseShift,
     _port_a_probabilities,
     detection_probability_closed,
@@ -50,8 +51,6 @@ from .interferometer import (
     port_denominator,
 )
 from .linalg import check_densities, hermitian_eig2, hermiticity_defect, trace_errors, trace_path
-
-TWO_PI = 2.0 * math.pi
 
 # Brute-force extremum searches walk the closed forms at this resolution and
 # must land within 1e-3 of the predicted locus.
@@ -69,6 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.draws < 1:
             raise InvalidInputError("draws must be at least 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed!r}")
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 known = ", ".join(sorted(CHECKS))
@@ -291,7 +292,7 @@ def _weights_identity(rng):
 def _min_error_measurement(rng):
     state, det, beta, _ = draw_point(rng)
     weights = path_weights(state.s_x, beta)
-    gamma_op = _discrimination_operator(det, weights)
+    gamma_op = _discrimination_operator(det.unitary, weights.omega_a, weights.omega_b)
     try:
         values, basis = _min_error_eig(gamma_op)
     except DegenerateBasisError:

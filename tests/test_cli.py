@@ -47,10 +47,18 @@ def test_parse_angle(text, expected):
     assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("text", ["", "pie", "pi/", "pi/0x2", "two pi"])
+@pytest.mark.parametrize("text", ["", "pie", "pi/", "pi/0x2", "two pi", "pi/0", "3pi/.0"])
 def test_parse_angle_rejects_garbage(text):
     with pytest.raises(InvalidInputError):
         parse_angle(text)
+
+
+def test_zero_angle_divisor_is_a_usage_error(capsys):
+    # argparse turns the InvalidInputError (a ValueError) into exit code 2.
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--beta", "pi/0"])
+    assert info.value.code == 2
+    assert "invalid parse_angle value: 'pi/0'" in capsys.readouterr().err
 
 
 # --- report -----------------------------------------------------------------------
@@ -448,6 +456,15 @@ def test_verify_rejects_unknown_tolerance(capsys):
 def test_verify_rejects_nonpositive_draws(capsys):
     assert main(["verify", "--draws", "0"]) == 2
     assert "draws" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"seed": -3}))
+    for argv in (["verify", "--seed", "-1"], ["verify", "--config", str(config)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be nonnegative") and err.count("\n") == 1
 
 
 def test_verify_config_file_with_flag_override(tmp_path, capsys):

@@ -32,7 +32,9 @@ from mzi_duality.duality import (
     visibility_scans,
 )
 from mzi_duality.errors import (
+    DarkPortError,
     DegenerateBasisError,
+    DualityError,
     InvalidInputError,
     NoExtremumError,
     UndefinedVisibilityError,
@@ -94,6 +96,15 @@ def test_visibility_vanishes_when_path_is_fully_biased():
 def test_visibility_undefined_on_dark_port():
     with pytest.raises(UndefinedVisibilityError):
         visibility_closed(BlochState(1, 0, 0), 0.5, BeamSplitterAngle(math.pi))
+
+
+def test_undefined_visibility_error_is_the_dark_port_error():
+    # An alias, not a subclass: an except clause naming either catches
+    # every dark port, whichever closed form raised it.
+    assert UndefinedVisibilityError is DarkPortError
+    assert not issubclass(DarkPortError, InvalidInputError)
+    with pytest.raises(UndefinedVisibilityError):
+        distinguishability_closed(-1.0, BeamSplitterAngle(0.0), 0.5)
 
 
 def test_visibility_rejects_bad_overlap():
@@ -334,33 +345,29 @@ def test_range_checks_keep_their_messages(build, message):
     ],
 )
 def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta, capsys):
-    # Every route calls the port dark at the same points, each with its own
-    # class and message; elsewhere it returns or raises something else.
+    # Every route calls the port dark at the same points, all with one class
+    # and one message; elsewhere it returns or raises something else.
     state = pure_state(s_x)
     angle = BeamSplitterAngle(beta)
     routes = [
-        (lambda: visibility_closed(state, 0.5, angle),
-         UndefinedVisibilityError, duality.DARK_PORT_CONTRAST),
-        (lambda: visibility_scan(state, DetectorConfig(0.5), angle),
-         UndefinedVisibilityError, duality.DARK_PORT_CONTRAST),
-        (lambda: distinguishability_closed(s_x, angle, 0.5),
-         InvalidInputError, "monitored port has zero intensity; distinguishability undefined"),
-        (lambda: complementarity_residual(state, 0.5, angle),
-         InvalidInputError, "monitored port has zero intensity; residual undefined"),
-        (lambda: path_weights(s_x, angle), InvalidInputError, duality.DARK_PORT_WEIGHTS),
+        lambda: visibility_closed(state, 0.5, angle),
+        lambda: visibility_scan(state, DetectorConfig(0.5), angle),
+        lambda: distinguishability_closed(s_x, angle, 0.5),
+        lambda: complementarity_residual(state, 0.5, angle),
+        lambda: path_weights(s_x, angle),
     ]
     outcomes = []
-    for route, error, message in routes:
+    for route in routes:
         try:
             route()
             outcomes.append(False)
-        except (UndefinedVisibilityError, InvalidInputError) as exc:
-            outcomes.append((type(exc), str(exc)) == (error, message))
+        except DualityError as exc:
+            outcomes.append((type(exc), str(exc)) == (DarkPortError, duality.DARK_PORT))
     # The sweep row at this point, the first or last row of a two-row beta sweep.
     lo, hi = sorted((beta, HALF_PI))
     spec = SweepSpec(swept="beta", lo=lo, hi=hi, steps=2, lam=1.0, a_overlap=0.5, s_x=s_x)
     row = run_sweep(spec)[1 if beta == lo else 2]
-    warning = f"warning: beta={row.split(',')[0]} is degenerate ({duality.DARK_PORT_WEIGHTS})"
+    warning = f"warning: beta={row.split(',')[0]} is degenerate ({duality.DARK_PORT})"
     outcomes.append(row.endswith(",,,,,,,") and warning in capsys.readouterr().err.splitlines())
     undefined = 1.0 + s_x * math.cos(beta) <= duality.DENOMINATOR_TOL
     assert outcomes == [undefined] * 6
@@ -390,7 +397,7 @@ def test_weights_symmetric_case():
 
 
 def test_weights_degenerate_port_raises():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DarkPortError):
         path_weights(-1.0, BeamSplitterAngle(0.0))
 
 
@@ -617,7 +624,7 @@ def test_residual_frozen_value_and_two_route_agreement():
 
 
 def test_residual_undefined_on_dark_port():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DarkPortError):
         complementarity_residual(BlochState(-1, 0, 0), 0.5, BeamSplitterAngle(0.0))
 
 
@@ -625,9 +632,12 @@ def test_residual_undefined_on_dark_port():
 
 
 def test_peak_fixed_beta_for_pure_states():
-    for beta in (0.6, HALF_PI, 2.2):
-        s_x_star, v_star = visibility_peak_fixed_beta(1.0, THIRD, BeamSplitterAngle(beta))
-        assert s_x_star == pytest.approx(-math.cos(beta), abs=1e-12)
+    # Next to beta = 0 and pi the peak sits next to the dark port, where the
+    # peak value is still exactly A; lam's rounding slack above 1 is pure.
+    cases = [(1.0, beta) for beta in (0.6, HALF_PI, 2.2, 1e-7, 1e-5, math.pi - 1e-7)]
+    for lam, beta in cases + [(1.0 + 1e-12, 1e-7)]:
+        s_x_star, v_star = visibility_peak_fixed_beta(lam, THIRD, BeamSplitterAngle(beta))
+        assert s_x_star == pytest.approx(-lam * math.cos(beta), abs=1e-12)
         assert v_star == pytest.approx(THIRD, abs=1e-12)
 
 
