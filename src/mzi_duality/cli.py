@@ -35,6 +35,7 @@ from .duality import (
 )
 from .errors import DualityError, InvalidInputError, require_finite, require_in_range
 from .interferometer import (
+    BLOCH_NORM_TOL,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
@@ -112,7 +113,7 @@ class SweepSpec:
             raise InvalidInputError("steps must be at least 2")
         if not self.lo < self.hi:
             raise InvalidInputError("sweep range must satisfy lo < hi")
-        require_in_range("lam", self.lam, hi=1.0 + 1e-12)
+        require_in_range("lam", self.lam, hi=1.0 + BLOCH_NORM_TOL)
         require_finite(yz_angle=self.yz_angle)
         object.__setattr__(
             self, "detector", DetectorConfig(self.a_overlap, self.gamma, self.delta)
@@ -124,13 +125,13 @@ class SweepSpec:
                 raise InvalidInputError("sweeping s_x requires a fixed beta")
             BeamSplitterAngle(self.beta)
             edge = max(self.lo * self.lo, self.hi * self.hi)
-            if edge > self.lam + 1e-12:
+            if edge > self.lam + BLOCH_NORM_TOL:
                 raise InvalidInputError("s_x range must stay within +-sqrt(lam)")
         else:
             if self.s_x is None:
                 raise InvalidInputError("sweeping beta requires a fixed s_x")
             require_finite(s_x=self.s_x)
-            if self.s_x * self.s_x > self.lam + 1e-12:
+            if self.s_x * self.s_x > self.lam + BLOCH_NORM_TOL:
                 raise InvalidInputError("fixed s_x must satisfy s_x^2 <= lam")
             if self.lo < 0.0 or self.hi > math.pi:
                 raise InvalidInputError("beta range must stay within [0, pi]")

@@ -29,6 +29,7 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _probabilities_at_factors,
     _scan_grid,
     port_denominator,
     port_matrices,
@@ -228,7 +229,11 @@ def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, ste
     while width > PHASE_REFINE_TOL:
         spacing = width / (_REFINE_SAMPLES + 1)
         samples = lo[:, None] + spacing * _SAMPLE_INDEX
-        values = probabilities_at(pairs, samples)
+        # Every bracket of a round shares the spacing, so the samples' phase
+        # factors e^{-i*phi} are products of one table: n + 31 complex exps
+        # per round, not 31 n.
+        factors = np.exp(-1j * lo)[:, None] * np.exp(-1j * spacing * _SAMPLE_INDEX)
+        values = _probabilities_at_factors(pairs, factors)
         best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
         lo = samples[rows, best] - spacing
         width = 2.0 * spacing
@@ -363,12 +368,18 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     return _trace_norms(_discrimination_operator(unitary, omega_a, omega_b))
 
 
+def _basis_is_degenerate(values):
+    # Whether the descending eigenvalues of a discrimination operator, or of
+    # each operator of a stack (shape (n, 2)), leave a gap of at most
+    # BASIS_GAP_TOL, so that no measurement basis is singled out.
+    return values[..., 0] - values[..., 1] <= BASIS_GAP_TOL
+
+
 def _min_error_eig(gamma_op: np.ndarray) -> tuple[np.ndarray, MeasurementBasis]:
     # Eigenvalues (descending) of a discrimination operator and the basis of
-    # its eigenvectors; DegenerateBasisError when the gap is at most
-    # BASIS_GAP_TOL.
+    # its eigenvectors; DegenerateBasisError when the gap is degenerate.
     values, vectors = hermitian_eig2(gamma_op)
-    if values[0] - values[1] <= BASIS_GAP_TOL:
+    if _basis_is_degenerate(values):
         canonical = MeasurementBasis(
             np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
         )

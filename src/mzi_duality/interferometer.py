@@ -326,6 +326,14 @@ def port_denominator(s_x, cos_beta):
     return 1.0 + s_x * cos_beta
 
 
+def _port_a_closed(s_x, yz_norm, alpha, a_overlap, gamma, beta, phi):
+    # detection_probability_closed's formula, of floats or of 1-D arrays with
+    # one entry per point.
+    base = 0.5 * port_denominator(s_x, np.cos(beta))
+    osc = 0.5 * a_overlap * yz_norm * np.sin(beta) * np.cos(alpha + gamma + 2.0 * phi)
+    return base + osc
+
+
 def detection_probability_closed(
     state: BlochState,
     det: DetectorConfig,
@@ -338,16 +346,11 @@ def detection_probability_closed(
     with offset alpha + gamma and amplitude proportional to the transverse
     Bloch component and the detector overlap.
     """
-    b = beta.beta
-    base = 0.5 * port_denominator(state.s_x, math.cos(b))
-    osc = (
-        0.5
-        * det.a_overlap
-        * state.yz_norm
-        * math.sin(b)
-        * math.cos(state.alpha + det.gamma + 2.0 * phi.phi)
+    return float(
+        _port_a_closed(
+            state.s_x, state.yz_norm, state.alpha, det.a_overlap, det.gamma, beta.beta, phi.phi
+        )
     )
-    return base + osc
 
 
 def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +423,12 @@ def probabilities_at(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
     (n, 4, 4) @ (n, 4, k) product, so every phase still sums all 16 terms
     M_jk d_j conj(d_k).
     """
-    phase = np.exp(-1j * phis)[:, None, :]
+    return _probabilities_at_factors(m, np.exp(-1j * phis))
+
+
+def _probabilities_at_factors(m: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    # probabilities_at given the phase factors e^{-i*phi} (n, k) of the phases.
+    phase = phase[:, None, :]
     d_conj = np.concatenate([phase.conj(), phase.conj(), phase, phase], axis=1)
     terms = m @ d_conj
     terms *= np.conjugate(d_conj, out=d_conj)  # d itself, conjugated in place

@@ -125,19 +125,27 @@ def partial_trace_path(rho) -> DensityOperator:
     return DensityOperator(trace_path(state.matrix))
 
 
+def _lead_phase(lead, raw):
+    # conj(lead) / |lead|, the phase that makes a unit eigenvector's leading
+    # entry ``lead`` real and positive; scalars, or arrays over a stack. Both
+    # null-space constructions make the unnormalized leading entry ``raw``
+    # nonzero, but below the normal range 1/|lead| overflows, and lead may
+    # even have underflowed to zero: there take the phase of raw instead,
+    # scaled exactly by a power of two to order one.
+    if isinstance(lead, np.ndarray):
+        shift = -np.frexp(np.maximum(abs(raw.real), abs(raw.imag)))[1]
+        scaled = np.ldexp(raw.real, shift) + 1j * np.ldexp(raw.imag, shift)
+        lead = np.where(abs(lead) < _SMALLEST_NORMAL, scaled, lead)
+    elif abs(lead) < _SMALLEST_NORMAL:
+        shift = -math.frexp(max(abs(raw.real), abs(raw.imag)))[1]
+        lead = complex(math.ldexp(raw.real, shift), math.ldexp(raw.imag, shift))
+    return np.conj(lead) / abs(lead)
+
+
 def _phase_normalized(vector: np.ndarray) -> np.ndarray:
-    # Rotate the global phase so the leading component is real and positive;
-    # both construction branches below guarantee it is nonzero.
+    # The unit vector along ``vector`` with its leading entry real and positive.
     v = vector / np.linalg.norm(vector)
-    lead = v[0]
-    if abs(lead) < _SMALLEST_NORMAL:
-        # Below the normal range 1/|lead| overflows, and v[0] may even have
-        # underflowed to zero: take the phase of the unnormalized lead,
-        # scaled exactly by a power of two to order one.
-        lead = vector[0]
-        shift = -math.frexp(max(abs(lead.real), abs(lead.imag)))[1]
-        lead = complex(math.ldexp(lead.real, shift), math.ldexp(lead.imag, shift))
-    return v * (np.conj(lead) / abs(lead))
+    return v * _lead_phase(v[0], vector[0])
 
 
 def _mean_radius(a, c, off):
@@ -145,6 +153,26 @@ def _mean_radius(a, c, off):
     # [[a, b], [conj(b), c]] with off = |b|; scalars, or arrays over a stack.
     hypot = np.hypot if isinstance(a, np.ndarray) else math.hypot
     return 0.5 * (a + c), hypot(0.5 * (a - c), off)
+
+
+def _null_vectors(half_diff, b, radius):
+    # The unnormalized eigenvectors of mean + radius and mean - radius, as
+    # (first, second) entry pairs; scalars, or arrays over a stack. Per
+    # eigenvalue, pick the null-space construction whose leading entry
+    # involves no cancellation (|lambda - diagonal| is maximal), and build
+    # that entry as |half_diff| + radius: lambda - diagonal written out, so
+    # it stays nonzero even where mean +- radius rounds back to the diagonal.
+    lead = abs(half_diff) + radius
+    if isinstance(half_diff, np.ndarray):
+        top = half_diff >= 0
+        conj_b = b.conj()
+        return (
+            (np.where(top, lead, b), np.where(top, conj_b, lead)),
+            (np.where(top, b, -lead), np.where(top, -lead, conj_b)),
+        )
+    if half_diff >= 0:
+        return (lead, b.conjugate()), (b, -lead)
+    return (b, lead), (-lead, b.conjugate())
 
 
 def _eigen_parts(h, caller: str) -> tuple[np.ndarray, float, float]:
@@ -173,7 +201,6 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     a = m[0, 0].real
     c = m[1, 1].real
     b = complex(m[0, 1])
-    half_diff = 0.5 * (a - c)
     values = np.array([mean + radius, mean - radius])
 
     if b == 0:
@@ -184,19 +211,37 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
         return values, vectors
     if 2.0 * radius < DEGENERATE_GAP:
         return values, np.eye(2, dtype=complex)
+    top, bottom = _null_vectors(0.5 * (a - c), b, radius)
+    vectors = np.column_stack([_phase_normalized(np.array(top)), _phase_normalized(np.array(bottom))])
+    return values, vectors
 
-    # Pick, per eigenvalue, the null-space construction whose leading entry
-    # involves no cancellation (|lambda - diagonal| is maximal), and build
-    # that entry as |half_diff| + radius: lambda - diagonal written out, so it
-    # stays nonzero even where mean +- radius rounds back to the diagonal.
-    lead = abs(half_diff) + radius
-    if half_diff >= 0:
-        v_top = np.array([lead, np.conj(b)])
-        v_bot = np.array([b, -lead])
-    else:
-        v_top = np.array([b, lead])
-        v_bot = np.array([-lead, np.conj(b)])
-    vectors = np.column_stack([_phase_normalized(v_top), _phase_normalized(v_bot)])
+
+def _hermitian_eig2s(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # hermitian_eig2 of each matrix of an (n, 2, 2) stack the caller built
+    # Hermitian and finite: values (n, 2) in descending order and the
+    # phase-fixed eigenvectors as the columns of (n, 2, 2). Each of
+    # hermitian_eig2's branches is a mask, and the null-space construction
+    # runs on the general matrices only, so the canonical ones divide by
+    # nothing. |b| is np.hypot of its parts, as abs(complex) is.
+    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
+    mean, radius = _mean_radius(a, c, np.hypot(b.real, b.imag))
+    values = np.stack([mean + radius, mean - radius], axis=1)
+    swapped = (b == 0) & (a < c)
+    vectors = np.zeros(h.shape, dtype=complex)
+    vectors[:, 0, 0] = vectors[:, 1, 1] = ~swapped
+    vectors[:, 0, 1] = vectors[:, 1, 0] = swapped
+    general = (b != 0) & ~(2.0 * radius < DEGENERATE_GAP)
+    pairs = _null_vectors(0.5 * (a - c)[general], b[general], radius[general])
+    for column, (first, second) in enumerate(pairs):
+        # The norm as np.linalg.norm sums it: real parts, then imaginary.
+        norm = np.sqrt(
+            (first.real * first.real + second.real * second.real)
+            + (first.imag * first.imag + second.imag * second.imag)
+        )
+        lead = first / norm
+        phase = _lead_phase(lead, first)
+        vectors[general, 0, column] = lead * phase
+        vectors[general, 1, column] = second / norm * phase
     return values, vectors
 
 

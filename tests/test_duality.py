@@ -152,9 +152,12 @@ def test_scan_is_invariant_under_detector_phases():
 def probe_calls(monkeypatch):
     """Phase arrays of each probe evaluation a scan makes, in order: the grid
     (probabilities_on, whose cached table _scan_grid holds with the grid),
-    then each refinement round's brackets (probabilities_at)."""
+    then each refinement round's brackets (_probabilities_at_factors, whose
+    phase factors are recorded as phases in (-pi, pi]) and the refined
+    extrema (probabilities_at)."""
     calls = []
     evaluate_on, evaluate_at = duality.probabilities_on, duality.probabilities_at
+    evaluate_factors = duality._probabilities_at_factors
 
     def recording_on(m, re, im, work):
         grid, grid_re, grid_im = interferometer._scan_grid(re.shape[1])
@@ -166,8 +169,13 @@ def probe_calls(monkeypatch):
         calls.append(np.array(phis))
         return evaluate_at(m, phis)
 
+    def recording_factors(m, phase):
+        calls.append(-np.angle(phase))
+        return evaluate_factors(m, phase)
+
     monkeypatch.setattr(duality, "probabilities_on", recording_on)
     monkeypatch.setattr(duality, "probabilities_at", recording_at)
+    monkeypatch.setattr(duality, "_probabilities_at_factors", recording_factors)
     return calls
 
 
@@ -543,6 +551,18 @@ def test_basis_degenerates_when_states_coincide():
     np.testing.assert_allclose(fallback.m_b, [0, 1])
 
 
+def literal_basis(det, w):
+    # The literal closed-form basis, which takes arrays, at one point.
+    m_a, m_b = _min_error_basis_closed_form(
+        np.array([det.a_overlap]),
+        np.array([det.gamma]),
+        det.marked_state[None],
+        np.array([w.omega_a]),
+        np.array([w.omega_b]),
+    )
+    return m_a[0], m_b[0]
+
+
 def test_basis_matches_literal_closed_form_on_interior_points():
     rng = np.random.default_rng(37)
     for _ in range(200):
@@ -550,8 +570,8 @@ def test_basis_matches_literal_closed_form_on_interior_points():
         omega_a = rng.uniform(0.05, 0.95)
         w = PathWeights(omega_a, 1.0 - omega_a)
         numeric = min_error_basis(det, w)
-        literal = _min_error_basis_closed_form(det, w)
-        for v, ref in ((numeric.m_a, literal.m_a), (numeric.m_b, literal.m_b)):
+        literal_a, literal_b = literal_basis(det, w)
+        for v, ref in ((numeric.m_a, literal_a), (numeric.m_b, literal_b)):
             overlap = np.vdot(ref, v)
             aligned = ref * (overlap / abs(overlap))
             assert np.linalg.norm(v - aligned) <= 1e-8
@@ -560,13 +580,22 @@ def test_basis_matches_literal_closed_form_on_interior_points():
 def test_literal_closed_form_preconditions():
     w = PathWeights(0.5, 0.5)
     with pytest.raises(InvalidInputError):
-        _min_error_basis_closed_form(DetectorConfig(0.0), w)
+        literal_basis(DetectorConfig(0.0), w)
     with pytest.raises(InvalidInputError):
-        _min_error_basis_closed_form(DetectorConfig(1.0), w)
+        literal_basis(DetectorConfig(1.0), w)
     with pytest.raises(InvalidInputError):
-        _min_error_basis_closed_form(DetectorConfig(0.5, gamma=1.0), w)
+        literal_basis(DetectorConfig(0.5, gamma=1.0), w)
     with pytest.raises(InvalidInputError):
-        _min_error_basis_closed_form(DetectorConfig(0.5), PathWeights(0.0, 1.0))
+        literal_basis(DetectorConfig(0.5), PathWeights(0.0, 1.0))
+    # One bad point of a stack fails the whole stack: a guard, and the
+    # normalization self-check (a marked state that does not match A).
+    good, bad = DetectorConfig(0.5), DetectorConfig(1.0)
+    marked = np.stack([good.marked_state, bad.marked_state])
+    weights = np.full(2, 0.5), np.full(2, 0.5)
+    with pytest.raises(InvalidInputError, match="0 < a_overlap < 1"):
+        _min_error_basis_closed_form(np.array([0.5, 1.0]), np.zeros(2), marked, *weights)
+    with pytest.raises(InvalidInputError, match="self-check"):
+        _min_error_basis_closed_form(np.array([0.5, 0.5]), np.zeros(2), marked, *weights)
 
 
 def test_measurement_reaches_the_optimal_success_probability():

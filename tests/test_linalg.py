@@ -10,7 +10,9 @@ from mzi_duality.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
+    DEGENERATE_GAP,
     DensityOperator,
+    _hermitian_eig2s,
     _kron2,
     _trace_norms,
     check_densities,
@@ -283,6 +285,67 @@ def test_eig_vectors_stay_finite_when_the_gap_rounds_away():
     assert np.isfinite(vectors).all()
     assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
     assert np.abs((vectors * values) @ vectors.conj().T - h).max() <= 1e-15 * 1e10
+
+
+def assert_stacked_eig_matches_scalar(stack, exact=False):
+    # _hermitian_eig2s against hermitian_eig2, matrix by matrix, with every
+    # RuntimeWarning an error: exactly, or to 1e-15 (values relative to the
+    # matrix's largest entry).
+    stack = np.asarray(stack, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, vectors = _hermitian_eig2s(stack)
+        expected = [hermitian_eig2(h) for h in stack]
+    assert values.shape == (len(stack), 2) and vectors.shape == (len(stack), 2, 2)
+    for h, got_values, got_vectors, (want_values, want_vectors) in zip(
+        stack, values, vectors, expected
+    ):
+        if exact:
+            np.testing.assert_array_equal(got_values, want_values)
+            np.testing.assert_array_equal(got_vectors, want_vectors)
+        else:
+            scale = max(1.0, np.abs(h).max())
+            assert np.abs(got_values - want_values).max() <= 1e-15 * scale
+            assert np.abs(got_vectors - want_vectors).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(finite_entry, finite_entry, finite_entry, finite_entry), min_size=1, max_size=8))
+def test_stacked_eig_matches_the_scalar_eig(entries):
+    stack = [[[d0, re + 1j * im], [re - 1j * im, d1]] for d0, d1, re, im in entries]
+    assert_stacked_eig_matches_scalar(stack)
+
+
+def test_stacked_eig_takes_the_scalar_canonical_branches_exactly():
+    assert_stacked_eig_matches_scalar(
+        [
+            np.diag([3.0, -2.0]),  # b == 0 with a >= c: the identity
+            np.diag([-2.0, 3.0]),  # b == 0 with a < c: the swapped identity
+            np.diag([1.0, 1.0]),  # b == 0 with a == c
+            np.zeros((2, 2)),
+            [[1.0, 0.1 * DEGENERATE_GAP], [0.1 * DEGENERATE_GAP, 1.0]],  # gap below DEGENERATE_GAP
+            [[2.0, 0.2 * DEGENERATE_GAP], [0.2 * DEGENERATE_GAP, 2.0 + 0.1 * DEGENERATE_GAP]],
+        ],
+        exact=True,
+    )
+
+
+def test_stacked_eig_matches_the_scalar_eig_at_the_edges():
+    # The general branch next to its limits, stacked with canonical lanes so
+    # that their masks are exercised in one call.
+    assert_stacked_eig_matches_scalar(
+        [
+            [[0, 5e-324j], [-5e-324j, 1]],  # subnormal leading entry
+            [[0, 2e-308j], [-2e-308j, 1]],  # just below the normal range
+            [[0, 1e-320], [1e-320, 1e10]],  # lead underflows to zero on normalizing
+            [[1e10, 1e-300], [1e-300, 0]],  # lead underflows below the normal range
+            [[1e10, 1e-14], [1e-14, 1e10]],  # the gap passes, mean +- radius rounds back
+            np.diag([-2.0, 3.0]),
+            [[1.0, 1e-15], [1e-15, 1.0]],
+            PAULI_X,
+            PAULI_Z,
+        ]
+    )
 
 
 def test_stacked_trace_norms_match_the_scalar_trace_norm():
