@@ -73,15 +73,18 @@ def port_is_dark(den):
     return den <= DENOMINATOR_TOL
 
 
-def _lit_port(s_x: float, beta: float) -> tuple[float, float]:
-    # The scalar closed forms' shared preamble: (sin beta, port denominator)
-    # of a point with |s_x| <= 1 (within WEIGHT_TOL) whose port is lit, else
-    # InvalidInputError or DarkPortError.
-    if abs(s_x) > 1.0 + WEIGHT_TOL:
+def _lit_port(s_x, beta):
+    # The closed forms' shared preamble: (sin beta, port denominator) of a
+    # point with |s_x| <= 1 (within WEIGHT_TOL) whose port is lit, else
+    # InvalidInputError or DarkPortError; for arrays of points, (sin beta,
+    # port denominator) arrays, or the error if any point fails. A float's
+    # comparison is its own answer: np.any on it would cost microseconds.
+    failing = np.any if isinstance(s_x, np.ndarray) else bool
+    if failing(abs(s_x) > 1.0 + WEIGHT_TOL):
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
     sin_beta, cos_beta = splitter_trig(beta)
     den = port_denominator(s_x, cos_beta)
-    if port_is_dark(den):
+    if failing(port_is_dark(den)):
         raise DarkPortError(DARK_PORT)
     return sin_beta, den
 
@@ -89,9 +92,10 @@ def _lit_port(s_x: float, beta: float) -> tuple[float, float]:
 # The closed forms for V, D, the residual and the path weights, written once.
 # Arguments are scalars or broadcastable arrays; callers supply the trig
 # (splitter_trig) and the port denominator den = 1 + s_x cos(beta)
-# (port_denominator), and check the latter with port_is_dark themselves (the
-# scalar API through _lit_port). V comes back unclipped. Squares are written as products, which round the same
-# for floats and arrays (a float's ** 2 goes through pow).
+# (port_denominator), and check the latter with port_is_dark (the scalar API
+# and verify through _lit_port). V comes back unclipped. Squares are written
+# as products, which round the same for floats and arrays (a float's ** 2
+# goes through pow).
 
 
 def visibility_kernel(yz, a_overlap, sin_beta, den):

@@ -18,23 +18,21 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .duality import (
-    DARK_PORT,
     _basis_is_degenerate,
     _detector_branches,
     _discrimination_operator,
+    _lit_port,
     distinguishability_kernel,
     distinguishability_trace_norms,
     distinguishability_valley,
-    port_is_dark,
     residual_kernel,
-    splitter_trig,
     visibility_kernel,
     visibility_peak_fixed_beta,
     visibility_peak_fixed_sx,
     visibility_scans,
     weights_kernel,
 )
-from .errors import DarkPortError, InvalidInputError
+from .errors import InvalidInputError
 from .interferometer import (
     BeamSplitterAngle,
     BlochState,
@@ -214,17 +212,6 @@ def _draw_points(rng, draws):
     return states, dets, stacked
 
 
-def _closed_form_terms(dets, s_x, beta):
-    # The stacked draws' overlaps, sin(beta) and port denominators, as the
-    # scalar closed forms take them (duality._lit_port): DarkPortError if any
-    # draw's port is dark.
-    sin_beta, cos_beta = splitter_trig(beta)
-    den = port_denominator(s_x, cos_beta)
-    if port_is_dark(den).any():
-        raise DarkPortError(DARK_PORT)
-    return _column(dets, "a_overlap"), sin_beta, den
-
-
 def _visibilities(states, a_overlap, sin_beta, den):
     # visibility_closed of the stacked draws, clipped to [0, 1] as it is.
     return visibility_kernel(_column(states, "yz_norm"), a_overlap, sin_beta, den).clip(0.0, 1.0)
@@ -276,20 +263,22 @@ def _reduced_detector_state(rng, draws):
 def _visibility_oracle(rng, draws):
     states, dets, (s_x, s_y, s_z, unitary, beta, _) = _draw_points(rng, draws)
     scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
-    closed = _visibilities(states, *_closed_form_terms(dets, s_x, beta))
+    closed = _visibilities(states, _column(dets, "a_overlap"), *_lit_port(s_x, beta))
     return _none_skipped(np.abs(scanned - closed))
 
 
 def _distinguishability_oracle(rng, draws):
     _, dets, (s_x, _, _, unitary, beta, _) = _draw_points(rng, draws)
-    a_overlap, sin_beta, den = _closed_form_terms(dets, s_x, beta)
+    a_overlap = _column(dets, "a_overlap")
+    sin_beta, den = _lit_port(s_x, beta)
     norms = distinguishability_trace_norms(unitary, *weights_kernel(s_x, beta, den))
     return _none_skipped(np.abs(norms - distinguishability_kernel(s_x, a_overlap, sin_beta, den)))
 
 
 def _weights_identity(rng, draws):
     _, dets, (s_x, _, _, _, beta, _) = _draw_points(rng, draws)
-    a_overlap, sin_beta, den = _closed_form_terms(dets, s_x, beta)
+    a_overlap = _column(dets, "a_overlap")
+    sin_beta, den = _lit_port(s_x, beta)
     omega_a, omega_b = weights_kernel(s_x, beta, den)
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     return _none_skipped(
@@ -318,7 +307,7 @@ def _phase_invariance(rng, draws):
     states, dets, betas, _ = zip(*points)
     s_x, s_y, s_z = (_column(states, c) for c in ("s_x", "s_y", "s_z"))
     beta = _column(betas, "beta")
-    _, _, den = _closed_form_terms(dets, s_x, beta)
+    _, den = _lit_port(s_x, beta)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
         np.tile(x, 2) for x in (s_x, s_y, s_z, beta, *weights_kernel(s_x, beta, den))
     )
@@ -335,8 +324,8 @@ def _min_error_measurement(rng, draws):
     # properties: the eigen-equations, orthonormality, the Helstrom success
     # probability (1 + D) / 2, and success no worse than guessing the likelier
     # path. Draws whose operator is degenerate (no basis singled out) skip.
-    _, dets, (s_x, _, _, unitary, beta, _) = _draw_points(rng, draws)
-    _, _, den = _closed_form_terms(dets, s_x, beta)
+    *_, (s_x, _, _, unitary, beta, _) = _draw_points(rng, draws)
+    _, den = _lit_port(s_x, beta)
     omega_a, omega_b = weights_kernel(s_x, beta, den)
     gamma_op = _discrimination_operator(unitary, omega_a, omega_b)
     values, vectors = _hermitian_eig2s(gamma_op)
@@ -447,7 +436,8 @@ def _phase_aligned_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _complementarity(rng, draws):
     states, dets, (s_x, _, _, _, beta, _) = _draw_points(rng, draws)
-    a_overlap, sin_beta, den = _closed_form_terms(dets, s_x, beta)
+    a_overlap = _column(dets, "a_overlap")
+    sin_beta, den = _lit_port(s_x, beta)
     v = _visibilities(states, a_overlap, sin_beta, den)
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     residual = residual_kernel(_column(states, "lam"), a_overlap, sin_beta, den)

@@ -107,6 +107,20 @@ def test_undefined_visibility_error_is_the_dark_port_error():
         distinguishability_closed(-1.0, BeamSplitterAngle(0.0), 0.5)
 
 
+def test_lit_port_on_arrays_is_the_float_preamble_per_point():
+    # The closed forms' preamble over a stack of points: each point's
+    # (sin beta, denominator) as for floats, and the floats' error if any
+    # one point fails.
+    s_x = np.array([0.3, -0.9, -1.0])
+    beta = np.array([1.1, 0.2, math.pi])
+    sin_beta, den = duality._lit_port(s_x, beta)
+    assert list(zip(sin_beta, den)) == [duality._lit_port(x, b) for x, b in zip(s_x, beta)]
+    with pytest.raises(DarkPortError, match=duality.DARK_PORT):
+        duality._lit_port(np.array([0.3, -1.0]), np.array([1.1, 0.0]))
+    with pytest.raises(InvalidInputError):
+        duality._lit_port(np.array([0.3, 1.5]), np.array([1.1, 1.1]))
+
+
 def test_visibility_rejects_bad_overlap():
     with pytest.raises(InvalidInputError):
         visibility_closed(BlochState(0, 0, 0), 1.5, BeamSplitterAngle(1.0))
