@@ -29,11 +29,10 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
-    _probabilities_at_factors,
+    _phase_products,
     _scan_grid,
     port_denominator,
     port_matrices,
-    probabilities_at,
     probabilities_on,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
@@ -214,12 +213,23 @@ def visibility_closed(
 _REFINE_SAMPLES = 31
 _SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
 # Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB
-# (the scan's work array holds them and the second product, 2 MB), and its
-# refinement arrays a fraction of that, whatever the number of points.
+# (the scan's grid work array holds them and the second product, 2 MB), and
+# its refinement arrays a fraction of that, whatever the number of points.
 _SCAN_CHUNK = 32
 
 
-def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, step: float):
+def _bracket_probabilities(m, lo, offsets, work) -> np.ndarray:
+    # Port-a probabilities of each folded point of ``m`` at its own base
+    # phase lo_j plus each of the shared ``offsets``: shape (len(m),
+    # len(offsets)). The phase-product table is multiplicative in the phase,
+    # P(lo + s) = P(lo) o P(s), so each base phase is folded into its
+    # point's matrix and every row is evaluated on one offset table.
+    base_re, base_im = _phase_products(lo)
+    folded = m * (base_re + 1j * base_im).T.reshape(-1, 4, 4)
+    return probabilities_on(folded, *_phase_products(offsets), work[..., : len(offsets)])
+
+
+def _refine_extrema(m, phi_max, phi_min, step: float, work: np.ndarray):
     # Bracket search on [phi - step, phi + step] around each point's grid
     # maximum and minimum, all 2n brackets in one probe call per round. Each
     # bracket holds exactly one extremum of the (sinusoidal, hence locally
@@ -227,35 +237,33 @@ def _refine_extrema(m: np.ndarray, phi_max: np.ndarray, phi_min: np.ndarray, ste
     # sample.
     n = len(m)
     pairs = np.concatenate([m, m])
-    rows = np.arange(2 * n)
     lo = np.concatenate([phi_max, phi_min]) - step
     width = 2.0 * step
     while width > PHASE_REFINE_TOL:
         spacing = width / (_REFINE_SAMPLES + 1)
-        samples = lo[:, None] + spacing * _SAMPLE_INDEX
-        # Every bracket of a round shares the spacing, so the samples' phase
-        # factors e^{-i*phi} are products of one table: n + 31 complex exps
-        # per round, not 31 n.
-        factors = np.exp(-1j * lo)[:, None] * np.exp(-1j * spacing * _SAMPLE_INDEX)
-        values = _probabilities_at_factors(pairs, factors)
+        offsets = spacing * _SAMPLE_INDEX
+        values = _bracket_probabilities(pairs, lo, offsets, work)
         best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
-        lo = samples[rows, best] - spacing
+        lo = lo + offsets[best] - spacing
         width = 2.0 * spacing
-    refined = probabilities_at(pairs, (lo + 0.5 * width)[:, None])[:, 0]
+    refined = _bracket_probabilities(pairs, lo, np.array([0.5 * width]), work)[:, 0]
     return refined[:n], refined[n:]
 
 
-def _scan_block(m: np.ndarray, grid: tuple, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scan_block(m, grid: tuple, grid_work, refine_work) -> tuple[np.ndarray, np.ndarray]:
     # p_max and p_min of each folded point of a block: the probabilities on
-    # the grid (phases and phase-product table), written into the scan's work
-    # array, then the refinement, keeping the grid value where it is better.
+    # the grid (phases and phase-product table), then the refinement, each
+    # written into its own work array of the scan, keeping the grid value
+    # where it is better.
     phis, re, im = grid
-    values = probabilities_on(m, re, im, work)
+    values = probabilities_on(m, re, im, grid_work)
     rows = np.arange(len(m))
     k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
     k_min = values.argmin(axis=1)
     grid_max, grid_min = values[rows, k_max], values[rows, k_min]
-    refined_max, refined_min = _refine_extrema(m, phis[k_max], phis[k_min], TWO_PI / len(phis))
+    refined_max, refined_min = _refine_extrema(
+        m, phis[k_max], phis[k_min], TWO_PI / len(phis), refine_work
+    )
     return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
 
 
@@ -276,21 +284,27 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     (2, min(n, _SCAN_CHUNK), grid_size) that the call allocates once and
     every block reuses. The block's maxima and minima are then
     refined together: each round samples all its brackets at 31 interior
-    phases in a single probe call and narrows each to its best sample +- one
-    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
-    sampled phase sums all 16 terms of the pipeline's quadratic form.
+    phases and narrows each to its best sample +- one spacing, until the
+    brackets are narrower than PHASE_REFINE_TOL. A round is one call of the
+    same evaluator, probabilities_on: each bracket's base phase is folded
+    into its point's matrix, and all brackets share one table of the 31
+    offsets, written into a second work array the call allocates once.
+    Every sampled phase sums all 16 terms of the pipeline's quadratic form.
     """
     if grid_size < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
     m = port_matrices(s_x, s_y, s_z, unitary, beta)
     grid = _scan_grid(grid_size)
-    # One work array for every block's grid products, allocated per call so
+    # One work array for every block's grid products and one for its
+    # refinement rounds' (two brackets per point), allocated per call so
     # that the scan keeps no state between calls.
-    work = np.empty((2, min(len(m), _SCAN_CHUNK), grid_size))
+    rows = min(len(m), _SCAN_CHUNK)
+    grid_work = np.empty((2, rows, grid_size))
+    refine_work = np.empty((2, 2 * rows, _REFINE_SAMPLES))
     p_max, p_min = np.empty((2, len(m)))
     for start in range(0, len(m), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _scan_block(m[block], grid, work)
+        p_max[block], p_min[block] = _scan_block(m[block], grid, grid_work, refine_work)
     total = p_max + p_min
     defined = ~port_is_dark(total)
     visibility = np.full(len(m), np.nan)

@@ -105,7 +105,8 @@ class PhaseShift:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which-path detector: reference state plus the marking unitary.
+    """Which-path detector: the marking unitary U on a detector that starts
+    in its first basis state r.
 
     ``a_overlap`` is the magnitude and ``gamma`` the phase of the overlap
     <r|U|r> between the unmarked and marked detector states; ``delta`` is the
@@ -135,15 +136,6 @@ class DetectorConfig:
         u = np.array([[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex)
         u.setflags(write=False)
         return u
-
-    @property
-    def reference_state(self) -> np.ndarray:
-        return np.array([1, 0], dtype=complex)
-
-    @property
-    def marked_state(self) -> np.ndarray:
-        """Detector state after marking, U|r>."""
-        return self.unitary[:, 0].copy()
 
 
 # The Pauli matrices X, Y, Z as the rows of a (3, 4) matrix.
@@ -402,7 +394,10 @@ def probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.nda
 
     ``(re, im)`` is the 16-row table of products d_j conj(d_k), row 4j + k,
     with one column per phase (_phase_products; _scan_grid caches a scan
-    grid's). Every phase sums all 16 terms as two real matrix products,
+    grid's). The table is multiplicative in the phase, so a matrix folded
+    with the table of a phase lo (m o P(lo)) is evaluated at lo plus each
+    phase of the table: the scan's refinement evaluates its brackets so.
+    Every phase sums all 16 terms as two real matrix products,
     Re(M) @ re - Im(M) @ im, written into ``work``, a float64 array of shape
     (2, n', k) with n' >= n. The result is a view of ``work[0]``, valid until
     ``work`` is written again, so callers that evaluate many blocks pass one
@@ -413,26 +408,6 @@ def probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.nda
     np.matmul(np.ascontiguousarray(flat.real), re, out=values)
     values -= np.matmul(np.ascontiguousarray(flat.imag), im, out=products)
     return values
-
-
-def probabilities_at(m: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Port-a probabilities of each folded point of ``m`` (n, 4, 4) at its own
-    row of phases ``phis`` (n, k): shape (n, k).
-
-    Evaluates the quadratic form Re sum_j d_j (M conj(d))_j with one batched
-    (n, 4, 4) @ (n, 4, k) product, so every phase still sums all 16 terms
-    M_jk d_j conj(d_k).
-    """
-    return _probabilities_at_factors(m, np.exp(-1j * phis))
-
-
-def _probabilities_at_factors(m: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    # probabilities_at given the phase factors e^{-i*phi} (n, k) of the phases.
-    phase = phase[:, None, :]
-    d_conj = np.concatenate([phase.conj(), phase.conj(), phase, phase], axis=1)
-    terms = m @ d_conj
-    terms *= np.conjugate(d_conj, out=d_conj)  # d itself, conjugated in place
-    return terms.sum(axis=1).real
 
 
 def phase_probe(

@@ -76,61 +76,32 @@ class RunConfig:
         return float(self.tolerances.get(name, CHECKS[name].tolerance))
 
 
-def _draw_state(rng: np.random.Generator, more: int) -> tuple[BlochState, list[float]]:
-    # A Bloch state uniform in the closed unit ball (cube-root radius law)
-    # and ``more`` further unit uniforms, in two generator calls: the
-    # direction, then one rng.random call for the radius's uniform (none for
-    # the measure-zero zero direction) and the others. The stream and the
-    # values are those of one rng.uniform call per value.
+def draw_point(rng: np.random.Generator):
+    """A random (BlochState, DetectorConfig, BeamSplitterAngle, PhaseShift),
+    in two generator calls.
+
+    The Bloch vector is uniform in the closed unit ball (cube-root radius
+    law): its direction, then one rng.random call for the radius's uniform
+    (none for the measure-zero zero direction) and the five uniforms of the
+    overlap, gamma, delta, beta and the phase. The stream and the values are
+    those of one rng.uniform call per value: each value is
+    rng.uniform(low, high) to the bit, written out as low + (high - low) * u
+    for a unit uniform u, with a zero low and a unit factor left out, as
+    they are exact.
+    """
     direction = rng.standard_normal(3)
     norm = float(np.linalg.norm(direction))
     if norm < 1e-12:
-        return BlochState(0.0, 0.0, 0.0), rng.random(more).tolist()
-    radius, *rest = rng.random(more + 1).tolist()
-    v = direction * (radius ** (1.0 / 3.0) / norm)
-    return BlochState(float(v[0]), float(v[1]), float(v[2])), rest
-
-
-# Each value below is rng.uniform(low, high) to the bit, written out as
-# low + (high - low) * u for a unit uniform u; a zero low and a unit factor
-# are exact, so they are left out.
-
-
-def _detector(u_overlap: float, u_gamma: float, u_delta: float) -> DetectorConfig:
-    return DetectorConfig(a_overlap=u_overlap, gamma=TWO_PI * u_gamma, delta=TWO_PI * u_delta)
-
-
-def _beta(u: float) -> BeamSplitterAngle:
+        state = BlochState(0.0, 0.0, 0.0)
+        u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(5).tolist()
+    else:
+        radius, u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(6).tolist()
+        v = direction * (radius ** (1.0 / 3.0) / norm)
+        state = BlochState(float(v[0]), float(v[1]), float(v[2]))
+    det = DetectorConfig(a_overlap=u_overlap, gamma=TWO_PI * u_gamma, delta=TWO_PI * u_delta)
     # [0.01, pi - 0.01] keeps the measure-zero degenerate edge out of the draws.
-    return BeamSplitterAngle(0.01 + (math.pi - 0.01 - 0.01) * u)
-
-
-def _phase(u: float) -> PhaseShift:
-    return PhaseShift(TWO_PI * u)
-
-
-def draw_bloch_state(rng: np.random.Generator) -> BlochState:
-    """Bloch vector uniform in the closed unit ball (cube-root radius law)."""
-    return _draw_state(rng, 0)[0]
-
-
-def draw_detector(rng: np.random.Generator) -> DetectorConfig:
-    return _detector(*rng.random(3).tolist())
-
-
-def draw_beta(rng: np.random.Generator) -> BeamSplitterAngle:
-    return _beta(rng.random())
-
-
-def draw_phase(rng: np.random.Generator) -> PhaseShift:
-    return _phase(rng.random())
-
-
-def draw_point(rng):
-    """draw_bloch_state, draw_detector, draw_beta and draw_phase, in that
-    order and to the bit, in two generator calls."""
-    state, (u_overlap, u_gamma, u_delta, u_beta, u_phi) = _draw_state(rng, 5)
-    return state, _detector(u_overlap, u_gamma, u_delta), _beta(u_beta), _phase(u_phi)
+    beta = BeamSplitterAngle(0.01 + (math.pi - 0.01 - 0.01) * u_beta)
+    return state, det, beta, PhaseShift(TWO_PI * u_phi)
 
 
 # --- brute-force extremum oracles (the closed-form kernels on a fine grid) ---

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+from draws import draw_beta, draw_bloch_state
 
 from mzi_duality.cli import figure_tables, main
 from mzi_duality.duality import (
@@ -23,8 +24,6 @@ from mzi_duality.duality import (
 )
 from mzi_duality.interferometer import BeamSplitterAngle, BlochState
 from mzi_duality.verify import (
-    draw_beta,
-    draw_bloch_state,
     grid_distinguishability_valley,
     grid_visibility_peak_fixed_beta,
     grid_visibility_peak_fixed_sx,

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from draws import draw_beta, draw_bloch_state, draw_detector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,16 +41,17 @@ from mzi_duality.errors import (
     UndefinedVisibilityError,
 )
 from mzi_duality.interferometer import (
+    TWO_PI,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    PhaseShift,
+    detection_probability_numeric,
+    evolve,
     phase_probe,
 )
 from mzi_duality.linalg import DensityOperator
 from mzi_duality.verify import (
-    draw_beta,
-    draw_bloch_state,
-    draw_detector,
     grid_distinguishability_valley,
     grid_visibility_peak_fixed_beta,
     grid_visibility_peak_fixed_sx,
@@ -59,6 +61,9 @@ from mzi_duality.verify import _min_error_basis_closed_form
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THIRD = 1.0 / 3.0
 HALF_PI = math.pi / 2
+# The detector's reference (unmarked) state, its first basis state; a
+# detector's marked state is the first column of its unitary.
+REFERENCE = np.array([1, 0], dtype=complex)
 
 
 def pure_state(s_x, seed_angle=0.0):
@@ -164,32 +169,17 @@ def test_scan_is_invariant_under_detector_phases():
 
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """Phase arrays of each probe evaluation a scan makes, in order: the grid
-    (probabilities_on, whose cached table _scan_grid holds with the grid),
-    then each refinement round's brackets (_probabilities_at_factors, whose
-    phase factors are recorded as phases in (-pi, pi]) and the refined
-    extrema (probabilities_at)."""
+    """Phase arrays of each bracket evaluation a scan makes after its grid,
+    in order: each refinement round's brackets, then the refined extrema,
+    one row of absolute phases lo_j + offset_k per bracket."""
     calls = []
-    evaluate_on, evaluate_at = duality.probabilities_on, duality.probabilities_at
-    evaluate_factors = duality._probabilities_at_factors
+    evaluate = duality._bracket_probabilities
 
-    def recording_on(m, re, im, work):
-        grid, grid_re, grid_im = interferometer._scan_grid(re.shape[1])
-        assert grid_re is re and grid_im is im
-        calls.append(np.array(grid))
-        return evaluate_on(m, re, im, work)
+    def recording(m, lo, offsets, work):
+        calls.append(lo[:, None] + offsets)
+        return evaluate(m, lo, offsets, work)
 
-    def recording_at(m, phis):
-        calls.append(np.array(phis))
-        return evaluate_at(m, phis)
-
-    def recording_factors(m, phase):
-        calls.append(-np.angle(phase))
-        return evaluate_factors(m, phase)
-
-    monkeypatch.setattr(duality, "probabilities_on", recording_on)
-    monkeypatch.setattr(duality, "probabilities_at", recording_at)
-    monkeypatch.setattr(duality, "_probabilities_at_factors", recording_factors)
+    monkeypatch.setattr(duality, "_bracket_probabilities", recording)
     return calls
 
 
@@ -198,7 +188,8 @@ def test_default_scan_makes_at_most_16_probe_calls(probe_calls):
     det = DetectorConfig(0.7, 0.3, 1.9)
     beta = BeamSplitterAngle(0.8)
     scan = visibility_scan(state, det, beta)
-    assert len(probe_calls) <= 16
+    # The grid's one evaluation, then the refinement's.
+    assert 1 + len(probe_calls) <= 16
     assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
@@ -214,7 +205,7 @@ def test_scan_refines_across_zero_phase(probe_calls, extremum, offset):
     det = DetectorConfig(0.8, offset + 0.3 * step, 0.4)
     beta = BeamSplitterAngle(1.1)
     scan = visibility_scan(state, det, beta, grid_size=grid_size)
-    grid, refinements = probe_calls[0], probe_calls[1:]
+    grid, refinements = interferometer._scan_grid(grid_size)[0], probe_calls
     values = phase_probe(state, det, beta)(grid)
     assert (np.argmax(values) if extremum == "max" else np.argmin(values)) == 0
     assert min(phis.min() for phis in refinements) < 0.0
@@ -259,6 +250,36 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     assert visibility.shape == (n,) and defined.all()
     for (state, beta), v in zip(points, visibility):
         assert abs(v - visibility_scan(state, det, beta)) <= 1e-15
+
+
+def test_bracket_evaluation_matches_the_pipeline():
+    # The refinement's evaluator, each bracket's base phase folded into its
+    # point's matrix and every row evaluated on one table of offsets,
+    # against the operator pipeline at each sampled phase: edge points at
+    # A = 0, 1 and one interior overlap, then seeded draws, each with
+    # brackets across phi = 0, across 2*pi and at a seeded base phase.
+    rng = np.random.default_rng(83)
+    cases = [
+        (state, DetectorConfig(a_overlap, 0.4, 1.3), beta)
+        for a_overlap in (0.0, 1.0, 0.37)
+        for state, beta in EDGE_POINTS
+    ]
+    cases += [(draw_bloch_state(rng), draw_detector(rng), draw_beta(rng)) for _ in range(12)]
+    (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
+    unitary = np.stack([det.unitary for _, det, _ in cases])
+    m = interferometer.port_matrices(s_x, s_y, s_z, unitary, betas)
+    spacing = 1e-3
+    for offsets in (spacing * duality._SAMPLE_INDEX, np.array([0.5 * spacing])):
+        half = 0.5 * (offsets[-1] + spacing)
+        lo = np.concatenate(
+            [np.full(len(m), -half), np.full(len(m), TWO_PI - half), rng.uniform(0, TWO_PI, len(m))]
+        )
+        work = np.empty((2, 3 * len(m), len(offsets)))
+        values = duality._bracket_probabilities(np.concatenate([m] * 3), lo, offsets, work)
+        for (state, det, beta), base, row in zip(cases * 3, lo, values):
+            for offset, value in zip(offsets, row):
+                rho = evolve(state, det, beta, PhaseShift(base + offset))
+                assert abs(value - detection_probability_numeric(rho)) <= 1e-14
 
 
 def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
@@ -542,8 +563,8 @@ def test_basis_vectors_are_eigenvectors_of_the_weighted_difference():
 def test_basis_for_orthogonal_states_is_the_states_themselves():
     det = DetectorConfig(0.0, 0.0, 0.7)
     basis = min_error_basis(det, PathWeights(0.5, 0.5))
-    overlap_a = abs(np.vdot(basis.m_a, det.marked_state))
-    overlap_b = abs(np.vdot(basis.m_b, det.reference_state))
+    overlap_a = abs(np.vdot(basis.m_a, det.unitary[:, 0]))
+    overlap_b = abs(np.vdot(basis.m_b, REFERENCE))
     assert overlap_a == pytest.approx(1.0, abs=1e-12)
     assert overlap_b == pytest.approx(1.0, abs=1e-12)
 
@@ -570,7 +591,7 @@ def literal_basis(det, w):
     m_a, m_b = _min_error_basis_closed_form(
         np.array([det.a_overlap]),
         np.array([det.gamma]),
-        det.marked_state[None],
+        det.unitary[None, :, 0],
         np.array([w.omega_a]),
         np.array([w.omega_b]),
     )
@@ -604,7 +625,7 @@ def test_literal_closed_form_preconditions():
     # One bad point of a stack fails the whole stack: a guard, and the
     # normalization self-check (a marked state that does not match A).
     good, bad = DetectorConfig(0.5), DetectorConfig(1.0)
-    marked = np.stack([good.marked_state, bad.marked_state])
+    marked = np.stack([good.unitary[:, 0], bad.unitary[:, 0]])
     weights = np.full(2, 0.5), np.full(2, 0.5)
     with pytest.raises(InvalidInputError, match="0 < a_overlap < 1"):
         _min_error_basis_closed_form(np.array([0.5, 1.0]), np.zeros(2), marked, *weights)
@@ -622,8 +643,8 @@ def test_measurement_reaches_the_optimal_success_probability():
         except DegenerateBasisError:
             continue
         success = (
-            w.omega_b * abs(np.vdot(basis.m_b, det.reference_state)) ** 2
-            + w.omega_a * abs(np.vdot(basis.m_a, det.marked_state)) ** 2
+            w.omega_b * abs(np.vdot(basis.m_b, REFERENCE)) ** 2
+            + w.omega_a * abs(np.vdot(basis.m_a, det.unitary[:, 0])) ** 2
         )
         d = distinguishability_trace_norm(det, w)
         assert abs(success - 0.5 * (1.0 + d)) <= 1e-10

@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from draws import draw_point as uniform_draw_point
 
 from mzi_duality import verify
 from mzi_duality.duality import distinguishability_kernel
-from mzi_duality.interferometer import (
-    TWO_PI,
-    BeamSplitterAngle,
-    BlochState,
-    DetectorConfig,
-    PhaseShift,
-)
+from mzi_duality.interferometer import BeamSplitterAngle, BlochState, DetectorConfig, PhaseShift
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
@@ -132,26 +127,6 @@ def test_errors_do_not_depend_on_how_the_draws_are_batched(name):
     assert whole_rng.bit_generator.state == split_rng.bit_generator.state
 
 
-def seven_call_draw_point(rng):
-    # Reference: the draw as one generator call per value, the radius's
-    # skipped for the zero direction.
-    direction = rng.standard_normal(3)
-    norm = float(np.linalg.norm(direction))
-    if norm < 1e-12:
-        state = BlochState(0.0, 0.0, 0.0)
-    else:
-        radius = rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-        v = direction * (radius / norm)
-        state = BlochState(float(v[0]), float(v[1]), float(v[2]))
-    det = DetectorConfig(
-        a_overlap=float(rng.uniform(0.0, 1.0)),
-        gamma=float(rng.uniform(0.0, TWO_PI)),
-        delta=float(rng.uniform(0.0, TWO_PI)),
-    )
-    beta = BeamSplitterAngle(float(rng.uniform(0.01, math.pi - 0.01)))
-    return state, det, beta, PhaseShift(float(rng.uniform(0.0, TWO_PI)))
-
-
 class ZeroDirection:
     """A generator whose standard_normal returns zeros, the draw's
     zero-direction branch; every other call goes to the wrapped generator."""
@@ -168,20 +143,10 @@ class ZeroDirection:
 
 @pytest.mark.parametrize("seed", [0, 11, 42, [7, 3], [42, 12]])
 def test_draw_point_stream_is_pinned(seed):
-    # Every other point comes from the four per-parameter draws, which
-    # draw_point must equal.
+    # Against the per-parameter draws, one rng.uniform call per value.
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-    for k in range(2000):
-        if k % 2:
-            point = (
-                verify.draw_bloch_state(new),
-                verify.draw_detector(new),
-                verify.draw_beta(new),
-                verify.draw_phase(new),
-            )
-        else:
-            point = verify.draw_point(new)
-        assert point == seven_call_draw_point(old)
+    for _ in range(2000):
+        assert verify.draw_point(new) == uniform_draw_point(old)
     assert new.bit_generator.state == old.bit_generator.state
 
 
@@ -189,6 +154,6 @@ def test_draw_point_stream_is_pinned_for_the_zero_direction():
     new, old = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
         point = verify.draw_point(ZeroDirection(new))
-        assert point == seven_call_draw_point(ZeroDirection(old))
+        assert point == uniform_draw_point(ZeroDirection(old))
         assert point[0] == BlochState(0.0, 0.0, 0.0)
     assert new.bit_generator.state == old.bit_generator.state
