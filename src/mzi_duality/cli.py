@@ -39,6 +39,7 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _yz_norms,
     bloch_length_message,
     port_denominator,
 )
@@ -155,8 +156,7 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
-    # math.hypot, as in BlochState.yz_norm: np.hypot rounds differently.
-    yz = np.array([math.hypot(y, z) for y, z in zip(s_y.tolist(), s_z.tolist())])
+    yz = _yz_norms(s_y, s_z)
     a = spec.a_overlap
     sin_beta, cos_beta = splitter_trig(beta)
     den = port_denominator(s_x, cos_beta)
@@ -307,8 +307,8 @@ def _cmd_verify(args) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
                 settings = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # undecodable bytes or malformed JSON
+                raise InvalidInputError(f"config file is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise InvalidInputError("config file must hold a JSON object")
         unknown = set(settings) - {"seed", "draws", "tolerances"}

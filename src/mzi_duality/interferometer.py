@@ -8,7 +8,6 @@ is expressed on the path basis (|b>, |a>), detector appended second.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -77,6 +76,12 @@ class BlochState:
         return math.atan2(self.s_y, self.s_z)
 
 
+def _yz_norms(s_y: np.ndarray, s_z: np.ndarray) -> np.ndarray:
+    # BlochState.yz_norm of each point of 1-D component arrays, by math.hypot
+    # per element: np.hypot differs from it in the last bit on some inputs.
+    return np.array(list(map(math.hypot, s_y.tolist(), s_z.tolist())))
+
+
 @dataclass(frozen=True)
 class BeamSplitterAngle:
     """Mixing angle of the recombining beam splitter, in [0, pi].
@@ -100,7 +105,25 @@ class PhaseShift:
 
     def __post_init__(self):
         require_finite(phi=self.phi)
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        phi = self.phi % TWO_PI
+        # Float % rounds a tiny negative phase up to TWO_PI itself, which is 0.
+        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
+
+
+def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
+    """DetectorConfig's marking unitary, unit determinant by construction:
+    (2, 2) of floats, or an (n, 2, 2) stack of 1-D arrays. Inputs are taken
+    as validated; 0 <= a_overlap <= 1 keeps 1 - a_overlap**2 nonnegative."""
+    a = a_overlap
+    b = np.sqrt(1.0 - a * a)
+    eg, ed = np.exp(1j * gamma), np.exp(1j * delta)
+    # b.shape, not np.shape(a): a float's np.shape costs more than the formula.
+    u = np.empty(b.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = a * eg
+    u[..., 0, 1] = -b * np.conj(ed)
+    u[..., 1, 0] = b * ed
+    u[..., 1, 1] = a * np.conj(eg)
+    return u
 
 
 @dataclass(frozen=True)
@@ -124,16 +147,12 @@ class DetectorConfig:
 
     @functools.cached_property
     def unitary(self) -> np.ndarray:
-        """The marking unitary, unit determinant by construction.
+        """The marking unitary, marking_unitaries of this detector.
 
         Built on first access and kept read-only on the instance; the cache
         lives outside the dataclass fields, so equality and hashing ignore it.
         """
-        a = self.a_overlap
-        b = math.sqrt(max(1.0 - a * a, 0.0))
-        eg = cmath.exp(1j * self.gamma)
-        ed = cmath.exp(1j * self.delta)
-        u = np.array([[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex)
+        u = marking_unitaries(self.a_overlap, self.gamma, self.delta)
         u.setflags(write=False)
         return u
 

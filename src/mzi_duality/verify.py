@@ -4,14 +4,16 @@ Each suite draws random parameter points (seeded, so reruns are bit-identical),
 computes one quantity along two independent routes or checks one invariant,
 and reports the case count, failure count, and worst observed error. The
 suites live in one registry, ``CHECKS``, shared with the acceptance gate.
-Points are drawn one at a time; every suite but extremum_loci then evaluates
-all its draws in one stacked pass.
+Points are drawn one at a time, straight into floats, and stacked as
+columns; every suite but extremum_loci then evaluates all its draws in one
+stacked pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -35,14 +37,13 @@ from .duality import (
 from .errors import InvalidInputError
 from .interferometer import (
     BeamSplitterAngle,
-    BlochState,
-    DetectorConfig,
     TWO_PI,
-    PhaseShift,
     _port_a_closed,
     _port_a_probabilities,
+    _yz_norms,
     evolve_closed_form_stack,
     evolve_stack,
+    marking_unitaries,
     port_denominator,
 )
 from .linalg import _hermitian_eig2s, check_densities, hermiticity_defect, trace_errors, trace_path
@@ -76,8 +77,8 @@ class RunConfig:
         return float(self.tolerances.get(name, CHECKS[name].tolerance))
 
 
-def draw_point(rng: np.random.Generator):
-    """A random (BlochState, DetectorConfig, BeamSplitterAngle, PhaseShift),
+def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
+    """A random point (s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi),
     in two generator calls.
 
     The Bloch vector is uniform in the closed unit ball (cube-root radius
@@ -87,21 +88,20 @@ def draw_point(rng: np.random.Generator):
     those of one rng.uniform call per value: each value is
     rng.uniform(low, high) to the bit, written out as low + (high - low) * u
     for a unit uniform u, with a zero low and a unit factor left out, as
-    they are exact.
+    they are exact. Each value is one that the domain types accept as is.
     """
     direction = rng.standard_normal(3)
     norm = float(np.linalg.norm(direction))
     if norm < 1e-12:
-        state = BlochState(0.0, 0.0, 0.0)
+        s_x = s_y = s_z = 0.0
         u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(5).tolist()
     else:
         radius, u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(6).tolist()
-        v = direction * (radius ** (1.0 / 3.0) / norm)
-        state = BlochState(float(v[0]), float(v[1]), float(v[2]))
-    det = DetectorConfig(a_overlap=u_overlap, gamma=TWO_PI * u_gamma, delta=TWO_PI * u_delta)
+        s_x, s_y, s_z = (direction * (radius ** (1.0 / 3.0) / norm)).tolist()
     # [0.01, pi - 0.01] keeps the measure-zero degenerate edge out of the draws.
-    beta = BeamSplitterAngle(0.01 + (math.pi - 0.01 - 0.01) * u_beta)
-    return state, det, beta, PhaseShift(TWO_PI * u_phi)
+    beta = 0.01 + (math.pi - 0.01 - 0.01) * u_beta
+    gamma, delta, phi = TWO_PI * u_gamma, TWO_PI * u_delta, (TWO_PI * u_phi) % TWO_PI
+    return s_x, s_y, s_z, u_overlap, gamma, delta, beta, phi
 
 
 # --- brute-force extremum oracles (the closed-form kernels on a fine grid) ---
@@ -163,29 +163,32 @@ def _none_skipped(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return errors, np.zeros(len(errors), dtype=bool)
 
 
-def _column(items, name: str) -> np.ndarray:
-    # One attribute of each of the draws' states, detectors, angles or phases.
-    return np.array([getattr(item, name) for item in items])
+# Drawn points as columns, one entry per point, and their (n, 2, 2) marking unitaries.
+_Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma delta beta phi unitary")
 
 
-def _draw_points(rng, draws):
-    # draw_point, one draw at a time: the draws' states and detectors, and
-    # their stacked pipeline arguments.
-    states, dets, betas, phis = zip(*[draw_point(rng) for _ in range(draws)])
-    stacked = (
-        _column(states, "s_x"),
-        _column(states, "s_y"),
-        _column(states, "s_z"),
-        np.stack([d.unitary for d in dets]),
-        _column(betas, "beta"),
-        _column(phis, "phi"),
-    )
-    return states, dets, stacked
+def _columns(rows) -> np.ndarray:
+    # Rows of floats as contiguous columns, one per field.
+    return np.array(rows, dtype=float).T.copy()
 
 
-def _visibilities(states, a_overlap, sin_beta, den):
+def _stack_points(rows) -> _Points:
+    columns = _columns(rows)
+    return _Points(*columns, marking_unitaries(*columns[3:6]))
+
+
+def _draw_points(rng, draws) -> _Points:
+    return _stack_points([_draw_point(rng) for _ in range(draws)])
+
+
+def _pipeline(p: _Points) -> tuple:
+    # evolve_stack's arguments.
+    return p.s_x, p.s_y, p.s_z, p.unitary, p.beta, p.phi
+
+
+def _visibilities(p: _Points, sin_beta, den):
     # visibility_closed of the stacked draws, clipped to [0, 1] as it is.
-    return visibility_kernel(_column(states, "yz_norm"), a_overlap, sin_beta, den).clip(0.0, 1.0)
+    return visibility_kernel(_yz_norms(p.s_y, p.s_z), p.a_overlap, sin_beta, den).clip(0.0, 1.0)
 
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
@@ -193,29 +196,22 @@ def _largest_entries(m: np.ndarray) -> np.ndarray:
 
 
 def _pipeline_equivalence(rng, draws):
-    *_, stacked = _draw_points(rng, draws)
-    return _none_skipped(_largest_entries(evolve_stack(*stacked) - evolve_closed_form_stack(*stacked)))
+    args = _pipeline(_draw_points(rng, draws))
+    return _none_skipped(_largest_entries(evolve_stack(*args) - evolve_closed_form_stack(*args)))
 
 
 def _detection_probability(rng, draws):
-    states, dets, stacked = _draw_points(rng, draws)
-    s_x, _, _, _, beta, phi = stacked
-    numeric = _port_a_probabilities(evolve_stack(*stacked))
-    closed = _port_a_closed(
-        s_x,
-        _column(states, "yz_norm"),
-        _column(states, "alpha"),
-        _column(dets, "a_overlap"),
-        _column(dets, "gamma"),
-        beta,
-        phi,
-    )
+    p = _draw_points(rng, draws)
+    numeric = _port_a_probabilities(evolve_stack(*_pipeline(p)))
+    # BlochState.alpha by math.atan2, which np.arctan2 can differ from in the last bit.
+    alpha = np.array(list(map(math.atan2, p.s_y.tolist(), p.s_z.tolist())))
+    yz = _yz_norms(p.s_y, p.s_z)
+    closed = _port_a_closed(p.s_x, yz, alpha, p.a_overlap, p.gamma, p.beta, p.phi)
     return _none_skipped(np.abs(numeric - closed))
 
 
 def _state_validity(rng, draws):
-    *_, stacked = _draw_points(rng, draws)
-    m = evolve_stack(*stacked)
+    m = evolve_stack(*_pipeline(_draw_points(rng, draws)))
     negativity = np.maximum(0.0, -np.linalg.eigvalsh(m)[:, 0])
     return _none_skipped(
         np.maximum(np.maximum(hermiticity_defect(m, axis=(1, 2)), trace_errors(m)), negativity)
@@ -223,34 +219,34 @@ def _state_validity(rng, draws):
 
 
 def _reduced_detector_state(rng, draws):
-    *_, stacked = _draw_points(rng, draws)
-    reduced = check_densities(trace_path(evolve_stack(*stacked)))
-    unmarked, marked = _detector_branches(stacked[3])
-    s_x = stacked[0][:, None, None]
+    p = _draw_points(rng, draws)
+    reduced = check_densities(trace_path(evolve_stack(*_pipeline(p))))
+    unmarked, marked = _detector_branches(p.unitary)
+    s_x = p.s_x[:, None, None]
     expected = 0.5 * (1.0 - s_x) * unmarked + 0.5 * (1.0 + s_x) * marked
     return _none_skipped(_largest_entries(reduced - expected))
 
 
 def _visibility_oracle(rng, draws):
-    states, dets, (s_x, s_y, s_z, unitary, beta, _) = _draw_points(rng, draws)
-    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
-    closed = _visibilities(states, _column(dets, "a_overlap"), *_lit_port(s_x, beta))
+    p = _draw_points(rng, draws)
+    scanned, _ = visibility_scans(p.s_x, p.s_y, p.s_z, p.unitary, p.beta)
+    closed = _visibilities(p, *_lit_port(p.s_x, p.beta))
     return _none_skipped(np.abs(scanned - closed))
 
 
 def _distinguishability_oracle(rng, draws):
-    _, dets, (s_x, _, _, unitary, beta, _) = _draw_points(rng, draws)
-    a_overlap = _column(dets, "a_overlap")
-    sin_beta, den = _lit_port(s_x, beta)
-    norms = distinguishability_trace_norms(unitary, *weights_kernel(s_x, beta, den))
-    return _none_skipped(np.abs(norms - distinguishability_kernel(s_x, a_overlap, sin_beta, den)))
+    p = _draw_points(rng, draws)
+    sin_beta, den = _lit_port(p.s_x, p.beta)
+    norms = distinguishability_trace_norms(p.unitary, *weights_kernel(p.s_x, p.beta, den))
+    closed = distinguishability_kernel(p.s_x, p.a_overlap, sin_beta, den)
+    return _none_skipped(np.abs(norms - closed))
 
 
 def _weights_identity(rng, draws):
-    _, dets, (s_x, _, _, _, beta, _) = _draw_points(rng, draws)
-    a_overlap = _column(dets, "a_overlap")
-    sin_beta, den = _lit_port(s_x, beta)
-    omega_a, omega_b = weights_kernel(s_x, beta, den)
+    p = _draw_points(rng, draws)
+    s_x, a_overlap = p.s_x, p.a_overlap
+    sin_beta, den = _lit_port(s_x, p.beta)
+    omega_a, omega_b = weights_kernel(s_x, p.beta, den)
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     return _none_skipped(
         np.maximum(
@@ -265,24 +261,16 @@ def _phase_invariance(rng, draws):
     # of the marking unitary; neither measured quantity may move. Each draw
     # is scanned under its own and a re-phased detector: the draws, then
     # their re-phased copies, 2 * draws points in one 512-grid pass.
-    points, others = [], []
+    rows, phases = [], []
     for _ in range(draws):
-        points.append(draw_point(rng))
-        others.append(
-            DetectorConfig(
-                points[-1][1].a_overlap,
-                gamma=float(rng.uniform(0.0, TWO_PI)),
-                delta=float(rng.uniform(0.0, TWO_PI)),
-            )
-        )
-    states, dets, betas, _ = zip(*points)
-    s_x, s_y, s_z = (_column(states, c) for c in ("s_x", "s_y", "s_z"))
-    beta = _column(betas, "beta")
-    _, den = _lit_port(s_x, beta)
+        rows.append(_draw_point(rng))
+        phases.append((rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI)))
+    p = _stack_points(rows)
+    _, den = _lit_port(p.s_x, p.beta)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
-        np.tile(x, 2) for x in (s_x, s_y, s_z, beta, *weights_kernel(s_x, beta, den))
+        np.tile(x, 2) for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(p.s_x, p.beta, den))
     )
-    unitary = np.stack([d.unitary for d in dets + tuple(others)])
+    unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, *_columns(phases))])
     scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size=512)
     norms = distinguishability_trace_norms(unitary, omega_a, omega_b)
     return _none_skipped(
@@ -295,10 +283,10 @@ def _min_error_measurement(rng, draws):
     # properties: the eigen-equations, orthonormality, the Helstrom success
     # probability (1 + D) / 2, and success no worse than guessing the likelier
     # path. Draws whose operator is degenerate (no basis singled out) skip.
-    *_, (s_x, _, _, unitary, beta, _) = _draw_points(rng, draws)
-    _, den = _lit_port(s_x, beta)
-    omega_a, omega_b = weights_kernel(s_x, beta, den)
-    gamma_op = _discrimination_operator(unitary, omega_a, omega_b)
+    p = _draw_points(rng, draws)
+    _, den = _lit_port(p.s_x, p.beta)
+    omega_a, omega_b = weights_kernel(p.s_x, p.beta, den)
+    gamma_op = _discrimination_operator(p.unitary, omega_a, omega_b)
     values, vectors = _hermitian_eig2s(gamma_op)
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
     m_a, m_b = vectors[:, :, 0], vectors[:, :, 1]
@@ -309,10 +297,10 @@ def _min_error_measurement(rng, draws):
     # <m_b|r> is the conjugate of m_b's first entry, r being the first basis
     # state; the marked state U r is the first column of U.
     success = omega_b * np.abs(m_b[:, 0]) ** 2 + omega_a * np.abs(
-        (m_a.conj() * unitary[:, :, 0]).sum(axis=1)
+        (m_a.conj() * p.unitary[:, :, 0]).sum(axis=1)
     ) ** 2
     helstrom_err = np.abs(
-        success - 0.5 * (1.0 + distinguishability_trace_norms(unitary, omega_a, omega_b))
+        success - 0.5 * (1.0 + distinguishability_trace_norms(p.unitary, omega_a, omega_b))
     )
     prior_gap = np.maximum(omega_a, omega_b) - success
     errors = np.maximum(np.maximum(eig_err, ortho_err), np.maximum(helstrom_err, prior_gap - 1e-12))
@@ -367,27 +355,18 @@ def _min_error_basis_closed_form(a_overlap, gamma, marked, omega_a, omega_b):
 def _measurement_basis_closed_form(rng, draws):
     # The printed closed-form basis assumes a real overlap and is numerically
     # singular at the domain edges, so the draws stay comfortably interior.
-    dets, omega_a = [], []
-    for _ in range(draws):
-        dets.append(
-            DetectorConfig(
-                a_overlap=float(rng.uniform(0.05, 0.95)),
-                gamma=0.0,
-                delta=float(rng.uniform(0.0, TWO_PI)),
-            )
-        )
-        omega_a.append(float(rng.uniform(0.05, 0.95)))
-    omega_a = np.array(omega_a)
-    omega_b = 1.0 - omega_a
-    unitary = np.stack([det.unitary for det in dets])
-    _, numeric = _hermitian_eig2s(_discrimination_operator(unitary, omega_a, omega_b))
-    literal = _min_error_basis_closed_form(
-        _column(dets, "a_overlap"),
-        _column(dets, "gamma"),
-        unitary[:, :, 0],
-        omega_a,
-        omega_b,
+    # Per draw: the overlap, delta, then omega_a; gamma is 0.
+    a_overlap, delta, omega_a = _columns(
+        [
+            (rng.uniform(0.05, 0.95), rng.uniform(0.0, TWO_PI), rng.uniform(0.05, 0.95))
+            for _ in range(draws)
+        ]
     )
+    omega_b = 1.0 - omega_a
+    gamma = np.zeros(draws)
+    unitary = marking_unitaries(a_overlap, gamma, delta)
+    _, numeric = _hermitian_eig2s(_discrimination_operator(unitary, omega_a, omega_b))
+    literal = _min_error_basis_closed_form(a_overlap, gamma, unitary[:, :, 0], omega_a, omega_b)
     return _none_skipped(
         np.maximum(
             _phase_aligned_distances(numeric[:, :, 0], literal[0]),
@@ -406,12 +385,12 @@ def _phase_aligned_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _complementarity(rng, draws):
-    states, dets, (s_x, _, _, _, beta, _) = _draw_points(rng, draws)
-    a_overlap = _column(dets, "a_overlap")
-    sin_beta, den = _lit_port(s_x, beta)
-    v = _visibilities(states, a_overlap, sin_beta, den)
-    d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
-    residual = residual_kernel(_column(states, "lam"), a_overlap, sin_beta, den)
+    p = _draw_points(rng, draws)
+    sin_beta, den = _lit_port(p.s_x, p.beta)
+    v = _visibilities(p, sin_beta, den)
+    d = distinguishability_kernel(p.s_x, p.a_overlap, sin_beta, den)
+    lam = p.s_x * p.s_x + p.s_y * p.s_y + p.s_z * p.s_z
+    residual = residual_kernel(lam, p.a_overlap, sin_beta, den)
     return _none_skipped(
         np.maximum(np.abs(1.0 - v * v - d * d - residual), v * v + d * d - 1.0 - 1e-12)
     )

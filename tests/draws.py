@@ -1,9 +1,10 @@
 """Per-parameter random draws for the tests, one rng.uniform call per value.
 
-They are verify.draw_point's distributions in its order: draw_point equals
-draw_bloch_state, draw_detector, draw_beta and draw_phase drawn in turn, to
-the bit and to the generator state (test_verify.py pins it), so a test that
-draws here takes the same values from the same stream that verify does.
+They are verify._draw_point's distributions in its order: draw_point is
+draw_bloch_state, draw_detector, draw_beta and draw_phase drawn in turn, and
+its objects hold the floats that verify._draw_point returns, to the bit and
+to the generator state (test_verify.py pins it). So a test that draws here
+takes the same values from the same stream that verify does.
 """
 
 import math

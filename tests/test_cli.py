@@ -475,6 +475,17 @@ def test_verify_config_file_with_flag_override(tmp_path, capsys):
     assert all(entry["cases"] == 10 for entry in summary.values())
 
 
+def test_verify_rejects_a_config_file_json_cannot_decode(tmp_path, capsys):
+    # A UTF-16 byte-order mark is not UTF-8, and json cannot read an integer
+    # past Python's digit limit: invalid input, not a failed run.
+    config = tmp_path / "verify.json"
+    for content in (b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"):
+        config.write_bytes(content)
+        assert main(["verify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file is not valid UTF-8 JSON") and err.count("\n") == 1
+
+
 def test_verify_rejects_bad_config(tmp_path, capsys):
     config = tmp_path / "verify.json"
     config.write_text("{not json")

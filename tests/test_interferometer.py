@@ -7,6 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from draws import draw_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,10 +29,10 @@ from mzi_duality.interferometer import (
     evolve_closed_form,
     evolve_closed_form_stack,
     evolve_stack,
+    marking_unitaries,
     phase_probe,
 )
 from mzi_duality.linalg import DensityOperator, partial_trace_path
-from mzi_duality.verify import draw_point
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -86,6 +87,9 @@ def test_phase_shift_canonicalization():
     assert PhaseShift(-math.pi / 2).phi == pytest.approx(3 * math.pi / 2)
     assert PhaseShift(2 * math.pi).phi == 0.0
     assert 0.0 <= PhaseShift(123.456).phi < 2 * math.pi
+    # Float % rounds these up to 2*pi itself; the canonical phase is 0.
+    for tiny in (-5e-17, -1e-300, -5e-324):
+        assert PhaseShift(tiny).phi == 0.0
 
 
 def test_detector_config_overlap_matches_request():
@@ -118,6 +122,23 @@ def test_detector_unitary_is_built_once_and_read_only():
         assert det.unitary.tobytes() == expected.tobytes()
         same = DetectorConfig(a, gamma, delta)
         assert same == det and hash(same) == hash(det)
+
+
+def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
+    # Bit for bit, at A in {0, 1}, at zero marking phases and on seeded draws.
+    rng = np.random.default_rng(31)
+    dets = [
+        DetectorConfig(a, gamma, delta)
+        for a in (0.0, 1.0, 0.37)
+        for gamma, delta in [(0.0, 0.0), (0.0, 2.5), tuple(rng.uniform(-10.0, 10.0, 2).tolist())]
+    ]
+    dets += [draw_point(rng)[1] for _ in range(200)]
+    stack = marking_unitaries(
+        *(np.array([getattr(d, name) for d in dets]) for name in ("a_overlap", "gamma", "delta"))
+    )
+    assert stack.shape == (len(dets), 2, 2)
+    for det, u in zip(dets, stack):
+        assert u.tobytes() == det.unitary.tobytes()
 
 
 def test_detector_config_rejects_bad_overlap():

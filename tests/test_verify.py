@@ -6,7 +6,6 @@ from draws import draw_point as uniform_draw_point
 
 from mzi_duality import verify
 from mzi_duality.duality import distinguishability_kernel
-from mzi_duality.interferometer import BeamSplitterAngle, BlochState, DetectorConfig, PhaseShift
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
@@ -82,20 +81,16 @@ def test_check_with_every_draw_skipped_reports_nothing(monkeypatch):
 def test_min_error_measurement_skips_degenerate_draws_through_the_mask(monkeypatch):
     # Every other draw is a point where the detector states coincide and the
     # path weights are equal, so the discrimination operator has no gap.
-    degenerate = (
-        BlochState(0.0, 0.0, 0.5),
-        DetectorConfig(1.0),
-        BeamSplitterAngle(math.pi / 2),
-        PhaseShift(0.0),
-    )
+    # (s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi)
+    degenerate = (0.0, 0.0, 0.5, 1.0, 0.0, 0.0, math.pi / 2, 0.0)
     calls = []
-    draw_point = verify.draw_point
+    draw_point = verify._draw_point
 
     def alternating(rng):
         calls.append(None)
         return draw_point(rng) if len(calls) % 2 else degenerate
 
-    monkeypatch.setattr(verify, "draw_point", alternating)
+    monkeypatch.setattr(verify, "_draw_point", alternating)
     errors, skipped = verify.CHECKS["min_error_measurement"].errors(np.random.default_rng(4), 6)
     assert skipped.tolist() == [False, True] * 3
     assert np.isnan(errors[skipped]).all() and np.isfinite(errors[~skipped]).all()
@@ -141,19 +136,27 @@ class ZeroDirection:
         return getattr(self._rng, name)
 
 
+def reference_point(rng):
+    # The per-parameter draws, one rng.uniform call per value, as the floats
+    # that verify._draw_point returns.
+    state, det, beta, phi = uniform_draw_point(rng)
+    return (
+        state.s_x, state.s_y, state.s_z, det.a_overlap, det.gamma, det.delta, beta.beta, phi.phi
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 11, 42, [7, 3], [42, 12]])
 def test_draw_point_stream_is_pinned(seed):
-    # Against the per-parameter draws, one rng.uniform call per value.
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2000):
-        assert verify.draw_point(new) == uniform_draw_point(old)
+        assert verify._draw_point(new) == reference_point(old)
     assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_draw_point_stream_is_pinned_for_the_zero_direction():
     new, old = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        point = verify.draw_point(ZeroDirection(new))
-        assert point == uniform_draw_point(ZeroDirection(old))
-        assert point[0] == BlochState(0.0, 0.0, 0.0)
+        point = verify._draw_point(ZeroDirection(new))
+        assert point == reference_point(ZeroDirection(old))
+        assert point[:3] == (0.0, 0.0, 0.0)
     assert new.bit_generator.state == old.bit_generator.state
