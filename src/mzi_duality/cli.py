@@ -21,6 +21,7 @@ from .duality import (
     DARK_PORT,
     DEFAULT_SCAN_GRID,
     MIN_SCAN_GRID,
+    closed_form_lengths,
     distinguishability_kernel,
     distinguishability_trace_norms,
     duality_report,
@@ -156,7 +157,7 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
-    yz = _yz_norms(s_y, s_z)
+    kernel_lam, yz = closed_form_lengths(s_x, bloch_lam, _yz_norms(s_y, s_z))
     a = spec.a_overlap
     sin_beta, cos_beta = splitter_trig(beta)
     den = port_denominator(s_x, cos_beta)
@@ -169,7 +170,7 @@ def run_sweep(spec: SweepSpec) -> list[str]:
             v_scan,
             distinguishability_kernel(s_x, a, sin_beta, den),
             distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
-            residual_kernel(bloch_lam, a, sin_beta, den),
+            residual_kernel(kernel_lam, a, sin_beta, den),
             omega_a,
             omega_b,
         ])

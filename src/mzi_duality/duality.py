@@ -25,15 +25,11 @@ from .errors import (
 )
 from .interferometer import (
     _DETECTOR_START,
-    TWO_PI,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
-    _phase_products,
-    _scan_grid,
     port_denominator,
-    port_matrices,
-    probabilities_on,
+    port_extrema,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
 from .linalg import _trace_norms, hermitian_eig2, trace_norm
@@ -45,7 +41,6 @@ NORM_TOL = 1e-12
 BASIS_GAP_TOL = 1e-12
 COMPLEMENTARITY_TOL = 1e-10
 RESIDUAL_FLOOR = -1e-12
-PHASE_REFINE_TOL = 1e-12
 MIN_SCAN_GRID = 64
 DEFAULT_SCAN_GRID = 4096
 
@@ -86,6 +81,20 @@ def _lit_port(s_x, beta):
     if failing(port_is_dark(den)):
         raise DarkPortError(DARK_PORT)
     return sin_beta, den
+
+
+def closed_form_lengths(s_x, lam, yz):
+    """(lam, |(s_y, s_z)|) as the closed forms use them, of a point or of
+    arrays of points. A squared Bloch length above 1 (BlochState admits up
+    to BLOCH_NORM_TOL more) is rounding slack of a pure state: it counts as
+    lam = 1, with yz = sqrt(1 - s_x^2). Other points keep their own."""
+    if isinstance(lam, np.ndarray):
+        over = lam > 1.0
+        pure_yz = np.sqrt(np.maximum(1.0 - s_x * s_x, 0.0))
+        return np.where(over, 1.0, lam), np.where(over, pure_yz, yz)
+    if lam > 1.0:
+        return 1.0, math.sqrt(max(1.0 - s_x * s_x, 0.0))
+    return lam, yz
 
 
 # The closed forms for V, D, the residual and the path weights, written once.
@@ -202,69 +211,9 @@ def visibility_closed(
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
     sin_beta, den = _lit_port(state.s_x, beta.beta)
-    v = visibility_kernel(state.yz_norm, a_overlap, sin_beta, den)
+    _, yz = closed_form_lengths(state.s_x, state.lam, state.yz_norm)
+    v = visibility_kernel(yz, a_overlap, sin_beta, den)
     return min(max(v, 0.0), 1.0)
-
-
-# Interior samples per bracket and refinement round. Narrowing a bracket to
-# its best sample +- one spacing shrinks it by (n + 1) / 2 = 16 per round, so
-# a default scan refines in 8 rounds. Each round costs about the same as the
-# whole cached 4096-point grid, so 31 samples beat 15 (11 rounds) end to end.
-_REFINE_SAMPLES = 31
-_SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
-# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB
-# (the scan's grid work array holds them and the second product, 2 MB), and
-# its refinement arrays a fraction of that, whatever the number of points.
-_SCAN_CHUNK = 32
-
-
-def _bracket_probabilities(m, lo, offsets, work) -> np.ndarray:
-    # Port-a probabilities of each folded point of ``m`` at its own base
-    # phase lo_j plus each of the shared ``offsets``: shape (len(m),
-    # len(offsets)). The phase-product table is multiplicative in the phase,
-    # P(lo + s) = P(lo) o P(s), so each base phase is folded into its
-    # point's matrix and every row is evaluated on one offset table.
-    base_re, base_im = _phase_products(lo)
-    folded = m * (base_re + 1j * base_im).T.reshape(-1, 4, 4)
-    return probabilities_on(folded, *_phase_products(offsets), work[..., : len(offsets)])
-
-
-def _refine_extrema(m, phi_max, phi_min, step: float, work: np.ndarray):
-    # Bracket search on [phi - step, phi + step] around each point's grid
-    # maximum and minimum, all 2n brackets in one probe call per round. Each
-    # bracket holds exactly one extremum of the (sinusoidal, hence locally
-    # unimodal) fringe, so the extremum lies within one spacing of the best
-    # sample.
-    n = len(m)
-    pairs = np.concatenate([m, m])
-    lo = np.concatenate([phi_max, phi_min]) - step
-    width = 2.0 * step
-    while width > PHASE_REFINE_TOL:
-        spacing = width / (_REFINE_SAMPLES + 1)
-        offsets = spacing * _SAMPLE_INDEX
-        values = _bracket_probabilities(pairs, lo, offsets, work)
-        best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
-        lo = lo + offsets[best] - spacing
-        width = 2.0 * spacing
-    refined = _bracket_probabilities(pairs, lo, np.array([0.5 * width]), work)[:, 0]
-    return refined[:n], refined[n:]
-
-
-def _scan_block(m, grid: tuple, grid_work, refine_work) -> tuple[np.ndarray, np.ndarray]:
-    # p_max and p_min of each folded point of a block: the probabilities on
-    # the grid (phases and phase-product table), then the refinement, each
-    # written into its own work array of the scan, keeping the grid value
-    # where it is better.
-    phis, re, im = grid
-    values = probabilities_on(m, re, im, grid_work)
-    rows = np.arange(len(m))
-    k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
-    k_min = values.argmin(axis=1)
-    grid_max, grid_min = values[rows, k_max], values[rows, k_min]
-    refined_max, refined_min = _refine_extrema(
-        m, phis[k_max], phis[k_min], TWO_PI / len(phis), refine_work
-    )
-    return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
 
 
 def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN_GRID):
@@ -273,41 +222,18 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point. Returns
-    ``(visibility, defined)``: ``defined`` is False, and the visibility NaN,
-    where p_max + p_min, the scan's own port denominator, leaves the port
-    dark (port_is_dark; contrast 0/0).
-
-    Folds all points at once (interferometer.port_matrices), then scans them
-    in blocks of _SCAN_CHUNK points. A block's port-a probabilities on a
-    uniform phase grid over [0, 2*pi) come from one product with the grid's
-    cached phase-product table, written into one work array of shape
-    (2, min(n, _SCAN_CHUNK), grid_size) that the call allocates once and
-    every block reuses. The block's maxima and minima are then
-    refined together: each round samples all its brackets at 31 interior
-    phases and narrows each to its best sample +- one spacing, until the
-    brackets are narrower than PHASE_REFINE_TOL. A round is one call of the
-    same evaluator, probabilities_on: each bracket's base phase is folded
-    into its point's matrix, and all brackets share one table of the 31
-    offsets, written into a second work array the call allocates once.
-    Every sampled phase sums all 16 terms of the pipeline's quadratic form.
+    ``(visibility, defined)``: the contrast (p_max - p_min) / (p_max + p_min)
+    of each point's port-a extrema over a ``grid_size``-point phase grid
+    (interferometer.port_extrema, which holds the search), with ``defined``
+    False, and the visibility NaN, where p_max + p_min, the scan's own port
+    denominator, leaves the port dark (port_is_dark; contrast 0/0).
     """
     if grid_size < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
-    m = port_matrices(s_x, s_y, s_z, unitary, beta)
-    grid = _scan_grid(grid_size)
-    # One work array for every block's grid products and one for its
-    # refinement rounds' (two brackets per point), allocated per call so
-    # that the scan keeps no state between calls.
-    rows = min(len(m), _SCAN_CHUNK)
-    grid_work = np.empty((2, rows, grid_size))
-    refine_work = np.empty((2, 2 * rows, _REFINE_SAMPLES))
-    p_max, p_min = np.empty((2, len(m)))
-    for start in range(0, len(m), _SCAN_CHUNK):
-        block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _scan_block(m[block], grid, grid_work, refine_work)
+    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, beta, grid_size)
     total = p_max + p_min
     defined = ~port_is_dark(total)
-    visibility = np.full(len(m), np.nan)
+    visibility = np.full(len(total), np.nan)
     np.divide(p_max - p_min, total, out=visibility, where=defined)
     return visibility, defined
 
@@ -320,11 +246,11 @@ def visibility_scan(
 ) -> float:
     """Fringe contrast measured by explicit extremization over the phase dial.
 
-    The one-point case of visibility_scans, which holds the method: the
-    port-a probability through the full operator pipeline on a uniform phase
-    grid over [0, 2*pi), then both extrema refined to PHASE_REFINE_TOL, every
-    sampled phase summing all 16 terms of the pipeline's quadratic form.
-    Serves as the independent oracle for visibility_closed.
+    The one-point case of visibility_scans: the port-a probability through
+    the full operator pipeline on a uniform phase grid over [0, 2*pi), then
+    both extrema refined to interferometer.PHASE_REFINE_TOL, every sampled
+    phase summing all 16 terms of the pipeline's quadratic form. Serves as
+    the independent oracle for visibility_closed.
     """
     visibility, defined = visibility_scans(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], grid_size
@@ -427,7 +353,8 @@ def complementarity_residual(
     require_finite(a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
     sin_beta, den = _lit_port(state.s_x, beta.beta)
-    return residual_kernel(state.lam, a_overlap, sin_beta, den)
+    lam, _ = closed_form_lengths(state.s_x, state.lam, state.yz_norm)
+    return residual_kernel(lam, a_overlap, sin_beta, den)
 
 
 def visibility_peak_fixed_beta(
@@ -444,7 +371,7 @@ def visibility_peak_fixed_beta(
     sin_beta, cos_beta = math.sin(beta.beta), math.cos(beta.beta)
     # A sin(beta) sqrt(lam) / sqrt(1 - lam cos^2(beta)), not V at the peak,
     # whose 1 + s_x_star cos(beta) cancels next to beta = 0 and pi; lam's
-    # rounding slack above 1 counts as a pure state.
+    # rounding slack above 1 counts as a pure state (closed_form_lengths).
     pure = min(lam, 1.0)
     v_star = a_overlap * math.sqrt(pure) * sin_beta / math.sqrt(
         sin_beta * sin_beta + (1.0 - pure) * cos_beta * cos_beta

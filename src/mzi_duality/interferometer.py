@@ -216,14 +216,15 @@ def _one_point(state, det, beta, phi) -> tuple:
     return [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], [phi.phi]
 
 
+def _tail(unitary, beta) -> np.ndarray:
+    # The pipeline after the phase shifter, T = (recombiner x 1)(1 (+) U),
+    # of each point: (n, 4, 4).
+    return _lift_path(_beam_splitters(beta)) @ _marking_operators(unitary)
+
+
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     rho = check_densities(_bloch_densities(s_x, s_y, s_z))
-    w = (
-        _lift_path(_beam_splitters(beta))
-        @ _marking_operators(unitary)
-        @ _lift_path(_phase_shifters(phi))
-        @ _INPUT_SPLITTER
-    )
+    w = _tail(unitary, beta) @ _lift_path(_phase_shifters(phi)) @ _INPUT_SPLITTER
     return w @ _kron2(rho, _DETECTOR_START) @ w.conj().swapaxes(-1, -2)
 
 
@@ -364,6 +365,21 @@ def detection_probability_closed(
     )
 
 
+# --- the phase search ----------------------------------------------------------
+
+PHASE_REFINE_TOL = 1e-12
+# Interior samples per bracket and refinement round. Narrowing a bracket to
+# its best sample +- one spacing shrinks it by (n + 1) / 2 = 16 per round, so
+# a default scan refines in 8 rounds. Each round costs about the same as the
+# whole cached 4096-point grid, so 31 samples beat 15 (11 rounds) end to end.
+_REFINE_SAMPLES = 31
+_SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
+# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB
+# (the scan's grid work array holds them and the second product, 2 MB), and
+# its refinement arrays a fraction of that, whatever the number of points.
+_SCAN_CHUNK = 32
+
+
 def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Real and imaginary parts of the 16-row table d_j conj(d_k), row 4j + k,
     # one column per phase, for the phase diagonal d of each phase.
@@ -387,46 +403,112 @@ def _scan_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
-    """Port-a matrices of n points, folded in one stacked pass: shape (n, 4, 4).
-
-    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays with one entry per
-    point; ``unitary`` is one (2, 2) marking unitary for every point or an
-    (n, 2, 2) stack of them, one per point. With the tail
-    T = (recombiner x 1)(marking) and the prepared state P behind the input
-    splitter, each point's matrix is M = P o (T[2:]^T conj(T[2:])), an
-    elementwise product, so the port-a probability at phase phi is
-    Re sum_jk M_jk d_j conj(d_k) for the phase diagonal
-    d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). The factors are
-    evolve_stack's, stacked along the first axis; inputs are taken as
-    validated.
-    """
+def _port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
+    # Port-a matrices of n points, folded in one stacked pass: (n, 4, 4).
+    # With the tail T (_tail) and the prepared state P behind the input
+    # splitter, each point's matrix is M = P o (T[2:]^T conj(T[2:])), an
+    # elementwise product, so the port-a probability at phase phi is
+    # Re sum_jk M_jk d_j conj(d_k) for the phase diagonal
+    # d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}).
     rho = _bloch_densities(s_x, s_y, s_z)
     prepared = _INPUT_SPLITTER @ _kron2(rho, _DETECTOR_START) @ _INPUT_SPLITTER.conj().T
-    port_a = (_lift_path(_beam_splitters(beta)) @ _marking_operators(unitary))[:, 2:, :]
+    port_a = _tail(unitary, beta)[:, 2:, :]
     return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
 
 
-def probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Port-a probabilities of the folded points ``m`` (n, 4, 4) at the k
-    phases of one shared phase-product table: shape (n, k).
-
-    ``(re, im)`` is the 16-row table of products d_j conj(d_k), row 4j + k,
-    with one column per phase (_phase_products; _scan_grid caches a scan
-    grid's). The table is multiplicative in the phase, so a matrix folded
-    with the table of a phase lo (m o P(lo)) is evaluated at lo plus each
-    phase of the table: the scan's refinement evaluates its brackets so.
-    Every phase sums all 16 terms as two real matrix products,
-    Re(M) @ re - Im(M) @ im, written into ``work``, a float64 array of shape
-    (2, n', k) with n' >= n. The result is a view of ``work[0]``, valid until
-    ``work`` is written again, so callers that evaluate many blocks pass one
-    work array for all of them.
-    """
+def _probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.ndarray) -> np.ndarray:
+    # Port-a probabilities of the folded points m (n, 4, 4) at the k phases
+    # of one phase-product table (re, im) of _phase_products: shape (n, k).
+    # Every phase sums all 16 terms as two real matrix products,
+    # Re(M) @ re - Im(M) @ im, written into work, a float64 array of shape
+    # (2, n', k) with n' >= n; the result is a view of work[0], valid until
+    # work is written again.
     flat = m.reshape(len(m), 16)
     values, products = work[:, : len(m)]
     np.matmul(np.ascontiguousarray(flat.real), re, out=values)
     values -= np.matmul(np.ascontiguousarray(flat.imag), im, out=products)
     return values
+
+
+def _bracket_probabilities(m, lo, offsets, work) -> np.ndarray:
+    # Port-a probabilities of each folded point of ``m`` at its own base
+    # phase lo_j plus each of the shared ``offsets``: shape (len(m),
+    # len(offsets)). The phase-product table is multiplicative in the phase,
+    # P(lo + s) = P(lo) o P(s), so each base phase is folded into its
+    # point's matrix and every row is evaluated on one offset table.
+    base_re, base_im = _phase_products(lo)
+    folded = m * (base_re + 1j * base_im).T.reshape(-1, 4, 4)
+    return _probabilities_on(folded, *_phase_products(offsets), work[..., : len(offsets)])
+
+
+def _refine_extrema(m, phi_max, phi_min, step: float, work: np.ndarray):
+    # Bracket search on [phi - step, phi + step] around each point's grid
+    # maximum and minimum, all 2n brackets in one evaluation per round. Each
+    # bracket holds exactly one extremum of the (sinusoidal, hence locally
+    # unimodal) fringe, so the extremum lies within one spacing of the best
+    # sample.
+    n = len(m)
+    pairs = np.concatenate([m, m])
+    lo = np.concatenate([phi_max, phi_min]) - step
+    width = 2.0 * step
+    while width > PHASE_REFINE_TOL:
+        spacing = width / (_REFINE_SAMPLES + 1)
+        offsets = spacing * _SAMPLE_INDEX
+        values = _bracket_probabilities(pairs, lo, offsets, work)
+        best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
+        lo = lo + offsets[best] - spacing
+        width = 2.0 * spacing
+    refined = _bracket_probabilities(pairs, lo, np.array([0.5 * width]), work)[:, 0]
+    return refined[:n], refined[n:]
+
+
+def _scan_block(m, grid: tuple, grid_work, refine_work) -> tuple[np.ndarray, np.ndarray]:
+    # p_max and p_min of each folded point of a block: the probabilities on
+    # the grid (phases and phase-product table), then the refinement, each
+    # written into its own work array of the scan, keeping the grid value
+    # where it is better.
+    phis, re, im = grid
+    values = _probabilities_on(m, re, im, grid_work)
+    rows = np.arange(len(m))
+    k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
+    k_min = values.argmin(axis=1)
+    grid_max, grid_min = values[rows, k_max], values[rows, k_min]
+    refined_max, refined_min = _refine_extrema(
+        m, phis[k_max], phis[k_min], TWO_PI / len(phis), refine_work
+    )
+    return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
+
+
+def port_extrema(s_x, s_y, s_z, unitary, beta, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_max, p_min): the extrema over the phase dial of n points' port-a
+    probability, found by explicit search; two arrays of shape (n,).
+
+    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
+    point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
+    for every point or an (n, 2, 2) stack of them, one per point.
+
+    Folds all points at once (_port_matrices), then scans them in blocks of
+    _SCAN_CHUNK points. A block's probabilities on the uniform grid of
+    ``grid_size`` phases over [0, 2*pi) come from one product with the
+    grid's cached phase-product table. Its maxima and minima are then
+    refined together: each round samples every bracket at 31 interior
+    phases, through the same evaluator with each bracket's base phase
+    folded into its point's matrix, and narrows it to its best sample +-
+    one spacing, until the brackets are narrower than PHASE_REFINE_TOL.
+    Every sampled phase sums all 16 terms of the pipeline's quadratic form.
+    The grid and the refinement each write into one work array that the
+    call allocates once and every block reuses.
+    """
+    m = _port_matrices(s_x, s_y, s_z, unitary, beta)
+    grid = _scan_grid(grid_size)
+    rows = min(len(m), _SCAN_CHUNK)
+    grid_work = np.empty((2, rows, grid_size))
+    refine_work = np.empty((2, 2 * rows, _REFINE_SAMPLES))
+    p_max, p_min = np.empty((2, len(m)))
+    for start in range(0, len(m), _SCAN_CHUNK):
+        block = slice(start, start + _SCAN_CHUNK)
+        p_max[block], p_min[block] = _scan_block(m[block], grid, grid_work, refine_work)
+    return p_max, p_min
 
 
 def phase_probe(
@@ -435,13 +517,13 @@ def phase_probe(
     """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
-    reorganized: the one-point view of port_matrices, evaluated by
-    probabilities_on on a phase-product table and work array built per call.
+    reorganized: the one-point case of the scan's evaluator, on a
+    phase-product table and work array built per call.
     """
-    m = port_matrices([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
+    m = _port_matrices([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
         re, im = _phase_products(np.asarray(phis, dtype=float))
-        return probabilities_on(m, re, im, np.empty((2, 1, re.shape[1])))[0]
+        return _probabilities_on(m, re, im, np.empty((2, 1, re.shape[1])))[0]
 
     return probe

@@ -21,7 +21,6 @@ from .errors import InvalidInputError
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-EIGEN_TOL = 1e-10
 DEGENERATE_GAP = 1e-14
 _SMALLEST_NORMAL = sys.float_info.min
 _SIGNS = np.array([1.0, -1.0])

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from draws import draw_beta, draw_bloch_state, draw_detector
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzi_duality import duality, interferometer
@@ -19,6 +19,7 @@ from mzi_duality.duality import (
     MeasurementBasis,
     PathWeights,
     _detector_branches,
+    closed_form_lengths,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_trace_norm,
@@ -41,6 +42,7 @@ from mzi_duality.errors import (
     UndefinedVisibilityError,
 )
 from mzi_duality.interferometer import (
+    BLOCH_NORM_TOL,
     TWO_PI,
     BeamSplitterAngle,
     BlochState,
@@ -173,13 +175,13 @@ def probe_calls(monkeypatch):
     in order: each refinement round's brackets, then the refined extrema,
     one row of absolute phases lo_j + offset_k per bracket."""
     calls = []
-    evaluate = duality._bracket_probabilities
+    evaluate = interferometer._bracket_probabilities
 
     def recording(m, lo, offsets, work):
         calls.append(lo[:, None] + offsets)
         return evaluate(m, lo, offsets, work)
 
-    monkeypatch.setattr(duality, "_bracket_probabilities", recording)
+    monkeypatch.setattr(interferometer, "_bracket_probabilities", recording)
     return calls
 
 
@@ -239,7 +241,13 @@ def stack(points):
 
 @pytest.mark.parametrize("a_overlap", [0.0, 1.0, 0.37])
 @pytest.mark.parametrize(
-    "n", [1, duality._SCAN_CHUNK, duality._SCAN_CHUNK + 1, 2 * duality._SCAN_CHUNK + 1]
+    "n",
+    [
+        1,
+        interferometer._SCAN_CHUNK,
+        interferometer._SCAN_CHUNK + 1,
+        2 * interferometer._SCAN_CHUNK + 1,
+    ],
 )
 def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     rng = np.random.default_rng(71)
@@ -267,15 +275,15 @@ def test_bracket_evaluation_matches_the_pipeline():
     cases += [(draw_bloch_state(rng), draw_detector(rng), draw_beta(rng)) for _ in range(12)]
     (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
     unitary = np.stack([det.unitary for _, det, _ in cases])
-    m = interferometer.port_matrices(s_x, s_y, s_z, unitary, betas)
+    m = interferometer._port_matrices(s_x, s_y, s_z, unitary, betas)
     spacing = 1e-3
-    for offsets in (spacing * duality._SAMPLE_INDEX, np.array([0.5 * spacing])):
+    for offsets in (spacing * interferometer._SAMPLE_INDEX, np.array([0.5 * spacing])):
         half = 0.5 * (offsets[-1] + spacing)
         lo = np.concatenate(
             [np.full(len(m), -half), np.full(len(m), TWO_PI - half), rng.uniform(0, TWO_PI, len(m))]
         )
         work = np.empty((2, 3 * len(m), len(offsets)))
-        values = duality._bracket_probabilities(np.concatenate([m] * 3), lo, offsets, work)
+        values = interferometer._bracket_probabilities(np.concatenate([m] * 3), lo, offsets, work)
         for (state, det, beta), base, row in zip(cases * 3, lo, values):
             for offset, value in zip(offsets, row):
                 rho = evolve(state, det, beta, PhaseShift(base + offset))
@@ -288,7 +296,7 @@ def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     rng = np.random.default_rng(73)
     dets = [draw_detector(rng) for _ in range(2)]
     inputs = []
-    for det, n, grid_size in zip(dets, (2 * duality._SCAN_CHUNK + 1, 5), (4096, 512)):
+    for det, n, grid_size in zip(dets, (2 * interferometer._SCAN_CHUNK + 1, 5), (4096, 512)):
         (s_x, s_y, s_z), betas = stack([(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])
         inputs.append((s_x, s_y, s_z, det.unitary, betas, grid_size))
     first = [visibility_scans(*args) for args in inputs]
@@ -690,6 +698,36 @@ def test_residual_frozen_value_and_two_route_agreement():
 def test_residual_undefined_on_dark_port():
     with pytest.raises(DarkPortError):
         complementarity_residual(BlochState(-1, 0, 0), 0.5, BeamSplitterAngle(0.0))
+
+
+def test_report_accepts_lam_slack_above_one():
+    # lam - 1 = 1.0e-12 is within BLOCH_NORM_TOL; the closed forms used to
+    # amplify it into a residual of -4.94e-10, below RESIDUAL_FLOOR.
+    state = BlochState(-0.999, 0.0, math.sqrt(1 + 1e-12 - 0.999**2))
+    assert 1.0 < state.lam <= 1.0 + BLOCH_NORM_TOL
+    rep = duality_report(state, DetectorConfig(1.0), BeamSplitterAngle(0.05))
+    assert rep.residual == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=-0.999, max_value=0.999),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.floats(min_value=0.0, max_value=BLOCH_NORM_TOL, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=math.pi),
+)
+def test_lam_slack_above_one_counts_as_a_pure_state(s_x, angle, excess, a, beta_value):
+    r = math.sqrt(1.0 + excess - s_x * s_x)
+    state = BlochState(s_x, r * math.sin(angle), r * math.cos(angle))
+    assume(1.0 < state.lam)
+    beta = BeamSplitterAngle(beta_value)
+    rep = duality_report(state, DetectorConfig(a), beta)
+    assert rep.residual == 0.0
+    assert abs(rep.visibility**2 + rep.distinguishability**2 - 1.0) <= 1e-12
+    point = (s_x, state.lam, state.yz_norm)
+    columns = closed_form_lengths(*(np.array([v]) for v in point))
+    assert [float(c[0]) for c in columns] == list(closed_form_lengths(*point))
 
 
 # --- peaks and valleys -----------------------------------------------------------------

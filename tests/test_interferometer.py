@@ -31,6 +31,7 @@ from mzi_duality.interferometer import (
     evolve_stack,
     marking_unitaries,
     phase_probe,
+    port_extrema,
 )
 from mzi_duality.linalg import DensityOperator, partial_trace_path
 
@@ -407,6 +408,21 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
         for phi, p in zip(phis, batch):
             scalar = detection_probability_numeric(evolve(state, det, beta, PhaseShift(phi)))
             assert abs(p - scalar) <= 1e-14
+
+
+def test_port_extrema_bound_every_probe_value():
+    # One point past a block, so the second block reuses the work arrays.
+    # Both sides of each comparison are sums of 16 terms of modulus at most
+    # 1, each rounding by at most 16 eps.
+    rng = np.random.default_rng(43)
+    points = [draw_point(rng)[:3] for _ in range(interferometer._SCAN_CHUNK + 1)]
+    s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
+    unitary = np.stack([det.unitary for _, det, _ in points])
+    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points], 4096)
+    slack = 2 * 16 * np.finfo(float).eps
+    for (state, det, beta), hi, lo in zip(points, p_max, p_min):
+        values = phase_probe(state, det, beta)(rng.uniform(0.0, 2 * math.pi, 300))
+        assert lo - slack <= values.min() and values.max() <= hi + slack
 
 
 # --- the scan grid's cached phase-product table -----------------------------------
