@@ -28,7 +28,6 @@ from .duality import (
     path_weights,
     port_is_dark,
     residual_kernel,
-    splitter_trig,
     visibility_kernel,
     visibility_scans,
     weights_kernel,
@@ -42,7 +41,7 @@ from .interferometer import (
     DetectorConfig,
     _yz_norms,
     bloch_length_message,
-    port_denominator,
+    port_terms,
 )
 from .verify import RunConfig, all_passed, run_verification
 
@@ -159,8 +158,7 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
     kernel_lam, yz = closed_form_lengths(s_x, bloch_lam, _yz_norms(s_y, s_z))
     a = spec.a_overlap
-    sin_beta, cos_beta = splitter_trig(beta)
-    den = port_denominator(s_x, cos_beta)
+    sin_beta, den = port_terms(s_x, beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_a, omega_b = weights_kernel(s_x, beta, den)
@@ -210,8 +208,7 @@ def _figure_table(quantity: str, swept: str, lam: float, a_overlap: float) -> li
     params = [_fmt(p) for p in grid.tolist()]
     for label, fixed in curves:
         s_x, beta = (grid, fixed) if swept == "s_x" else (fixed, grid)
-        sin_beta, cos_beta = splitter_trig(beta)
-        den = port_denominator(s_x, cos_beta)
+        sin_beta, den = port_terms(s_x, beta)
         if quantity == "V":
             yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
             values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)

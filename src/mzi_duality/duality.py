@@ -25,11 +25,12 @@ from .errors import (
 )
 from .interferometer import (
     _DETECTOR_START,
+    BLOCH_NORM_TOL,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
-    port_denominator,
     port_extrema,
+    port_terms,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
 from .linalg import _trace_norms, hermitian_eig2, trace_norm
@@ -49,19 +50,8 @@ WEIGHT_RANGE_MESSAGE = "{name} out of [0, 1]: {value!r}"
 WEIGHT_SUM_MESSAGE = "path weights must sum to 1"
 
 
-def splitter_trig(beta):
-    """(sin beta, cos beta) of a splitter angle or an array of them.
-
-    The closest double to the half-turn boundary is treated as an exact half
-    turn, so the boundary statements V=0, D=1, residual=0 hold exactly.
-    """
-    if isinstance(beta, np.ndarray):
-        return np.where(beta == math.pi, 0.0, np.sin(beta)), np.cos(beta)
-    return (0.0 if beta == math.pi else math.sin(beta)), math.cos(beta)
-
-
 def port_is_dark(den):
-    """Whether a port denominator (interferometer.port_denominator), or each
+    """Whether a port denominator (interferometer.port_terms), or each
     of an array of them, leaves the monitored port dark, so that V, D, the
     residual and the path weights are undefined there."""
     return den <= DENOMINATOR_TOL
@@ -76,8 +66,7 @@ def _lit_port(s_x, beta):
     failing = np.any if isinstance(s_x, np.ndarray) else bool
     if failing(abs(s_x) > 1.0 + WEIGHT_TOL):
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    sin_beta, cos_beta = splitter_trig(beta)
-    den = port_denominator(s_x, cos_beta)
+    sin_beta, den = port_terms(s_x, beta)
     if failing(port_is_dark(den)):
         raise DarkPortError(DARK_PORT)
     return sin_beta, den
@@ -98,12 +87,11 @@ def closed_form_lengths(s_x, lam, yz):
 
 
 # The closed forms for V, D, the residual and the path weights, written once.
-# Arguments are scalars or broadcastable arrays; callers supply the trig
-# (splitter_trig) and the port denominator den = 1 + s_x cos(beta)
-# (port_denominator), and check the latter with port_is_dark (the scalar API
-# and verify through _lit_port). V comes back unclipped. Squares are written
-# as products, which round the same for floats and arrays (a float's ** 2
-# goes through pow).
+# Arguments are scalars or broadcastable arrays; callers supply sin(beta) and
+# den = 1 + s_x cos(beta) from interferometer.port_terms, and check den with
+# port_is_dark (the scalar API and verify's stacked suites through _lit_port;
+# verify's extremum oracles run them on lattices). V comes back unclipped.
+# Squares are products, which round the same for floats and arrays (** uses pow).
 
 
 def visibility_kernel(yz, a_overlap, sin_beta, den):
@@ -363,7 +351,7 @@ def visibility_peak_fixed_beta(
     """Location and value of the visibility peak over s_x at a fixed splitter angle."""
     require_finite(lam=lam, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    require_in_range("lam", lam, hi=1.0 + WEIGHT_TOL)
+    require_in_range("lam", lam, hi=1.0 + BLOCH_NORM_TOL)
     if not 0.0 < beta.beta < math.pi:
         raise InvalidInputError("peak over s_x requires beta strictly inside (0, pi)")
     if lam == 0.0:
@@ -379,9 +367,7 @@ def visibility_peak_fixed_beta(
     return -lam * cos_beta, min(max(v_star, 0.0), 1.0)
 
 
-def visibility_peak_fixed_sx(
-    s_x: float, lam: float, a_overlap: float
-) -> tuple[float, float]:
+def visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[float, float]:
     """Location and value of the visibility peak over the splitter angle at fixed s_x."""
     require_finite(s_x=s_x, lam=lam, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
@@ -389,15 +375,14 @@ def visibility_peak_fixed_sx(
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
     if abs(s_x) == 1.0:
         raise NoExtremumError("visibility is identically zero when the path is certain")
-    if not s_x * s_x <= lam <= 1.0 + WEIGHT_TOL:
+    if not s_x * s_x <= lam <= 1.0 + BLOCH_NORM_TOL:
         raise InvalidInputError("lam must satisfy s_x^2 <= lam <= 1")
-    beta_star = math.acos(-s_x)
-    v_star = (
-        a_overlap
-        * math.sqrt(max(lam - s_x * s_x, 0.0))
-        / math.sqrt((1.0 - s_x) * (1.0 + s_x))
-    )
-    return beta_star, v_star
+    # A sqrt((lam - s_x^2) / (1 - s_x^2)), lam - s_x^2 written without its
+    # cancellation as (lam - 1) + (1 - s_x)(1 + s_x): the ratio is at most 1,
+    # and exactly 1 for a pure state (lam's slack above 1 included), so v_star <= A.
+    transverse = (1.0 - s_x) * (1.0 + s_x)
+    ratio = max((min(lam, 1.0) - 1.0) + transverse, 0.0) / transverse
+    return math.acos(-s_x), a_overlap * math.sqrt(ratio)
 
 
 def distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, float]:

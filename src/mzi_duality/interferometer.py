@@ -329,21 +329,26 @@ def detection_probability_numeric(rho_f: DensityOperator) -> float:
     return float(_port_a_probabilities(rho_f.matrix))
 
 
-def port_denominator(s_x, cos_beta):
-    """The port-a intensity scale 1 + s_x cos(beta), of scalars or arrays.
+def port_terms(s_x, beta):
+    """(sin beta, 1 + s_x cos beta) of a point, by math, or of arrays of points.
 
-    Twice the phase-averaged port-a probability; every closed form divides by
-    it, and the monitored port is dark where it vanishes.
+    The port denominator 1 + s_x cos beta is twice the phase-averaged port-a
+    probability: every closed form divides by it, and the monitored port is
+    dark where it vanishes. The closest double to pi counts as an exact half
+    turn, so the boundary statements V=0, D=1, residual=0 hold exactly.
     """
-    return 1.0 + s_x * cos_beta
+    if isinstance(beta, np.ndarray):
+        sin_beta, cos_beta = np.where(beta == math.pi, 0.0, np.sin(beta)), np.cos(beta)
+    else:
+        sin_beta, cos_beta = (0.0 if beta == math.pi else math.sin(beta)), math.cos(beta)
+    return sin_beta, 1.0 + s_x * cos_beta
 
 
 def _port_a_closed(s_x, yz_norm, alpha, a_overlap, gamma, beta, phi):
     # detection_probability_closed's formula, of floats or of 1-D arrays with
     # one entry per point.
-    base = 0.5 * port_denominator(s_x, np.cos(beta))
-    osc = 0.5 * a_overlap * yz_norm * np.sin(beta) * np.cos(alpha + gamma + 2.0 * phi)
-    return base + osc
+    sin_beta, den = port_terms(s_x, beta)
+    return 0.5 * den + 0.5 * a_overlap * yz_norm * sin_beta * np.cos(alpha + gamma + 2.0 * phi)
 
 
 def detection_probability_closed(

@@ -5,13 +5,13 @@ computes one quantity along two independent routes or checks one invariant,
 and reports the case count, failure count, and worst observed error. The
 suites live in one registry, ``CHECKS``, shared with the acceptance gate.
 Points are drawn one at a time, straight into floats, and stacked as
-columns; every suite but extremum_loci then evaluates all its draws in one
-stacked pass.
+columns; every suite then evaluates all its draws in one stacked pass.
+extremum_loci's grid oracles search their lattices for every draw at once,
+in two passes that return the exhaustive grid's argmax.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ from .interferometer import (
     evolve_closed_form_stack,
     evolve_stack,
     marking_unitaries,
-    port_denominator,
+    port_terms,
 )
 from .linalg import _hermitian_eig2s, check_densities, hermiticity_defect, trace_errors, trace_path
 
@@ -104,56 +104,71 @@ def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
     return s_x, s_y, s_z, u_overlap, gamma, delta, beta, phi
 
 
-# --- brute-force extremum oracles (the closed-form kernels on a fine grid) ---
+# --- brute-force extremum oracles, of floats or of 1-D arrays (one entry per point) ---
+
+_STRIDE = 64
 
 
-@functools.cache
-def _beta_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The splitter-angle grid and its trig do not depend on the draw; build
-    # them on first use (not at import) and share them read-only.
-    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
-    arrays = (beta, np.sin(beta), np.cos(beta))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+def _lattice(start, stop):
+    # np.arange(start, stop, GRID_STEP) of floats or (n, 1) columns, to the bit, as (points at
+    # indices k, last index): start, second = fl(start + GRID_STEP), then start + k * delta.
+    second = start + GRID_STEP
+    delta = second - start
+    last = np.ceil((stop - start) / GRID_STEP).astype(int) - 1
+    return lambda k: np.where(k > 1, start + k * delta, np.where(k == 1, second, start)), last
 
 
-def grid_visibility_peak_fixed_beta(
-    lam: float, a_overlap: float, beta: BeamSplitterAngle
-) -> tuple[float, float]:
-    """Argmax and max of V over s_x in [-sqrt(lam), sqrt(lam)] by exhaustive grid."""
-    r = math.sqrt(lam)
-    s_x = np.arange(-r, r + 0.5 * GRID_STEP, GRID_STEP)
-    yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
-    den = port_denominator(s_x, math.cos(beta.beta))
-    values = visibility_kernel(yz, a_overlap, math.sin(beta.beta), den)
-    k = int(np.argmax(values))
-    return float(s_x[k]), float(values[k])
+def _lattice_argmax(query, values_at, start, stop) -> tuple:
+    # The first argmax and the max over _lattice(start, stop) of values_at, which maps points
+    # broadcast against (n, 1) to (n, m) values: (n,) arrays, or floats for a query of floats.
+    # Pass 1 reads every _STRIDE-th point, pass 2 the _STRIDE on each side of its winner
+    # (clipped into the lattice): for one peak along the lattice, the exhaustive argmax.
+    points, last = _lattice(start, stop)
+
+    def best(k):
+        values = values_at(points(k))
+        pick = values.argmax(axis=1)[:, None]
+        k = np.broadcast_to(k, values.shape)
+        return np.take_along_axis(k, pick, axis=1), np.take_along_axis(values, pick, axis=1)
+
+    coarse, _ = best(np.minimum(np.arange(0, np.max(last) + 1, _STRIDE), last))
+    k, value = best(np.clip(coarse + np.arange(-_STRIDE, _STRIDE + 1), 0, last))
+    found = points(k)[:, 0], value[:, 0]
+    return found if np.ndim(query) else (float(found[0][0]), float(found[1][0]))
 
 
-def grid_visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[float, float]:
-    """Argmax and max of V over the splitter angle by exhaustive grid.
+def grid_visibility_peak_fixed_beta(lam, a_overlap, beta) -> tuple:
+    """Argmax and max of V over s_x in [-sqrt(lam), sqrt(lam)] at beta (radians), by grid."""
+    lam_c, a_c, beta_c = (np.reshape(x, (-1, 1)) for x in (lam, a_overlap, beta))
+    r = np.sqrt(lam_c)
 
-    Every grid point is evaluated on each call; the beta grid and its sine and
-    cosine are computed once and reused.
-    """
-    beta, sin_beta, cos_beta = _beta_grid()
-    yz = math.sqrt(max(lam - s_x * s_x, 0.0))
-    values = visibility_kernel(yz, a_overlap, sin_beta, port_denominator(s_x, cos_beta))
-    k = int(np.argmax(values))
-    return float(beta[k]), float(values[k])
+    def values_at(s_x):
+        yz = np.sqrt(np.maximum(lam_c - s_x * s_x, 0.0))
+        return visibility_kernel(yz, a_c, *port_terms(s_x, beta_c))
+
+    return _lattice_argmax(lam, values_at, -r, r + 0.5 * GRID_STEP)
 
 
-def grid_distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, float]:
-    """Argmin and min of D over the splitter angle by exhaustive grid.
+def grid_visibility_peak_fixed_sx(s_x, lam, a_overlap) -> tuple:
+    """Argmax and max of V over the beta lattice np.arange(GRID_STEP, pi, GRID_STEP)."""
+    s_x_c, lam_c, a_c = (np.reshape(x, (-1, 1)) for x in (s_x, lam, a_overlap))
+    yz = np.sqrt(np.maximum(lam_c - s_x_c * s_x_c, 0.0))
 
-    Every grid point is evaluated on each call; the beta grid and its sine and
-    cosine are computed once and reused.
-    """
-    beta, sin_beta, cos_beta = _beta_grid()
-    values = distinguishability_kernel(s_x, a_overlap, sin_beta, port_denominator(s_x, cos_beta))
-    k = int(np.argmin(values))
-    return float(beta[k]), float(values[k])
+    def values_at(beta):
+        return visibility_kernel(yz, a_c, *port_terms(s_x_c, beta))
+
+    return _lattice_argmax(s_x, values_at, GRID_STEP, math.pi)
+
+
+def grid_distinguishability_valley(s_x, a_overlap) -> tuple:
+    """Argmin and min of D over the beta lattice, as the argmax of -D."""
+    s_x_c, a_c = (np.reshape(x, (-1, 1)) for x in (s_x, a_overlap))
+
+    def values_at(beta):
+        return -distinguishability_kernel(s_x_c, a_c, *port_terms(s_x_c, beta))
+
+    beta, value = _lattice_argmax(s_x, values_at, GRID_STEP, math.pi)
+    return beta, -value
 
 
 # --- checks: errors(rng, draws) -> (one error per draw, skipped mask) ---
@@ -170,6 +185,11 @@ _Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma delta beta phi unit
 def _columns(rows) -> np.ndarray:
     # Rows of floats as contiguous columns, one per field.
     return np.array(rows, dtype=float).T.copy()
+
+
+def _uniform_columns(rng, draws, ranges) -> np.ndarray:
+    # One rng.uniform(low, high) call per range, in order, for each draw.
+    return _columns([[rng.uniform(low, high) for low, high in ranges] for _ in range(draws)])
 
 
 def _stack_points(rows) -> _Points:
@@ -356,12 +376,8 @@ def _measurement_basis_closed_form(rng, draws):
     # The printed closed-form basis assumes a real overlap and is numerically
     # singular at the domain edges, so the draws stay comfortably interior.
     # Per draw: the overlap, delta, then omega_a; gamma is 0.
-    a_overlap, delta, omega_a = _columns(
-        [
-            (rng.uniform(0.05, 0.95), rng.uniform(0.0, TWO_PI), rng.uniform(0.05, 0.95))
-            for _ in range(draws)
-        ]
-    )
+    ranges = ((0.05, 0.95), (0.0, TWO_PI), (0.05, 0.95))
+    a_overlap, delta, omega_a = _uniform_columns(rng, draws, ranges)
     omega_b = 1.0 - omega_a
     gamma = np.zeros(draws)
     unitary = marking_unitaries(a_overlap, gamma, delta)
@@ -397,11 +413,11 @@ def _complementarity(rng, draws):
 
 
 def _eig_reconstruction(rng, draws):
-    h = np.empty((draws, 2, 2), dtype=complex)
-    for k in range(draws):
-        diag = rng.uniform(-1.0, 1.0, size=2)
-        off = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        h[k] = [[diag[0], off], [off.conjugate(), diag[1]]]
+    # Per draw: the two diagonal entries, then the off-diagonal's real and
+    # imaginary parts.
+    first, second, real, imag = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
+    off = real + 1j * imag
+    h = np.array([[first, off], [off.conj(), second]], dtype=complex).transpose(2, 0, 1)
     values, vectors = _hermitian_eig2s(h)
     adjoint = vectors.conj().swapaxes(1, 2)
     rebuilt = (vectors * values[:, None, :]) @ adjoint
@@ -411,27 +427,24 @@ def _eig_reconstruction(rng, draws):
 
 
 def _extremum_loci(rng, draws):
-    # Per draw: each grid oracle walks its own exhaustive grid, so stacking
-    # the draws would not reduce the elementwise work.
-    errors = np.empty(draws)
-    for k in range(draws):
-        lam = float(rng.uniform(0.05, 1.0))
-        a_overlap = float(rng.uniform(0.05, 1.0))
-        beta = BeamSplitterAngle(float(rng.uniform(0.05, math.pi - 0.05)))
-        s_x = float(rng.uniform(-0.95, 0.95)) * math.sqrt(lam)
-
-        sx_pred, _ = visibility_peak_fixed_beta(lam, a_overlap, beta)
-        sx_grid, _ = grid_visibility_peak_fixed_beta(lam, a_overlap, beta)
-        beta_pred, _ = visibility_peak_fixed_sx(s_x, lam, a_overlap)
-        beta_grid, _ = grid_visibility_peak_fixed_sx(s_x, lam, a_overlap)
-        valley_pred, _ = distinguishability_valley(s_x, a_overlap)
-        valley_grid, _ = grid_distinguishability_valley(s_x, a_overlap)
-        errors[k] = max(
-            abs(sx_grid - sx_pred),
-            abs(beta_grid - beta_pred),
-            abs(valley_grid - valley_pred),
-        )
-    return _none_skipped(errors)
+    # Per draw: lam, the overlap, beta, and s_x / sqrt(lam). The scalar API
+    # predicts each draw's loci; each grid oracle searches every draw at once.
+    ranges = ((0.05, 1.0), (0.05, 1.0), (0.05, math.pi - 0.05), (-0.95, 0.95))
+    lam, a, beta, share = _uniform_columns(rng, draws, ranges)
+    s_x = share * np.sqrt(lam)
+    lams, overlaps, betas, xs = (c.tolist() for c in (lam, a, beta, s_x))
+    angles = map(BeamSplitterAngle, betas)
+    predicted = [
+        [visibility_peak_fixed_beta(*p)[0] for p in zip(lams, overlaps, angles)],
+        [visibility_peak_fixed_sx(*p)[0] for p in zip(xs, lams, overlaps)],
+        [distinguishability_valley(*p)[0] for p in zip(xs, overlaps)],
+    ]
+    found = [
+        grid_visibility_peak_fixed_beta(lam, a, beta)[0],
+        grid_visibility_peak_fixed_sx(s_x, lam, a)[0],
+        grid_distinguishability_valley(s_x, a)[0],
+    ]
+    return _none_skipped(np.abs(np.array(found) - predicted).max(axis=0))
 
 
 # --- the registry ---

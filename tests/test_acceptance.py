@@ -114,7 +114,7 @@ def test_criterion_6_extremum_loci():
         for beta_value in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
             beta = BeamSplitterAngle(beta_value)
             predicted, _ = visibility_peak_fixed_beta(lam, THIRD, beta)
-            found, _ = grid_visibility_peak_fixed_beta(lam, THIRD, beta)
+            found, _ = grid_visibility_peak_fixed_beta(lam, THIRD, beta.beta)
             worst = max(worst, abs(found - predicted))
 
     # visibility peaks over the splitter angle at fixed s_x

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -719,8 +720,10 @@ def test_report_accepts_lam_slack_above_one():
 )
 def test_lam_slack_above_one_counts_as_a_pure_state(s_x, angle, excess, a, beta_value):
     r = math.sqrt(1.0 + excess - s_x * s_x)
-    state = BlochState(s_x, r * math.sin(angle), r * math.cos(angle))
-    assume(1.0 < state.lam)
+    s_y, s_z = r * math.sin(angle), r * math.cos(angle)
+    # Rounding can carry the length past the slack BlochState admits.
+    assume(1.0 < s_x * s_x + s_y * s_y + s_z * s_z <= 1.0 + BLOCH_NORM_TOL)
+    state = BlochState(s_x, s_y, s_z)
     beta = BeamSplitterAngle(beta_value)
     rep = duality_report(state, DetectorConfig(a), beta)
     assert rep.residual == 0.0
@@ -766,7 +769,7 @@ def test_peak_fixed_beta_matches_closed_form_expression():
 def test_peak_fixed_beta_agrees_with_grid_search():
     beta = BeamSplitterAngle(2 * math.pi / 5)
     s_x_star, v_star = visibility_peak_fixed_beta(0.36, THIRD, beta)
-    s_x_grid, v_grid = grid_visibility_peak_fixed_beta(0.36, THIRD, beta)
+    s_x_grid, v_grid = grid_visibility_peak_fixed_beta(0.36, THIRD, beta.beta)
     assert abs(s_x_grid - s_x_star) <= 1e-3
     assert v_grid <= v_star + 1e-12
 
@@ -788,6 +791,29 @@ def test_peak_fixed_sx_location_and_value():
     for s_x in (-0.8, 0.1, 0.6):
         _, v_star = visibility_peak_fixed_sx(s_x, 1.0, THIRD)
         assert v_star == pytest.approx(THIRD, abs=1e-12)
+
+
+def test_peak_fixed_sx_is_at_most_the_overlap_next_to_a_certain_path():
+    # lam - s_x^2 cancels next to |s_x| = 1: lam's slack above 1, and even
+    # lam = 1 exactly, used to put the peak above A (1.00000025 and
+    # 1.00000000025 here). A pure state's peak is A exactly.
+    assert visibility_peak_fixed_sx(0.999999, 1.0 + 1e-12, 1.0) == (math.acos(-0.999999), 1.0)
+    assert visibility_peak_fixed_sx(0.999999999, 1.0, 1.0)[1] == 1.0
+    rng = np.random.default_rng(73)
+    for _ in range(5000):
+        s_x = math.copysign(1.0 - 10.0 ** rng.uniform(-15.0, -1.0), rng.uniform(-1.0, 1.0))
+        a = float(rng.uniform(0.0, 1.0))
+        pure = (1.0, 1.0 + float(rng.uniform(0.0, 1e-12)))[int(rng.integers(2))]
+        mixed = s_x * s_x + (1.0 - s_x * s_x) * float(rng.uniform(0.0, 1.0))
+        assert visibility_peak_fixed_sx(s_x, pure, a)[1] == a
+        _, v_star = visibility_peak_fixed_sx(s_x, mixed, a)
+        assert v_star <= a
+        # Against the exact (lam - s_x^2) / (1 - s_x^2) of the same floats.
+        with localcontext() as context:
+            context.prec = 60
+            exact = (Decimal(mixed) - Decimal(s_x) ** 2) / (1 - Decimal(s_x) ** 2)
+        if a > 0.0:
+            assert abs((v_star / a) ** 2 - float(exact)) <= 1e-14
 
 
 def test_peak_fixed_sx_agrees_with_grid_search():

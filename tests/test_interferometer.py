@@ -32,6 +32,7 @@ from mzi_duality.interferometer import (
     marking_unitaries,
     phase_probe,
     port_extrema,
+    port_terms,
 )
 from mzi_duality.linalg import DensityOperator, partial_trace_path
 
@@ -353,6 +354,30 @@ def test_detection_probability_closed_at_full_transmission():
     for phi in (0.0, 1.0, 2.5):
         p = detection_probability_closed(state, det, beta, PhaseShift(phi))
         assert p == pytest.approx(0.5 * (1 + state.s_x), abs=1e-15)
+
+
+def test_port_terms_of_arrays_are_the_float_terms_per_point():
+    rng = np.random.default_rng(31)
+    s_x = np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, 1.0, 0.5, -0.5, 0.0]])
+    edges = [0.0, math.nextafter(0.0, 1.0), math.pi / 2, math.nextafter(math.pi, 0.0), math.pi]
+    beta = np.concatenate([rng.uniform(0.0, math.pi, 500), edges])
+    sin_beta, den = port_terms(s_x, beta)
+    per_point = [port_terms(x, b) for x, b in zip(s_x.tolist(), beta.tolist())]
+    assert list(zip(sin_beta.tolist(), den.tolist())) == per_point
+
+
+def test_port_terms_take_the_half_turn_as_exact():
+    # sin(pi) in floats is 1.2e-16; the boundary takes it as 0 on both paths.
+    assert port_terms(0.3, math.pi) == (0.0, 1.0 - 0.3)
+    sin_beta, den = port_terms(np.array([0.3, -0.5]), np.array([math.pi, math.pi]))
+    assert sin_beta.tolist() == [0.0, 0.0]
+    assert den.tolist() == [1.0 - 0.3, 1.0 + 0.5]
+    # At the half turn the fringe vanishes: the port-a probability is
+    # (1 - s_x) / 2 at every phase.
+    state, det = BlochState(0.3, 0.5, -0.2), DetectorConfig(0.6, 0.9, 0.1)
+    for phi in (0.0, 0.7, 2.0, 5.5):
+        p = detection_probability_closed(state, det, BeamSplitterAngle(math.pi), PhaseShift(phi))
+        assert p == 0.5 * (1.0 - 0.3)
 
 
 def test_detection_probability_mean_over_phase_grid():

@@ -9,12 +9,24 @@ from mzi_duality.duality import distinguishability_kernel
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
+    grid_visibility_peak_fixed_beta,
     grid_visibility_peak_fixed_sx,
 )
 
+# The per-call exhaustive references: every lattice point from np.arange,
+# evaluated on every call.
+
+
+def per_call_peak_fixed_beta(lam, a_overlap, beta):
+    r = math.sqrt(lam)
+    s_x = np.arange(-r, r + 0.5 * GRID_STEP, GRID_STEP)
+    amp = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
+    values = a_overlap * math.sin(beta) * amp / (1.0 + s_x * math.cos(beta))
+    k = int(np.argmax(values))
+    return float(s_x[k]), float(values[k])
+
 
 def per_call_peak_fixed_sx(s_x, lam, a_overlap):
-    # Reference: the beta grid and its trig rebuilt on every call.
     beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
     amp = math.sqrt(max(lam - s_x * s_x, 0.0))
     values = a_overlap * np.sin(beta) * amp / (1.0 + s_x * np.cos(beta))
@@ -29,27 +41,66 @@ def per_call_valley(s_x, a_overlap):
     return float(beta[k]), float(values[k])
 
 
-def test_beta_grid_is_built_once_and_read_only():
-    first = verify._beta_grid()
-    second = verify._beta_grid()
-    assert len(first) == 3
-    for a, b in zip(first, second):
-        assert a is b
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-
-
-def test_grid_oracles_match_per_call_grid_exactly():
+def oracle_points():
+    # (lam, s_x, a_overlap, beta): random points, then peaks at or next to
+    # both ends of each lattice (|s_x| -> 1; beta next to 0 and pi), A = 1,
+    # and s_x lattices shorter than one 64-point stride.
     rng = np.random.default_rng(2024)
+    points = []
     for _ in range(200):
         lam = float(rng.uniform(0.0, 1.0))
         s_x = float(rng.uniform(-1.0, 1.0)) * math.sqrt(lam)
-        a_overlap = float(rng.uniform(0.0, 1.0))
+        points.append((lam, s_x, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, math.pi))))
+    for sign in (-1.0, 1.0):
+        # The beta peak and valley at an end of the beta lattice.
+        for gap in (1e-12, 1e-9, 1e-6, 3e-4):
+            points.append((1.0, sign * (1.0 - gap), 0.7, 2.0))
+        # The s_x peak at an end of the s_x lattice (closer to 0 or pi, the
+        # end point's port would be dark).
+        for gap in (1e-7, 1e-5, 3e-4):
+            points.append((1.0, 0.2 * sign, 1.0, 0.5 * math.pi - sign * (0.5 * math.pi - gap)))
+    for lam in (0.0, 1e-12, 1e-9, 1e-6, 9e-6, 4e-5):
+        points.append((lam, 0.3 * math.sqrt(lam), 1.0, 2.0))
+        points.append((lam, -math.sqrt(lam), 0.4, 0.1))
+    return points
+
+
+def test_grid_oracles_match_per_call_grid_exactly():
+    points = oracle_points()
+    for lam, s_x, a_overlap, beta in points:
+        assert grid_visibility_peak_fixed_beta(lam, a_overlap, beta) == per_call_peak_fixed_beta(
+            lam, a_overlap, beta
+        )
         assert grid_visibility_peak_fixed_sx(s_x, lam, a_overlap) == per_call_peak_fixed_sx(
             s_x, lam, a_overlap
         )
         assert grid_distinguishability_valley(s_x, a_overlap) == per_call_valley(s_x, a_overlap)
+    # One stacked call per oracle returns the per-point calls' floats.
+    lam, s_x, a_overlap, beta = (np.array(column) for column in zip(*points))
+    stacked = [
+        grid_visibility_peak_fixed_beta(lam, a_overlap, beta),
+        grid_visibility_peak_fixed_sx(s_x, lam, a_overlap),
+        grid_distinguishability_valley(s_x, a_overlap),
+    ]
+    per_point = [
+        [grid_visibility_peak_fixed_beta(*p) for p in zip(lam, a_overlap, beta)],
+        [grid_visibility_peak_fixed_sx(*p) for p in zip(s_x, lam, a_overlap)],
+        [grid_distinguishability_valley(*p) for p in zip(s_x, a_overlap)],
+    ]
+    for (location, value), calls in zip(stacked, per_point):
+        assert location.shape == value.shape == (len(points),)
+        assert list(zip(location.tolist(), value.tolist())) == calls
+
+
+def test_lattice_is_np_arange_to_the_bit():
+    rng = np.random.default_rng(8)
+    lams = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-16.0, -4.0, 300)])
+    bounds = [(-math.sqrt(lam), math.sqrt(lam) + 0.5 * GRID_STEP) for lam in [0.0, 1.0, *lams]]
+    for start, stop in bounds + [(GRID_STEP, math.pi)]:
+        expected = np.arange(start, stop, GRID_STEP)
+        points, last = verify._lattice(start, stop)
+        assert last + 1 == len(expected)
+        np.testing.assert_array_equal(points(np.arange(last + 1)).view(np.int64), expected.view(np.int64))
 
 
 def register(monkeypatch, name, errors):
