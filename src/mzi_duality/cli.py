@@ -19,8 +19,6 @@ import numpy as np
 
 from .duality import (
     DARK_PORT,
-    DEFAULT_SCAN_GRID,
-    MIN_SCAN_GRID,
     closed_form_lengths,
     distinguishability_kernel,
     distinguishability_trace_norms,
@@ -104,7 +102,6 @@ class SweepSpec:
     gamma: float = 0.0
     delta: float = 0.0
     yz_angle: float = 0.0
-    scan_grid: int = DEFAULT_SCAN_GRID
     detector: DetectorConfig = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -119,8 +116,6 @@ class SweepSpec:
         object.__setattr__(
             self, "detector", DetectorConfig(self.a_overlap, self.gamma, self.delta)
         )
-        if self.scan_grid < MIN_SCAN_GRID:
-            raise InvalidInputError(f"scan grid must be at least {MIN_SCAN_GRID}")
         if self.swept == "s_x":
             if self.beta is None:
                 raise InvalidInputError("sweeping s_x requires a fixed beta")
@@ -162,7 +157,7 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_a, omega_b = weights_kernel(s_x, beta, den)
-        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta, spec.scan_grid)
+        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         columns = np.column_stack([
             visibility_kernel(yz, a, sin_beta, den).clip(0.0, 1.0),
             v_scan,
@@ -272,7 +267,6 @@ def _cmd_sweep(args) -> int:
         gamma=args.gamma,
         delta=args.delta,
         yz_angle=args.yz_angle,
-        scan_grid=args.scan_grid,
     )
     _write_lines(args.out, run_sweep(spec))
     return 0
@@ -379,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta", type=parse_angle, default=0.0)
     sweep.add_argument("--yz-angle", dest="yz_angle", type=parse_angle, default=0.0,
                        help="direction of the (s_y, s_z) share of lam")
-    sweep.add_argument("--scan-grid", dest="scan_grid", type=int, default=DEFAULT_SCAN_GRID,
-                       help="phase-grid size of the visibility scan oracle")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
 

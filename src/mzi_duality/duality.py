@@ -42,8 +42,6 @@ NORM_TOL = 1e-12
 BASIS_GAP_TOL = 1e-12
 COMPLEMENTARITY_TOL = 1e-10
 RESIDUAL_FLOOR = -1e-12
-MIN_SCAN_GRID = 64
-DEFAULT_SCAN_GRID = 4096
 
 DARK_PORT = "monitored port has zero intensity; V, D, the residual and the path weights are undefined"
 WEIGHT_RANGE_MESSAGE = "{name} out of [0, 1]: {value!r}"
@@ -204,21 +202,19 @@ def visibility_closed(
     return min(max(v, 0.0), 1.0)
 
 
-def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN_GRID):
+def visibility_scans(s_x, s_y, s_z, unitary, beta):
     """Fringe contrast of n points by explicit extremization over the phase dial.
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point. Returns
     ``(visibility, defined)``: the contrast (p_max - p_min) / (p_max + p_min)
-    of each point's port-a extrema over a ``grid_size``-point phase grid
+    of each point's port-a extrema over the phase dial
     (interferometer.port_extrema, which holds the search), with ``defined``
     False, and the visibility NaN, where p_max + p_min, the scan's own port
     denominator, leaves the port dark (port_is_dark; contrast 0/0).
     """
-    if grid_size < MIN_SCAN_GRID:
-        raise InvalidInputError(f"grid_size must be at least {MIN_SCAN_GRID}")
-    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, beta, grid_size)
+    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, beta)
     total = p_max + p_min
     defined = ~port_is_dark(total)
     visibility = np.full(len(total), np.nan)
@@ -226,22 +222,18 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size: int = DEFAULT_SCAN
     return visibility, defined
 
 
-def visibility_scan(
-    state: BlochState,
-    det: DetectorConfig,
-    beta: BeamSplitterAngle,
-    grid_size: int = DEFAULT_SCAN_GRID,
-) -> float:
+def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle) -> float:
     """Fringe contrast measured by explicit extremization over the phase dial.
 
     The one-point case of visibility_scans: the port-a probability through
-    the full operator pipeline on a uniform phase grid over [0, 2*pi), then
-    both extrema refined to interferometer.PHASE_REFINE_TOL, every sampled
-    phase summing all 16 terms of the pipeline's quadratic form. Serves as
-    the independent oracle for visibility_closed.
+    the full operator pipeline, its maximum and minimum each found by
+    bracket refinement from the full turn [0, 2*pi] down to
+    interferometer.PHASE_REFINE_TOL, every sampled phase summing all 16
+    terms of the pipeline's quadratic form. Serves as the independent oracle
+    for visibility_closed.
     """
     visibility, defined = visibility_scans(
-        [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], grid_size
+        [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]
     )
     if not defined[0]:
         raise DarkPortError(DARK_PORT)
@@ -357,14 +349,16 @@ def visibility_peak_fixed_beta(
     if lam == 0.0:
         raise NoExtremumError("visibility is identically zero for a maximally mixed input")
     sin_beta, cos_beta = math.sin(beta.beta), math.cos(beta.beta)
-    # A sin(beta) sqrt(lam) / sqrt(1 - lam cos^2(beta)), not V at the peak,
-    # whose 1 + s_x_star cos(beta) cancels next to beta = 0 and pi; lam's
-    # rounding slack above 1 counts as a pure state (closed_form_lengths).
+    # The peak sits at s_x = -lam cos(beta), with value A sin(beta) sqrt(lam)
+    # / sqrt(1 - lam cos^2(beta)), not V at the peak, whose 1 + s_x_star
+    # cos(beta) cancels next to beta = 0 and pi. In both, lam's rounding
+    # slack above 1 counts as a pure state (closed_form_lengths), which keeps
+    # the location in [-1, 1].
     pure = min(lam, 1.0)
     v_star = a_overlap * math.sqrt(pure) * sin_beta / math.sqrt(
         sin_beta * sin_beta + (1.0 - pure) * cos_beta * cos_beta
     )
-    return -lam * cos_beta, min(max(v_star, 0.0), 1.0)
+    return -pure * cos_beta, min(max(v_star, 0.0), 1.0)
 
 
 def visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[float, float]:

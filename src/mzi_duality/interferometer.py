@@ -373,16 +373,21 @@ def detection_probability_closed(
 # --- the phase search ----------------------------------------------------------
 
 PHASE_REFINE_TOL = 1e-12
-# Interior samples per bracket and refinement round. Narrowing a bracket to
-# its best sample +- one spacing shrinks it by (n + 1) / 2 = 16 per round, so
-# a default scan refines in 8 rounds. Each round costs about the same as the
-# whole cached 4096-point grid, so 31 samples beat 15 (11 rounds) end to end.
+# Interior samples per bracket and refinement round. The port-a probability
+# has only the frequencies 0 and 2 in phi (a constant plus one fringe of
+# period pi), so the first round's 31 samples over the full turn [0, 2*pi],
+# about 16 per period, already leave each extremum within one spacing of the
+# best sample. Narrowing a bracket to its best sample +- one spacing shrinks
+# it by (n + 1) / 2 = 16 per round, so a scan refines in 11 rounds.
 _REFINE_SAMPLES = 31
 _SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
-# Points per block: a block's grid probabilities, 32 x 4096 doubles, are 1 MB
-# (the scan's grid work array holds them and the second product, 2 MB), and
-# its refinement arrays a fraction of that, whatever the number of points.
-_SCAN_CHUNK = 32
+# Points per block. Each round costs a fixed few numpy calls per block, so
+# blocks of 32 points made a 1000-point scan about 2.7 times as slow as
+# blocks of 256, past which it no longer gets faster. A block's arrays stay
+# bounded, under 1 MB (the work array alone is 2 x 2 x 256 x 31 doubles);
+# one block of every point would take about 2 kB per point, 445 MB more for
+# a 200 000-row sweep.
+_SCAN_CHUNK = 256
 
 
 def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,18 +399,6 @@ def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d[2:] = phase.conj()
     table = (d[:, None, :] * d.conj()[None, :, :]).reshape(16, phase.size)
     return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
-
-
-@functools.cache
-def _scan_grid(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The uniform phase grid step * arange(grid_size), step = 2*pi/grid_size,
-    and its phase-product table (re, im): built once per grid size, on first
-    use, and read-only."""
-    grid = (TWO_PI / grid_size) * np.arange(grid_size)
-    arrays = (grid, *_phase_products(grid))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 def _port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
@@ -446,16 +439,16 @@ def _bracket_probabilities(m, lo, offsets, work) -> np.ndarray:
     return _probabilities_on(folded, *_phase_products(offsets), work[..., : len(offsets)])
 
 
-def _refine_extrema(m, phi_max, phi_min, step: float, work: np.ndarray):
-    # Bracket search on [phi - step, phi + step] around each point's grid
-    # maximum and minimum, all 2n brackets in one evaluation per round. Each
-    # bracket holds exactly one extremum of the (sinusoidal, hence locally
-    # unimodal) fringe, so the extremum lies within one spacing of the best
-    # sample.
+def _refine_extrema(m, work: np.ndarray):
+    # Bracket search for each point's maximum and minimum over the phase dial,
+    # all 2n brackets in one evaluation per round, every bracket starting as
+    # the full turn [0, 2*pi]. After the first round each bracket holds one
+    # extremum of the sinusoidal, hence locally unimodal, fringe, so the
+    # extremum lies within one spacing of the best sample.
     n = len(m)
     pairs = np.concatenate([m, m])
-    lo = np.concatenate([phi_max, phi_min]) - step
-    width = 2.0 * step
+    lo = np.zeros(2 * n)
+    width = TWO_PI
     while width > PHASE_REFINE_TOL:
         spacing = width / (_REFINE_SAMPLES + 1)
         offsets = spacing * _SAMPLE_INDEX
@@ -467,24 +460,7 @@ def _refine_extrema(m, phi_max, phi_min, step: float, work: np.ndarray):
     return refined[:n], refined[n:]
 
 
-def _scan_block(m, grid: tuple, grid_work, refine_work) -> tuple[np.ndarray, np.ndarray]:
-    # p_max and p_min of each folded point of a block: the probabilities on
-    # the grid (phases and phase-product table), then the refinement, each
-    # written into its own work array of the scan, keeping the grid value
-    # where it is better.
-    phis, re, im = grid
-    values = _probabilities_on(m, re, im, grid_work)
-    rows = np.arange(len(m))
-    k_max = values.argmax(axis=1)  # ties resolve toward the smallest phase
-    k_min = values.argmin(axis=1)
-    grid_max, grid_min = values[rows, k_max], values[rows, k_min]
-    refined_max, refined_min = _refine_extrema(
-        m, phis[k_max], phis[k_min], TWO_PI / len(phis), refine_work
-    )
-    return np.maximum(refined_max, grid_max), np.minimum(refined_min, grid_min)
-
-
-def port_extrema(s_x, s_y, s_z, unitary, beta, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def port_extrema(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
     """(p_max, p_min): the extrema over the phase dial of n points' port-a
     probability, found by explicit search; two arrays of shape (n,).
 
@@ -492,27 +468,22 @@ def port_extrema(s_x, s_y, s_z, unitary, beta, grid_size: int) -> tuple[np.ndarr
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point.
 
-    Folds all points at once (_port_matrices), then scans them in blocks of
-    _SCAN_CHUNK points. A block's probabilities on the uniform grid of
-    ``grid_size`` phases over [0, 2*pi) come from one product with the
-    grid's cached phase-product table. Its maxima and minima are then
-    refined together: each round samples every bracket at 31 interior
-    phases, through the same evaluator with each bracket's base phase
-    folded into its point's matrix, and narrows it to its best sample +-
-    one spacing, until the brackets are narrower than PHASE_REFINE_TOL.
-    Every sampled phase sums all 16 terms of the pipeline's quadratic form.
-    The grid and the refinement each write into one work array that the
-    call allocates once and every block reuses.
+    Folds all points at once (_port_matrices), then refines them in blocks
+    of _SCAN_CHUNK points. Each point's maximum and minimum start as one
+    bracket each over the full turn [0, 2*pi]; each round samples every
+    bracket at 31 interior phases, with each bracket's base phase folded
+    into its point's matrix, and narrows it to its best sample +- one
+    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
+    sampled phase sums all 16 terms of the pipeline's quadratic form. The
+    refinement writes into one work array that the call allocates once and
+    every block reuses.
     """
     m = _port_matrices(s_x, s_y, s_z, unitary, beta)
-    grid = _scan_grid(grid_size)
-    rows = min(len(m), _SCAN_CHUNK)
-    grid_work = np.empty((2, rows, grid_size))
-    refine_work = np.empty((2, 2 * rows, _REFINE_SAMPLES))
+    work = np.empty((2, 2 * min(len(m), _SCAN_CHUNK), _REFINE_SAMPLES))
     p_max, p_min = np.empty((2, len(m)))
     for start in range(0, len(m), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _scan_block(m[block], grid, grid_work, refine_work)
+        p_max[block], p_min[block] = _refine_extrema(m[block], work)
     return p_max, p_min
 
 

@@ -280,7 +280,7 @@ def _phase_invariance(rng, draws):
     # gamma and delta shift the fringe and the unobservable off-diagonal phase
     # of the marking unitary; neither measured quantity may move. Each draw
     # is scanned under its own and a re-phased detector: the draws, then
-    # their re-phased copies, 2 * draws points in one 512-grid pass.
+    # their re-phased copies, 2 * draws points in one stacked scan.
     rows, phases = [], []
     for _ in range(draws):
         rows.append(_draw_point(rng))
@@ -291,7 +291,7 @@ def _phase_invariance(rng, draws):
         np.tile(x, 2) for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(p.s_x, p.beta, den))
     )
     unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, *_columns(phases))])
-    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta, grid_size=512)
+    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
     norms = distinguishability_trace_norms(unitary, omega_a, omega_b)
     return _none_skipped(
         np.maximum(np.abs(scanned[:draws] - scanned[draws:]), np.abs(norms[:draws] - norms[draws:]))

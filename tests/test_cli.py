@@ -107,7 +107,7 @@ def test_report_accepts_pi_notation(capsys):
 def small_sx_spec(**overrides):
     base = dict(
         swept="s_x", lo=-0.6, hi=0.6, steps=13, lam=0.36,
-        a_overlap=1 / 3, beta=math.pi / 2, scan_grid=128,
+        a_overlap=1 / 3, beta=math.pi / 2,
     )
     base.update(overrides)
     return SweepSpec(**base)
@@ -160,7 +160,7 @@ def test_beta_sweep_finds_the_reference_valley():
     # A = 4/5 with s_x = 0.5: the minimum-D row sits at beta = 2pi/3 with D = 0.6
     spec = SweepSpec(
         swept="beta", lo=0.0, hi=math.pi, steps=201, lam=0.25,
-        a_overlap=0.8, s_x=0.5, scan_grid=128,
+        a_overlap=0.8, s_x=0.5,
     )
     rows = [[float(x) for x in line.split(",")] for line in run_sweep(spec)[1:]]
     best = min(rows, key=lambda row: row[3])
@@ -172,7 +172,7 @@ def test_beta_sweep_finds_the_reference_valley():
 def test_beta_sweep_endpoints_are_exact():
     spec = SweepSpec(
         swept="beta", lo=0.0, hi=math.pi, steps=9, lam=0.36,
-        a_overlap=1 / 3, s_x=0.5, scan_grid=128,
+        a_overlap=1 / 3, s_x=0.5,
     )
     lines = run_sweep(spec)
     first = [float(x) for x in lines[1].split(",")]
@@ -185,7 +185,7 @@ def test_sweep_emits_empty_fields_on_degenerate_points(capsys):
     # s_x = 1 is a valid pure input, but beta = pi darkens the monitored port
     spec = SweepSpec(
         swept="beta", lo=0.0, hi=math.pi, steps=5, lam=1.0,
-        a_overlap=0.5, s_x=1.0, scan_grid=128,
+        a_overlap=0.5, s_x=1.0,
     )
     lines = run_sweep(spec)
     assert lines[-1].endswith(",,,,,,,")
@@ -207,7 +207,7 @@ def scalar_sweep(spec):
             weights = path_weights(s_x, angle)
             row = [
                 visibility_closed(state, spec.a_overlap, angle),
-                visibility_scan(state, spec.detector, angle, grid_size=spec.scan_grid),
+                visibility_scan(state, spec.detector, angle),
                 distinguishability_closed(s_x, angle, spec.a_overlap),
                 distinguishability_trace_norm(spec.detector, weights),
                 complementarity_residual(state, spec.a_overlap, angle),
@@ -233,7 +233,7 @@ def scalar_sweep(spec):
         SweepSpec(swept="s_x", lo=-1.000000000001, hi=1.000000000001, steps=9,
                   lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
         SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
-                  a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7, scan_grid=256),
+                  a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7),
     ],
 )
 def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
@@ -259,7 +259,6 @@ def test_sweep_cli_writes_deterministic_csv(tmp_path):
     argv = [
         "sweep", "--param", "sx", "--lo", "-0.6", "--hi", "0.6", "--steps", "7",
         "--lam", "0.36", "--A", "0.3333333333333333", "--beta", "pi/2",
-        "--scan-grid", "128",
     ]
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
@@ -269,24 +268,10 @@ def test_sweep_cli_writes_deterministic_csv(tmp_path):
     assert b"\r" not in data
 
 
-def test_sweep_cli_rejects_scan_grid_below_minimum(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    argv = [
-        "sweep", "--param", "sx", "--lo", "-0.5", "--hi", "0.5", "--steps", "3",
-        "--lam", "0.36", "--A", "0.5", "--beta", "pi/2", "--scan-grid", "10",
-        "--out", str(out),
-    ]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "scan grid" in err
-    assert "degenerate" not in err
-    assert not out.exists()
-
-
 def test_sweep_cli_rejects_unwritable_output(tmp_path):
     argv = [
         "sweep", "--param", "beta", "--lo", "0", "--hi", "pi", "--steps", "3",
-        "--lam", "0.5", "--A", "0.5", "--sx", "0.1", "--scan-grid", "128",
+        "--lam", "0.5", "--A", "0.5", "--sx", "0.1",
         "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"),
     ]
     assert main(argv) == 2

@@ -149,7 +149,7 @@ def test_scan_matches_closed_form():
         state = draw_bloch_state(rng)
         det = draw_detector(rng)
         beta = draw_beta(rng)
-        scan = visibility_scan(state, det, beta, grid_size=256)
+        scan = visibility_scan(state, det, beta)
         closed = visibility_closed(state, det.a_overlap, beta)
         assert abs(scan - closed) <= 1e-9
 
@@ -160,21 +160,20 @@ def test_scan_is_invariant_under_detector_phases():
         state = draw_bloch_state(rng)
         beta = draw_beta(rng)
         a = rng.uniform()
-        base = visibility_scan(state, DetectorConfig(a, 0.0, 0.0), beta, grid_size=256)
+        base = visibility_scan(state, DetectorConfig(a, 0.0, 0.0), beta)
         other = visibility_scan(
             state,
             DetectorConfig(a, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)),
             beta,
-            grid_size=256,
         )
         assert abs(base - other) <= 1e-10
 
 
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """Phase arrays of each bracket evaluation a scan makes after its grid,
-    in order: each refinement round's brackets, then the refined extrema,
-    one row of absolute phases lo_j + offset_k per bracket."""
+    """Phase arrays of each bracket evaluation a scan makes, in order: each
+    refinement round's brackets, then the refined extrema, one row of
+    absolute phases lo_j + offset_k per bracket (maxima first, then minima)."""
     calls = []
     evaluate = interferometer._bracket_probabilities
 
@@ -191,28 +190,32 @@ def test_default_scan_makes_at_most_16_probe_calls(probe_calls):
     det = DetectorConfig(0.7, 0.3, 1.9)
     beta = BeamSplitterAngle(0.8)
     scan = visibility_scan(state, det, beta)
-    # The grid's one evaluation, then the refinement's.
-    assert 1 + len(probe_calls) <= 16
+    # 11 refinement rounds from the full turn, then the final evaluation: 12.
+    assert len(probe_calls) <= 16
     assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
 @pytest.mark.parametrize("extremum,offset", [("max", 0.0), ("min", math.pi)])
 def test_scan_refines_across_zero_phase(probe_calls, extremum, offset):
     # alpha = 0, so the fringe cos(gamma + 2*phi) peaks (or, shifted by pi,
-    # dips) at phi = -0.15 step, just below 0: that extremum sits at grid
-    # index 0 and its bracket [-step, step] crosses phi = 0. An odd grid keeps
-    # the twin extremum half a turn away off the grid, so index 0 wins outright.
-    grid_size = 4095
-    step = 2 * math.pi / grid_size
+    # dips) at phi = target mod pi: exactly at 0, the start of every bracket,
+    # and just below it, where the extremum's copies in [0, 2*pi] are
+    # pi - 1e-7 and 2*pi - 1e-7. Every sampled phase stays in the full turn,
+    # and the refined phase lands on a copy of the extremum.
     state = BlochState(0.1, 0.0, 0.9)
-    det = DetectorConfig(0.8, offset + 0.3 * step, 0.4)
     beta = BeamSplitterAngle(1.1)
-    scan = visibility_scan(state, det, beta, grid_size=grid_size)
-    grid, refinements = interferometer._scan_grid(grid_size)[0], probe_calls
-    values = phase_probe(state, det, beta)(grid)
-    assert (np.argmax(values) if extremum == "max" else np.argmin(values)) == 0
-    assert min(phis.min() for phis in refinements) < 0.0
-    assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
+    row = 0 if extremum == "max" else 1
+    for target in (0.0, -1e-7):
+        det = DetectorConfig(0.8, offset - 2.0 * target, 0.4)
+        probe = phase_probe(state, det, beta)
+        values = probe(target + np.array([-1e-3, 0.0, 1e-3]))
+        assert (np.argmax(values) if extremum == "max" else np.argmin(values)) == 1
+        probe_calls.clear()
+        scan = visibility_scan(state, det, beta)
+        assert all(0.0 <= phis.min() and phis.max() <= TWO_PI for phis in probe_calls)
+        refined = probe_calls[-1][row, 0]
+        assert abs(math.remainder(refined - target, math.pi)) <= 1e-6
+        assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
 # --- the stacked scan ---------------------------------------------------------------
@@ -244,7 +247,12 @@ def stack(points):
 @pytest.mark.parametrize(
     "n",
     [
+        # One point and partial blocks of several sizes, then one full block,
+        # one point past it, and two blocks and one point.
         1,
+        32,
+        33,
+        65,
         interferometer._SCAN_CHUNK,
         interferometer._SCAN_CHUNK + 1,
         2 * interferometer._SCAN_CHUNK + 1,
@@ -293,13 +301,13 @@ def test_bracket_evaluation_matches_the_pipeline():
 
 def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     # Each call owns its work array: a scan of many blocks followed by a
-    # smaller scan on another grid, and the reverse order, give the same bits.
+    # smaller scan, and the reverse order, give the same bits.
     rng = np.random.default_rng(73)
     dets = [draw_detector(rng) for _ in range(2)]
     inputs = []
-    for det, n, grid_size in zip(dets, (2 * interferometer._SCAN_CHUNK + 1, 5), (4096, 512)):
+    for det, n in zip(dets, (2 * interferometer._SCAN_CHUNK + 1, 5)):
         (s_x, s_y, s_z), betas = stack([(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])
-        inputs.append((s_x, s_y, s_z, det.unitary, betas, grid_size))
+        inputs.append((s_x, s_y, s_z, det.unitary, betas))
     first = [visibility_scans(*args) for args in inputs]
     second = [visibility_scans(*args) for args in reversed(inputs)][::-1]
     for (v1, d1), (v2, d2) in zip(first, second):
@@ -310,9 +318,11 @@ def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     platform.libc_ver()[0] != "glibc", reason="fault counts depend on glibc's allocator"
 )
 def test_scan_reuses_its_work_memory_across_blocks():
-    # A 241-point scan runs 8 blocks of 2 x 32 x 4096 doubles. Writing every
-    # block into the call's one work array keeps the minor page faults of a
-    # warm call far below the 512 pages that array spans.
+    # A 241-point scan, one block, allocates its refinement arrays, a few
+    # hundred kB, afresh in each of its 12 rounds: with glibc made to return
+    # freed memory at once, a warm call takes about 4500 minor page faults.
+    # The call's one work array and the allocator's reuse of freed heap keep
+    # a warm call far below that.
     code = textwrap.dedent(
         """
         import resource
@@ -343,18 +353,13 @@ def test_stacked_scan_flags_only_the_dark_port():
     points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),
               (BlochState(1.0, 0.0, 0.0), BeamSplitterAngle(math.pi))]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas, grid_size=256)
+    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
     assert defined.tolist() == [True, False]
     (lit, lit_beta), (dark, dark_beta) = points
-    assert abs(visibility[0] - visibility_scan(lit, det, lit_beta, grid_size=256)) <= 1e-15
+    assert abs(visibility[0] - visibility_scan(lit, det, lit_beta)) <= 1e-15
     assert math.isnan(visibility[1])
     with pytest.raises(UndefinedVisibilityError):
-        visibility_scan(dark, det, dark_beta, grid_size=256)
-
-
-def test_scan_rejects_small_grid():
-    with pytest.raises(InvalidInputError):
-        visibility_scan(BlochState(0, 0, 0), DetectorConfig(1.0), BeamSplitterAngle(1.0), grid_size=32)
+        visibility_scan(dark, det, dark_beta)
 
 
 def test_scan_undefined_on_dark_port():
@@ -744,6 +749,22 @@ def test_peak_fixed_beta_for_pure_states():
         s_x_star, v_star = visibility_peak_fixed_beta(lam, THIRD, BeamSplitterAngle(beta))
         assert s_x_star == pytest.approx(-lam * math.cos(beta), abs=1e-12)
         assert v_star == pytest.approx(THIRD, abs=1e-12)
+
+
+def test_peak_fixed_beta_location_stays_a_valid_s_x():
+    # lam's rounding slack above 1 used to carry into the location -lam
+    # cos(beta), which left [-1, 1] next to beta = 0 (-1.000000000000995
+    # here) and which BlochState then rejected. It counts as a pure state,
+    # and lam <= 1 keeps its location -lam cos(beta) bit for bit.
+    s_x_star, _ = visibility_peak_fixed_beta(1.0 + 1e-12, 0.5, BeamSplitterAngle(1e-7))
+    assert s_x_star == -math.cos(1e-7)
+    BlochState(s_x_star, 0.0, 0.0)
+    rng = np.random.default_rng(41)
+    cases = [(1.0, 1e-7), (1.0, math.pi - 1e-7), (0.36, HALF_PI)]
+    cases += [(rng.uniform(1e-3, 1.0), rng.uniform(1e-3, math.pi - 1e-3)) for _ in range(200)]
+    for lam, beta in cases:
+        s_x_star, _ = visibility_peak_fixed_beta(lam, 0.5, BeamSplitterAngle(beta))
+        assert s_x_star == -lam * math.cos(beta)
 
 
 def test_peak_fixed_beta_for_the_reference_mixed_state():

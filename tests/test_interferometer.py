@@ -1,9 +1,5 @@
 import cmath
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -443,67 +439,9 @@ def test_port_extrema_bound_every_probe_value():
     points = [draw_point(rng)[:3] for _ in range(interferometer._SCAN_CHUNK + 1)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
     unitary = np.stack([det.unitary for _, det, _ in points])
-    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points], 4096)
+    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
     slack = 2 * 16 * np.finfo(float).eps
     for (state, det, beta), hi, lo in zip(points, p_max, p_min):
         values = phase_probe(state, det, beta)(rng.uniform(0.0, 2 * math.pi, 300))
         assert lo - slack <= values.min() and values.max() <= hi + slack
 
-
-# --- the scan grid's cached phase-product table -----------------------------------
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def test_scan_grid_table_is_built_on_first_use_once_per_size():
-    # A fresh interpreter, so no earlier test has filled the cache.
-    code = textwrap.dedent(
-        """
-        import math
-        from collections import Counter
-        import mzi_duality
-        import mzi_duality.cli
-        from mzi_duality import interferometer as i
-
-        assert i._scan_grid.cache_info().currsize == 0
-        builds = Counter()
-        build = i._phase_products
-
-        def counting_phase_products(phis):
-            builds[phis.size] += 1
-            return build(phis)
-
-        i._phase_products = counting_phase_products
-        args = (
-            mzi_duality.BlochState(0.2, -0.4, 0.5),
-            mzi_duality.DetectorConfig(0.7, 0.3, 1.9),
-            mzi_duality.BeamSplitterAngle(0.8),
-        )
-        for grid_size in (4096, 4096, 512, 4096, 512):
-            mzi_duality.visibility_scan(*args, grid_size=grid_size)
-        info = i._scan_grid.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
-        assert builds[4096] == 1 and builds[512] == 1
-        print("ok")
-        """
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
-
-
-def test_scan_grid_and_its_table_are_read_only():
-    cached = interferometer._scan_grid(4096)
-    hits = interferometer._scan_grid.cache_info().hits
-    assert interferometer._scan_grid(4096) is cached
-    assert interferometer._scan_grid.cache_info().hits == hits + 1
-    grid, re, im = cached
-    np.testing.assert_array_equal(grid, (2 * math.pi / 4096) * np.arange(4096))
-    assert re.shape == im.shape == (16, 4096)
-    for arr in cached:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
