@@ -29,11 +29,12 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _marked_states,
     port_extrema,
     port_terms,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
-from .linalg import _trace_norms, hermitian_eig2, trace_norm
+from .linalg import IDENTITY_2, _trace_norms, hermitian_eig2, trace_norm
 
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -148,15 +149,18 @@ class MeasurementBasis:
     m_b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.m_a, dtype=complex)
-        b = np.asarray(self.m_b, dtype=complex)
+        # Copies, as DensityOperator takes, so the caller's arrays stay writable.
+        a, b = np.array(self.m_a, dtype=complex), np.array(self.m_b, dtype=complex)
         if a.shape != (2,) or b.shape != (2,):
             raise InvalidInputError("basis vectors must be complex 2-vectors")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        (a0, a1), (b0, b1) = a.tolist(), b.tolist()
+        parts = (a0.real, a0.imag, a1.real, a1.imag, b0.real, b0.imag, b1.real, b1.imag)
+        if not all(map(math.isfinite, parts)):
             raise InvalidInputError("basis vectors must be finite")
-        if abs(np.linalg.norm(a) - 1.0) > NORM_TOL or abs(np.linalg.norm(b) - 1.0) > NORM_TOL:
+        norm_a, norm_b = math.hypot(*parts[:4]), math.hypot(*parts[4:])
+        if abs(norm_a - 1.0) > NORM_TOL or abs(norm_b - 1.0) > NORM_TOL:
             raise InvalidInputError("basis vectors must be normalized")
-        if abs(np.vdot(a, b)) > ORTHONORMALITY_TOL:
+        if abs(a0.conjugate() * b0 + a1.conjugate() * b1) > ORTHONORMALITY_TOL:
             raise InvalidInputError("basis vectors must be orthogonal")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -248,13 +252,6 @@ def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     return PathWeights(float(omega_a), float(omega_b))
 
 
-def _detector_branches(unitary) -> tuple[np.ndarray, np.ndarray]:
-    # Detector states left by path b (unmarked, rho_d) and path a (marked,
-    # U rho_d U^dagger), for a (2, 2) marking unitary or an (n, 2, 2) stack.
-    u = np.asarray(unitary)
-    return _DETECTOR_START, u @ _DETECTOR_START @ u.conj().swapaxes(-1, -2)
-
-
 def distinguishability_closed(
     s_x: float, beta: BeamSplitterAngle, a_overlap: float
 ) -> float:
@@ -268,18 +265,17 @@ def distinguishability_closed(
     return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
-def _discrimination_operator(unitary, omega_a, omega_b) -> np.ndarray:
-    # omega_a * marked - omega_b * unmarked: one (2, 2) operator for float
-    # weights, or an (n, 2, 2) stack for 1-D arrays of them.
-    unmarked, marked = _detector_branches(unitary)
+def _discrimination_operator(marked, omega_a, omega_b) -> np.ndarray:
+    # omega_a * marked - omega_b * unmarked (the start state): a (2, 2) operator
+    # for float weights, an (n, 2, 2) stack for 1-D arrays (see _marked_states).
     if isinstance(omega_a, np.ndarray):
         omega_a, omega_b = omega_a[:, None, None], omega_b[:, None, None]
-    return omega_a * marked - omega_b * unmarked
+    return omega_a * marked - omega_b * _DETECTOR_START
 
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return trace_norm(_discrimination_operator(det.unitary, weights.omega_a, weights.omega_b))
+    return trace_norm(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b))
 
 
 def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
@@ -289,7 +285,7 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     (n, 2, 2) stack of them. The weights are taken as validated (see
     PathWeights); the trace norms come from one stacked 2x2 eigenvalue pass.
     """
-    return _trace_norms(_discrimination_operator(unitary, omega_a, omega_b))
+    return _trace_norms(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
 
 
 def _basis_is_degenerate(values):
@@ -304,11 +300,9 @@ def _min_error_eig(gamma_op: np.ndarray) -> tuple[np.ndarray, MeasurementBasis]:
     # its eigenvectors; DegenerateBasisError when the gap is degenerate.
     values, vectors = hermitian_eig2(gamma_op)
     if _basis_is_degenerate(values):
-        canonical = MeasurementBasis(
-            np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-        )
         raise DegenerateBasisError(
-            "detector states coincide; any orthonormal basis is optimal", canonical
+            "detector states coincide; any orthonormal basis is optimal",
+            MeasurementBasis(*IDENTITY_2),
         )
     return values, MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
 
@@ -322,7 +316,7 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     stays well-conditioned over the whole parameter domain.
     """
     return _min_error_eig(
-        _discrimination_operator(det.unitary, weights.omega_a, weights.omega_b)
+        _discrimination_operator(det.marked, weights.omega_a, weights.omega_b)
     )[1]
 
 

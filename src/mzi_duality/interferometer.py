@@ -31,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
 _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
+# The phase shifter's diagonal is exp(phi * _PHASE_SIGNS).
+_PHASE_SIGNS = np.array([-1j, 1j])
 
 
 def bloch_length_message(lam: float) -> str | None:
@@ -117,13 +119,16 @@ def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
     a = a_overlap
     b = np.sqrt(1.0 - a * a)
     eg, ed = np.exp(1j * gamma), np.exp(1j * delta)
+    entries = np.array([a * eg, -b * ed.conjugate(), b * ed, a * eg.conjugate()])
     # b.shape, not np.shape(a): a float's np.shape costs more than the formula.
-    u = np.empty(b.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = a * eg
-    u[..., 0, 1] = -b * np.conj(ed)
-    u[..., 1, 0] = b * ed
-    u[..., 1, 1] = a * np.conj(eg)
-    return u
+    return entries.T.reshape(b.shape + (2, 2))
+
+
+def _marked_states(unitary) -> np.ndarray:
+    # U r r^H U^H, the detector state that path a leaves from the start state
+    # r, for a (2, 2) marking unitary or each of an (n, 2, 2) stack.
+    u = np.asarray(unitary)
+    return u @ _DETECTOR_START @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,13 @@ class DetectorConfig:
         u.setflags(write=False)
         return u
 
+    @functools.cached_property
+    def marked(self) -> np.ndarray:
+        """The marked detector state U r r^H U^H, cached read-only as unitary is."""
+        m = _marked_states(self.unitary)
+        m.setflags(write=False)
+        return m
+
 
 # The Pauli matrices X, Y, Z as the rows of a (3, 4) matrix.
 _PAULI_ROWS = np.array([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
@@ -165,7 +177,7 @@ def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
     # (1 + s . sigma) / 2 of each point of 1-D Bloch component arrays: (n, 2, 2).
     # Each real and imaginary part of s . sigma is one component up to sign,
     # so the product is exact.
-    s_dot_sigma = np.array([s_x, s_y, s_z], dtype=float).T @ _PAULI_ROWS
+    s_dot_sigma = np.array([s_x, s_y, s_z], dtype=complex).T @ _PAULI_ROWS
     return 0.5 * (IDENTITY_2 + s_dot_sigma.reshape(-1, 2, 2))
 
 
@@ -175,11 +187,11 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
 
 
 def _phase_shifters(phi) -> np.ndarray:
-    # diag(e^{-i*phi}, e^{+i*phi}) of a phase or of each of an array of them.
+    # diag(e^{-i*phi}, e^{+i*phi}) of a phase or of each of an array of them:
+    # the diagonal is every third entry of the flattened 2x2.
     phi = np.asarray(phi, dtype=float)
     d = np.zeros(phi.shape + (2, 2), dtype=complex)
-    d[..., 0, 0] = np.exp(-1j * phi)
-    d[..., 1, 1] = np.exp(1j * phi)
+    d.reshape(phi.shape + (4,))[..., ::3] = np.exp(phi[..., None] * _PHASE_SIGNS)
     return d
 
 
@@ -187,17 +199,15 @@ def _beam_splitters(beta) -> np.ndarray:
     # Rotation by beta about the y axis, for an angle or each of an array of them.
     half = 0.5 * np.asarray(beta, dtype=float)
     cos_h, sin_h = np.cos(half), np.sin(half)
-    splitter = np.empty(half.shape + (2, 2), dtype=complex)
-    splitter[..., 0, 0], splitter[..., 0, 1] = cos_h, -sin_h
-    splitter[..., 1, 0], splitter[..., 1, 1] = sin_h, cos_h
-    return splitter
+    entries = np.array([cos_h, -sin_h, sin_h, cos_h], dtype=complex)
+    return entries.T.reshape(half.shape + (2, 2))
 
 
 def _marking_operators(unitary) -> np.ndarray:
     # 1 (+) U for a (2, 2) marking unitary or each of an (n, 2, 2) stack.
     unitary = np.asarray(unitary)
     m = np.zeros(unitary.shape[:-2] + (4, 4), dtype=complex)
-    m[..., 0, 0] = m[..., 1, 1] = 1.0
+    m[..., :2, :2] = IDENTITY_2
     m[..., 2:, 2:] = unitary
     return m
 
@@ -266,9 +276,9 @@ _PATH_SIGN = np.array([[[1, 1], [1, 1]], [[1, -1], [1, -1]], [[1, 1], [-1, -1]],
 
 
 def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    s_x, s_y, s_z, beta, phi = (np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi))
+    s_x, s_y, s_z, beta, phi = np.array([s_x, s_y, s_z, beta, phi], dtype=float)
     sin_b, cos_b = np.sin(beta), np.cos(beta)
-    trig = np.stack([sin_b, 1.0 + cos_b, 1.0 - cos_b], axis=-1)
+    trig = np.array([sin_b, 1.0 + cos_b, 1.0 - cos_b]).T
     paths = trig[:, _PATH_ENTRY] * _PATH_SIGN
     # The detector factors r r^H, r m^H, m r^H and m m^H of the reference
     # state r, the first basis state, and the marked state m = U r.
@@ -278,15 +288,8 @@ def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
     fringe = np.exp(2j * phi)
     amp = s_z + 1j * s_y
-    weights = np.stack(
-        [
-            0.25 * (1.0 - s_x),
-            -0.25 * np.conj(fringe) * np.conj(amp),
-            -0.25 * fringe * amp,
-            0.25 * (1.0 + s_x),
-        ],
-        axis=-1,
-    )
+    weights = np.array([0.25 * (1.0 - s_x), -0.25 * np.conj(fringe) * np.conj(amp),
+                        -0.25 * fringe * amp, 0.25 * (1.0 + s_x)]).T
     return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
 
 

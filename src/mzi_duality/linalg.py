@@ -34,11 +34,17 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # np.isfinite(arr).all() as a byte search of the mask for a False (0): on a
+    # few matrices a numpy reduction costs more to set up than the search.
+    return b"\x00" not in np.isfinite(arr).tobytes()
+
+
 def _as_matrix(value, name: str = "matrix", finite: bool = True) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] not in (2, 4):
+    if arr.shape not in ((2, 2), (4, 4)):
         raise InvalidInputError(f"{name} must be 2x2 or 4x4, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+    if finite and not _all_finite(arr):
         raise InvalidInputError(f"{name} must have finite entries")
     return arr
 
@@ -50,7 +56,7 @@ def hermiticity_defect(matrix, axis=None):
     matrix with ``axis=(1, 2)``.
     """
     m = np.asarray(matrix)
-    return abs(m - m.conj().swapaxes(-1, -2)).max(axis=axis)
+    return np.maximum.reduce(abs(m - m.conj().swapaxes(-1, -2)), axis=axis)
 
 
 def trace_errors(m: np.ndarray) -> np.ndarray:
@@ -65,9 +71,9 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
     Raises InvalidInputError with DensityOperator's message for the first
     check, in DensityOperator's order, that any member fails, quoting the
-    worst member.
+    worst member. The 2x2 spectrum is _mean_radius's, the 4x4 one eigvalsh's.
     """
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise InvalidInputError("density operator must have finite entries")
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
@@ -77,7 +83,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     trace_err = max(trace_errors(m).flat)
     if trace_err > TRACE_TOL:
         raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
-    smallest = min(np.linalg.eigvalsh(m)[..., 0].flat)
+    lowest = np.subtract(*_mean_radius(m)) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)[..., 0]
+    smallest = min(lowest.flat)
     if smallest < -POSITIVITY_TOL:
         raise InvalidInputError(f"density operator has negative eigenvalue {smallest:.3e}")
     return m
@@ -131,36 +138,39 @@ def partial_trace_path(rho) -> DensityOperator:
 def _phase_normalized(vector: np.ndarray) -> np.ndarray:
     # Rotate the global phase so the leading component is real and positive;
     # both construction branches below guarantee it is nonzero.
-    v = vector / np.linalg.norm(vector)
+    # np.linalg.norm's arithmetic, bit for bit, without its dispatch.
+    re, im = vector.real, vector.imag
+    v = vector / math.sqrt(re.dot(re) + im.dot(im))
     lead = v[0]
     if abs(lead) < _SMALLEST_NORMAL:
         # Below the normal range 1/|lead| overflows, and v[0] may even have
         # underflowed to zero: take the phase of the unnormalized lead,
-        # scaled exactly by a power of two to order one.
+        # scaled exactly by a power of two to order one; a numpy scalar, as
+        # v[0] is, so that the phase below rounds as numpy does.
         lead = vector[0]
         shift = -math.frexp(max(abs(lead.real), abs(lead.imag)))[1]
-        lead = complex(math.ldexp(lead.real, shift), math.ldexp(lead.imag, shift))
-    return v * (np.conj(lead) / abs(lead))
+        lead = np.complex128(math.ldexp(lead.real, shift), math.ldexp(lead.imag, shift))
+    return v * (lead.conjugate() / abs(lead))
 
 
-def _eigen_parts(h, caller: str) -> tuple[np.ndarray, float, float]:
-    # The validated Hermitian 2x2 matrix with the mean and the half-gap of
-    # its eigenvalues, which are mean +- radius.
+def _eigen_parts(h, caller: str) -> tuple[float, float, complex, float, float]:
+    # The entries of a validated Hermitian [[a, b], [conj(b), c]] (a, c real)
+    # and the mean and half-gap of its eigenvalues, which are mean +- radius.
     m = _as_matrix(h, "hermitian matrix")
     if m.shape != (2, 2):
         raise InvalidInputError(f"{caller} expects a 2x2 matrix")
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
-    a, c = m[0, 0].real, m[1, 1].real
-    return m, 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(complex(m[0, 1])))
+    a, c, b = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
+    return a, c, b, 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(b))
 
 
-# hermitian_eig2 and trace_norm work on one matrix in plain Python, apart
-# from their stacked forms _hermitian_eig2s and _trace_norms: routed through
-# a stack of one, they took 85 and 21 us per call against 39 and 11 us, and
-# the benchmark's single-point queries, which call both, 17% longer (median
-# op_ms_p50 over 10 alternating pairs, 2-vCPU x86-64 VM).
+# hermitian_eig2 and trace_norm work on one matrix in plain Python, apart from
+# their stacked forms _hermitian_eig2s and _trace_norms: routed through a stack
+# of one after the same validation, they took 35 and 7.1 us per call against
+# 9.8 and 3.7 us, and the benchmark's single-point queries, which call both, 26%
+# longer (median of 8 interleaved in-process rounds, 2-vCPU x86-64 VM).
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -172,21 +182,14 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     nonzero component is real and positive, making the output deterministic.
     A spectrum with gap below ``DEGENERATE_GAP`` returns the canonical basis.
     """
-    m, mean, radius = _eigen_parts(h, "hermitian_eig2")
-    a = m[0, 0].real
-    c = m[1, 1].real
-    b = complex(m[0, 1])
+    a, c, b, mean, radius = _eigen_parts(h, "hermitian_eig2")
     half_diff = 0.5 * (a - c)
     values = np.array([mean + radius, mean - radius])
 
     if b == 0:
-        if a >= c:
-            vectors = np.eye(2, dtype=complex)
-        else:
-            vectors = np.eye(2, dtype=complex)[:, ::-1]
-        return values, vectors
+        return values, _CANONICAL_BASES[int(a < c)].copy()
     if 2.0 * radius < DEGENERATE_GAP:
-        return values, np.eye(2, dtype=complex)
+        return values, _CANONICAL_BASES[0].copy()
 
     # Pick, per eigenvalue, the null-space construction whose leading entry
     # involves no cancellation (|lambda - diagonal| is maximal), and build
@@ -194,26 +197,26 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     # stays nonzero even where mean +- radius rounds back to the diagonal.
     lead = abs(half_diff) + radius
     if half_diff >= 0:
-        v_top = np.array([lead, np.conj(b)])
+        v_top = np.array([lead, b.conjugate()])
         v_bot = np.array([b, -lead])
     else:
         v_top = np.array([b, lead])
-        v_bot = np.array([-lead, np.conj(b)])
-    vectors = np.column_stack([_phase_normalized(v_top), _phase_normalized(v_bot)])
+        v_bot = np.array([-lead, b.conjugate()])
+    vectors = np.array([_phase_normalized(v_top), _phase_normalized(v_bot)]).T
     return values, vectors
 
 
 def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
-    _, mean, radius = _eigen_parts(h, "trace_norm")
+    *_, mean, radius = _eigen_parts(h, "trace_norm")
     return float(abs(mean + radius) + abs(mean - radius))
 
 
 def _mean_radius(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Mean and half-gap of the eigenvalues mean +- radius of each Hermitian
-    # [[a, b], [conj(b), c]] of an (n, 2, 2) stack; |b| is np.hypot of its
-    # parts, as abs(complex) is.
-    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
+    # Mean and half-gap of the eigenvalues mean +- radius of a Hermitian
+    # [[a, b], [conj(b), c]] or of each of an (n, 2, 2) stack; |b| is
+    # np.hypot of its parts, as abs(complex) is.
+    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
     return 0.5 * (a + c), np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .duality import (
     _basis_is_degenerate,
-    _detector_branches,
     _discrimination_operator,
     _lit_port,
     distinguishability_kernel,
@@ -38,6 +37,8 @@ from .errors import InvalidInputError
 from .interferometer import (
     BeamSplitterAngle,
     TWO_PI,
+    _DETECTOR_START,
+    _marked_states,
     _port_a_closed,
     _port_a_probabilities,
     _yz_norms,
@@ -241,9 +242,8 @@ def _state_validity(rng, draws):
 def _reduced_detector_state(rng, draws):
     p = _draw_points(rng, draws)
     reduced = check_densities(trace_path(evolve_stack(*_pipeline(p))))
-    unmarked, marked = _detector_branches(p.unitary)
     s_x = p.s_x[:, None, None]
-    expected = 0.5 * (1.0 - s_x) * unmarked + 0.5 * (1.0 + s_x) * marked
+    expected = 0.5 * (1.0 - s_x) * _DETECTOR_START + 0.5 * (1.0 + s_x) * _marked_states(p.unitary)
     return _none_skipped(_largest_entries(reduced - expected))
 
 
@@ -306,7 +306,7 @@ def _min_error_measurement(rng, draws):
     p = _draw_points(rng, draws)
     _, den = _lit_port(p.s_x, p.beta)
     omega_a, omega_b = weights_kernel(p.s_x, p.beta, den)
-    gamma_op = _discrimination_operator(p.unitary, omega_a, omega_b)
+    gamma_op = _discrimination_operator(_marked_states(p.unitary), omega_a, omega_b)
     values, vectors = _hermitian_eig2s(gamma_op)
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
     m_a, m_b = vectors[:, :, 0], vectors[:, :, 1]
@@ -381,7 +381,7 @@ def _measurement_basis_closed_form(rng, draws):
     omega_b = 1.0 - omega_a
     gamma = np.zeros(draws)
     unitary = marking_unitaries(a_overlap, gamma, delta)
-    _, numeric = _hermitian_eig2s(_discrimination_operator(unitary, omega_a, omega_b))
+    _, numeric = _hermitian_eig2s(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
     literal = _min_error_basis_closed_form(a_overlap, gamma, unitary[:, :, 0], omega_a, omega_b)
     return _none_skipped(
         np.maximum(

@@ -19,7 +19,6 @@ from mzi_duality.duality import (
     DualityReport,
     MeasurementBasis,
     PathWeights,
-    _detector_branches,
     closed_form_lengths,
     complementarity_residual,
     distinguishability_closed,
@@ -45,6 +44,7 @@ from mzi_duality.errors import (
 from mzi_duality.interferometer import (
     BLOCH_NORM_TOL,
     TWO_PI,
+    _DETECTOR_START,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
@@ -473,8 +473,7 @@ def test_path_weights_type_enforces_normalization():
 
 def detector_mixture(det, weights):
     # The detector state conditioned on the monitored port.
-    unmarked, marked = _detector_branches(det.unitary)
-    return DensityOperator(weights.omega_b * unmarked + weights.omega_a * marked)
+    return DensityOperator(weights.omega_b * _DETECTOR_START + weights.omega_a * det.marked)
 
 
 def test_mixture_ignores_pure_phase_marking():
@@ -670,6 +669,35 @@ def test_measurement_basis_type_rejects_non_orthonormal_input():
         MeasurementBasis(np.array([1, 0]), np.array([1, 0]))
     with pytest.raises(InvalidInputError):
         MeasurementBasis(np.array([2, 0]), np.array([0, 1]))
+
+
+def test_measurement_basis_copies_and_leaves_the_callers_arrays_writable():
+    m_a, m_b = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    basis = MeasurementBasis(m_a, m_b)
+    assert m_a.flags.writeable and m_b.flags.writeable
+    assert basis.m_a is not m_a and basis.m_b is not m_b
+    assert not basis.m_a.flags.writeable and not basis.m_b.flags.writeable
+    m_a[0] = 5.0
+    np.testing.assert_array_equal(basis.m_a, [1, 0])
+
+
+@pytest.mark.parametrize(
+    "m_a, m_b, message",
+    [
+        ([1, 0, 0], [0, 1], "basis vectors must be complex 2-vectors"),
+        ([[1, 0]], [0, 1], "basis vectors must be complex 2-vectors"),
+        ([1, 0], [0, complex(np.inf, 0)], "basis vectors must be finite"),
+        ([complex(0, np.nan), 1], [1, 0], "basis vectors must be finite"),
+        ([1 + 2e-12, 0], [0, 1], "basis vectors must be normalized"),
+        ([1, 0], [0, 1 - 2e-12], "basis vectors must be normalized"),
+        ([1, 0], [2e-10, math.sqrt(1 - 4e-20)], "basis vectors must be orthogonal"),
+    ],
+    ids=["long", "matrix", "inf", "nan", "norm above", "norm below", "overlap"],
+)
+def test_measurement_basis_rejects_each_invalid_input_with_its_message(m_a, m_b, message):
+    with pytest.raises(InvalidInputError) as err:
+        MeasurementBasis(np.array(m_a, dtype=complex), np.array(m_b, dtype=complex))
+    assert str(err.value) == message
 
 
 # --- complementarity -----------------------------------------------------------------

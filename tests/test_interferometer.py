@@ -16,6 +16,7 @@ from mzi_duality.interferometer import (
     DetectorConfig,
     PhaseShift,
     _beam_splitters,
+    _marked_states,
     _marking_operators,
     _phase_shifters,
     bloch_to_density,
@@ -120,6 +121,23 @@ def test_detector_unitary_is_built_once_and_read_only():
         assert det.unitary.tobytes() == expected.tobytes()
         same = DetectorConfig(a, gamma, delta)
         assert same == det and hash(same) == hash(det)
+
+
+def test_detector_marked_state_is_built_once_and_read_only():
+    # Bit-equal to U r r^H U^H, r the detector's start state, and to each
+    # member of the stacked form, including the A = 0, 1 edges.
+    rng = np.random.default_rng(30)
+    dets = [
+        DetectorConfig(a, *rng.uniform(-10.0, 10.0, 2).tolist())
+        for a in [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
+    ]
+    stack = _marked_states(np.array([det.unitary for det in dets]))
+    start = np.diag([1.0, 0.0]).astype(complex)
+    for det, member in zip(dets, stack):
+        assert det.marked is det.marked
+        assert not det.marked.flags.writeable
+        expected = det.unitary @ start @ det.unitary.conj().T
+        assert det.marked.tobytes() == expected.tobytes() == member.tobytes()
 
 
 def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
@@ -273,7 +291,7 @@ def test_stacked_pipeline_equals_scalar_pipeline_at_edges_and_on_draws():
     assert stacked.shape == closed.shape == (len(points), 4, 4)
     for point, m, c in zip(points, stacked, closed):
         np.testing.assert_array_equal(m, evolve(*point).matrix)
-        assert np.abs(c - evolve_closed_form(*point).matrix).max() <= 1e-15
+        np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
 
 
 def test_stacked_pipeline_takes_one_shared_unitary():
@@ -285,7 +303,7 @@ def test_stacked_pipeline_takes_one_shared_unitary():
     closed = evolve_closed_form_stack(s_x, s_y, s_z, det.unitary, beta, phi)
     for point, m, c in zip(points, stacked, closed):
         np.testing.assert_array_equal(m, evolve(*point).matrix)
-        assert np.abs(c - evolve_closed_form(*point).matrix).max() <= 1e-15
+        np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
 
 
 def test_closed_form_single_term_survival():

@@ -175,6 +175,45 @@ def test_stack_with_one_invalid_member_raises_density_operator_message(bad, posi
     assert check_densities(np.delete(stack, position, axis=0)).shape == (6, 2, 2)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize(
+    "value", [complex(np.inf, 0), complex(0, np.inf), complex(np.nan, 0)],
+    ids=["inf real", "inf imag", "nan"],
+)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_check_densities_rejects_non_finite_entries_without_warnings(dim, entry, value, stacked):
+    bad = np.eye(dim, dtype=complex) / dim
+    bad[entry] = value
+    m = np.array([np.eye(dim, dtype=complex) / dim, bad]) if stacked else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidInputError) as checked:
+            check_densities(m)
+        with pytest.raises(InvalidInputError) as constructed:
+            DensityOperator(bad)
+    assert str(checked.value) == str(constructed.value) == "density operator must have finite entries"
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("off_diagonal", [False, True], ids=["diagonal", "rotated"])
+def test_2x2_positivity_holds_its_tolerance(stacked, off_diagonal):
+    # Eigenvalues 1 + x and -x: -0.9e-10 lies within POSITIVITY_TOL, -1.1e-10
+    # does not and is quoted.
+    def state(x):
+        if off_diagonal:
+            return np.array([[0.5, 0.5 + x], [0.5 + x, 0.5]], dtype=complex)
+        return np.diag([1.0 + x, -x]).astype(complex)
+
+    def checked(x):
+        return check_densities(np.array([IDENTITY_2 / 2, state(x)]) if stacked else state(x))
+
+    checked(0.9e-10)
+    with pytest.raises(InvalidInputError) as err:
+        checked(1.1e-10)
+    assert str(err.value) == "density operator has negative eigenvalue -1.100e-10"
+
+
 def test_partial_trace_rejects_wrong_dim():
     rho = DensityOperator(IDENTITY_2 / 2)
     with pytest.raises(InvalidInputError):
