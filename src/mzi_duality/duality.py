@@ -34,7 +34,7 @@ from .interferometer import (
     port_terms,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
-from .linalg import IDENTITY_2, _trace_norms, hermitian_eig2, trace_norm
+from .linalg import IDENTITY_2, _hermitian_eig2, _trace_norm, _trace_norms
 
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -232,9 +232,9 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
     The one-point case of visibility_scans: the port-a probability through
     the full operator pipeline, its maximum and minimum each found by
     bracket refinement from the full turn [0, 2*pi] down to
-    interferometer.PHASE_REFINE_TOL, every sampled phase summing all 16
-    terms of the pipeline's quadratic form. Serves as the independent oracle
-    for visibility_closed.
+    interferometer.PHASE_REFINE_TOL, on the two fringe coefficients into
+    which the pipeline's quadratic form sums. Serves as the independent
+    oracle for visibility_closed.
     """
     visibility, defined = visibility_scans(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]
@@ -275,7 +275,7 @@ def _discrimination_operator(marked, omega_a, omega_b) -> np.ndarray:
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return trace_norm(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b))
+    return _trace_norm(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b))
 
 
 def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
@@ -295,18 +295,6 @@ def _basis_is_degenerate(values):
     return values[..., 0] - values[..., 1] <= BASIS_GAP_TOL
 
 
-def _min_error_eig(gamma_op: np.ndarray) -> tuple[np.ndarray, MeasurementBasis]:
-    # Eigenvalues (descending) of a discrimination operator and the basis of
-    # its eigenvectors; DegenerateBasisError when the gap is degenerate.
-    values, vectors = hermitian_eig2(gamma_op)
-    if _basis_is_degenerate(values):
-        raise DegenerateBasisError(
-            "detector states coincide; any orthonormal basis is optimal",
-            MeasurementBasis(*IDENTITY_2),
-        )
-    return values, MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
-
-
 def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBasis:
     """Projective measurement that discriminates the two detector states optimally.
 
@@ -315,9 +303,14 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     the one with negative eigenvalue. Computed by eigendecomposition, which
     stays well-conditioned over the whole parameter domain.
     """
-    return _min_error_eig(
-        _discrimination_operator(det.marked, weights.omega_a, weights.omega_b)
-    )[1]
+    gamma_op = _discrimination_operator(det.marked, weights.omega_a, weights.omega_b)
+    values, vectors = _hermitian_eig2(gamma_op)
+    if _basis_is_degenerate(values):
+        raise DegenerateBasisError(
+            "detector states coincide; any orthonormal basis is optimal",
+            MeasurementBasis(*IDENTITY_2),
+        )
+    return MeasurementBasis(m_a=vectors[:, 0], m_b=vectors[:, 1])
 
 
 def complementarity_residual(

@@ -385,81 +385,74 @@ PHASE_REFINE_TOL = 1e-12
 _REFINE_SAMPLES = 31
 _SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
 # Points per block. Each round costs a fixed few numpy calls per block, so
-# blocks of 32 points made a 1000-point scan about 2.7 times as slow as
-# blocks of 256, past which it no longer gets faster. A block's arrays stay
-# bounded, under 1 MB (the work array alone is 2 x 2 x 256 x 31 doubles);
-# one block of every point would take about 2 kB per point, 445 MB more for
-# a 200 000-row sweep.
+# blocks of 32 points make a 1000-point scan about 1.7 times as slow as
+# blocks of 256, past which it no longer gets faster (2-vCPU x86-64 VM, one
+# BLAS thread). A block's arrays stay under 130 kB (a round's samples are
+# 2 x 256 x 31 doubles); one block of every point would take about 500
+# bytes per point, 100 MB more for a 200 000-row sweep.
 _SCAN_CHUNK = 256
 
 
-def _phase_products(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Real and imaginary parts of the 16-row table d_j conj(d_k), row 4j + k,
-    # one column per phase, for the phase diagonal d of each phase.
-    phase = np.exp(-1j * phis)
-    d = np.empty((4, phase.size), dtype=complex)
-    d[:2] = phase
-    d[2:] = phase.conj()
-    table = (d[:, None, :] * d.conj()[None, :, :]).reshape(16, phase.size)
-    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+def _samples(offsets: np.ndarray) -> np.ndarray:
+    # The rows s, cos 2s and sin 2s of each phase offset s: shape (3, k).
+    return np.array([offsets, np.cos(2.0 * offsets), np.sin(2.0 * offsets)])
 
 
-def _port_matrices(s_x, s_y, s_z, unitary, beta) -> np.ndarray:
-    # Port-a matrices of n points, folded in one stacked pass: (n, 4, 4).
-    # With the tail T (_tail) and the prepared state P behind the input
-    # splitter, each point's matrix is M = P o (T[2:]^T conj(T[2:])), an
-    # elementwise product, so the port-a probability at phase phi is
-    # Re sum_jk M_jk d_j conj(d_k) for the phase diagonal
-    # d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}).
+def _search_rounds() -> tuple[tuple, np.ndarray]:
+    # (spacing, _samples of the interior offsets) of each refinement round,
+    # from the full turn down to PHASE_REFINE_TOL, and the _samples of the
+    # final midpoint. They depend only on the round, so they are built once.
+    rounds, width = [], TWO_PI
+    while width > PHASE_REFINE_TOL:
+        spacing = width / (_REFINE_SAMPLES + 1)
+        rounds.append((spacing, _samples(spacing * _SAMPLE_INDEX)))
+        width = 2.0 * spacing
+    return tuple(rounds), _samples(np.array([0.5 * width]))
+
+
+_ROUNDS, _MIDPOINT = _search_rounds()
+
+
+def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
+    # (c0, c2) of n points, shape (n,) each: the port-a probability at phase
+    # phi is c0 + Re(c2 e^{-2i*phi}). With the tail T (_tail) and the state P
+    # prepared by the input splitter, a point's matrix M = P o (T[2:]^T
+    # conj(T[2:])), an elementwise product, gives the probability
+    # Re sum_jk M_jk d_j conj(d_k) for the phase diagonal d = (e^{-i*phi},
+    # e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). d_j conj(d_k) is 1 on the diagonal
+    # 2x2 blocks, e^{-2i*phi} on the upper right and e^{+2i*phi} on the lower
+    # left one, so all 16 terms are summed once, blockwise, per point.
     rho = _bloch_densities(s_x, s_y, s_z)
     prepared = _INPUT_SPLITTER @ _kron2(rho, _DETECTOR_START) @ _INPUT_SPLITTER.conj().T
     port_a = _tail(unitary, beta)[:, 2:, :]
-    return prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
+    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
+    blocks = m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))
+    return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
 
 
-def _probabilities_on(m: np.ndarray, re: np.ndarray, im: np.ndarray, work: np.ndarray) -> np.ndarray:
-    # Port-a probabilities of the folded points m (n, 4, 4) at the k phases
-    # of one phase-product table (re, im) of _phase_products: shape (n, k).
-    # Every phase sums all 16 terms as two real matrix products,
-    # Re(M) @ re - Im(M) @ im, written into work, a float64 array of shape
-    # (2, n', k) with n' >= n; the result is a view of work[0], valid until
-    # work is written again.
-    flat = m.reshape(len(m), 16)
-    values, products = work[:, : len(m)]
-    np.matmul(np.ascontiguousarray(flat.real), re, out=values)
-    values -= np.matmul(np.ascontiguousarray(flat.imag), im, out=products)
-    return values
+def _bracket_probabilities(c0, c2, lo, samples) -> np.ndarray:
+    # Port-a probabilities of the fringe coefficients (c0_j, c2_j) at the
+    # base phase lo_j plus each offset s of the shared ``samples``: (n, k).
+    # With r = c2 e^{-2i*lo}, the value is c0 + Re(r) cos 2s + Im(r) sin 2s,
+    # one (n, 2) @ (2, k) product on a real view of r.
+    rotated = c2 * np.exp(-2j * lo)
+    return c0[:, None] + rotated.view(float).reshape(-1, 2) @ samples[1:]
 
 
-def _bracket_probabilities(m, lo, offsets, work) -> np.ndarray:
-    # Port-a probabilities of each folded point of ``m`` at its own base
-    # phase lo_j plus each of the shared ``offsets``: shape (len(m),
-    # len(offsets)). The phase-product table is multiplicative in the phase,
-    # P(lo + s) = P(lo) o P(s), so each base phase is folded into its
-    # point's matrix and every row is evaluated on one offset table.
-    base_re, base_im = _phase_products(lo)
-    folded = m * (base_re + 1j * base_im).T.reshape(-1, 4, 4)
-    return _probabilities_on(folded, *_phase_products(offsets), work[..., : len(offsets)])
-
-
-def _refine_extrema(m, work: np.ndarray):
+def _refine_extrema(c0, c2):
     # Bracket search for each point's maximum and minimum over the phase dial,
     # all 2n brackets in one evaluation per round, every bracket starting as
     # the full turn [0, 2*pi]. After the first round each bracket holds one
     # extremum of the sinusoidal, hence locally unimodal, fringe, so the
     # extremum lies within one spacing of the best sample.
-    n = len(m)
-    pairs = np.concatenate([m, m])
+    n = len(c0)
+    c0, c2 = np.concatenate([c0, c0]), np.concatenate([c2, c2])
     lo = np.zeros(2 * n)
-    width = TWO_PI
-    while width > PHASE_REFINE_TOL:
-        spacing = width / (_REFINE_SAMPLES + 1)
-        offsets = spacing * _SAMPLE_INDEX
-        values = _bracket_probabilities(pairs, lo, offsets, work)
+    for spacing, samples in _ROUNDS:
+        values = _bracket_probabilities(c0, c2, lo, samples)
         best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
-        lo = lo + offsets[best] - spacing
-        width = 2.0 * spacing
-    refined = _bracket_probabilities(pairs, lo, np.array([0.5 * width]), work)[:, 0]
+        lo = lo + samples[0][best] - spacing
+    refined = _bracket_probabilities(c0, c2, lo, _MIDPOINT)[:, 0]
     return refined[:n], refined[n:]
 
 
@@ -471,38 +464,33 @@ def port_extrema(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point.
 
-    Folds all points at once (_port_matrices), then refines them in blocks
-    of _SCAN_CHUNK points. Each point's maximum and minimum start as one
-    bracket each over the full turn [0, 2*pi]; each round samples every
-    bracket at 31 interior phases, with each bracket's base phase folded
-    into its point's matrix, and narrows it to its best sample +- one
-    spacing, until the brackets are narrower than PHASE_REFINE_TOL. Every
-    sampled phase sums all 16 terms of the pipeline's quadratic form. The
-    refinement writes into one work array that the call allocates once and
-    every block reuses.
+    Sums all 16 terms of each point's quadratic form once, into its two
+    fringe coefficients (the port-a probability is c0 + Re(c2 e^{-2i*phi})),
+    then refines the points in blocks of _SCAN_CHUNK. Each point's maximum
+    and minimum start as one bracket each over the full turn [0, 2*pi];
+    each round samples every bracket at 31 interior phases, on the round's
+    cos/sin table built at import, and narrows it to its best sample +- one
+    spacing, until the brackets are narrower than PHASE_REFINE_TOL.
     """
-    m = _port_matrices(s_x, s_y, s_z, unitary, beta)
-    work = np.empty((2, 2 * min(len(m), _SCAN_CHUNK), _REFINE_SAMPLES))
-    p_max, p_min = np.empty((2, len(m)))
-    for start in range(0, len(m), _SCAN_CHUNK):
+    c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
+    p_max, p_min = np.empty((2, len(c0)))
+    for start in range(0, len(c0), _SCAN_CHUNK):
         block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _refine_extrema(m[block], work)
+        p_max[block], p_min[block] = _refine_extrema(c0[block], c2[block])
     return p_max, p_min
 
 
-def phase_probe(
-    state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle
-):
+def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):
     """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
-    reorganized: the one-point case of the scan's evaluator, on a
-    phase-product table and work array built per call.
+    reorganized: the one-point case of the scan's evaluator, on the point's
+    two fringe coefficients and a cos/sin table of the phases built per call.
     """
-    m = _port_matrices([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
+    c0, c2 = _fringe_coefficients([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        re, im = _phase_products(np.asarray(phis, dtype=float))
-        return _probabilities_on(m, re, im, np.empty((2, 1, re.shape[1])))[0]
+        samples = _samples(np.asarray(phis, dtype=float))
+        return _bracket_probabilities(c0, c2, np.zeros(1), samples)[0]
 
     return probe

@@ -153,15 +153,21 @@ def _phase_normalized(vector: np.ndarray) -> np.ndarray:
     return v * (lead.conjugate() / abs(lead))
 
 
-def _eigen_parts(h, caller: str) -> tuple[float, float, complex, float, float]:
-    # The entries of a validated Hermitian [[a, b], [conj(b), c]] (a, c real)
-    # and the mean and half-gap of its eigenvalues, which are mean +- radius.
+def _checked_hermitian(h, caller: str) -> np.ndarray:
+    # h as a 2x2 complex matrix with finite entries and Hermitian within
+    # HERMITIAN_TOL, or InvalidInputError naming the caller.
     m = _as_matrix(h, "hermitian matrix")
     if m.shape != (2, 2):
         raise InvalidInputError(f"{caller} expects a 2x2 matrix")
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return m
+
+
+def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
+    # The entries of a Hermitian [[a, b], [conj(b), c]] (a, c real) and the
+    # mean and half-gap of its eigenvalues, which are mean +- radius.
     a, c, b = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
     return a, c, b, 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(b))
 
@@ -170,7 +176,8 @@ def _eigen_parts(h, caller: str) -> tuple[float, float, complex, float, float]:
 # their stacked forms _hermitian_eig2s and _trace_norms: routed through a stack
 # of one after the same validation, they took 35 and 7.1 us per call against
 # 9.8 and 3.7 us, and the benchmark's single-point queries, which call both, 26%
-# longer (median of 8 interleaved in-process rounds, 2-vCPU x86-64 VM).
+# longer (median of 8 interleaved in-process rounds, 2-vCPU x86-64 VM). Their
+# unchecked forms take a complex matrix that the caller built Hermitian and finite.
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +189,11 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     nonzero component is real and positive, making the output deterministic.
     A spectrum with gap below ``DEGENERATE_GAP`` returns the canonical basis.
     """
-    a, c, b, mean, radius = _eigen_parts(h, "hermitian_eig2")
+    return _hermitian_eig2(_checked_hermitian(h, "hermitian_eig2"))
+
+
+def _hermitian_eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, c, b, mean, radius = _eigen_parts(h)
     half_diff = 0.5 * (a - c)
     values = np.array([mean + radius, mean - radius])
 
@@ -208,7 +219,11 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
-    *_, mean, radius = _eigen_parts(h, "trace_norm")
+    return _trace_norm(_checked_hermitian(h, "trace_norm"))
+
+
+def _trace_norm(h: np.ndarray) -> float:
+    *_, mean, radius = _eigen_parts(h)
     return float(abs(mean + radius) + abs(mean - radius))
 
 

@@ -53,7 +53,7 @@ from mzi_duality.interferometer import (
     evolve,
     phase_probe,
 )
-from mzi_duality.linalg import DensityOperator
+from mzi_duality.linalg import DensityOperator, hermitian_eig2, trace_norm
 from mzi_duality.verify import (
     grid_distinguishability_valley,
     grid_visibility_peak_fixed_beta,
@@ -177,9 +177,9 @@ def probe_calls(monkeypatch):
     calls = []
     evaluate = interferometer._bracket_probabilities
 
-    def recording(m, lo, offsets, work):
-        calls.append(lo[:, None] + offsets)
-        return evaluate(m, lo, offsets, work)
+    def recording(c0, c2, lo, samples):
+        calls.append(lo[:, None] + samples[0])
+        return evaluate(c0, c2, lo, samples)
 
     monkeypatch.setattr(interferometer, "_bracket_probabilities", recording)
     return calls
@@ -270,8 +270,8 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
 
 
 def test_bracket_evaluation_matches_the_pipeline():
-    # The refinement's evaluator, each bracket's base phase folded into its
-    # point's matrix and every row evaluated on one table of offsets,
+    # The refinement's evaluator, each bracket's fringe coefficient c2
+    # rotated by its base phase and every row evaluated on one table of offsets,
     # against the operator pipeline at each sampled phase: edge points at
     # A = 0, 1 and one interior overlap, then seeded draws, each with
     # brackets across phi = 0, across 2*pi and at a seeded base phase.
@@ -284,15 +284,16 @@ def test_bracket_evaluation_matches_the_pipeline():
     cases += [(draw_bloch_state(rng), draw_detector(rng), draw_beta(rng)) for _ in range(12)]
     (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
     unitary = np.stack([det.unitary for _, det, _ in cases])
-    m = interferometer._port_matrices(s_x, s_y, s_z, unitary, betas)
+    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
     spacing = 1e-3
     for offsets in (spacing * interferometer._SAMPLE_INDEX, np.array([0.5 * spacing])):
         half = 0.5 * (offsets[-1] + spacing)
         lo = np.concatenate(
-            [np.full(len(m), -half), np.full(len(m), TWO_PI - half), rng.uniform(0, TWO_PI, len(m))]
+            [np.full(len(c0), -half), np.full(len(c0), TWO_PI - half), rng.uniform(0, TWO_PI, len(c0))]
         )
-        work = np.empty((2, 3 * len(m), len(offsets)))
-        values = interferometer._bracket_probabilities(np.concatenate([m] * 3), lo, offsets, work)
+        values = interferometer._bracket_probabilities(
+            np.tile(c0, 3), np.tile(c2, 3), lo, interferometer._samples(offsets)
+        )
         for (state, det, beta), base, row in zip(cases * 3, lo, values):
             for offset, value in zip(offsets, row):
                 rho = evolve(state, det, beta, PhaseShift(base + offset))
@@ -300,8 +301,8 @@ def test_bracket_evaluation_matches_the_pipeline():
 
 
 def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
-    # Each call owns its work array: a scan of many blocks followed by a
-    # smaller scan, and the reverse order, give the same bits.
+    # A scan keeps no state between calls: a scan of many blocks followed by
+    # a smaller scan, and the reverse order, give the same bits.
     rng = np.random.default_rng(73)
     dets = [draw_detector(rng) for _ in range(2)]
     inputs = []
@@ -318,11 +319,12 @@ def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     platform.libc_ver()[0] != "glibc", reason="fault counts depend on glibc's allocator"
 )
 def test_scan_reuses_its_work_memory_across_blocks():
-    # A 241-point scan, one block, allocates its refinement arrays, a few
-    # hundred kB, afresh in each of its 12 rounds: with glibc made to return
-    # freed memory at once, a warm call takes about 4500 minor page faults.
-    # The call's one work array and the allocator's reuse of freed heap keep
-    # a warm call far below that.
+    # A 241-point scan, one block, allocates its round's arrays afresh in
+    # each of its 12 rounds, the largest the 2 x 241 x 31 sampled values
+    # (120 kB): with glibc made to map every allocation afresh, a warm call
+    # takes about 1300 minor page faults. Arrays that small come from the
+    # heap, and the allocator's reuse of freed heap keeps a warm call far
+    # below that.
     code = textwrap.dedent(
         """
         import resource
@@ -550,6 +552,38 @@ def test_trace_norm_route_is_phase_invariant():
             DetectorConfig(a, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)), w
         )
         assert abs(base - other) <= 1e-10
+
+
+def test_unchecked_eigen_routes_equal_the_checked_ones_bit_for_bit():
+    # distinguishability_trace_norm and min_error_basis build their 2x2
+    # operator from validated inputs and skip linalg's input checks on it:
+    # their results are the bits of the checked trace_norm and
+    # hermitian_eig2 on the same operator, at the splitter edges with
+    # A = 0, 1 and one interior overlap, then on seeded draws.
+    rng = np.random.default_rng(97)
+    cases = [
+        (DetectorConfig(a_overlap, 0.4, 1.3), path_weights(state.s_x, beta))
+        for a_overlap in (0.0, 1.0, 0.37)
+        for state, beta in EDGE_POINTS
+    ]
+    cases += [
+        (draw_detector(rng), path_weights(draw_bloch_state(rng).s_x, draw_beta(rng)))
+        for _ in range(50)
+    ]
+    degenerate = 0
+    for det, w in cases:
+        op = duality._discrimination_operator(det.marked, w.omega_a, w.omega_b)
+        assert distinguishability_trace_norm(det, w) == trace_norm(op)
+        values, vectors = hermitian_eig2(op)
+        if duality._basis_is_degenerate(values):
+            degenerate += 1
+            with pytest.raises(DegenerateBasisError):
+                min_error_basis(det, w)
+            continue
+        basis = min_error_basis(det, w)
+        assert basis.m_a.tobytes() == vectors[:, 0].tobytes()
+        assert basis.m_b.tobytes() == vectors[:, 1].tobytes()
+    assert 0 < degenerate < len(cases)
 
 
 # --- minimum-error measurement -------------------------------------------------------

@@ -450,9 +450,12 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
 
 
 def test_port_extrema_bound_every_probe_value():
-    # One point past a block, so the second block reuses the work arrays.
-    # Both sides of each comparison are sums of 16 terms of modulus at most
-    # 1, each rounding by at most 16 eps.
+    # One point past a block, so the scan runs a second block. The probe
+    # shares the scan's evaluator: both sides of each comparison with it
+    # evaluate the same two fringe coefficients, sums of 16 terms of modulus
+    # at most 1, and each side rounds by at most 16 eps.
+    # The operator pipeline at the same phases is held to the probe's own
+    # 1e-14 agreement with it.
     rng = np.random.default_rng(43)
     points = [draw_point(rng)[:3] for _ in range(interferometer._SCAN_CHUNK + 1)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
@@ -460,6 +463,11 @@ def test_port_extrema_bound_every_probe_value():
     p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
     slack = 2 * 16 * np.finfo(float).eps
     for (state, det, beta), hi, lo in zip(points, p_max, p_min):
-        values = phase_probe(state, det, beta)(rng.uniform(0.0, 2 * math.pi, 300))
+        phis = rng.uniform(0.0, 2 * math.pi, 300)
+        values = phase_probe(state, det, beta)(phis)
         assert lo - slack <= values.min() and values.max() <= hi + slack
+        point = (np.full(len(phis), x) for x in (state.s_x, state.s_y, state.s_z))
+        rho = evolve_stack(*point, det.unitary, np.full(len(phis), beta.beta), phis)
+        pipeline = interferometer._port_a_probabilities(rho)
+        assert lo - 1e-14 <= pipeline.min() and pipeline.max() <= hi + 1e-14
 
