@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -45,6 +46,7 @@ from .verify import RunConfig, all_passed, run_verification
 
 SWEEP_HEADER = "param,V_closed,V_scan,D_closed,D_trace,residual,omega_a,omega_b"
 FIGURE_POINTS = 501
+NUMBER = "%.17g"  # every output number: 17 significant digits round-trip a double
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<mult>[+-]?(?:\d+\.?\d*|\.\d+)?)\s*pi\s*(?:/\s*(?P<div>\d+\.?\d*|\.\d+))?\s*$",
@@ -78,8 +80,7 @@ def parse_angle(text: str) -> float:
 
 
 def _fmt(value: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(value, ".17g")
+    return NUMBER % value
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,13 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-def run_sweep(spec: SweepSpec) -> list[str]:
-    """CSV lines (header first) for the sweep; degenerate points get empty fields.
+def run_sweep(spec: SweepSpec) -> str:
+    """CSV text (header first) for the sweep; degenerate points get empty fields.
 
-    Every column is computed for all rows at once. A row is left blank, with
-    a warning on stderr, where the scalar API would raise: the rules run in
-    its order (Bloch length, dark port, path weights, then the scan), and the
-    warning quotes the first one that fails.
+    Every column is computed for all rows at once, and formatted in one pass.
+    A row is left blank, with a warning on stderr, where the scalar API would
+    raise: the rules run in its order (Bloch length, dark port, path weights,
+    then the scan), and the warning quotes the first one that fails.
     """
     params = spec.grid()
     fixed = np.full_like(params, spec.beta if spec.swept == "s_x" else spec.s_x)
@@ -158,7 +159,8 @@ def run_sweep(spec: SweepSpec) -> list[str]:
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_a, omega_b = weights_kernel(s_x, beta, den)
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
-        columns = np.column_stack([
+        table = np.column_stack([
+            params,
             visibility_kernel(yz, a, sin_beta, den).clip(0.0, 1.0),
             v_scan,
             distinguishability_kernel(s_x, a, sin_beta, den),
@@ -167,9 +169,9 @@ def run_sweep(spec: SweepSpec) -> list[str]:
             omega_a,
             omega_b,
         ])
-    lines = [SWEEP_HEADER]
+    blank = []
     rules = zip(bloch_lam.tolist(), den.tolist(), omega_a.tolist(), omega_b.tolist(), scanned.tolist())
-    for value, row, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), columns.tolist(), rules):
+    for value, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), rules):
         # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
         reason = (
             bloch_length_message(lam)
@@ -177,13 +179,15 @@ def run_sweep(spec: SweepSpec) -> list[str]:
             or weights_message(w_a, w_b)
             or (None if defined else DARK_PORT)
         )
-        if reason is None:
-            fields = [_fmt(v) for v in row]
-        else:
+        if reason is not None:
             print(f"warning: {spec.swept}={_fmt(value)} is degenerate ({reason})", file=sys.stderr)
-            fields = [""] * 7
-        lines.append(",".join([_fmt(value)] + fields))
-    return lines
+        blank.append(reason is not None)
+    # The mask drops blank rows' seven values and flattens the rest in row order.
+    keep = np.ones(table.shape, dtype=bool)
+    keep[blank, 1:] = False
+    row, blank_row = ",".join([NUMBER] * 8) + "\n", NUMBER + ",,,,,,,\n"
+    body = "".join([blank_row if b else row for b in blank])
+    return f"{SWEEP_HEADER}\n" + body % tuple(table[keep].tolist())
 
 
 # --- figure presets -----------------------------------------------------------
@@ -192,45 +196,56 @@ _BETA_CURVES = (("beta=pi/4", math.pi / 4), ("beta=pi/2", math.pi / 2), ("beta=3
 _SX_CURVES = (("sx=-0.5", -0.5), ("sx=0", 0.0), ("sx=0.5", 0.5))
 
 
-def _figure_table(quantity: str, swept: str, lam: float, a_overlap: float) -> list[str]:
+def _figure_table(quantity: str, swept: str, points, params, lam: float, a_overlap: float) -> str:
     """One preset family: V or D over s_x (three betas) or beta (three s_x)."""
-    lines = [f"curve,param,{quantity}_closed"]
-    if swept == "s_x":
-        edge = math.sqrt(lam)
-        grid, curves = np.linspace(-edge, edge, FIGURE_POINTS), _BETA_CURVES
-    else:
-        grid, curves = np.linspace(0.0, math.pi, FIGURE_POINTS), _SX_CURVES
-    params = [_fmt(p) for p in grid.tolist()]
+    curves = _BETA_CURVES if swept == "s_x" else _SX_CURVES
+    text = [f"curve,param,{quantity}_closed\n"]
+    # Each curve's rows are one % pass over its params and values interleaved.
+    args = [None] * (2 * FIGURE_POINTS)
+    args[0::2] = params
     for label, fixed in curves:
-        s_x, beta = (grid, fixed) if swept == "s_x" else (fixed, grid)
+        s_x, beta = (points, fixed) if swept == "s_x" else (fixed, points)
         sin_beta, den = port_terms(s_x, beta)
         if quantity == "V":
             yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
             values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)
         else:
             values = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
-        lines += [f"{label},{p},{_fmt(v)}" for p, v in zip(params, values.tolist())]
-    return lines
+        args[1::2] = values.tolist()
+        text.append(f"{label},%s,{NUMBER}\n" * FIGURE_POINTS % tuple(args))
+    return "".join(text)
 
 
-def figure_tables() -> dict[str, list[str]]:
-    """The eight bundled preset curve families, keyed by file stem."""
-    third = 1.0 / 3.0
+def figure_tables() -> dict[str, str]:
+    """The eight bundled preset curve families as CSV text, keyed by file stem."""
+    third, mixed = 1.0 / 3.0, 9.0 / 25.0
+    edge = math.sqrt(mixed)
+    # The three distinct grids, each formatted once for all its tables.
+    ranges = ((-edge, edge), (-1.0, 1.0), (0.0, math.pi))
+    grids = [np.linspace(lo, hi, FIGURE_POINTS) for lo, hi in ranges]
+    sx_mixed, sx_pure, betas = [(g, [NUMBER % p for p in g.tolist()]) for g in grids]
     return {
-        "fig2a": _figure_table("V", "s_x", lam=9.0 / 25.0, a_overlap=third),
-        "fig2b": _figure_table("V", "beta", lam=9.0 / 25.0, a_overlap=third),
-        "fig2c": _figure_table("V", "s_x", lam=1.0, a_overlap=third),
-        "fig2d": _figure_table("V", "beta", lam=1.0, a_overlap=third),
-        "fig3a": _figure_table("D", "s_x", lam=1.0, a_overlap=third),
-        "fig3b": _figure_table("D", "beta", lam=1.0, a_overlap=third),
-        "fig3c": _figure_table("D", "s_x", lam=1.0, a_overlap=0.8),
-        "fig3d": _figure_table("D", "beta", lam=1.0, a_overlap=0.8),
+        "fig2a": _figure_table("V", "s_x", *sx_mixed, lam=mixed, a_overlap=third),
+        "fig2b": _figure_table("V", "beta", *betas, lam=mixed, a_overlap=third),
+        "fig2c": _figure_table("V", "s_x", *sx_pure, lam=1.0, a_overlap=third),
+        "fig2d": _figure_table("V", "beta", *betas, lam=1.0, a_overlap=third),
+        "fig3a": _figure_table("D", "s_x", *sx_pure, lam=1.0, a_overlap=third),
+        "fig3b": _figure_table("D", "beta", *betas, lam=1.0, a_overlap=third),
+        "fig3c": _figure_table("D", "s_x", *sx_pure, lam=1.0, a_overlap=0.8),
+        "fig3d": _figure_table("D", "beta", *betas, lam=1.0, a_overlap=0.8),
     }
 
 
-def _write_lines(path, lines: list[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_text(path, text: str) -> None:
+    """Write text as ASCII with LF line ends, over an existing file in place.
+
+    A regular file is cut to length after the write, not by O_TRUNC at open,
+    which on ext4 waits for the old contents' writeback."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(text.encode("ascii"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 # --- subcommand handlers --------------------------------------------------------
@@ -268,14 +283,14 @@ def _cmd_sweep(args) -> int:
         delta=args.delta,
         yz_angle=args.yz_angle,
     )
-    _write_lines(args.out, run_sweep(spec))
+    _write_text(args.out, run_sweep(spec))
     return 0
 
 
 def _cmd_figures(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    for stem, lines in figure_tables().items():
-        _write_lines(os.path.join(args.out_dir, f"{stem}.csv"), lines)
+    for stem, text in figure_tables().items():
+        _write_text(os.path.join(args.out_dir, f"{stem}.csv"), text)
     return 0
 
 

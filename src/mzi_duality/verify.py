@@ -92,7 +92,7 @@ def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
     they are exact. Each value is one that the domain types accept as is.
     """
     direction = rng.standard_normal(3)
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(direction.dot(direction))  # np.linalg.norm, without its dispatch
     if norm < 1e-12:
         s_x = s_y = s_z = 0.0
         u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(5).tolist()

@@ -213,9 +213,9 @@ def test_criterion_9_figure_reproduction(tmp_path):
     )
 
     shape_ok = True
-    for stem, lines in figure_tables().items():
+    for stem, text in figure_tables().items():
         curves = {}
-        for line in lines[1:]:
+        for line in text.splitlines()[1:]:
             label, _, value = line.split(",")
             curves.setdefault(label, []).append(float(value))
         for values in curves.values():

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzi_duality.cli import (
     SWEEP_HEADER,
@@ -16,13 +21,15 @@ from mzi_duality.cli import (
 from mzi_duality.duality import (
     complementarity_residual,
     distinguishability_closed,
+    distinguishability_kernel,
     distinguishability_trace_norm,
     path_weights,
     visibility_closed,
+    visibility_kernel,
     visibility_scan,
 )
 from mzi_duality.errors import DualityError, InvalidInputError
-from mzi_duality.interferometer import BeamSplitterAngle, BlochState
+from mzi_duality.interferometer import BeamSplitterAngle, BlochState, port_terms
 
 
 # --- angle parsing ---------------------------------------------------------------
@@ -135,7 +142,7 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_rows_satisfy_the_complementarity_identity():
-    lines = run_sweep(small_sx_spec())
+    lines = run_sweep(small_sx_spec()).splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 14
     for line in lines[1:]:
@@ -149,7 +156,7 @@ def test_sweep_rows_satisfy_the_complementarity_identity():
 
 def test_sweep_finds_the_reference_peak():
     # 241 steps over [-3/5, 3/5] at the symmetric splitter: peak 0.2 at s_x = 0
-    lines = run_sweep(small_sx_spec(steps=241))
+    lines = run_sweep(small_sx_spec(steps=241)).splitlines()
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     best = max(rows, key=lambda row: row[1])
     assert best[1] == pytest.approx(0.2, abs=1e-9)
@@ -162,7 +169,7 @@ def test_beta_sweep_finds_the_reference_valley():
         swept="beta", lo=0.0, hi=math.pi, steps=201, lam=0.25,
         a_overlap=0.8, s_x=0.5,
     )
-    rows = [[float(x) for x in line.split(",")] for line in run_sweep(spec)[1:]]
+    rows = [[float(x) for x in line.split(",")] for line in run_sweep(spec).splitlines()[1:]]
     best = min(rows, key=lambda row: row[3])
     step = math.pi / 200
     assert abs(best[0] - 2 * math.pi / 3) <= step
@@ -174,7 +181,7 @@ def test_beta_sweep_endpoints_are_exact():
         swept="beta", lo=0.0, hi=math.pi, steps=9, lam=0.36,
         a_overlap=1 / 3, s_x=0.5,
     )
-    lines = run_sweep(spec)
+    lines = run_sweep(spec).splitlines()
     first = [float(x) for x in lines[1].split(",")]
     last = [float(x) for x in lines[-1].split(",")]
     assert first[1] == 0.0 and first[3] == 1.0
@@ -187,7 +194,7 @@ def test_sweep_emits_empty_fields_on_degenerate_points(capsys):
         swept="beta", lo=0.0, hi=math.pi, steps=5, lam=1.0,
         a_overlap=0.5, s_x=1.0,
     )
-    lines = run_sweep(spec)
+    lines = run_sweep(spec).splitlines()
     assert lines[-1].endswith(",,,,,,,")
     assert "degenerate" in capsys.readouterr().err
     complete = [line for line in lines[1:] if not line.endswith(",,,,,,,")]
@@ -221,23 +228,23 @@ def scalar_sweep(spec):
     return rows, warnings
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        SweepSpec(swept="s_x", lo=-0.6, hi=0.6, steps=41, lam=0.36, a_overlap=0.4,
-                  beta=1.1, gamma=2.0, delta=0.3, yz_angle=0.7),
-        # next to the dark port: 60 of 61 rows blank on the weights' sum
-        SweepSpec(swept="beta", lo=0.0, hi=1e-3, steps=61, lam=1.0, a_overlap=0.4,
-                  s_x=-0.9999999999, gamma=4.0, delta=1.0, yz_angle=2.5),
-        # Bloch length, weights range and dark-port rows
-        SweepSpec(swept="s_x", lo=-1.000000000001, hi=1.000000000001, steps=9,
-                  lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
-        SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
-                  a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7),
-    ],
-)
+EDGE_SPECS = [
+    SweepSpec(swept="s_x", lo=-0.6, hi=0.6, steps=41, lam=0.36, a_overlap=0.4,
+              beta=1.1, gamma=2.0, delta=0.3, yz_angle=0.7),
+    # next to the dark port: 60 of 61 rows blank on the weights' sum
+    SweepSpec(swept="beta", lo=0.0, hi=1e-3, steps=61, lam=1.0, a_overlap=0.4,
+              s_x=-0.9999999999, gamma=4.0, delta=1.0, yz_angle=2.5),
+    # Bloch length, weights range and dark-port rows
+    SweepSpec(swept="s_x", lo=-1.000000000001, hi=1.000000000001, steps=9,
+              lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
+    SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
+              a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7),
+]
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS)
 def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
-    lines = run_sweep(spec)
+    lines = run_sweep(spec).splitlines()
     rows, warnings = scalar_sweep(spec)
     assert capsys.readouterr().err.splitlines() == warnings
     assert lines[0] == SWEEP_HEADER and len(lines) == len(rows) + 1
@@ -251,6 +258,41 @@ def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
             assert fields[1 + k] == _fmt(row[k])
         for k in (1, 3):  # V_scan and D_trace
             assert abs(float(fields[1 + k]) - row[k]) <= 1e-15
+
+
+def check_sweep_text(text, steps):
+    """Every line ends in LF, every field round-trips through _fmt, and a
+    blank row is its param followed by seven commas."""
+    lines = text.splitlines(keepends=True)
+    assert "\r" not in text and all(line.endswith("\n") for line in lines)
+    assert lines[0] == SWEEP_HEADER + "\n" and len(lines) == steps + 1
+    for line in lines[1:]:
+        fields = line[:-1].split(",")
+        assert len(fields) == 8 and fields[0] != "", line
+        if "" in fields:
+            assert line == fields[0] + ",,,,,,,\n"
+        assert all(_fmt(float(f)) == f for f in fields if f), line
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS)
+def test_edge_sweep_text_is_well_formatted(spec):
+    check_sweep_text(run_sweep(spec), spec.steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=st.floats(0.01, 1.0),
+    lo=st.floats(-1.0, 0.0),
+    hi=st.floats(0.01, 1.0),
+    a_overlap=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, math.pi),
+    steps=st.integers(2, 40),
+)
+def test_drawn_sweep_text_is_well_formatted(lam, lo, hi, a_overlap, beta, steps):
+    edge = math.sqrt(lam)
+    spec = SweepSpec(swept="s_x", lo=lo * edge, hi=hi * edge, steps=steps, lam=lam,
+                     a_overlap=a_overlap, beta=beta)
+    check_sweep_text(run_sweep(spec), steps)
 
 
 def test_sweep_cli_writes_deterministic_csv(tmp_path):
@@ -268,6 +310,46 @@ def test_sweep_cli_writes_deterministic_csv(tmp_path):
     assert b"\r" not in data
 
 
+SMALL_SWEEP = [
+    "sweep", "--param", "sx", "--lo", "-0.6", "--hi", "0.6", "--steps", "7",
+    "--lam", "0.36", "--A", "0.3333333333333333", "--beta", "pi/2",
+]
+
+
+def test_sweep_cli_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path):
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    assert main(SMALL_SWEEP + ["--out", str(fresh)]) == 0
+    out.write_bytes(b"9" * 100_000)
+    assert main(SMALL_SWEEP + ["--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    # and a figures table written over a longer file, in the same directory
+    (tmp_path / "fig2a.csv").write_bytes(b"9" * 100_000)
+    assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "fig2a.csv").read_text() == figure_tables()["fig2a"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_sweep_cli_writes_through_a_fifo(tmp_path):
+    # A pipe cannot be truncated; the writer must leave it as it is.
+    fresh, fifo = tmp_path / "fresh.csv", tmp_path / "pipe"
+    assert main(SMALL_SWEEP + ["--out", str(fresh)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(SMALL_SWEEP + ["--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert received == [fresh.read_bytes()]
+
+
+def test_a_new_output_file_gets_the_mode_that_open_gives(tmp_path):
+    reference, out = tmp_path / "reference.csv", tmp_path / "out.csv"
+    with open(reference, "w"):
+        pass
+    assert main(SMALL_SWEEP + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
 def test_sweep_cli_rejects_unwritable_output(tmp_path):
     argv = [
         "sweep", "--param", "beta", "--lo", "0", "--hi", "pi", "--steps", "3",
@@ -282,7 +364,7 @@ def test_sweep_cli_rejects_unwritable_output(tmp_path):
 
 @pytest.fixture(scope="module")
 def tables():
-    return figure_tables()
+    return {stem: text.splitlines() for stem, text in figure_tables().items()}
 
 
 def test_figure_tables_have_expected_shape(tables):
@@ -321,6 +403,31 @@ def test_figure_rows_match_the_scalar_closed_forms(tables):
             else:
                 expected = distinguishability_closed(s_x, beta, a_overlap)
             assert value == _fmt(expected), (stem, line)
+
+
+def test_figure_tables_equal_a_line_by_line_reference():
+    # The per-row algorithm the one-pass tables replaced, kept as their oracle.
+    beta_curves = (("beta=pi/4", math.pi / 4), ("beta=pi/2", math.pi / 2), ("beta=3pi/4", 3 * math.pi / 4))
+    sx_curves = (("sx=-0.5", -0.5), ("sx=0", 0.0), ("sx=0.5", 0.5))
+    for stem, text in figure_tables().items():
+        lam, a_overlap = FIGURE_PARAMETERS[stem]
+        quantity = "V" if stem.startswith("fig2") else "D"
+        lines = [f"curve,param,{quantity}_closed"]
+        if stem[-1] in "ac":
+            edge = math.sqrt(lam)
+            grid, curves = np.linspace(-edge, edge, 501), beta_curves
+        else:
+            grid, curves = np.linspace(0.0, math.pi, 501), sx_curves
+        for label, fixed in curves:
+            s_x, beta = (grid, fixed) if stem[-1] in "ac" else (fixed, grid)
+            sin_beta, den = port_terms(s_x, beta)
+            if quantity == "V":
+                yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
+                values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)
+            else:
+                values = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
+            lines += [f"{label},{_fmt(p)},{_fmt(v)}" for p, v in zip(grid.tolist(), values.tolist())]
+        assert text == "\n".join(lines) + "\n", stem
 
 
 def parse_curves(lines):
