@@ -2,8 +2,8 @@
 
 Fringe visibility (wave side) and which-path distinguishability (particle
 side) each come in two independent flavors: a closed-form expression and a
-brute-force route through the operator pipeline (explicit fringe
-extremization, trace-norm state discrimination). Their agreement, the
+route through the operator pipeline (the extrema of the fringe into which
+the pipeline folds, trace-norm state discrimination). Their agreement, the
 complementarity identity V^2 + D^2 + residual = 1, and the location of every
 peak and valley are enforced by the test suite.
 """
@@ -207,15 +207,15 @@ def visibility_closed(
 
 
 def visibility_scans(s_x, s_y, s_z, unitary, beta):
-    """Fringe contrast of n points by explicit extremization over the phase dial.
+    """Fringe contrast of n points from the pipeline's extrema over the phase dial.
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point. Returns
     ``(visibility, defined)``: the contrast (p_max - p_min) / (p_max + p_min)
     of each point's port-a extrema over the phase dial
-    (interferometer.port_extrema, which holds the search), with ``defined``
-    False, and the visibility NaN, where p_max + p_min, the scan's own port
+    (interferometer.port_extrema, c0 +- |c2|), with ``defined`` False, and
+    the visibility NaN, where p_max + p_min, the scan's own port
     denominator, leaves the port dark (port_is_dark; contrast 0/0).
     """
     p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, beta)
@@ -227,14 +227,12 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
 
 
 def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle) -> float:
-    """Fringe contrast measured by explicit extremization over the phase dial.
+    """Fringe contrast from the operator pipeline's extrema over the phase dial.
 
-    The one-point case of visibility_scans: the port-a probability through
-    the full operator pipeline, its maximum and minimum each found by
-    bracket refinement from the full turn [0, 2*pi] down to
-    interferometer.PHASE_REFINE_TOL, on the two fringe coefficients into
-    which the pipeline's quadratic form sums. Serves as the independent
-    oracle for visibility_closed.
+    The one-point case of visibility_scans: the pipeline's quadratic form
+    for the port-a probability sums into two fringe coefficients, P(phi) =
+    c0 + Re(c2 e^{-2i*phi}), whose maximum and minimum are c0 +- |c2|.
+    Shares no formula with visibility_closed, whose independent oracle it is.
     """
     visibility, defined = visibility_scans(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]

@@ -373,44 +373,7 @@ def detection_probability_closed(
     )
 
 
-# --- the phase search ----------------------------------------------------------
-
-PHASE_REFINE_TOL = 1e-12
-# Interior samples per bracket and refinement round. The port-a probability
-# has only the frequencies 0 and 2 in phi (a constant plus one fringe of
-# period pi), so the first round's 31 samples over the full turn [0, 2*pi],
-# about 16 per period, already leave each extremum within one spacing of the
-# best sample. Narrowing a bracket to its best sample +- one spacing shrinks
-# it by (n + 1) / 2 = 16 per round, so a scan refines in 11 rounds.
-_REFINE_SAMPLES = 31
-_SAMPLE_INDEX = np.arange(1, _REFINE_SAMPLES + 1)
-# Points per block. Each round costs a fixed few numpy calls per block, so
-# blocks of 32 points make a 1000-point scan about 1.7 times as slow as
-# blocks of 256, past which it no longer gets faster (2-vCPU x86-64 VM, one
-# BLAS thread). A block's arrays stay under 130 kB (a round's samples are
-# 2 x 256 x 31 doubles); one block of every point would take about 500
-# bytes per point, 100 MB more for a 200 000-row sweep.
-_SCAN_CHUNK = 256
-
-
-def _samples(offsets: np.ndarray) -> np.ndarray:
-    # The rows s, cos 2s and sin 2s of each phase offset s: shape (3, k).
-    return np.array([offsets, np.cos(2.0 * offsets), np.sin(2.0 * offsets)])
-
-
-def _search_rounds() -> tuple[tuple, np.ndarray]:
-    # (spacing, _samples of the interior offsets) of each refinement round,
-    # from the full turn down to PHASE_REFINE_TOL, and the _samples of the
-    # final midpoint. They depend only on the round, so they are built once.
-    rounds, width = [], TWO_PI
-    while width > PHASE_REFINE_TOL:
-        spacing = width / (_REFINE_SAMPLES + 1)
-        rounds.append((spacing, _samples(spacing * _SAMPLE_INDEX)))
-        width = 2.0 * spacing
-    return tuple(rounds), _samples(np.array([0.5 * width]))
-
-
-_ROUNDS, _MIDPOINT = _search_rounds()
+# --- the fringe extrema ---------------------------------------------------------
 
 
 def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -430,67 +393,34 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
 
 
-def _bracket_probabilities(c0, c2, lo, samples) -> np.ndarray:
-    # Port-a probabilities of the fringe coefficients (c0_j, c2_j) at the
-    # base phase lo_j plus each offset s of the shared ``samples``: (n, k).
-    # With r = c2 e^{-2i*lo}, the value is c0 + Re(r) cos 2s + Im(r) sin 2s,
-    # one (n, 2) @ (2, k) product on a real view of r.
-    rotated = c2 * np.exp(-2j * lo)
-    return c0[:, None] + rotated.view(float).reshape(-1, 2) @ samples[1:]
-
-
-def _refine_extrema(c0, c2):
-    # Bracket search for each point's maximum and minimum over the phase dial,
-    # all 2n brackets in one evaluation per round, every bracket starting as
-    # the full turn [0, 2*pi]. After the first round each bracket holds one
-    # extremum of the sinusoidal, hence locally unimodal, fringe, so the
-    # extremum lies within one spacing of the best sample.
-    n = len(c0)
-    c0, c2 = np.concatenate([c0, c0]), np.concatenate([c2, c2])
-    lo = np.zeros(2 * n)
-    for spacing, samples in _ROUNDS:
-        values = _bracket_probabilities(c0, c2, lo, samples)
-        best = np.concatenate([values[:n].argmax(axis=1), values[n:].argmin(axis=1)])
-        lo = lo + samples[0][best] - spacing
-    refined = _bracket_probabilities(c0, c2, lo, _MIDPOINT)[:, 0]
-    return refined[:n], refined[n:]
-
-
 def port_extrema(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
     """(p_max, p_min): the extrema over the phase dial of n points' port-a
-    probability, found by explicit search; two arrays of shape (n,).
+    probability through the operator pipeline; two arrays of shape (n,).
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point.
 
     Sums all 16 terms of each point's quadratic form once, into its two
-    fringe coefficients (the port-a probability is c0 + Re(c2 e^{-2i*phi})),
-    then refines the points in blocks of _SCAN_CHUNK. Each point's maximum
-    and minimum start as one bracket each over the full turn [0, 2*pi];
-    each round samples every bracket at 31 interior phases, on the round's
-    cos/sin table built at import, and narrows it to its best sample +- one
-    spacing, until the brackets are narrower than PHASE_REFINE_TOL.
+    fringe coefficients: the port-a probability is c0 + Re(c2 e^{-2i*phi}),
+    a constant plus one harmonic, so its extrema are c0 +- |c2|, reached at
+    phi = arg(c2) / 2 and a quarter turn from it.
     """
     c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
-    p_max, p_min = np.empty((2, len(c0)))
-    for start in range(0, len(c0), _SCAN_CHUNK):
-        block = slice(start, start + _SCAN_CHUNK)
-        p_max[block], p_min[block] = _refine_extrema(c0[block], c2[block])
-    return p_max, p_min
+    amplitude = np.abs(c2)
+    return c0 + amplitude, c0 - amplitude
 
 
 def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):
     """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
-    reorganized: the one-point case of the scan's evaluator, on the point's
-    two fringe coefficients and a cos/sin table of the phases built per call.
+    reorganized: c0 + Re(c2 e^{-2i*phi}) on the point's two fringe
+    coefficients, the ones port_extrema takes the extrema of.
     """
     c0, c2 = _fringe_coefficients([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 
     def probe(phis: np.ndarray) -> np.ndarray:
-        samples = _samples(np.asarray(phis, dtype=float))
-        return _bracket_probabilities(c0, c2, np.zeros(1), samples)[0]
+        return c0 + (c2 * np.exp(-2j * np.asarray(phis, dtype=float))).real
 
     return probe

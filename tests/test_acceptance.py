@@ -66,7 +66,7 @@ def test_criterion_3_visibility_oracle():
     ok, detail = check("visibility_oracle", np.random.default_rng(103), 1e-9)
     elapsed = time.perf_counter() - start
     report(
-        "criterion 3 visibility scan oracle",
+        "criterion 3 visibility fringe-extrema oracle",
         ok and elapsed < 60.0,
         f"{detail}, {elapsed:.1f}s (budget 60s)",
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzi_duality import interferometer
 from mzi_duality.cli import (
     SWEEP_HEADER,
     SweepSpec,
@@ -528,6 +529,24 @@ def test_verify_injected_fault_fails(capsys):
     assert code == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["visibility_oracle"]["failures"] > 0
+
+
+def test_verify_counts_a_failed_density_check_as_a_suite_failure(monkeypatch, capsys):
+    # A 1e-9 relative fault in the closed-form expansion breaks the trace of
+    # the library's own output. That is a failure of the suite that checks
+    # it, with a NaN worst error and a note on stderr, not invalid input.
+    closed_form = interferometer._evolve_closed_form
+    monkeypatch.setattr(
+        interferometer, "_evolve_closed_form", lambda *args: closed_form(*args) * (1.0 + 1e-9)
+    )
+    assert main(["verify", "--draws", "20"]) == 1
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    failed = summary.pop("pipeline_equivalence")
+    assert failed["failures"] == failed["cases"] == 20 and math.isnan(failed["max_error"])
+    assert all(entry["failures"] == 0 for entry in summary.values())
+    note = "suite pipeline_equivalence raised: density operator trace deviates from 1"
+    assert note in captured.err and len(captured.err.splitlines()) == 1
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

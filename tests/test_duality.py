@@ -13,7 +13,7 @@ from draws import draw_beta, draw_bloch_state, draw_detector
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mzi_duality import duality, interferometer
+from mzi_duality import duality, interferometer, verify
 from mzi_duality.cli import SweepSpec, run_sweep
 from mzi_duality.duality import (
     DualityReport,
@@ -169,52 +169,19 @@ def test_scan_is_invariant_under_detector_phases():
         assert abs(base - other) <= 1e-10
 
 
-@pytest.fixture
-def probe_calls(monkeypatch):
-    """Phase arrays of each bracket evaluation a scan makes, in order: each
-    refinement round's brackets, then the refined extrema, one row of
-    absolute phases lo_j + offset_k per bracket (maxima first, then minima)."""
-    calls = []
-    evaluate = interferometer._bracket_probabilities
-
-    def recording(c0, c2, lo, samples):
-        calls.append(lo[:, None] + samples[0])
-        return evaluate(c0, c2, lo, samples)
-
-    monkeypatch.setattr(interferometer, "_bracket_probabilities", recording)
-    return calls
-
-
-def test_default_scan_makes_at_most_16_probe_calls(probe_calls):
-    state = BlochState(0.2, -0.4, 0.5)
-    det = DetectorConfig(0.7, 0.3, 1.9)
-    beta = BeamSplitterAngle(0.8)
-    scan = visibility_scan(state, det, beta)
-    # 11 refinement rounds from the full turn, then the final evaluation: 12.
-    assert len(probe_calls) <= 16
-    assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
-
-
 @pytest.mark.parametrize("extremum,offset", [("max", 0.0), ("min", math.pi)])
-def test_scan_refines_across_zero_phase(probe_calls, extremum, offset):
+def test_scan_matches_closed_form_with_the_extremum_at_zero_phase(extremum, offset):
     # alpha = 0, so the fringe cos(gamma + 2*phi) peaks (or, shifted by pi,
-    # dips) at phi = target mod pi: exactly at 0, the start of every bracket,
-    # and just below it, where the extremum's copies in [0, 2*pi] are
-    # pi - 1e-7 and 2*pi - 1e-7. Every sampled phase stays in the full turn,
-    # and the refined phase lands on a copy of the extremum.
+    # dips) at phi = target mod pi: exactly at 0, where the phase dial wraps,
+    # and just below it, at -1e-7.
     state = BlochState(0.1, 0.0, 0.9)
     beta = BeamSplitterAngle(1.1)
-    row = 0 if extremum == "max" else 1
     for target in (0.0, -1e-7):
         det = DetectorConfig(0.8, offset - 2.0 * target, 0.4)
         probe = phase_probe(state, det, beta)
         values = probe(target + np.array([-1e-3, 0.0, 1e-3]))
         assert (np.argmax(values) if extremum == "max" else np.argmin(values)) == 1
-        probe_calls.clear()
         scan = visibility_scan(state, det, beta)
-        assert all(0.0 <= phis.min() and phis.max() <= TWO_PI for phis in probe_calls)
-        refined = probe_calls[-1][row, 0]
-        assert abs(math.remainder(refined - target, math.pi)) <= 1e-6
         assert abs(scan - visibility_closed(state, det.a_overlap, beta)) <= 1e-12
 
 
@@ -247,15 +214,14 @@ def stack(points):
 @pytest.mark.parametrize(
     "n",
     [
-        # One point and partial blocks of several sizes, then one full block,
-        # one point past it, and two blocks and one point.
+        # One point, then stacks of several sizes up to a few hundred points.
         1,
         32,
         33,
         65,
-        interferometer._SCAN_CHUNK,
-        interferometer._SCAN_CHUNK + 1,
-        2 * interferometer._SCAN_CHUNK + 1,
+        256,
+        257,
+        513,
     ],
 )
 def test_stacked_scan_equals_scalar_scans(n, a_overlap):
@@ -266,47 +232,62 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
     assert visibility.shape == (n,) and defined.all()
     for (state, beta), v in zip(points, visibility):
-        assert abs(v - visibility_scan(state, det, beta)) <= 1e-15
+        assert v == visibility_scan(state, det, beta)
 
 
-def test_bracket_evaluation_matches_the_pipeline():
-    # The refinement's evaluator, each bracket's fringe coefficient c2
-    # rotated by its base phase and every row evaluated on one table of offsets,
-    # against the operator pipeline at each sampled phase: edge points at
-    # A = 0, 1 and one interior overlap, then seeded draws, each with
-    # brackets across phi = 0, across 2*pi and at a seeded base phase.
+def dark_port_rows(n):
+    # n pure-state (s_x, s_y, s_z, beta) rows with the port denominator
+    # 1 + s_x cos(beta) log-spaced in [10^-11.5, 10^-4], as the benchmark's
+    # dark-port points are built, the sign of s_x alternating.
+    port = 10.0 ** (-11.5 + 7.5 * (np.arange(n) + 0.5) / n)
+    magnitude = 1.0 - 0.5 * port
+    angle = np.arccos((1.0 - port) / magnitude)
+    negative = np.arange(n) % 2 == 0
+    s_x = np.where(negative, -magnitude, magnitude)
+    beta = np.where(negative, angle, math.pi - angle)
+    yz = np.sqrt(1.0 - s_x * s_x)
+    yz_angle = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    return s_x, yz * np.sin(yz_angle), yz * np.cos(yz_angle), beta
+
+
+def test_harmonic_identity_matches_the_pipeline():
+    # The two fringe coefficients that the scan takes its extrema from, as
+    # c0 + Re(c2 e^{-2i*phi}), against the operator pipeline at random phases:
+    # edge points at A = 0, 1 and one interior overlap, verify's own draws,
+    # and pure states next to the dark port. A harmonic that the fold left
+    # out would show here, and not in the extrema alone.
     rng = np.random.default_rng(83)
     cases = [
         (state, DetectorConfig(a_overlap, 0.4, 1.3), beta)
         for a_overlap in (0.0, 1.0, 0.37)
         for state, beta in EDGE_POINTS
     ]
-    cases += [(draw_bloch_state(rng), draw_detector(rng), draw_beta(rng)) for _ in range(12)]
+    p = verify._draw_points(rng, 60)
+    cases += [
+        (BlochState(x, y, z), DetectorConfig(a, g, d), BeamSplitterAngle(b))
+        for x, y, z, a, g, d, b in zip(*(c.tolist() for c in p[:7]))
+    ]
+    cases += [
+        (BlochState(x, y, z), draw_detector(rng), BeamSplitterAngle(b))
+        for x, y, z, b in zip(*(c.tolist() for c in dark_port_rows(30)))
+    ]
     (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
     unitary = np.stack([det.unitary for _, det, _ in cases])
     c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
-    spacing = 1e-3
-    for offsets in (spacing * interferometer._SAMPLE_INDEX, np.array([0.5 * spacing])):
-        half = 0.5 * (offsets[-1] + spacing)
-        lo = np.concatenate(
-            [np.full(len(c0), -half), np.full(len(c0), TWO_PI - half), rng.uniform(0, TWO_PI, len(c0))]
-        )
-        values = interferometer._bracket_probabilities(
-            np.tile(c0, 3), np.tile(c2, 3), lo, interferometer._samples(offsets)
-        )
-        for (state, det, beta), base, row in zip(cases * 3, lo, values):
-            for offset, value in zip(offsets, row):
-                rho = evolve(state, det, beta, PhaseShift(base + offset))
-                assert abs(value - detection_probability_numeric(rho)) <= 1e-14
+    for (state, det, beta), k0, k2 in zip(cases, c0, c2):
+        for phi in rng.uniform(-TWO_PI, 2 * TWO_PI, 5):
+            value = k0 + (k2 * np.exp(-2j * phi)).real
+            rho = evolve(state, det, beta, PhaseShift(phi))
+            assert abs(value - detection_probability_numeric(rho)) <= 1e-14
 
 
 def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
-    # A scan keeps no state between calls: a scan of many blocks followed by
+    # A scan keeps no state between calls: a scan of 513 points followed by
     # a smaller scan, and the reverse order, give the same bits.
     rng = np.random.default_rng(73)
     dets = [draw_detector(rng) for _ in range(2)]
     inputs = []
-    for det, n in zip(dets, (2 * interferometer._SCAN_CHUNK + 1, 5)):
+    for det, n in zip(dets, (513, 5)):
         (s_x, s_y, s_z), betas = stack([(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])
         inputs.append((s_x, s_y, s_z, det.unitary, betas))
     first = [visibility_scans(*args) for args in inputs]
@@ -318,13 +299,12 @@ def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="fault counts depend on glibc's allocator"
 )
-def test_scan_reuses_its_work_memory_across_blocks():
-    # A 241-point scan, one block, allocates its round's arrays afresh in
-    # each of its 12 rounds, the largest the 2 x 241 x 31 sampled values
-    # (120 kB): with glibc made to map every allocation afresh, a warm call
-    # takes about 1300 minor page faults. Arrays that small come from the
-    # heap, and the allocator's reuse of freed heap keeps a warm call far
-    # below that.
+def test_scan_reuses_its_work_memory_across_calls():
+    # A 241-point scan allocates its fold's arrays afresh on every call, the
+    # largest a 241 x 4 x 4 complex stack (62 kB): with glibc made to map
+    # every allocation afresh, a warm call takes about 260 minor page faults.
+    # Arrays that small come from the heap, and the allocator's reuse of
+    # freed heap keeps a warm call far below that.
     code = textwrap.dedent(
         """
         import resource

@@ -450,14 +450,12 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
 
 
 def test_port_extrema_bound_every_probe_value():
-    # One point past a block, so the scan runs a second block. The probe
-    # shares the scan's evaluator: both sides of each comparison with it
-    # evaluate the same two fringe coefficients, sums of 16 terms of modulus
-    # at most 1, and each side rounds by at most 16 eps.
-    # The operator pipeline at the same phases is held to the probe's own
-    # 1e-14 agreement with it.
+    # The probe and the extrema come from the same two fringe coefficients,
+    # sums of 16 terms of modulus at most 1, and each side of a comparison
+    # rounds by at most 16 eps. The operator pipeline at the same phases is
+    # held to the probe's own 1e-14 agreement with it.
     rng = np.random.default_rng(43)
-    points = [draw_point(rng)[:3] for _ in range(interferometer._SCAN_CHUNK + 1)]
+    points = [draw_point(rng)[:3] for _ in range(257)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
     unitary = np.stack([det.unitary for _, det, _ in points])
     p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
@@ -471,3 +469,28 @@ def test_port_extrema_bound_every_probe_value():
         pipeline = interferometer._port_a_probabilities(rho)
         assert lo - 1e-14 <= pipeline.min() and pipeline.max() <= hi + 1e-14
 
+
+
+def test_port_extrema_are_attained():
+    # The pipeline reaches c0 + |c2| at phi = arg(c2) / 2 and c0 - |c2| a
+    # quarter turn later, so the extrema are the fringe's own values, not
+    # only bounds on it. Edge points first (c2 = 0 at A = 0, where every
+    # phase attains both), then seeded draws.
+    rng = np.random.default_rng(47)
+    points = [
+        (state, DetectorConfig(a_overlap, 0.4, 1.3), BeamSplitterAngle(beta))
+        for state in (BlochState(0.6, 0.0, 0.8), BlochState(-0.3, 0.2, -0.4))
+        for a_overlap in (0.0, 1.0)
+        for beta in (0.0, math.pi / 2, math.pi)
+    ]
+    points += [draw_point(rng)[:3] for _ in range(200)]
+    s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
+    unitary = np.stack([det.unitary for _, det, _ in points])
+    betas = [beta.beta for _, _, beta in points]
+    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, betas)
+    _, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
+    for (state, det, beta), hi, lo, k2 in zip(points, p_max, p_min, c2):
+        peak = 0.5 * cmath.phase(k2)
+        for phi, extremum in ((peak, hi), (peak + 0.5 * math.pi, lo)):
+            rho = evolve(state, det, beta, PhaseShift(phi))
+            assert abs(detection_probability_numeric(rho) - extremum) <= 1e-14
