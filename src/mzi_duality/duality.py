@@ -382,9 +382,22 @@ def distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, floa
 def duality_report(
     state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle
 ) -> DualityReport:
-    """Closed-form V, D, and complementarity residual for one parameter point."""
+    """Closed-form V, D, and complementarity residual for one parameter point.
+
+    Equal, bit for bit and error for error, to visibility_closed,
+    distinguishability_closed and complementarity_residual, with the inputs
+    checked and the port terms and lengths computed once for all three.
+    """
+    s_x, a_overlap = state.s_x, det.a_overlap
+    require_finite(a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
+    sin_beta, den = _lit_port(s_x, beta.beta)
+    # distinguishability_closed's own check: a NaN s_x gets past _lit_port.
+    require_finite(s_x=s_x)
+    lam, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
+    v = visibility_kernel(yz, a_overlap, sin_beta, den)
     return DualityReport(
-        visibility=visibility_closed(state, det.a_overlap, beta),
-        distinguishability=distinguishability_closed(state.s_x, beta, det.a_overlap),
-        residual=complementarity_residual(state, det.a_overlap, beta),
+        visibility=min(max(v, 0.0), 1.0),
+        distinguishability=float(distinguishability_kernel(s_x, a_overlap, sin_beta, den)),
+        residual=residual_kernel(lam, a_overlap, sin_beta, den),
     )

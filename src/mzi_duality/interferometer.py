@@ -31,8 +31,9 @@ TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
 _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
-# The phase shifter's diagonal is exp(phi * _PHASE_SIGNS).
-_PHASE_SIGNS = np.array([-1j, 1j])
+# The diagonal of the phase shifter, lifted onto path (x) detector, is
+# exp(phi * _PHASE_SIGNS).
+_PHASE_SIGNS = np.array([-1j, -1j, 1j, 1j])
 
 
 def bloch_length_message(lam: float) -> str | None:
@@ -186,12 +187,13 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
     return DensityOperator(_bloch_densities([state.s_x], [state.s_y], [state.s_z])[0])
 
 
-def _phase_shifters(phi) -> np.ndarray:
-    # diag(e^{-i*phi}, e^{+i*phi}) of a phase or of each of an array of them:
-    # the diagonal is every third entry of the flattened 2x2.
+def _lifted_phase_shifters(phi) -> np.ndarray:
+    # diag(e^{-i*phi}, e^{+i*phi}) (x) 1 = diag(e^{-i*phi}, e^{-i*phi},
+    # e^{+i*phi}, e^{+i*phi}) of a phase or of each of an array of them: the
+    # diagonal is every fifth entry of the flattened 4x4.
     phi = np.asarray(phi, dtype=float)
-    d = np.zeros(phi.shape + (2, 2), dtype=complex)
-    d.reshape(phi.shape + (4,))[..., ::3] = np.exp(phi[..., None] * _PHASE_SIGNS)
+    d = np.zeros(phi.shape + (4, 4), dtype=complex)
+    d.reshape(phi.shape + (16,))[..., ::5] = np.exp(phi[..., None] * _PHASE_SIGNS)
     return d
 
 
@@ -234,7 +236,7 @@ def _tail(unitary, beta) -> np.ndarray:
 
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     rho = check_densities(_bloch_densities(s_x, s_y, s_z))
-    w = _tail(unitary, beta) @ _lift_path(_phase_shifters(phi)) @ _INPUT_SPLITTER
+    w = _tail(unitary, beta) @ _lifted_phase_shifters(phi) @ _INPUT_SPLITTER
     return w @ _kron2(rho, _DETECTOR_START) @ w.conj().swapaxes(-1, -2)
 
 
@@ -286,10 +288,10 @@ def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     kets[:, 0, 0] = 1.0
     kets[:, 1] = np.asarray(unitary)[..., :, 0]
     detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
-    fringe = np.exp(2j * phi)
-    amp = s_z + 1j * s_y
-    weights = np.array([0.25 * (1.0 - s_x), -0.25 * np.conj(fringe) * np.conj(amp),
-                        -0.25 * fringe * amp, 0.25 * (1.0 + s_x)]).T
+    # The weight of the term ab; that of ba is its conjugate, since conjugation
+    # distributes exactly over a complex product.
+    cross = -0.25 * np.exp(2j * phi) * (s_z + 1j * s_y)
+    weights = np.array([0.25 * (1.0 - s_x), cross.conj(), cross, 0.25 * (1.0 + s_x)]).T
     return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
 
 

@@ -8,6 +8,7 @@ The composite index convention is path-first: the basis vector
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -41,7 +42,10 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 def _as_matrix(value, name: str = "matrix", finite: bool = True) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
+    try:
+        arr = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} entries must be numbers") from exc
     if arr.shape not in ((2, 2), (4, 4)):
         raise InvalidInputError(f"{name} must be 2x2 or 4x4, got shape {arr.shape}")
     if finite and not _all_finite(arr):
@@ -71,8 +75,18 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
     Raises InvalidInputError with DensityOperator's message for the first
     check, in DensityOperator's order, that any member fails, quoting the
-    worst member. The 2x2 spectrum is _mean_radius's, the 4x4 one eigvalsh's.
+    worst member. One 2x2 matrix, alone or as a stack of one, is checked on
+    its four entries as Python complex numbers (_check_density2), a longer
+    stack in numpy; both take the lowest 2x2 eigenvalue as mean - radius,
+    _mean_radius's, with every modulus by libm's hypot, so their verdicts and
+    messages agree. The 4x4 spectrum is eigvalsh's.
     """
+    if m.size == 4:
+        try:
+            _check_density2(*m.reshape(4).tolist())
+            return m
+        except OverflowError:
+            pass  # a modulus beyond the float range: the stacked checks quote inf
     if not _all_finite(m):
         raise InvalidInputError("density operator must have finite entries")
     defect = hermiticity_defect(m)
@@ -88,6 +102,25 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     if smallest < -POSITIVITY_TOL:
         raise InvalidInputError(f"density operator has negative eigenvalue {smallest:.3e}")
     return m
+
+
+def _check_density2(a, b, c, d) -> None:
+    # check_densities on the 2x2 [[a, b], [c, d]], each check computed as the
+    # stacked path computes it: abs of a Python complex is libm's hypot, as
+    # numpy's abs and np.hypot are, so each quoted value rounds the same.
+    # abs raises OverflowError where a modulus exceeds the float range.
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+        raise InvalidInputError("density operator must have finite entries")
+    # |c - conj(b)| equals |b - conj(c)|.
+    defect = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+    if defect > HERMITIAN_TOL:
+        raise InvalidInputError(f"density operator is not Hermitian (defect {defect:.3e})")
+    trace_err = abs(a + d - 1.0)
+    if trace_err > TRACE_TOL:
+        raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
+    lowest = 0.5 * (a.real + d.real) - abs(complex(0.5 * (a.real - d.real), abs(b)))
+    if lowest < -POSITIVITY_TOL:
+        raise InvalidInputError(f"density operator has negative eigenvalue {lowest:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +205,17 @@ def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
     return a, c, b, 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(b))
 
 
-# hermitian_eig2 and trace_norm work on one matrix in plain Python, apart from
-# their stacked forms _hermitian_eig2s and _trace_norms: routed through a stack
-# of one after the same validation, they took 35 and 7.1 us per call against
-# 9.8 and 3.7 us, and the benchmark's single-point queries, which call both, 26%
-# longer (median of 8 interleaved in-process rounds, 2-vCPU x86-64 VM). Their
-# unchecked forms take a complex matrix that the caller built Hermitian and finite.
+# hermitian_eig2, trace_norm and check_densities work on one 2x2 matrix in
+# plain Python, apart from their stacked forms (_hermitian_eig2s, _trace_norms
+# and check_densities' numpy checks). Through the stacked forms (the first
+# two on a stack of one, after the same validation) they took 31.6, 5.9 and
+# 6.1 us per call against 9.2, 3.5 and 0.8 us. The benchmark's single-point
+# queries call the first two once each and check two 2x2 matrices (evolve's
+# Bloch input and partial_trace_path's result): with the stacked eigensolver
+# and trace norm they took 32% longer, with the stacked 2x2 check 11-16%
+# longer (medians of 8 interleaved in-process rounds, two sets of rounds for
+# the check; 2-vCPU x86-64 VM). The unchecked forms of the first two take a
+# complex matrix that the caller built Hermitian and finite.
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,11 @@ import sys
 import textwrap
 import warnings
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from draws import draw_beta, draw_bloch_state, draw_detector
+from draws import draw_beta, draw_bloch_state, draw_detector, draw_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -944,6 +945,52 @@ def test_report_identity_holds_on_random_draws():
         total = rep.visibility**2 + rep.distinguishability**2 + rep.residual
         assert abs(total - 1.0) <= 1e-12
         assert rep.visibility**2 + rep.distinguishability**2 <= 1.0 + 1e-12
+
+
+def test_report_equals_the_three_closed_forms_bit_for_bit():
+    # duality_report computes the port terms once; each field must carry the
+    # bits of the public closed form it stands for, on seeded draws, next to
+    # the dark port, at A and beta on their bounds and with lam's slack above 1.
+    rng = np.random.default_rng(43)
+    cases = [draw_point(rng)[:3] for _ in range(300)]
+    slack = BlochState(-0.999, 0.0, math.sqrt(1 + 1e-12 - 0.999**2))
+    assert slack.lam > 1.0
+    near_dark = BlochState(-1.0 + 1e-11, 0.0, 0.0)
+    for beta in (0.0, 1e-7, 0.05, HALF_PI, math.pi):
+        for a in (0.0, THIRD, 1.0):
+            cases += [(state, DetectorConfig(a), BeamSplitterAngle(beta)) for state in (slack, near_dark)]
+    for state, det, beta in cases:
+        rep = duality_report(state, det, beta)
+        separate = (
+            visibility_closed(state, det.a_overlap, beta),
+            distinguishability_closed(state.s_x, beta, det.a_overlap),
+            complementarity_residual(state, det.a_overlap, beta),
+        )
+        fields = (rep.visibility, rep.distinguishability, rep.residual)
+        assert [float(x).hex() for x in fields] == [float(x).hex() for x in separate]
+
+
+@pytest.mark.parametrize(
+    "state, beta, error",
+    [
+        (BlochState(-1.0, 0.0, 0.0), 0.0, DarkPortError),
+        (BlochState(1.0, 0.0, 0.0), math.pi, DarkPortError),
+        (SimpleNamespace(s_x=1.5, lam=2.25, yz_norm=0.0), HALF_PI, InvalidInputError),
+        (SimpleNamespace(s_x=-1.5, lam=2.25, yz_norm=0.0), HALF_PI, InvalidInputError),
+    ],
+    ids=["dark at beta 0", "dark at beta pi", "s_x above 1", "s_x below -1"],
+)
+def test_report_raises_as_the_closed_forms_do(state, beta, error):
+    det, angle = DetectorConfig(0.5), BeamSplitterAngle(beta)
+    for call in (
+        lambda: duality_report(state, det, angle),
+        lambda: visibility_closed(state, det.a_overlap, angle),
+        lambda: distinguishability_closed(state.s_x, angle, det.a_overlap),
+        lambda: complementarity_residual(state, det.a_overlap, angle),
+    ):
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error
 
 
 def test_report_type_rejects_complementarity_violation():

@@ -16,9 +16,9 @@ from mzi_duality.interferometer import (
     DetectorConfig,
     PhaseShift,
     _beam_splitters,
+    _lifted_phase_shifters,
     _marked_states,
     _marking_operators,
-    _phase_shifters,
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
@@ -174,11 +174,15 @@ def test_detector_unitary_is_always_unitary(a, gamma, delta):
 
 
 def test_phase_shifter_values():
-    np.testing.assert_allclose(_phase_shifters(0.0), I2, atol=1e-15)
-    np.testing.assert_allclose(_phase_shifters(math.pi), -I2, atol=1e-12)
+    # The phase shifter diag(e^{-i*phi}, e^{+i*phi}) lifted onto path (x) detector.
+    np.testing.assert_allclose(_lifted_phase_shifters(0.0), I4, atol=1e-15)
+    np.testing.assert_allclose(_lifted_phase_shifters(math.pi), -I4, atol=1e-12)
     np.testing.assert_allclose(
-        _phase_shifters(math.pi / 2), np.diag([-1j, 1j]), atol=1e-12
+        _lifted_phase_shifters(math.pi / 2), np.diag([-1j, -1j, 1j, 1j]), atol=1e-12
     )
+    phis = np.array([0.3, -2.0, 7.5])
+    expected = [np.kron(np.diag(np.exp(phi * np.array([-1j, 1j]))), I2) for phi in phis]
+    np.testing.assert_array_equal(_lifted_phase_shifters(phis), expected)
 
 
 def test_beam_splitter_values():
@@ -207,7 +211,7 @@ def test_marking_operator_block_structure():
 @given(angles, phases, overlaps, phases, phases)
 def test_pipeline_operators_are_unitary(beta, phi, a, gamma, delta):
     assert unitarity_defect(_beam_splitters(beta)) <= 1e-12
-    assert unitarity_defect(_phase_shifters(phi)) <= 1e-12
+    assert unitarity_defect(_lifted_phase_shifters(phi)) <= 1e-12
     assert unitarity_defect(_marking_operators(DetectorConfig(a, gamma, delta).unitary)) <= 1e-12
 
 

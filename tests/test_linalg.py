@@ -9,6 +9,7 @@ from mzi_duality.errors import InvalidInputError
 from mzi_duality.linalg import (
     IDENTITY_2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DEGENERATE_GAP,
     DensityOperator,
@@ -212,6 +213,76 @@ def test_2x2_positivity_holds_its_tolerance(stacked, off_diagonal):
     with pytest.raises(InvalidInputError) as err:
         checked(1.1e-10)
     assert str(err.value) == "density operator has negative eigenvalue -1.100e-10"
+
+
+def _check_outcome(m):
+    # None if check_densities passes m, else the InvalidInputError's message.
+    try:
+        check_densities(m)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def matrices_2x2(draw):
+    # A state (1 + s . sigma) / 2, whole or spoiled in one way next to the
+    # tolerance of the check that catches it.
+    s = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    s /= max(1.0, float(np.linalg.norm(s)))
+    m = 0.5 * (IDENTITY_2 + s[0] * PAULI_X + s[1] * PAULI_Y + s[2] * PAULI_Z)
+    kind = draw(st.sampled_from(["valid", "non-finite", "hermiticity", "trace", "negative"]))
+    entry = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    if kind == "non-finite":
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        m[entry] += value * draw(st.sampled_from([1.0, 1j]))
+    elif kind == "hermiticity":
+        size = draw(st.floats(0.25e-12, 2e-12))
+        m[entry] += size * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    elif kind == "trace":
+        m[entry[0], entry[0]] += draw(st.floats(-2e-12, 2e-12))
+    elif kind == "negative":
+        # Eigenvalues 1 + x and -x, in a drawn eigenbasis.
+        x = draw(st.floats(0.5e-10, 2e-10))
+        theta, phase = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
+        v = np.array([np.cos(theta), np.exp(1j * phase) * np.sin(theta)])
+        w = np.array([-np.exp(-1j * phase) * np.sin(theta), np.cos(theta)])
+        m = (1.0 + x) * np.outer(v, v.conj()) - x * np.outer(w, w.conj())
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrices_2x2())
+def test_one_2x2_check_matches_the_stacked_check(m):
+    # m alone and as a stack of one are checked on Python scalars, m next to
+    # a valid member in numpy, where the stack quotes m's own values.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        single = _check_outcome(m)
+        assert _check_outcome(m[None]) == single
+        assert _check_outcome(np.array([m, IDENTITY_2 / 2])) == single
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (DensityOperator, [["a", "b"], ["c", "d"]], "density operator entries must be numbers"),
+        (hermitian_eig2, "ab", "hermitian matrix entries must be numbers"),
+        (trace_norm, [[object(), 0], [0, 1]], "hermitian matrix entries must be numbers"),
+        (partial_trace_path, [[1, 0], [0]], "two-qubit state entries must be numbers"),
+    ],
+    ids=["density strings", "eig string", "trace norm object", "ragged"],
+)
+def test_unconvertible_matrices_raise_invalid_input(call, value, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call(value)
+
+
+def test_2x2_check_quotes_a_defect_beyond_the_float_range_as_inf():
+    m = np.array([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]])
+    for checked in (m, np.array([m, IDENTITY_2 / 2])):
+        with pytest.raises(InvalidInputError, match=r"^density operator is not Hermitian \(defect inf\)$"):
+            check_densities(checked)
 
 
 def test_partial_trace_rejects_wrong_dim():
