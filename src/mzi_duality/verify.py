@@ -4,10 +4,13 @@ Each suite draws random parameter points (seeded, so reruns are bit-identical),
 computes one quantity along two independent routes or checks one invariant,
 and reports the case count, failure count, and worst observed error. The
 suites live in one registry, ``CHECKS``, shared with the acceptance gate.
-Points are drawn one at a time, straight into floats, and stacked as
-columns; every suite then evaluates all its draws in one stacked pass.
-extremum_loci's grid oracles search their lattices for every draw at once,
-in two passes that return the exhaustive grid's argmax.
+A suite of full parameter points draws them one at a time (_draw_point,
+two generator calls each), straight into floats, and stacks them as
+columns; a suite of plain uniforms takes all of them from one generator
+call. Either way each value and the stream are those of one rng.uniform
+call per value, in draw order. Every suite then evaluates all its draws in
+one stacked pass. extremum_loci's grid oracles search their lattices for
+every draw at once, in two passes that return the exhaustive grid's argmax.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
     those of one rng.uniform call per value: each value is
     rng.uniform(low, high) to the bit, written out as low + (high - low) * u
     for a unit uniform u, with a zero low and a unit factor left out, as
-    they are exact. Each value is one that the domain types accept as is.
+    they are exact. The direction's three entries are scaled by one product
+    each, as numpy scales an array. Each value is one that the domain types
+    accept as is.
     """
     direction = rng.standard_normal(3)
     norm = math.sqrt(direction.dot(direction))  # np.linalg.norm, without its dispatch
@@ -99,7 +104,9 @@ def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
         u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(5).tolist()
     else:
         radius, u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(6).tolist()
-        s_x, s_y, s_z = (direction * (radius ** (1.0 / 3.0) / norm)).tolist()
+        x, y, z = direction.tolist()
+        scale = radius ** (1.0 / 3.0) / norm
+        s_x, s_y, s_z = x * scale, y * scale, z * scale
     # [0.01, pi - 0.01] keeps the measure-zero degenerate edge out of the draws.
     beta = 0.01 + (math.pi - 0.01 - 0.01) * u_beta
     gamma, delta, phi = TWO_PI * u_gamma, TWO_PI * u_delta, (TWO_PI * u_phi) % TWO_PI
@@ -125,18 +132,17 @@ def _lattice_argmax(query, values_at, start, stop) -> tuple:
     # broadcast against (n, 1) to (n, m) values: (n,) arrays, or floats for a query of floats.
     # Pass 1 reads every _STRIDE-th point, pass 2 the _STRIDE on each side of its winner
     # (clipped into the lattice): for one peak along the lattice, the exhaustive argmax.
+    # Pass 1's j-th point is the lattice's min(j * _STRIDE, last)-th, so its argmax gives the
+    # winner's index; pass 2 picks its winner's point from the points it evaluated.
     points, last = _lattice(start, stop)
-
-    def best(k):
-        values = values_at(points(k))
-        pick = values.argmax(axis=1)[:, None]
-        k = np.broadcast_to(k, values.shape)
-        return np.take_along_axis(k, pick, axis=1), np.take_along_axis(values, pick, axis=1)
-
-    coarse, _ = best(np.minimum(np.arange(0, np.max(last) + 1, _STRIDE), last))
-    k, value = best(np.clip(coarse + np.arange(-_STRIDE, _STRIDE + 1), 0, last))
-    found = points(k)[:, 0], value[:, 0]
-    return found if np.ndim(query) else (float(found[0][0]), float(found[1][0]))
+    k = np.minimum(np.arange(0, last.max() + 1, _STRIDE), last)
+    coarse = values_at(points(k)).argmax(axis=1)
+    k = np.minimum(coarse[:, None] * _STRIDE, last) + np.arange(-_STRIDE, _STRIDE + 1)
+    at = points(np.clip(k, 0, last))
+    values = values_at(at)
+    pick = np.arange(len(values)), values.argmax(axis=1)
+    location, value = at[pick], values[pick]
+    return (location, value) if np.ndim(query) else (float(location[0]), float(value[0]))
 
 
 def grid_visibility_peak_fixed_beta(lam, a_overlap, beta) -> tuple:
@@ -184,18 +190,17 @@ def _none_skipped(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma delta beta phi unitary")
 
 
-def _columns(rows) -> np.ndarray:
-    # Rows of floats as contiguous columns, one per field.
-    return np.array(rows, dtype=float).T.copy()
-
-
-def _uniform_columns(rng, draws, ranges) -> np.ndarray:
-    # One rng.uniform(low, high) call per range, in order, for each draw.
-    return _columns([[rng.uniform(low, high) for low, high in ranges] for _ in range(draws)])
+def _uniform_columns(rng, draws, ranges) -> list:
+    # One column per range: per draw, one rng.uniform(low, high) value per range, in order,
+    # all from one generator call. rng.uniform(low, high) is low + (high - low) * u to the
+    # bit, for the unit uniform u that rng.random draws in its place, as in _draw_point.
+    u = rng.random((draws, len(ranges)))
+    return [low + (high - low) * u[:, i] for i, (low, high) in enumerate(ranges)]
 
 
 def _stack_points(rows) -> _Points:
-    columns = _columns(rows)
+    # Rows of floats as contiguous columns, one per field.
+    columns = np.array(rows, dtype=float).T.copy()
     return _Points(*columns, marking_unitaries(*columns[3:6]))
 
 
@@ -282,16 +287,20 @@ def _phase_invariance(rng, draws):
     # of the marking unitary; neither measured quantity may move. Each draw
     # is scanned under its own and a re-phased detector: the draws, then
     # their re-phased copies, 2 * draws points in one stacked scan.
+    # Each re-phasing angle is rng.uniform(0.0, TWO_PI) to the bit, written out as TWO_PI * u
+    # with both u of a draw from one rng.random call, as in _draw_point.
     rows, phases = [], []
     for _ in range(draws):
         rows.append(_draw_point(rng))
-        phases.append((rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI)))
+        phases.append(rng.random(2))
     p = _stack_points(rows)
     _, den = _lit_port(p.s_x, p.beta)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
-        np.tile(x, 2) for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(p.s_x, p.beta, den))
+        np.concatenate([x, x])
+        for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(p.s_x, p.beta, den))
     )
-    unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, *_columns(phases))])
+    gamma, delta = TWO_PI * np.array(phases).T
+    unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, gamma, delta)])
     scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
     norms = distinguishability_trace_norms(unitary, omega_a, omega_b)
     return _none_skipped(
@@ -485,8 +494,8 @@ def run_check(
     """
     errors, skipped = CHECKS[name].errors(rng, draws)
     kept = errors[~skipped]
-    # The negated test and np.max let a NaN error fail and stick.
-    return int(np.count_nonzero(~(kept <= tol))), float(np.max(kept, initial=0.0))
+    # The negated test and max let a NaN error fail and stick.
+    return int(np.count_nonzero(~(kept <= tol))), float(kept.max(initial=0.0))
 
 
 def run_verification(config: RunConfig) -> dict[str, dict[str, float]]:

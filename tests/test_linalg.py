@@ -285,6 +285,28 @@ def test_2x2_check_quotes_a_defect_beyond_the_float_range_as_inf():
             check_densities(checked)
 
 
+# A finite diagonal entry whose imaginary part is so large that m - m^H overflows.
+OVERFLOWING_DIAGONAL = np.diag([1.5e308 + 1.5e308j, -1.5e308])
+OVERFLOWING_DIAGONAL_4X4 = np.diag([1.5e308 + 1.5e308j, -1.5e308, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, m, message",
+    [
+        (check_densities, np.array([OVERFLOWING_DIAGONAL, IDENTITY_2 / 2]), "density operator"),
+        (check_densities, OVERFLOWING_DIAGONAL_4X4, "density operator"),
+        (check_densities, np.array([OVERFLOWING_DIAGONAL_4X4, np.eye(4) / 4]), "density operator"),
+        (DensityOperator, OVERFLOWING_DIAGONAL_4X4, "density operator"),
+        (hermitian_eig2, OVERFLOWING_DIAGONAL, "matrix"),
+    ],
+    ids=["2x2 stack", "4x4", "4x4 stack", "4x4 density operator", "eig"],
+)
+def test_checks_quote_an_overflowing_defect_as_inf(call, m, message):
+    # The defect overflows where it is computed; the check rejects it, with no RuntimeWarning.
+    with pytest.raises(InvalidInputError, match=rf"^{message} is not Hermitian \(defect inf\)$"):
+        call(m)
+
+
 def test_partial_trace_rejects_wrong_dim():
     rho = DensityOperator(IDENTITY_2 / 2)
     with pytest.raises(InvalidInputError):

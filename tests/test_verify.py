@@ -6,7 +6,7 @@ from draws import draw_point as uniform_draw_point
 
 from mzi_duality import verify
 from mzi_duality.duality import distinguishability_kernel
-from mzi_duality.interferometer import port_terms
+from mzi_duality.interferometer import TWO_PI, port_terms
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
@@ -198,6 +198,48 @@ def test_draw_point_stream_is_pinned(seed):
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2000):
         assert verify._draw_point(new) == reference_point(old)
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+# Each suite's ranges for verify._uniform_columns, in its per-draw order.
+UNIFORM_RANGES = {
+    "measurement_basis_closed_form": ((0.05, 0.95), (0.0, TWO_PI), (0.05, 0.95)),
+    "eig_reconstruction": ((-1.0, 1.0),) * 4,
+    "extremum_loci": ((0.05, 1.0), (0.05, 1.0), (0.05, math.pi - 0.05), (-0.95, 0.95)),
+}
+
+
+@pytest.mark.parametrize("ranges", list(UNIFORM_RANGES.values()), ids=list(UNIFORM_RANGES))
+@pytest.mark.parametrize("batches", [[1], [40], [17, 23]], ids=["1", "40", "17+23"])
+def test_uniform_columns_stream_is_pinned(ranges, batches):
+    # The columns are one rng.uniform(low, high) call per value, draw by draw, to the bit.
+    new, old = np.random.default_rng(3), np.random.default_rng(3)
+    for draws in batches:
+        columns = np.array(verify._uniform_columns(new, draws, ranges))
+        expected = [[old.uniform(low, high) for low, high in ranges] for _ in range(draws)]
+        assert columns.tobytes() == np.array(expected).T.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_phase_invariance_angles_are_pinned(monkeypatch):
+    # Each draw's point, then its two re-phasing angles, each one rng.uniform(0, TWO_PI) call.
+    calls = []
+    marking_unitaries = verify.marking_unitaries
+
+    def recording(*args):
+        calls.append(args)
+        return marking_unitaries(*args)
+
+    monkeypatch.setattr(verify, "marking_unitaries", recording)
+    draws = 40
+    new, old = np.random.default_rng(6), np.random.default_rng(6)
+    verify.CHECKS["phase_invariance"].errors(new, draws)
+    expected = []
+    for _ in range(draws):
+        reference_point(old)
+        expected.append((old.uniform(0.0, TWO_PI), old.uniform(0.0, TWO_PI)))
+    _, gamma, delta = calls[-1]
+    assert np.array([gamma, delta]).tobytes() == np.array(expected).T.tobytes()
     assert new.bit_generator.state == old.bit_generator.state
 
 
