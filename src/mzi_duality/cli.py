@@ -20,6 +20,7 @@ import numpy as np
 
 from .duality import (
     DARK_PORT,
+    _bounded_s_x,
     closed_form_lengths,
     distinguishability_kernel,
     distinguishability_trace_norms,
@@ -152,18 +153,20 @@ def run_sweep(spec: SweepSpec) -> str:
     r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
-    kernel_lam, yz = closed_form_lengths(s_x, bloch_lam, _yz_norms(s_y, s_z))
+    # The closed forms take s_x by the scalar API's rule, the scan the state's.
+    x = _bounded_s_x(s_x)
+    kernel_lam, yz = closed_form_lengths(x, bloch_lam, _yz_norms(s_y, s_z))
     a = spec.a_overlap
-    sin_beta, den = port_terms(s_x, beta)
+    sin_beta, den = port_terms(x, beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_a, omega_b = weights_kernel(s_x, beta, den)
+        omega_a, omega_b = weights_kernel(x, beta, den)
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         table = np.column_stack([
             params,
             visibility_kernel(yz, a, sin_beta, den).clip(0.0, 1.0),
             v_scan,
-            distinguishability_kernel(s_x, a, sin_beta, den),
+            distinguishability_kernel(x, a, sin_beta, den),
             distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
             residual_kernel(kernel_lam, a, sin_beta, den),
             omega_a,
@@ -172,7 +175,6 @@ def run_sweep(spec: SweepSpec) -> str:
     blank = []
     rules = zip(bloch_lam.tolist(), den.tolist(), omega_a.tolist(), omega_b.tolist(), scanned.tolist())
     for value, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), rules):
-        # path_weights' |s_x| <= 1 check cannot fail once the Bloch length holds.
         reason = (
             bloch_length_message(lam)
             or (DARK_PORT if port_is_dark(den_row) else None)

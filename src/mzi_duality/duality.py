@@ -29,8 +29,8 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _fringe_coefficients,
     _marked_states,
-    port_extrema,
     port_terms,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
@@ -56,19 +56,35 @@ def port_is_dark(den):
     return den <= DENOMINATOR_TOL
 
 
-def _lit_port(s_x, beta):
-    # The closed forms' shared preamble: (sin beta, port denominator) of a
-    # point with |s_x| <= 1 (within WEIGHT_TOL) whose port is lit, else
-    # InvalidInputError or DarkPortError; for arrays of points, (sin beta,
-    # port denominator) arrays, or the error if any point fails. A float's
-    # comparison is its own answer: np.any on it would cost microseconds.
+def _bounded_s_x(s_x):
+    # The closed forms' s_x rule, of a float or an array: |s_x| may exceed 1
+    # by BLOCH_NORM_TOL, BlochState's slack, else (for an array, if any entry
+    # does) InvalidInputError. The slack folds onto +-1, a certain path, as
+    # closed_form_lengths folds lam's onto a pure state. A float's comparison
+    # is its own answer: np.any on it would cost microseconds.
     failing = np.any if isinstance(s_x, np.ndarray) else bool
-    if failing(abs(s_x) > 1.0 + WEIGHT_TOL):
+    if failing(abs(s_x) > 1.0 + BLOCH_NORM_TOL):
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
+    return np.clip(s_x, -1.0, 1.0) if failing is np.any else min(max(s_x, -1.0), 1.0)
+
+
+def _lit_port(s_x, beta):
+    # (s_x as _bounded_s_x returns it, sin beta, port denominator) of a point
+    # whose port is lit, else DarkPortError; for arrays of points, arrays, or
+    # the error if any point fails.
+    s_x = _bounded_s_x(s_x)
     sin_beta, den = port_terms(s_x, beta)
+    failing = np.any if isinstance(den, np.ndarray) else bool
     if failing(port_is_dark(den)):
         raise DarkPortError(DARK_PORT)
-    return sin_beta, den
+    return s_x, sin_beta, den
+
+
+def _checked_port(s_x, a_overlap, beta):
+    # The closed forms' preamble: finite inputs, a_overlap in [0, 1], then _lit_port.
+    require_finite(s_x=s_x, a_overlap=a_overlap)
+    require_in_range("a_overlap", a_overlap)
+    return _lit_port(s_x, beta.beta)
 
 
 def closed_form_lengths(s_x, lam, yz):
@@ -198,10 +214,8 @@ def visibility_closed(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """Fringe contrast (max-min)/(max+min) of the port-a probability, closed form."""
-    require_finite(a_overlap=a_overlap)
-    require_in_range("a_overlap", a_overlap)
-    sin_beta, den = _lit_port(state.s_x, beta.beta)
-    _, yz = closed_form_lengths(state.s_x, state.lam, state.yz_norm)
+    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
+    _, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
     v = visibility_kernel(yz, a_overlap, sin_beta, den)
     return min(max(v, 0.0), 1.0)
 
@@ -213,12 +227,14 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
     point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
     for every point or an (n, 2, 2) stack of them, one per point. Returns
     ``(visibility, defined)``: the contrast (p_max - p_min) / (p_max + p_min)
-    of each point's port-a extrema over the phase dial
-    (interferometer.port_extrema, c0 +- |c2|), with ``defined`` False, and
-    the visibility NaN, where p_max + p_min, the scan's own port
-    denominator, leaves the port dark (port_is_dark; contrast 0/0).
+    of each point's port-a extrema over the phase dial, c0 +- |c2| of the
+    pipeline's fringe c0 + Re(c2 e^{-2i*phi}) (_fringe_coefficients), with
+    ``defined`` False, and the visibility NaN, where p_max + p_min, the
+    scan's own port denominator, leaves the port dark (port_is_dark).
     """
-    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, beta)
+    c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
+    amplitude = np.abs(c2)
+    p_max, p_min = c0 + amplitude, c0 - amplitude
     total = p_max + p_min
     defined = ~port_is_dark(total)
     visibility = np.full(len(total), np.nan)
@@ -229,10 +245,8 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
 def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle) -> float:
     """Fringe contrast from the operator pipeline's extrema over the phase dial.
 
-    The one-point case of visibility_scans: the pipeline's quadratic form
-    for the port-a probability sums into two fringe coefficients, P(phi) =
-    c0 + Re(c2 e^{-2i*phi}), whose maximum and minimum are c0 +- |c2|.
-    Shares no formula with visibility_closed, whose independent oracle it is.
+    The one-point case of visibility_scans. Shares no formula with
+    visibility_closed, whose independent oracle it is.
     """
     visibility, defined = visibility_scans(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]
@@ -245,7 +259,7 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
 def path_weights(s_x: float, beta: BeamSplitterAngle) -> PathWeights:
     """Prior weights of paths a and b given detection at the monitored port."""
     require_finite(s_x=s_x)
-    _, den = _lit_port(s_x, beta.beta)
+    s_x, _, den = _lit_port(s_x, beta.beta)
     omega_a, omega_b = weights_kernel(s_x, beta.beta, den)
     return PathWeights(float(omega_a), float(omega_b))
 
@@ -257,9 +271,7 @@ def distinguishability_closed(
 
     Algebraically equal to sqrt(1 - 4*omega_a*omega_b*a_overlap^2).
     """
-    require_finite(s_x=s_x, a_overlap=a_overlap)
-    require_in_range("a_overlap", a_overlap)
-    sin_beta, den = _lit_port(s_x, beta.beta)
+    s_x, sin_beta, den = _checked_port(s_x, a_overlap, beta)
     return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
@@ -315,10 +327,8 @@ def complementarity_residual(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """The gap 1 - V^2 - D^2, in closed form; zero exactly on the saturation slices."""
-    require_finite(a_overlap=a_overlap)
-    require_in_range("a_overlap", a_overlap)
-    sin_beta, den = _lit_port(state.s_x, beta.beta)
-    lam, _ = closed_form_lengths(state.s_x, state.lam, state.yz_norm)
+    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
+    lam, _ = closed_form_lengths(s_x, state.lam, state.yz_norm)
     return residual_kernel(lam, a_overlap, sin_beta, den)
 
 
@@ -350,8 +360,7 @@ def visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[
     """Location and value of the visibility peak over the splitter angle at fixed s_x."""
     require_finite(s_x=s_x, lam=lam, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    if abs(s_x) > 1.0:
-        raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
+    s_x = _bounded_s_x(s_x)
     if abs(s_x) == 1.0:
         raise NoExtremumError("visibility is identically zero when the path is certain")
     if not s_x * s_x <= lam <= 1.0 + BLOCH_NORM_TOL:
@@ -368,12 +377,8 @@ def distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, floa
     """Location and value of the distinguishability minimum over the splitter angle."""
     require_finite(s_x=s_x, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
-    if abs(s_x) > 1.0:
-        raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    if abs(s_x) == 1.0:
-        raise NoExtremumError(
-            "distinguishability is identically 1 when the path is certain"
-        )
+    if abs(_bounded_s_x(s_x)) == 1.0:
+        raise NoExtremumError("distinguishability is identically 1 when the path is certain")
     beta_star = math.acos(-s_x)
     d_star = math.sqrt(max(1.0 - a_overlap * a_overlap, 0.0))
     return beta_star, d_star
@@ -388,12 +393,8 @@ def duality_report(
     distinguishability_closed and complementarity_residual, with the inputs
     checked and the port terms and lengths computed once for all three.
     """
-    s_x, a_overlap = state.s_x, det.a_overlap
-    require_finite(a_overlap=a_overlap)
-    require_in_range("a_overlap", a_overlap)
-    sin_beta, den = _lit_port(s_x, beta.beta)
-    # distinguishability_closed's own check: a NaN s_x gets past _lit_port.
-    require_finite(s_x=s_x)
+    a_overlap = det.a_overlap
+    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
     lam, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
     v = visibility_kernel(yz, a_overlap, sin_beta, den)
     return DualityReport(

@@ -375,7 +375,7 @@ def detection_probability_closed(
     )
 
 
-# --- the fringe extrema ---------------------------------------------------------
+# --- the fringe coefficients ----------------------------------------------------
 
 
 def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -395,30 +395,13 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
 
 
-def port_extrema(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
-    """(p_max, p_min): the extrema over the phase dial of n points' port-a
-    probability through the operator pipeline; two arrays of shape (n,).
-
-    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
-    point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
-    for every point or an (n, 2, 2) stack of them, one per point.
-
-    Sums all 16 terms of each point's quadratic form once, into its two
-    fringe coefficients: the port-a probability is c0 + Re(c2 e^{-2i*phi}),
-    a constant plus one harmonic, so its extrema are c0 +- |c2|, reached at
-    phi = arg(c2) / 2 and a quarter turn from it.
-    """
-    c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
-    amplitude = np.abs(c2)
-    return c0 + amplitude, c0 - amplitude
-
-
 def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):
     """Fast port-a probability evaluator over 1-D arrays of phase settings.
 
     Equal to detection_probability_numeric(evolve(...)) per element, only
     reorganized: c0 + Re(c2 e^{-2i*phi}) on the point's two fringe
-    coefficients, the ones port_extrema takes the extrema of.
+    coefficients, the ones whose extrema c0 +- |c2| duality.visibility_scans
+    takes.
     """
     c0, c2 = _fringe_coefficients([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
 

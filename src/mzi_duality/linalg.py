@@ -61,10 +61,12 @@ def hermiticity_defect(matrix, axis=None):
     """Largest entrywise deviation of a matrix from its own adjoint.
 
     For an (n, d, d) stack: the largest over the stack, or one defect per
-    matrix with ``axis=(1, 2)``.
+    matrix with ``axis=(1, 2)``. Each modulus is libm's hypot (np.hypot),
+    as abs of a Python complex is; numpy's complex abs is not.
     """
     m = np.asarray(matrix)
-    return np.maximum.reduce(abs(m - m.conj().swapaxes(-1, -2)), axis=axis)
+    d = m - m.conj().swapaxes(-1, -2)
+    return np.maximum.reduce(np.hypot(d.real, d.imag), axis=axis)
 
 
 def trace_errors(m: np.ndarray) -> np.ndarray:
@@ -82,8 +84,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     worst member. One 2x2 matrix, alone or as a stack of one, is checked on
     its four entries as Python complex numbers (_check_density2), a longer
     stack in numpy; both take the lowest 2x2 eigenvalue as mean - radius,
-    _mean_radius's, with every modulus by libm's hypot, so their verdicts and
-    messages agree. The 4x4 spectrum is eigvalsh's.
+    _mean_radius's, with every modulus by libm's hypot (np.hypot in numpy),
+    so their verdicts and messages agree. The 4x4 spectrum is eigvalsh's.
     """
     if m.size == 4:
         try:
@@ -111,7 +113,7 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 def _check_density2(a, b, c, d) -> None:
     # check_densities on the 2x2 [[a, b], [c, d]], each check computed as the
     # stacked path computes it: abs of a Python complex is libm's hypot, as
-    # numpy's abs and np.hypot are, so each quoted value rounds the same.
+    # np.hypot is, so each quoted value rounds the same.
     # abs raises OverflowError where a modulus exceeds the float range.
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
         raise InvalidInputError("density operator must have finite entries")

@@ -256,22 +256,22 @@ def _reduced_detector_state(rng, draws):
 def _visibility_oracle(rng, draws):
     p = _draw_points(rng, draws)
     scanned, _ = visibility_scans(p.s_x, p.s_y, p.s_z, p.unitary, p.beta)
-    closed = _visibilities(p, *_lit_port(p.s_x, p.beta))
+    closed = _visibilities(p, *_lit_port(p.s_x, p.beta)[1:])
     return _none_skipped(np.abs(scanned - closed))
 
 
 def _distinguishability_oracle(rng, draws):
     p = _draw_points(rng, draws)
-    sin_beta, den = _lit_port(p.s_x, p.beta)
-    norms = distinguishability_trace_norms(p.unitary, *weights_kernel(p.s_x, p.beta, den))
-    closed = distinguishability_kernel(p.s_x, p.a_overlap, sin_beta, den)
+    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
+    norms = distinguishability_trace_norms(p.unitary, *weights_kernel(s_x, p.beta, den))
+    closed = distinguishability_kernel(s_x, p.a_overlap, sin_beta, den)
     return _none_skipped(np.abs(norms - closed))
 
 
 def _weights_identity(rng, draws):
     p = _draw_points(rng, draws)
-    s_x, a_overlap = p.s_x, p.a_overlap
-    sin_beta, den = _lit_port(s_x, p.beta)
+    a_overlap = p.a_overlap
+    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
     omega_a, omega_b = weights_kernel(s_x, p.beta, den)
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     return _none_skipped(
@@ -294,10 +294,10 @@ def _phase_invariance(rng, draws):
         rows.append(_draw_point(rng))
         phases.append(rng.random(2))
     p = _stack_points(rows)
-    _, den = _lit_port(p.s_x, p.beta)
+    bounded, _, den = _lit_port(p.s_x, p.beta)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
         np.concatenate([x, x])
-        for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(p.s_x, p.beta, den))
+        for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(bounded, p.beta, den))
     )
     gamma, delta = TWO_PI * np.array(phases).T
     unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, gamma, delta)])
@@ -314,8 +314,8 @@ def _min_error_measurement(rng, draws):
     # probability (1 + D) / 2, and success no worse than guessing the likelier
     # path. Draws whose operator is degenerate (no basis singled out) skip.
     p = _draw_points(rng, draws)
-    _, den = _lit_port(p.s_x, p.beta)
-    omega_a, omega_b = weights_kernel(p.s_x, p.beta, den)
+    s_x, _, den = _lit_port(p.s_x, p.beta)
+    omega_a, omega_b = weights_kernel(s_x, p.beta, den)
     gamma_op = _discrimination_operator(_marked_states(p.unitary), omega_a, omega_b)
     values, vectors = _hermitian_eig2s(gamma_op)
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
@@ -412,9 +412,9 @@ def _phase_aligned_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _complementarity(rng, draws):
     p = _draw_points(rng, draws)
-    sin_beta, den = _lit_port(p.s_x, p.beta)
+    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
     v = _visibilities(p, sin_beta, den)
-    d = distinguishability_kernel(p.s_x, p.a_overlap, sin_beta, den)
+    d = distinguishability_kernel(s_x, p.a_overlap, sin_beta, den)
     lam = p.s_x * p.s_x + p.s_y * p.s_y + p.s_z * p.s_z
     residual = residual_kernel(lam, p.a_overlap, sin_beta, den)
     return _none_skipped(

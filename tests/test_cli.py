@@ -104,6 +104,15 @@ def test_report_degenerate_point_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_accepts_s_x_slack_above_one(capsys):
+    # s_x - 1 = 4e-13 lies within BlochState's slack and counts as a certain
+    # path: the report used to exit 2 on a distinguishability above 1.
+    assert main(["report", "--sx", "1.0000000000004", "--A", "0.5", "--beta", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["distinguishability"] == 1.0
+    assert (payload["omega_a"], payload["omega_b"]) == (1.0, 0.0)
+
+
 def test_report_accepts_pi_notation(capsys):
     assert main(["report", "--beta", "pi/2", "--A", "0.5"]) == 0
     json.loads(capsys.readouterr().out)
@@ -140,6 +149,22 @@ def test_sweep_spec_validation():
         small_sx_spec(yz_angle=math.inf)
     with pytest.raises(InvalidInputError):
         SweepSpec(swept="beta", lo=0, hi=math.pi, steps=5, lam=0.2, a_overlap=0.5, s_x=math.nan)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lo", "0"], "sweeping beta requires a fixed s_x"),
+        (["--lo", "-0.1", "--sx", "0.5"], "beta range must stay within [0, pi]"),
+    ],
+    ids=["no s_x", "beta below 0"],
+)
+def test_beta_sweep_usage_errors_exit_2(extra, message, tmp_path, capsys):
+    argv = ["sweep", "--param", "beta", "--hi", "1", "--steps", "3", "--lam", "1",
+            "--A", "0.5", "--out", str(tmp_path / "beta.csv"), *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "beta.csv").exists()
 
 
 def test_sweep_rows_satisfy_the_complementarity_identity():
@@ -240,6 +265,9 @@ EDGE_SPECS = [
               lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
     SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
               a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7),
+    # s_x's slack beyond +-1 at both ends, folded onto a certain path
+    SweepSpec(swept="s_x", lo=-1.0000000000004, hi=1.0000000000004, steps=3,
+              lam=1.0000000000008, a_overlap=0.5, beta=1.0),
 ]
 
 
@@ -259,6 +287,21 @@ def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
             assert fields[1 + k] == _fmt(row[k])
         for k in (1, 3):  # V_scan and D_trace
             assert abs(float(fields[1 + k]) - row[k]) <= 1e-15
+
+
+def test_sweep_folds_s_x_slack_onto_a_certain_path(tmp_path):
+    # The 3-row sweep used to write D_closed = 1.0000000000003348 and
+    # omega_a = -6.7e-13 in its first row.
+    out = tmp_path / "slack.csv"
+    argv = ["sweep", "--param", "sx", "--lo", "-1.0000000000004", "--hi", "1.0000000000004",
+            "--steps", "3", "--lam", "1.0000000000008", "--A", "0.5", "--beta", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [[float(f) for f in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[3] <= 1.0 and min(row[6:]) >= 0.0
+    assert [rows[0][3], rows[2][3]] == [1.0, 1.0]
 
 
 def check_sweep_text(text, steps):
@@ -562,6 +605,19 @@ def test_verify_rejects_unknown_tolerance(capsys):
     assert "unknown tolerance" in capsys.readouterr().err
     assert main(["verify", "--draws", "5", "--tolerance", "visibility_oracle=abc"]) == 2
     assert "visibility_oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tolerance, message",
+    [
+        ("visibility_oracle=0", "tolerance 'visibility_oracle' must be finite and positive"),
+        ("foo", "tolerance override must look like name=value: 'foo'"),
+    ],
+    ids=["nonpositive", "no value"],
+)
+def test_verify_rejects_a_malformed_tolerance(tolerance, message, capsys):
+    assert main(["verify", "--draws", "5", "--tolerance", tolerance]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_rejects_nonpositive_draws(capsys):

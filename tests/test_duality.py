@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -118,12 +119,12 @@ def test_undefined_visibility_error_is_the_dark_port_error():
 
 def test_lit_port_on_arrays_is_the_float_preamble_per_point():
     # The closed forms' preamble over a stack of points: each point's
-    # (sin beta, denominator) as for floats, and the floats' error if any
-    # one point fails.
-    s_x = np.array([0.3, -0.9, -1.0])
-    beta = np.array([1.1, 0.2, math.pi])
-    sin_beta, den = duality._lit_port(s_x, beta)
-    assert list(zip(sin_beta, den)) == [duality._lit_port(x, b) for x, b in zip(s_x, beta)]
+    # (s_x, sin beta, denominator) as for floats, and the floats' error if
+    # any one point fails.
+    s_x = np.array([0.3, -0.9, -1.0, 1.0 + 4e-13])
+    beta = np.array([1.1, 0.2, math.pi, 1.0])
+    bounded, sin_beta, den = duality._lit_port(s_x, beta)
+    assert list(zip(bounded, sin_beta, den)) == [duality._lit_port(x, b) for x, b in zip(s_x, beta)]
     with pytest.raises(DarkPortError, match=duality.DARK_PORT):
         duality._lit_port(np.array([0.3, -1.0]), np.array([1.1, 0.0]))
     with pytest.raises(InvalidInputError):
@@ -917,6 +918,42 @@ def test_valley_errors():
         distinguishability_valley(0.5, 1.5)
 
 
+# |s_x| - 1 = 4e-13 lies within BlochState's slack (BLOCH_NORM_TOL); 2e-12 beyond it.
+S_X_SLACK = 1.0 + 4e-13
+S_X_BEYOND = 1.0 + 2e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_s_x_slack_above_one_counts_as_a_certain_path(sign):
+    # The slack folds onto s_x = +-1, as lam's folds onto a pure state: D
+    # used to come out above 1 and one path weight below 0.
+    beta = BeamSplitterAngle(1.0)
+    d = distinguishability_closed(sign * S_X_SLACK, beta, 0.5)
+    assert d <= 1.0 and d == distinguishability_closed(sign, beta, 0.5)
+    weights = path_weights(sign * S_X_SLACK, beta)
+    assert weights == path_weights(sign, beta)
+    assert weights.omega_a >= 0.0 and weights.omega_b >= 0.0
+    rep = duality_report(BlochState(sign * S_X_SLACK, 0.0, 0.0), DetectorConfig(0.5), beta)
+    assert (rep.visibility, rep.distinguishability, rep.residual) == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_extrema_classify_s_x_slack_as_a_certain_path(sign):
+    # Admitted |s_x| >= 1 is a certain path, with no extremum; beyond the
+    # slack s_x is invalid, with the one s_x message.
+    with pytest.raises(NoExtremumError):
+        visibility_peak_fixed_sx(sign * S_X_SLACK, 1.0, 0.5)
+    with pytest.raises(NoExtremumError):
+        distinguishability_valley(sign * S_X_SLACK, 0.5)
+    message = "^" + re.escape(f"s_x must lie in [-1, 1], got {sign * S_X_BEYOND!r}") + "$"
+    with pytest.raises(InvalidInputError, match=message):
+        visibility_peak_fixed_sx(sign * S_X_BEYOND, 1.0, 0.5)
+    with pytest.raises(InvalidInputError, match=message):
+        distinguishability_valley(sign * S_X_BEYOND, 0.5)
+    with pytest.raises(InvalidInputError, match=message):
+        path_weights(sign * S_X_BEYOND, BeamSplitterAngle(1.0))
+
+
 # --- aggregated report --------------------------------------------------------------
 
 
@@ -996,6 +1033,20 @@ def test_report_raises_as_the_closed_forms_do(state, beta, error):
 def test_report_type_rejects_complementarity_violation():
     with pytest.raises(InvalidInputError):
         DualityReport(visibility=0.9, distinguishability=0.9, residual=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1.5, 0.0, 0.0), "visibility out of [0, 1]: 1.5"),
+        ((0.0, -0.1, 0.0), "distinguishability out of [0, 1]: -0.1"),
+        ((0.0, 0.5, -1e-11), "residual must be nonnegative: -1e-11"),
+    ],
+    ids=["visibility", "distinguishability", "residual"],
+)
+def test_report_type_rejects_out_of_range_fields(fields, message):
+    with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
+        DualityReport(*fields)
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,7 +28,6 @@ from mzi_duality.interferometer import (
     evolve_stack,
     marking_unitaries,
     phase_probe,
-    port_extrema,
     port_terms,
 )
 from mzi_duality.linalg import DensityOperator, partial_trace_path
@@ -365,6 +364,12 @@ def test_detection_probability_numeric_rejects_single_qubit():
         detection_probability_numeric(DensityOperator(I2 / 2))
 
 
+def test_detection_probability_numeric_checks_a_raw_array_as_a_density_operator():
+    assert detection_probability_numeric(I4 / 4) == 0.5
+    with pytest.raises(InvalidInputError, match=r"^density operator trace deviates from 1 by 3\.000e\+00$"):
+        detection_probability_numeric(I4)
+
+
 def test_detection_probability_closed_at_full_transmission():
     state = BlochState(0.4, 0.2, 0.3)
     det = DetectorConfig(0.8, 1.0, 2.0)
@@ -453,7 +458,14 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
             assert abs(p - scalar) <= 1e-14
 
 
-def test_port_extrema_bound_every_probe_value():
+def fringe_extrema(s_x, s_y, s_z, unitary, beta):
+    # c0 +- |c2| of each point's fringe coefficients: the extrema over the
+    # phase dial from which duality.visibility_scans forms its contrast.
+    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, beta)
+    return c0 + np.abs(c2), c0 - np.abs(c2)
+
+
+def test_fringe_extrema_bound_every_probe_value():
     # The probe and the extrema come from the same two fringe coefficients,
     # sums of 16 terms of modulus at most 1, and each side of a comparison
     # rounds by at most 16 eps. The operator pipeline at the same phases is
@@ -462,7 +474,7 @@ def test_port_extrema_bound_every_probe_value():
     points = [draw_point(rng)[:3] for _ in range(257)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
     unitary = np.stack([det.unitary for _, det, _ in points])
-    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
+    p_max, p_min = fringe_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
     slack = 2 * 16 * np.finfo(float).eps
     for (state, det, beta), hi, lo in zip(points, p_max, p_min):
         phis = rng.uniform(0.0, 2 * math.pi, 300)
@@ -474,8 +486,7 @@ def test_port_extrema_bound_every_probe_value():
         assert lo - 1e-14 <= pipeline.min() and pipeline.max() <= hi + 1e-14
 
 
-
-def test_port_extrema_are_attained():
+def test_fringe_extrema_are_attained():
     # The pipeline reaches c0 + |c2| at phi = arg(c2) / 2 and c0 - |c2| a
     # quarter turn later, so the extrema are the fringe's own values, not
     # only bounds on it. Edge points first (c2 = 0 at A = 0, where every
@@ -491,7 +502,7 @@ def test_port_extrema_are_attained():
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
     unitary = np.stack([det.unitary for _, det, _ in points])
     betas = [beta.beta for _, _, beta in points]
-    p_max, p_min = port_extrema(s_x, s_y, s_z, unitary, betas)
+    p_max, p_min = fringe_extrema(s_x, s_y, s_z, unitary, betas)
     _, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
     for (state, det, beta), hi, lo, k2 in zip(points, p_max, p_min, c2):
         peak = 0.5 * cmath.phase(k2)

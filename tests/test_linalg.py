@@ -263,6 +263,17 @@ def test_one_2x2_check_matches_the_stacked_check(m):
         assert _check_outcome(np.array([m, IDENTITY_2 / 2])) == single
 
 
+def test_stacked_hermiticity_defect_rounds_as_the_one_2x2_check():
+    # A defect whose modulus numpy's complex abs rounds one bit above libm's
+    # hypot, onto 1.0000000000000002e-12 past HERMITIAN_TOL: the stacked
+    # check used to reject the matrix that the 2x2 check accepts.
+    b = complex(float.fromhex("0x1.09781099f8508p-40"), float.fromhex("0x1.764259851c3e9p-42"))
+    m = np.array([[0.5, b], [0.0, 0.5]])
+    assert hermiticity_defect(np.array([m, IDENTITY_2 / 2])) == abs(b)
+    for checked in (m, m[None], np.array([m, IDENTITY_2 / 2])):
+        assert check_densities(checked) is checked
+
+
 @pytest.mark.parametrize(
     "call, value, message",
     [
@@ -388,6 +399,13 @@ def test_eig_rejects_wrong_shape():
         hermitian_eig2(np.eye(4))
     with pytest.raises(InvalidInputError):
         trace_norm(np.eye(4))
+
+
+def test_eig_rejects_a_shape_no_operator_has_and_a_nan_entry():
+    with pytest.raises(InvalidInputError, match=r"^hermitian matrix must be 2x2 or 4x4, got shape \(3, 3\)$"):
+        hermitian_eig2(np.eye(3))
+    with pytest.raises(InvalidInputError, match="^hermitian matrix must have finite entries$"):
+        hermitian_eig2([[np.nan, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize(
