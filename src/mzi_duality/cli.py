@@ -39,7 +39,6 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
-    _yz_norms,
     bloch_length_message,
     port_terms,
 )
@@ -155,7 +154,7 @@ def run_sweep(spec: SweepSpec) -> str:
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
     # The closed forms take s_x by the scalar API's rule, the scan the state's.
     x = _bounded_s_x(s_x)
-    kernel_lam, yz = closed_form_lengths(x, bloch_lam, _yz_norms(s_y, s_z))
+    kernel_lam, yz = closed_form_lengths(x, bloch_lam, np.hypot(s_y, s_z))
     a = spec.a_overlap
     sin_beta, den = port_terms(x, beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
@@ -310,6 +309,13 @@ def _config_int(value, what: str) -> int:
     return _convert(int, value, what)
 
 
+def _config_float(value, what: str) -> float:
+    # float() would accept true as 1.0.
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    return _convert(float, value, what)
+
+
 def _cmd_verify(args) -> int:
     settings: dict = {}
     if args.config is not None:
@@ -327,7 +333,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(tolerances, dict):
         raise InvalidInputError("config tolerances must be a JSON object of name: value")
     tolerances = {
-        name: _convert(float, value, f"tolerance {name!r}") for name, value in tolerances.items()
+        name: _config_float(value, f"tolerance {name!r}") for name, value in tolerances.items()
     }
     for item in args.tolerance:
         name, _, value = item.partition("=")

@@ -210,14 +210,21 @@ class DualityReport:
             raise InvalidInputError("V^2 + D^2 exceeds 1")
 
 
+def _closed_forms(state: BlochState, a_overlap: float, beta: BeamSplitterAngle) -> tuple:
+    # (V clipped to [0, 1], D, residual) of one checked point: the whole body
+    # of visibility_closed, complementarity_residual and duality_report.
+    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
+    lam, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
+    v = min(max(visibility_kernel(yz, a_overlap, sin_beta, den), 0.0), 1.0)
+    d = float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
+    return v, d, residual_kernel(lam, a_overlap, sin_beta, den)
+
+
 def visibility_closed(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """Fringe contrast (max-min)/(max+min) of the port-a probability, closed form."""
-    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
-    _, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
-    v = visibility_kernel(yz, a_overlap, sin_beta, den)
-    return min(max(v, 0.0), 1.0)
+    return _closed_forms(state, a_overlap, beta)[0]
 
 
 def visibility_scans(s_x, s_y, s_z, unitary, beta):
@@ -327,9 +334,7 @@ def complementarity_residual(
     state: BlochState, a_overlap: float, beta: BeamSplitterAngle
 ) -> float:
     """The gap 1 - V^2 - D^2, in closed form; zero exactly on the saturation slices."""
-    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
-    lam, _ = closed_form_lengths(s_x, state.lam, state.yz_norm)
-    return residual_kernel(lam, a_overlap, sin_beta, den)
+    return _closed_forms(state, a_overlap, beta)[2]
 
 
 def visibility_peak_fixed_beta(
@@ -390,15 +395,7 @@ def duality_report(
     """Closed-form V, D, and complementarity residual for one parameter point.
 
     Equal, bit for bit and error for error, to visibility_closed,
-    distinguishability_closed and complementarity_residual, with the inputs
-    checked and the port terms and lengths computed once for all three.
+    distinguishability_closed and complementarity_residual: all but the
+    second share its body.
     """
-    a_overlap = det.a_overlap
-    s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
-    lam, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
-    v = visibility_kernel(yz, a_overlap, sin_beta, den)
-    return DualityReport(
-        visibility=min(max(v, 0.0), 1.0),
-        distinguishability=float(distinguishability_kernel(s_x, a_overlap, sin_beta, den)),
-        residual=residual_kernel(lam, a_overlap, sin_beta, den),
-    )
+    return DualityReport(*_closed_forms(state, det.a_overlap, beta))

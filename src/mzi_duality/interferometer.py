@@ -70,19 +70,13 @@ class BlochState:
     @property
     def yz_norm(self) -> float:
         """Length of the (s_y, s_z) projection, sqrt(lam - s_x**2)."""
-        return math.hypot(self.s_y, self.s_z)
+        return abs(complex(self.s_y, self.s_z))
 
     @property
     def alpha(self) -> float:
         # atan2(0, 0) = 0 keeps the (unobservable) phase deterministic when
         # the fringe amplitude vanishes.
         return math.atan2(self.s_y, self.s_z)
-
-
-def _yz_norms(s_y: np.ndarray, s_z: np.ndarray) -> np.ndarray:
-    # BlochState.yz_norm of each point of 1-D component arrays, by math.hypot
-    # per element: np.hypot differs from it in the last bit on some inputs.
-    return np.array(list(map(math.hypot, s_y.tolist(), s_z.tolist())))
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,7 @@ def hermiticity_defect(matrix, axis=None):
     """Largest entrywise deviation of a matrix from its own adjoint.
 
     For an (n, d, d) stack: the largest over the stack, or one defect per
-    matrix with ``axis=(1, 2)``. Each modulus is libm's hypot (np.hypot),
-    as abs of a Python complex is; numpy's complex abs is not.
+    matrix with ``axis=(1, 2)``.
     """
     m = np.asarray(matrix)
     d = m - m.conj().swapaxes(-1, -2)
@@ -84,8 +83,12 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     worst member. One 2x2 matrix, alone or as a stack of one, is checked on
     its four entries as Python complex numbers (_check_density2), a longer
     stack in numpy; both take the lowest 2x2 eigenvalue as mean - radius,
-    _mean_radius's, with every modulus by libm's hypot (np.hypot in numpy),
-    so their verdicts and messages agree. The 4x4 spectrum is eigvalsh's.
+    _mean_radius's. The 4x4 spectrum is eigvalsh's.
+
+    The one modulus rule: where a one-point path and its stacked form each
+    take a modulus (these checks, the 2x2 eigensolvers, BlochState.yz_norm),
+    both take libm's hypot, as abs of a Python complex or np.hypot, so they
+    agree to the bit; numpy's complex abs and math.hypot can differ in the last.
     """
     if m.size == 4:
         try:
@@ -112,9 +115,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
 def _check_density2(a, b, c, d) -> None:
     # check_densities on the 2x2 [[a, b], [c, d]], each check computed as the
-    # stacked path computes it: abs of a Python complex is libm's hypot, as
-    # np.hypot is, so each quoted value rounds the same.
-    # abs raises OverflowError where a modulus exceeds the float range.
+    # stacked path computes it. abs raises OverflowError where a modulus
+    # exceeds the float range.
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
         raise InvalidInputError("density operator must have finite entries")
     # |c - conj(b)| equals |b - conj(c)|.
@@ -208,7 +210,7 @@ def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
     # The entries of a Hermitian [[a, b], [conj(b), c]] (a, c real) and the
     # mean and half-gap of its eigenvalues, which are mean +- radius.
     a, c, b = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
-    return a, c, b, 0.5 * (a + c), math.hypot(0.5 * (a - c), abs(b))
+    return a, c, b, 0.5 * (a + c), abs(complex(0.5 * (a - c), abs(b)))
 
 
 # hermitian_eig2, trace_norm and check_densities work on one 2x2 matrix in
@@ -273,8 +275,7 @@ def _trace_norm(h: np.ndarray) -> float:
 
 def _mean_radius(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Mean and half-gap of the eigenvalues mean +- radius of a Hermitian
-    # [[a, b], [conj(b), c]] or of each of an (n, 2, 2) stack; |b| is
-    # np.hypot of its parts, as abs(complex) is.
+    # [[a, b], [conj(b), c]] or of each of an (n, 2, 2) stack.
     a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
     return 0.5 * (a + c), np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
 

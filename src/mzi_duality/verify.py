@@ -45,7 +45,6 @@ from .interferometer import (
     _marked_states,
     _port_a_closed,
     _port_a_probabilities,
-    _yz_norms,
     evolve_closed_form_stack,
     evolve_stack,
     marking_unitaries,
@@ -119,12 +118,10 @@ _STRIDE = 64
 
 
 def _lattice(start, stop):
-    # np.arange(start, stop, GRID_STEP) of floats or (n, 1) columns, to the bit, as (points at
-    # indices k, last index): start, second = fl(start + GRID_STEP), then start + k * delta.
-    second = start + GRID_STEP
-    delta = second - start
+    # The lattice start + k * GRID_STEP of floats or (n, 1) columns, as (points at indices k,
+    # last index), with np.arange(start, stop, GRID_STEP)'s length.
     last = np.ceil((stop - start) / GRID_STEP).astype(int) - 1
-    return lambda k: np.where(k > 1, start + k * delta, np.where(k == 1, second, start)), last
+    return lambda k: start + k * GRID_STEP, last
 
 
 def _lattice_argmax(query, values_at, start, stop) -> tuple:
@@ -158,7 +155,7 @@ def grid_visibility_peak_fixed_beta(lam, a_overlap, beta) -> tuple:
 
 
 def grid_visibility_peak_fixed_sx(s_x, lam, a_overlap) -> tuple:
-    """Argmax and max of V over the beta lattice np.arange(GRID_STEP, pi, GRID_STEP)."""
+    """Argmax and max of V over the beta lattice GRID_STEP + k * GRID_STEP below pi."""
     s_x_c, lam_c, a_c = (np.reshape(x, (-1, 1)) for x in (s_x, lam, a_overlap))
     yz = np.sqrt(np.maximum(lam_c - s_x_c * s_x_c, 0.0))
 
@@ -215,7 +212,7 @@ def _pipeline(p: _Points) -> tuple:
 
 def _visibilities(p: _Points, sin_beta, den):
     # visibility_closed of the stacked draws, clipped to [0, 1] as it is.
-    return visibility_kernel(_yz_norms(p.s_y, p.s_z), p.a_overlap, sin_beta, den).clip(0.0, 1.0)
+    return visibility_kernel(np.hypot(p.s_y, p.s_z), p.a_overlap, sin_beta, den).clip(0.0, 1.0)
 
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
@@ -230,9 +227,7 @@ def _pipeline_equivalence(rng, draws):
 def _detection_probability(rng, draws):
     p = _draw_points(rng, draws)
     numeric = _port_a_probabilities(evolve_stack(*_pipeline(p)))
-    # BlochState.alpha by math.atan2, which np.arctan2 can differ from in the last bit.
-    alpha = np.array(list(map(math.atan2, p.s_y.tolist(), p.s_z.tolist())))
-    yz = _yz_norms(p.s_y, p.s_z)
+    yz, alpha = np.hypot(p.s_y, p.s_z), np.arctan2(p.s_y, p.s_z)
     closed = _port_a_closed(p.s_x, yz, alpha, p.a_overlap, p.gamma, p.beta, p.phi)
     return _none_skipped(np.abs(numeric - closed))
 

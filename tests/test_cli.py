@@ -669,6 +669,7 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
         {"draws": False},
         {"seed": 1.5},
         {"draws": float("inf")},
+        {"draws": 5, "tolerances": {"visibility_oracle": True}},
     ):
         config.write_text(json.dumps(bad))
         assert main(["verify", "--config", str(config)]) == 2

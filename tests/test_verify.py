@@ -14,14 +14,18 @@ from mzi_duality.verify import (
     grid_visibility_peak_fixed_sx,
 )
 
-# The per-call exhaustive references: every lattice point from np.arange,
-# evaluated on every call, on sin beta and the port denominator from
-# interferometer.port_terms.
+# The per-call exhaustive references: every lattice point start + k * GRID_STEP,
+# as many as np.arange(start, stop, GRID_STEP) has, evaluated on every call, on
+# sin beta and the port denominator from interferometer.port_terms.
+
+
+def lattice(start, stop):
+    return start + np.arange(len(np.arange(start, stop, GRID_STEP))) * GRID_STEP
 
 
 def per_call_peak_fixed_beta(lam, a_overlap, beta):
     r = math.sqrt(lam)
-    s_x = np.arange(-r, r + 0.5 * GRID_STEP, GRID_STEP)
+    s_x = lattice(-r, r + 0.5 * GRID_STEP)
     amp = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
     # beta as an array, as the grid oracle passes it to port_terms.
     sin_beta, den = port_terms(s_x, np.full(len(s_x), beta))
@@ -31,7 +35,7 @@ def per_call_peak_fixed_beta(lam, a_overlap, beta):
 
 
 def per_call_peak_fixed_sx(s_x, lam, a_overlap):
-    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
+    beta = lattice(GRID_STEP, math.pi)
     amp = math.sqrt(max(lam - s_x * s_x, 0.0))
     sin_beta, den = port_terms(s_x, beta)
     values = a_overlap * sin_beta * amp / den
@@ -40,7 +44,7 @@ def per_call_peak_fixed_sx(s_x, lam, a_overlap):
 
 
 def per_call_valley(s_x, a_overlap):
-    beta = np.arange(GRID_STEP, math.pi, GRID_STEP)
+    beta = lattice(GRID_STEP, math.pi)
     values = distinguishability_kernel(s_x, a_overlap, *port_terms(s_x, beta))
     k = int(np.argmin(values))
     return float(beta[k]), float(values[k])
@@ -97,15 +101,17 @@ def test_grid_oracles_match_per_call_grid_exactly():
         assert list(zip(location.tolist(), value.tolist())) == calls
 
 
-def test_lattice_is_np_arange_to_the_bit():
+def test_lattice_is_start_plus_k_steps_with_np_arange_length():
+    # On the oracles' bounds.
     rng = np.random.default_rng(8)
     lams = np.concatenate([rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-16.0, -4.0, 300)])
     bounds = [(-math.sqrt(lam), math.sqrt(lam) + 0.5 * GRID_STEP) for lam in [0.0, 1.0, *lams]]
-    for start, stop in bounds + [(GRID_STEP, math.pi)]:
-        expected = np.arange(start, stop, GRID_STEP)
+    bounds.append((GRID_STEP, math.pi))
+    for start, stop in bounds:
         points, last = verify._lattice(start, stop)
-        assert last + 1 == len(expected)
-        np.testing.assert_array_equal(points(np.arange(last + 1)).view(np.int64), expected.view(np.int64))
+        assert last + 1 == len(np.arange(start, stop, GRID_STEP))
+        k = np.arange(last + 1)
+        np.testing.assert_array_equal(points(k).view(np.int64), (start + k * GRID_STEP).view(np.int64))
 
 
 def register(monkeypatch, name, errors):
