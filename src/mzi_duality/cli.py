@@ -20,8 +20,6 @@ import numpy as np
 
 from .duality import (
     DARK_PORT,
-    _bounded_s_x,
-    closed_form_lengths,
     distinguishability_kernel,
     distinguishability_trace_norms,
     duality_report,
@@ -39,6 +37,7 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _onto_bloch_ball,
     bloch_length_message,
     port_terms,
 )
@@ -148,26 +147,25 @@ def run_sweep(spec: SweepSpec) -> str:
     params = spec.grid()
     fixed = np.full_like(params, spec.beta if spec.swept == "s_x" else spec.s_x)
     s_x, beta = (params, fixed) if spec.swept == "s_x" else (fixed, params)
-    # The input state of each row, as BlochState would hold it.
+    # The input state of each row, as BlochState holds it; the length rule
+    # reads the raw squared length bloch_lam.
     r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
-    # The closed forms take s_x by the scalar API's rule, the scan the state's.
-    x = _bounded_s_x(s_x)
-    kernel_lam, yz = closed_form_lengths(x, bloch_lam, np.hypot(s_y, s_z))
+    s_x, s_y, s_z, lam = _onto_bloch_ball(s_x, s_y, s_z, bloch_lam)
     a = spec.a_overlap
-    sin_beta, den = port_terms(x, beta)
+    sin_beta, den = port_terms(s_x, beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_a, omega_b = weights_kernel(x, beta, den)
+        omega_a, omega_b = weights_kernel(s_x, beta, den)
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         table = np.column_stack([
             params,
-            visibility_kernel(yz, a, sin_beta, den).clip(0.0, 1.0),
+            visibility_kernel(np.hypot(s_y, s_z), a, sin_beta, den).clip(0.0, 1.0),
             v_scan,
-            distinguishability_kernel(x, a, sin_beta, den),
+            distinguishability_kernel(s_x, a, sin_beta, den),
             distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
-            residual_kernel(kernel_lam, a, sin_beta, den),
+            residual_kernel(lam, a, sin_beta, den),
             omega_a,
             omega_b,
         ])
@@ -257,7 +255,7 @@ def _cmd_report(args) -> int:
     det = DetectorConfig(args.a_overlap, args.gamma, args.delta)
     beta = BeamSplitterAngle(args.beta)
     report = duality_report(state, det, beta)
-    weights = path_weights(args.sx, beta)
+    weights = path_weights(state.s_x, beta)
     payload = {
         "visibility": report.visibility,
         "distinguishability": report.distinguishability,

@@ -60,7 +60,7 @@ def _bounded_s_x(s_x):
     # The closed forms' s_x rule, of a float or an array: |s_x| may exceed 1
     # by BLOCH_NORM_TOL, BlochState's slack, else (for an array, if any entry
     # does) InvalidInputError. The slack folds onto +-1, a certain path, as
-    # closed_form_lengths folds lam's onto a pure state. A float's comparison
+    # BlochState projects lam's onto a pure state. A float's comparison
     # is its own answer: np.any on it would cost microseconds.
     failing = np.any if isinstance(s_x, np.ndarray) else bool
     if failing(abs(s_x) > 1.0 + BLOCH_NORM_TOL):
@@ -85,20 +85,6 @@ def _checked_port(s_x, a_overlap, beta):
     require_finite(s_x=s_x, a_overlap=a_overlap)
     require_in_range("a_overlap", a_overlap)
     return _lit_port(s_x, beta.beta)
-
-
-def closed_form_lengths(s_x, lam, yz):
-    """(lam, |(s_y, s_z)|) as the closed forms use them, of a point or of
-    arrays of points. A squared Bloch length above 1 (BlochState admits up
-    to BLOCH_NORM_TOL more) is rounding slack of a pure state: it counts as
-    lam = 1, with yz = sqrt(1 - s_x^2). Other points keep their own."""
-    if isinstance(lam, np.ndarray):
-        over = lam > 1.0
-        pure_yz = np.sqrt(np.maximum(1.0 - s_x * s_x, 0.0))
-        return np.where(over, 1.0, lam), np.where(over, pure_yz, yz)
-    if lam > 1.0:
-        return 1.0, math.sqrt(max(1.0 - s_x * s_x, 0.0))
-    return lam, yz
 
 
 # The closed forms for V, D, the residual and the path weights, written once.
@@ -214,10 +200,9 @@ def _closed_forms(state: BlochState, a_overlap: float, beta: BeamSplitterAngle) 
     # (V clipped to [0, 1], D, residual) of one checked point: the whole body
     # of visibility_closed, complementarity_residual and duality_report.
     s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
-    lam, yz = closed_form_lengths(s_x, state.lam, state.yz_norm)
-    v = min(max(visibility_kernel(yz, a_overlap, sin_beta, den), 0.0), 1.0)
+    v = min(max(visibility_kernel(state.yz_norm, a_overlap, sin_beta, den), 0.0), 1.0)
     d = float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
-    return v, d, residual_kernel(lam, a_overlap, sin_beta, den)
+    return v, d, residual_kernel(state.lam, a_overlap, sin_beta, den)
 
 
 def visibility_closed(
@@ -352,8 +337,8 @@ def visibility_peak_fixed_beta(
     # The peak sits at s_x = -lam cos(beta), with value A sin(beta) sqrt(lam)
     # / sqrt(1 - lam cos^2(beta)), not V at the peak, whose 1 + s_x_star
     # cos(beta) cancels next to beta = 0 and pi. In both, lam's rounding
-    # slack above 1 counts as a pure state (closed_form_lengths), which keeps
-    # the location in [-1, 1].
+    # slack above 1 counts as a pure state, as BlochState holds it, which
+    # keeps the location in [-1, 1].
     pure = min(lam, 1.0)
     v_star = a_overlap * math.sqrt(pure) * sin_beta / math.sqrt(
         sin_beta * sin_beta + (1.0 - pure) * cos_beta * cos_beta

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,11 +44,27 @@ def bloch_length_message(lam: float) -> str | None:
     return None
 
 
+def _onto_bloch_ball(s_x, s_y, s_z, lam):
+    # (s_x, s_y, s_z, lam) by the slack rule, of a point or of 1-D arrays of
+    # points: a squared length lam above 1 is a pure state's rounding slack,
+    # so the vector is divided by sqrt(lam), s_x clipped to [-1, 1] (the
+    # quotient can round past 1) and lam is exactly 1. Other points are kept.
+    if isinstance(lam, np.ndarray):
+        root = np.where(lam > 1.0, np.sqrt(lam), 1.0)
+        return np.clip(s_x / root, -1.0, 1.0), s_y / root, s_z / root, np.minimum(lam, 1.0)
+    if lam <= 1.0:
+        return s_x, s_y, s_z, lam
+    root = math.sqrt(lam)
+    return min(max(s_x / root, -1.0), 1.0), s_y / root, s_z / root, 1.0
+
+
 @dataclass(frozen=True)
 class BlochState:
     """Input path qubit given by its Bloch vector (s_x, s_y, s_z).
 
-    The squared length ``lam`` may not exceed 1; ``lam == 1`` is a pure state.
+    The squared length ``lam`` may not exceed 1; up to BLOCH_NORM_TOL above 1
+    it is a pure state's rounding slack, held projected onto the sphere
+    (_onto_bloch_ball) with ``lam == 1``.
     ``alpha`` is the phase of s_z + i*s_y, the complex amplitude that feeds
     the interference fringe.
     """
@@ -56,16 +72,19 @@ class BlochState:
     s_x: float
     s_y: float
     s_z: float
+    lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(s_x=self.s_x, s_y=self.s_y, s_z=self.s_z)
-        message = bloch_length_message(self.lam)
+        lam = self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
+        message = bloch_length_message(lam)
         if message is not None:
             raise InvalidInputError(message)
-
-    @property
-    def lam(self) -> float:
-        return self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
+        object.__setattr__(self, "lam", lam)
+        if lam > 1.0:  # the only points _onto_bloch_ball moves
+            projected = _onto_bloch_ball(self.s_x, self.s_y, self.s_z, lam)
+            for name, value in zip(("s_x", "s_y", "s_z", "lam"), projected):
+                object.__setattr__(self, name, value)
 
     @property
     def yz_norm(self) -> float:

@@ -210,7 +210,10 @@ def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
     # The entries of a Hermitian [[a, b], [conj(b), c]] (a, c real) and the
     # mean and half-gap of its eigenvalues, which are mean +- radius.
     a, c, b = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
-    return a, c, b, 0.5 * (a + c), abs(complex(0.5 * (a - c), abs(b)))
+    try:
+        return a, c, b, 0.5 * (a + c), abs(complex(0.5 * (a - c), abs(b)))
+    except OverflowError:  # abs raises it where a modulus exceeds the float range
+        raise InvalidInputError("matrix eigenvalues exceed the float range") from None
 
 
 # hermitian_eig2, trace_norm and check_densities work on one 2x2 matrix in

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzi_duality import interferometer
+from mzi_duality import interferometer, verify
 from mzi_duality.cli import (
     SWEEP_HEADER,
     SweepSpec,
@@ -237,11 +237,11 @@ def scalar_sweep(spec):
             r = math.sqrt(max(spec.lam - s_x * s_x, 0.0))
             state = BlochState(s_x, r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle))
             angle = BeamSplitterAngle(beta)
-            weights = path_weights(s_x, angle)
+            weights = path_weights(state.s_x, angle)
             row = [
                 visibility_closed(state, spec.a_overlap, angle),
                 visibility_scan(state, spec.detector, angle),
-                distinguishability_closed(s_x, angle, spec.a_overlap),
+                distinguishability_closed(state.s_x, angle, spec.a_overlap),
                 distinguishability_trace_norm(spec.detector, weights),
                 complementarity_residual(state, spec.a_overlap, angle),
                 weights.omega_a,
@@ -287,6 +287,27 @@ def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
             assert fields[1 + k] == _fmt(row[k])
         for k in (1, 3):  # V_scan and D_trace
             assert abs(float(fields[1 + k]) - row[k]) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS)
+def test_edge_sweep_rows_meet_the_row_identities(spec):
+    # Each lit row at verify's default tolerances: V against the scan, D
+    # against the trace norm, V^2 + D^2 + residual = 1 with V^2 + D^2 at most
+    # 1, and D^2 + 4 omega_a omega_b A^2 = 1 with omega_a + omega_b = 1. The
+    # slack rows used to fail the first: the closed forms read a folded
+    # vector and the scan the raw one.
+    tol = {name: check.tolerance for name, check in verify.CHECKS.items()}
+    a = spec.a_overlap
+    lit = [line for line in run_sweep(spec).splitlines()[1:] if not line.endswith(",,,,,,,")]
+    assert lit
+    for line in lit:
+        _, v, v_scan, d, d_trace, residual, w_a, w_b = map(float, line.split(","))
+        assert abs(v - v_scan) <= tol["visibility_oracle"], line
+        assert abs(d - d_trace) <= tol["distinguishability_oracle"], line
+        saturation = max(abs(1.0 - v * v - d * d - residual), v * v + d * d - 1.0 - 1e-12)
+        assert saturation <= tol["complementarity"], line
+        weights = max(abs(d * d + 4.0 * w_a * w_b * (a * a) - 1.0), abs(w_a + w_b - 1.0))
+        assert weights <= tol["weights_identity"], line
 
 
 def test_sweep_folds_s_x_slack_onto_a_certain_path(tmp_path):

@@ -21,7 +21,6 @@ from mzi_duality.duality import (
     DualityReport,
     MeasurementBasis,
     PathWeights,
-    closed_form_lengths,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_trace_norm,
@@ -753,8 +752,9 @@ def test_residual_undefined_on_dark_port():
 def test_report_accepts_lam_slack_above_one():
     # lam - 1 = 1.0e-12 is within BLOCH_NORM_TOL; the closed forms used to
     # amplify it into a residual of -4.94e-10, below RESIDUAL_FLOOR.
-    state = BlochState(-0.999, 0.0, math.sqrt(1 + 1e-12 - 0.999**2))
-    assert 1.0 < state.lam <= 1.0 + BLOCH_NORM_TOL
+    s_z = math.sqrt(1 + 1e-12 - 0.999**2)
+    assert 1.0 < 0.999 * 0.999 + s_z * s_z <= 1.0 + BLOCH_NORM_TOL
+    state = BlochState(-0.999, 0.0, s_z)
     rep = duality_report(state, DetectorConfig(1.0), BeamSplitterAngle(0.05))
     assert rep.residual == 0.0
 
@@ -777,9 +777,41 @@ def test_lam_slack_above_one_counts_as_a_pure_state(s_x, angle, excess, a, beta_
     rep = duality_report(state, DetectorConfig(a), beta)
     assert rep.residual == 0.0
     assert abs(rep.visibility**2 + rep.distinguishability**2 - 1.0) <= 1e-12
-    point = (s_x, state.lam, state.yz_norm)
-    columns = closed_form_lengths(*(np.array([v]) for v in point))
-    assert [float(c[0]) for c in columns] == list(closed_form_lengths(*point))
+    # The state holds the projection, which a point and a stack of one share to the bit.
+    raw = (s_x, s_y, s_z, s_x * s_x + s_y * s_y + s_z * s_z)
+    projected = interferometer._onto_bloch_ball(*raw)
+    assert (state.s_x, state.s_y, state.s_z, state.lam) == projected and state.lam == 1.0
+    columns = interferometer._onto_bloch_ball(*(np.array([v]) for v in raw))
+    assert [float(c[0]).hex() for c in columns] == [float(v).hex() for v in projected]
+
+
+def test_slack_state_has_one_visibility_on_both_routes():
+    # lam - 1 = 1.0e-12: the closed form used to read this state as the pure
+    # s_x = 1 (V = 0) and the scan as the raw vector (V = 2.73e-7).
+    state = BlochState(1.0, 0.0, 1e-6)
+    beta = BeamSplitterAngle(1.0)
+    v_closed = visibility_closed(state, 0.5, beta)
+    assert abs(v_closed - visibility_scan(state, DetectorConfig(0.5), beta)) <= 1e-12
+    assert complementarity_residual(state, 0.5, beta) == 0.0
+
+
+def test_slack_states_next_to_a_certain_path_agree_on_both_routes():
+    # |s_x| = 1 - 10**U(-15, -1) and lam - 1 in (0, BLOCH_NORM_TOL]: a folded
+    # closed form against the raw scan was off by up to 2.5e-5 here.
+    rng = np.random.default_rng(44)
+    worst, drawn = 0.0, 0
+    for sign, u, excess, angle, beta_u, a in rng.uniform(size=(2000, 6)).tolist():
+        s_x = math.copysign(1.0 - 10.0 ** (-15.0 + 14.0 * u), sign - 0.5)
+        r = math.sqrt(1.0 + BLOCH_NORM_TOL * (1.0 - excess) - s_x * s_x)
+        s_y, s_z = r * math.sin(TWO_PI * angle), r * math.cos(TWO_PI * angle)
+        if not 1.0 < s_x * s_x + s_y * s_y + s_z * s_z <= 1.0 + BLOCH_NORM_TOL:
+            continue  # rounding carried the length out of the slack
+        drawn += 1
+        state, beta = BlochState(s_x, s_y, s_z), BeamSplitterAngle(0.05 + (math.pi - 0.1) * beta_u)
+        gap = visibility_closed(state, a, beta) - visibility_scan(state, DetectorConfig(a), beta)
+        worst = max(worst, abs(gap))
+    assert drawn >= 1900
+    assert worst <= 1e-12
 
 
 # --- peaks and valleys -----------------------------------------------------------------
@@ -990,8 +1022,9 @@ def test_report_equals_the_three_closed_forms_bit_for_bit():
     # the dark port, at A and beta on their bounds and with lam's slack above 1.
     rng = np.random.default_rng(43)
     cases = [draw_point(rng)[:3] for _ in range(300)]
-    slack = BlochState(-0.999, 0.0, math.sqrt(1 + 1e-12 - 0.999**2))
-    assert slack.lam > 1.0
+    s_z = math.sqrt(1 + 1e-12 - 0.999**2)
+    assert 0.999 * 0.999 + s_z * s_z > 1.0
+    slack = BlochState(-0.999, 0.0, s_z)
     near_dark = BlochState(-1.0 + 1e-11, 0.0, 0.0)
     for beta in (0.0, 1e-7, 0.05, HALF_PI, math.pi):
         for a in (0.0, THIRD, 1.0):

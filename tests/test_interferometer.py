@@ -72,6 +72,19 @@ def test_bloch_state_pure_flag():
     assert abs(BlochState(0.6, 0.8, 0.0).lam - 1.0) <= BLOCH_NORM_TOL
 
 
+def test_bloch_state_holds_lam_slack_projected_onto_the_sphere():
+    # Within the slack above 1 the vector is divided by sqrt(lam), s_x is
+    # clipped to [-1, 1] and lam is exactly 1; other vectors keep their bits.
+    s = BlochState(1.0000000000004, 0.0, 0.0)
+    assert (s.s_x, s.s_y, s.s_z, s.lam) == (1.0, 0.0, 0.0, 1.0)
+    slack = BlochState(0.6, 0.0, math.sqrt(1.0 + 1e-12 - 0.36))
+    assert slack.lam == 1.0 and slack.s_z < math.sqrt(1.0 + 1e-12 - 0.36)
+    assert slack == BlochState(slack.s_x, slack.s_y, slack.s_z) and "lam" not in repr(slack)
+    inside = BlochState(0.6, 0.8, 1e-9)
+    assert (inside.s_x, inside.s_y, inside.s_z) == (0.6, 0.8, 1e-9)
+    assert inside.lam == 0.6 * 0.6 + 0.8 * 0.8 + 1e-9 * 1e-9
+
+
 def test_bloch_state_alpha_is_zero_on_the_axis():
     assert BlochState(0.5, 0.0, 0.0).alpha == 0.0
 

@@ -318,6 +318,22 @@ def test_checks_quote_an_overflowing_defect_as_inf(call, m, message):
         call(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]],
+        [[1.6e308, 1.7e308], [1.7e308, 0]],
+    ],
+    ids=["off-diagonal modulus", "half-gap"],
+)
+@pytest.mark.parametrize("call", [hermitian_eig2, trace_norm])
+def test_a_modulus_beyond_the_float_range_is_invalid_input(call, m):
+    # Finite Hermitian entries whose eigenvalue half-gap overflows: abs used
+    # to let a bare OverflowError escape.
+    with pytest.raises(InvalidInputError, match="^matrix eigenvalues exceed the float range$"):
+        call(np.array(m))
+
+
 def test_partial_trace_rejects_wrong_dim():
     rho = DensityOperator(IDENTITY_2 / 2)
     with pytest.raises(InvalidInputError):
