@@ -20,15 +20,14 @@ import numpy as np
 
 from .duality import (
     DARK_PORT,
+    closed_form_columns,
     distinguishability_kernel,
     distinguishability_trace_norms,
     duality_report,
     path_weights,
     port_is_dark,
-    residual_kernel,
     visibility_kernel,
     visibility_scans,
-    weights_kernel,
     weights_message,
 )
 from .errors import DualityError, InvalidInputError, require_finite, require_in_range
@@ -153,22 +152,14 @@ def run_sweep(spec: SweepSpec) -> str:
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
     s_x, s_y, s_z, lam = _onto_bloch_ball(s_x, s_y, s_z, bloch_lam)
-    a = spec.a_overlap
-    sin_beta, den = port_terms(s_x, beta)
     # Rows at the dark port divide by a zero denominator; they are blanked.
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_a, omega_b = weights_kernel(s_x, beta, den)
+        v, d, residual, omega_a, omega_b, den = closed_form_columns(
+            s_x, s_y, s_z, lam, spec.a_overlap, beta
+        )
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
-        table = np.column_stack([
-            params,
-            visibility_kernel(np.hypot(s_y, s_z), a, sin_beta, den).clip(0.0, 1.0),
-            v_scan,
-            distinguishability_kernel(s_x, a, sin_beta, den),
-            distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b),
-            residual_kernel(lam, a, sin_beta, den),
-            omega_a,
-            omega_b,
-        ])
+        d_trace = distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b)
+    table = np.column_stack([params, v, v_scan, d, d_trace, residual, omega_a, omega_b])
     blank = []
     rules = zip(bloch_lam.tolist(), den.tolist(), omega_a.tolist(), omega_b.tolist(), scanned.tolist())
     for value, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), rules):

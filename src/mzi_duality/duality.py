@@ -56,26 +56,21 @@ def port_is_dark(den):
     return den <= DENOMINATOR_TOL
 
 
-def _bounded_s_x(s_x):
-    # The closed forms' s_x rule, of a float or an array: |s_x| may exceed 1
-    # by BLOCH_NORM_TOL, BlochState's slack, else (for an array, if any entry
-    # does) InvalidInputError. The slack folds onto +-1, a certain path, as
-    # BlochState projects lam's onto a pure state. A float's comparison
-    # is its own answer: np.any on it would cost microseconds.
-    failing = np.any if isinstance(s_x, np.ndarray) else bool
-    if failing(abs(s_x) > 1.0 + BLOCH_NORM_TOL):
+def _bounded_s_x(s_x: float) -> float:
+    # The closed forms' s_x rule: |s_x| may exceed 1 by BLOCH_NORM_TOL,
+    # BlochState's slack, else InvalidInputError. The slack folds onto +-1,
+    # a certain path, as BlochState projects lam's onto a pure state.
+    if abs(s_x) > 1.0 + BLOCH_NORM_TOL:
         raise InvalidInputError(f"s_x must lie in [-1, 1], got {s_x!r}")
-    return np.clip(s_x, -1.0, 1.0) if failing is np.any else min(max(s_x, -1.0), 1.0)
+    return min(max(s_x, -1.0), 1.0)
 
 
-def _lit_port(s_x, beta):
+def _lit_port(s_x: float, beta: float) -> tuple[float, float, float]:
     # (s_x as _bounded_s_x returns it, sin beta, port denominator) of a point
-    # whose port is lit, else DarkPortError; for arrays of points, arrays, or
-    # the error if any point fails.
+    # whose port is lit, else DarkPortError.
     s_x = _bounded_s_x(s_x)
     sin_beta, den = port_terms(s_x, beta)
-    failing = np.any if isinstance(den, np.ndarray) else bool
-    if failing(port_is_dark(den)):
+    if port_is_dark(den):
         raise DarkPortError(DARK_PORT)
     return s_x, sin_beta, den
 
@@ -89,10 +84,11 @@ def _checked_port(s_x, a_overlap, beta):
 
 # The closed forms for V, D, the residual and the path weights, written once.
 # Arguments are scalars or broadcastable arrays; callers supply sin(beta) and
-# den = 1 + s_x cos(beta) from interferometer.port_terms, and check den with
-# port_is_dark (the scalar API and verify's stacked suites through _lit_port;
-# verify's extremum oracles run them on lattices). V comes back unclipped.
-# Squares are products, which round the same for floats and arrays (** uses pow).
+# den = 1 + s_x cos(beta) from interferometer.port_terms. The scalar API
+# checks den through _lit_port; closed_form_columns leaves it to its callers,
+# and verify's extremum oracles and the figures run V and D on grids. V comes
+# back unclipped. Squares are products, which round the same for floats and
+# arrays (** uses pow).
 
 
 def visibility_kernel(yz, a_overlap, sin_beta, den):
@@ -116,6 +112,22 @@ def weights_kernel(s_x, beta, den):
     """(omega_a, omega_b) = (cos^2(beta/2) (1 + s_x), sin^2(beta/2) (1 - s_x)) / den."""
     cos_half, sin_half = np.cos(0.5 * beta), np.sin(0.5 * beta)
     return cos_half * cos_half * (1.0 + s_x) / den, sin_half * sin_half * (1.0 - s_x) / den
+
+
+def closed_form_columns(s_x, s_y, s_z, lam, a_overlap, beta) -> tuple:
+    """(V clipped to [0, 1], D, residual, omega_a, omega_b, den) of 1-D arrays
+    of points, one entry per point, in one pass.
+
+    The points are taken as validated: nothing is checked, and a point whose
+    port is dark divides by its own denominator ``den`` (1 + s_x cos beta),
+    which the caller tests with port_is_dark. ``lam`` is the squared Bloch
+    length that the residual reads; a_overlap may be one float for all points.
+    """
+    sin_beta, den = port_terms(s_x, beta)
+    v = visibility_kernel(np.hypot(s_y, s_z), a_overlap, sin_beta, den).clip(0.0, 1.0)
+    d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
+    residual = residual_kernel(lam, a_overlap, sin_beta, den)
+    return (v, d, residual, *weights_kernel(s_x, beta, den), den)
 
 
 def weights_message(omega_a: float, omega_b: float) -> str | None:

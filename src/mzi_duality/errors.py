@@ -43,11 +43,11 @@ def require_finite(**values) -> None:
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
-def require_in_range(name: str, value, lo: float = 0.0, hi: float = 1.0) -> None:
-    """Raise InvalidInputError unless lo <= value <= hi; NaN fails.
+def require_in_range(name: str, value, hi: float = 1.0) -> None:
+    """Raise InvalidInputError unless 0 <= value <= hi; NaN fails.
 
-    Every range checked here is nominally [0, 1]; ``lo`` and ``hi`` may widen
-    it by a rounding slack that the message does not show.
+    Every range checked here is nominally [0, 1]; ``hi`` may widen it by a
+    rounding slack that the message does not show.
     """
-    if not lo <= value <= hi:
+    if not 0.0 <= value <= hi:
         raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")

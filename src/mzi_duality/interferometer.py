@@ -93,9 +93,11 @@ class BlochState:
 
     @property
     def alpha(self) -> float:
-        # atan2(0, 0) = 0 keeps the (unobservable) phase deterministic when
-        # the fringe amplitude vanishes.
-        return math.atan2(self.s_y, self.s_z)
+        # np.arctan2, as verify's stacked columns take it, whose SIMD loop
+        # can differ from libm's atan2 in the last bit. arctan2(0, 0) = 0
+        # keeps the (unobservable) phase deterministic when the fringe
+        # amplitude vanishes.
+        return float(np.arctan2(self.s_y, self.s_z))
 
 
 @dataclass(frozen=True)

@@ -208,12 +208,19 @@ def _checked_hermitian(h, caller: str) -> np.ndarray:
 
 def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
     # The entries of a Hermitian [[a, b], [conj(b), c]] (a, c real) and the
-    # mean and half-gap of its eigenvalues, which are mean +- radius.
-    a, c, b = m[0, 0].real, m[1, 1].real, complex(m[0, 1])
+    # mean and half-gap of its eigenvalues, which are mean +- radius. Python
+    # floats overflow to inf without a numpy warning; abs raises OverflowError
+    # where a modulus of finite parts exceeds the float range.
+    (a, b), (_, c) = m.tolist()
+    a, c, b = a.real, c.real, complex(b)
+    mean = 0.5 * (a + c)
     try:
-        return a, c, b, 0.5 * (a + c), abs(complex(0.5 * (a - c), abs(b)))
-    except OverflowError:  # abs raises it where a modulus exceeds the float range
-        raise InvalidInputError("matrix eigenvalues exceed the float range") from None
+        radius = abs(complex(0.5 * (a - c), abs(b)))
+    except OverflowError:
+        radius = math.inf
+    if abs(mean) + radius == math.inf:
+        raise InvalidInputError("matrix eigenvalues exceed the float range")
+    return a, c, b, mean, radius
 
 
 # hermitian_eig2, trace_norm and check_densities work on one 2x2 matrix in

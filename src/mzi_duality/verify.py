@@ -26,16 +26,14 @@ import numpy as np
 from .duality import (
     _basis_is_degenerate,
     _discrimination_operator,
-    _lit_port,
+    closed_form_columns,
     distinguishability_kernel,
     distinguishability_trace_norms,
     distinguishability_valley,
-    residual_kernel,
     visibility_kernel,
     visibility_peak_fixed_beta,
     visibility_peak_fixed_sx,
     visibility_scans,
-    weights_kernel,
 )
 from .errors import DualityError, InvalidInputError
 from .interferometer import (
@@ -210,9 +208,10 @@ def _pipeline(p: _Points) -> tuple:
     return p.s_x, p.s_y, p.s_z, p.unitary, p.beta, p.phi
 
 
-def _visibilities(p: _Points, sin_beta, den):
-    # visibility_closed of the stacked draws, clipped to [0, 1] as it is.
-    return visibility_kernel(np.hypot(p.s_y, p.s_z), p.a_overlap, sin_beta, den).clip(0.0, 1.0)
+def _closed_columns(p: _Points) -> tuple:
+    # closed_form_columns of the draws, whose residual reads their raw squared length.
+    lam = p.s_x * p.s_x + p.s_y * p.s_y + p.s_z * p.s_z
+    return closed_form_columns(p.s_x, p.s_y, p.s_z, lam, p.a_overlap, p.beta)
 
 
 def _largest_entries(m: np.ndarray) -> np.ndarray:
@@ -251,24 +250,19 @@ def _reduced_detector_state(rng, draws):
 def _visibility_oracle(rng, draws):
     p = _draw_points(rng, draws)
     scanned, _ = visibility_scans(p.s_x, p.s_y, p.s_z, p.unitary, p.beta)
-    closed = _visibilities(p, *_lit_port(p.s_x, p.beta)[1:])
-    return _none_skipped(np.abs(scanned - closed))
+    return _none_skipped(np.abs(scanned - _closed_columns(p)[0]))
 
 
 def _distinguishability_oracle(rng, draws):
     p = _draw_points(rng, draws)
-    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
-    norms = distinguishability_trace_norms(p.unitary, *weights_kernel(s_x, p.beta, den))
-    closed = distinguishability_kernel(s_x, p.a_overlap, sin_beta, den)
-    return _none_skipped(np.abs(norms - closed))
+    _, d, _, omega_a, omega_b, _ = _closed_columns(p)
+    return _none_skipped(np.abs(distinguishability_trace_norms(p.unitary, omega_a, omega_b) - d))
 
 
 def _weights_identity(rng, draws):
     p = _draw_points(rng, draws)
     a_overlap = p.a_overlap
-    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
-    omega_a, omega_b = weights_kernel(s_x, p.beta, den)
-    d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
+    _, d, _, omega_a, omega_b, _ = _closed_columns(p)
     return _none_skipped(
         np.maximum(
             np.abs(d * d + 4.0 * omega_a * omega_b * (a_overlap * a_overlap) - 1.0),
@@ -289,10 +283,8 @@ def _phase_invariance(rng, draws):
         rows.append(_draw_point(rng))
         phases.append(rng.random(2))
     p = _stack_points(rows)
-    bounded, _, den = _lit_port(p.s_x, p.beta)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
-        np.concatenate([x, x])
-        for x in (p.s_x, p.s_y, p.s_z, p.beta, *weights_kernel(bounded, p.beta, den))
+        np.concatenate([x, x]) for x in (p.s_x, p.s_y, p.s_z, p.beta, *_closed_columns(p)[3:5])
     )
     gamma, delta = TWO_PI * np.array(phases).T
     unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, gamma, delta)])
@@ -309,8 +301,7 @@ def _min_error_measurement(rng, draws):
     # probability (1 + D) / 2, and success no worse than guessing the likelier
     # path. Draws whose operator is degenerate (no basis singled out) skip.
     p = _draw_points(rng, draws)
-    s_x, _, den = _lit_port(p.s_x, p.beta)
-    omega_a, omega_b = weights_kernel(s_x, p.beta, den)
+    omega_a, omega_b = _closed_columns(p)[3:5]
     gamma_op = _discrimination_operator(_marked_states(p.unitary), omega_a, omega_b)
     values, vectors = _hermitian_eig2s(gamma_op)
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
@@ -406,12 +397,7 @@ def _phase_aligned_distances(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _complementarity(rng, draws):
-    p = _draw_points(rng, draws)
-    s_x, sin_beta, den = _lit_port(p.s_x, p.beta)
-    v = _visibilities(p, sin_beta, den)
-    d = distinguishability_kernel(s_x, p.a_overlap, sin_beta, den)
-    lam = p.s_x * p.s_x + p.s_y * p.s_y + p.s_z * p.s_z
-    residual = residual_kernel(lam, p.a_overlap, sin_beta, den)
+    v, d, residual, *_ = _closed_columns(_draw_points(rng, draws))
     return _none_skipped(
         np.maximum(np.abs(1.0 - v * v - d * d - residual), v * v + d * d - 1.0 - 1e-12)
     )

@@ -116,18 +116,38 @@ def test_undefined_visibility_error_is_the_dark_port_error():
         distinguishability_closed(-1.0, BeamSplitterAngle(0.0), 0.5)
 
 
-def test_lit_port_on_arrays_is_the_float_preamble_per_point():
-    # The closed forms' preamble over a stack of points: each point's
-    # (s_x, sin beta, denominator) as for floats, and the floats' error if
-    # any one point fails.
-    s_x = np.array([0.3, -0.9, -1.0, 1.0 + 4e-13])
-    beta = np.array([1.1, 0.2, math.pi, 1.0])
-    bounded, sin_beta, den = duality._lit_port(s_x, beta)
-    assert list(zip(bounded, sin_beta, den)) == [duality._lit_port(x, b) for x, b in zip(s_x, beta)]
-    with pytest.raises(DarkPortError, match=duality.DARK_PORT):
-        duality._lit_port(np.array([0.3, -1.0]), np.array([1.1, 0.0]))
-    with pytest.raises(InvalidInputError):
-        duality._lit_port(np.array([0.3, 1.5]), np.array([1.1, 1.1]))
+def test_closed_form_columns_are_the_scalar_api_per_point():
+    # The array pass against duality_report and path_weights, to the bit, on
+    # seeded draws and the edges: lam's slack above 1 (the state holds its
+    # projection), the exact half turn beta == pi, A = 0, and A = 1 at the
+    # peak over s_x, where V before its clip rounds to 1.000000000000033.
+    rng = np.random.default_rng(27)
+    points = [
+        (draw_bloch_state(rng), float(rng.uniform(0.0, 1.0)), draw_beta(rng).beta)
+        for _ in range(500)
+    ]
+    s_z = math.sqrt(1 + 1e-12 - 0.999**2)
+    slack = BlochState(-0.999, 0.0, s_z)
+    assert slack.lam == 1.0 and (slack.s_x, slack.s_z) != (-0.999, s_z)
+    points += [
+        (slack, 0.7, 0.05),
+        (BlochState(0.3, -0.4, 0.5), 0.6, math.pi),
+        (BlochState(-0.2, 0.1, 0.9), 0.0, 1.2),
+        (BlochState(-math.cos(0.05), 0.0, math.sin(0.05)), 1.0, 0.05),
+    ]
+    states, overlaps, betas = zip(*points)
+    columns = duality.closed_form_columns(
+        *(np.array([getattr(s, name) for s in states]) for name in ("s_x", "s_y", "s_z", "lam")),
+        np.array(overlaps),
+        np.array(betas),
+    )
+    for state, a, beta, v, d, residual, omega_a, omega_b, _ in zip(
+        states, overlaps, betas, *(c.tolist() for c in columns)
+    ):
+        angle = BeamSplitterAngle(beta)
+        rep, weights = duality_report(state, DetectorConfig(a), angle), path_weights(state.s_x, angle)
+        assert (v, d, residual) == (rep.visibility, rep.distinguishability, rep.residual)
+        assert (omega_a, omega_b) == (weights.omega_a, weights.omega_b)
 
 
 def test_visibility_rejects_bad_overlap():

@@ -67,6 +67,15 @@ def test_yz_norm_is_np_hypot_where_math_hypot_differs():
         assert BlochState(0.0, y, z).yz_norm == np.hypot(y, z)
 
 
+def test_alpha_is_the_stacked_np_arctan2():
+    # The one phase rule: alpha rounds as the np.arctan2 column of verify's
+    # detection_probability suite, which libm's atan2 does not everywhere.
+    rng = np.random.default_rng(27)
+    y, z = rng.standard_normal((2, 20000)) / 8.0
+    stacked = np.arctan2(y, z).tolist()
+    assert [BlochState(0.0, s_y, s_z).alpha for s_y, s_z in zip(y.tolist(), z.tolist())] == stacked
+
+
 def test_bloch_state_pure_flag():
     assert abs(BlochState(0.0, 0.0, 1.0).lam - 1.0) <= BLOCH_NORM_TOL
     assert abs(BlochState(0.6, 0.8, 0.0).lam - 1.0) <= BLOCH_NORM_TOL

@@ -323,13 +323,16 @@ def test_checks_quote_an_overflowing_defect_as_inf(call, m, message):
     [
         [[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]],
         [[1.6e308, 1.7e308], [1.7e308, 0]],
+        [[1.7e308, 0], [0, -1.7e308]],
+        [[1.7e308, 0], [0, 1.7e308]],
     ],
-    ids=["off-diagonal modulus", "half-gap"],
+    ids=["off-diagonal modulus", "half-gap", "diagonal difference", "diagonal sum"],
 )
 @pytest.mark.parametrize("call", [hermitian_eig2, trace_norm])
 def test_a_modulus_beyond_the_float_range_is_invalid_input(call, m):
-    # Finite Hermitian entries whose eigenvalue half-gap overflows: abs used
-    # to let a bare OverflowError escape.
+    # Finite Hermitian entries whose eigenvalue half-gap or mean overflows:
+    # abs used to let a bare OverflowError escape, and a - c or a + c to
+    # return inf eigenvalues with a RuntimeWarning.
     with pytest.raises(InvalidInputError, match="^matrix eigenvalues exceed the float range$"):
         call(np.array(m))
 
