@@ -31,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
 _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
-# The diagonal of the phase shifter, lifted onto path (x) detector, is
-# exp(phi * _PHASE_SIGNS).
+# The diagonal of the phase shifter diag(e^{-i*phi}, e^{+i*phi}), lifted onto
+# path (x) detector, is exp(phi * _PHASE_SIGNS).
 _PHASE_SIGNS = np.array([-1j, -1j, 1j, 1j])
 
 
@@ -49,13 +49,25 @@ def _onto_bloch_ball(s_x, s_y, s_z, lam):
     # points: a squared length lam above 1 is a pure state's rounding slack,
     # so the vector is divided by sqrt(lam), s_x clipped to [-1, 1] (the
     # quotient can round past 1) and lam is exactly 1. Other points are kept.
+    # The division repeats on the result's own rounded squared length until
+    # its square root rounds to 1, which leaves that length at most one ulp
+    # above 1: the result is a fixed point, so a state rebuilt from its
+    # components is the same state.
     if isinstance(lam, np.ndarray):
         root = np.where(lam > 1.0, np.sqrt(lam), 1.0)
-        return np.clip(s_x / root, -1.0, 1.0), s_y / root, s_z / root, np.minimum(lam, 1.0)
+        while True:
+            s_x, s_y, s_z = np.clip(s_x / root, -1.0, 1.0), s_y / root, s_z / root
+            root = np.sqrt(np.maximum(s_x * s_x + s_y * s_y + s_z * s_z, 1.0))
+            if not (root > 1.0).any():
+                return s_x, s_y, s_z, np.minimum(lam, 1.0)
     if lam <= 1.0:
         return s_x, s_y, s_z, lam
     root = math.sqrt(lam)
-    return min(max(s_x / root, -1.0), 1.0), s_y / root, s_z / root, 1.0
+    while True:
+        s_x, s_y, s_z = min(max(s_x / root, -1.0), 1.0), s_y / root, s_z / root
+        root = math.sqrt(max(s_x * s_x + s_y * s_y + s_z * s_z, 1.0))
+        if root == 1.0:
+            return s_x, s_y, s_z, 1.0
 
 
 @dataclass(frozen=True)
@@ -202,14 +214,10 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
     return DensityOperator(_bloch_densities([state.s_x], [state.s_y], [state.s_z])[0])
 
 
-def _lifted_phase_shifters(phi) -> np.ndarray:
-    # diag(e^{-i*phi}, e^{+i*phi}) (x) 1 = diag(e^{-i*phi}, e^{-i*phi},
-    # e^{+i*phi}, e^{+i*phi}) of a phase or of each of an array of them: the
-    # diagonal is every fifth entry of the flattened 4x4.
-    phi = np.asarray(phi, dtype=float)
-    d = np.zeros(phi.shape + (4, 4), dtype=complex)
-    d.reshape(phi.shape + (16,))[..., ::5] = np.exp(phi[..., None] * _PHASE_SIGNS)
-    return d
+def _phase_diagonals(phi) -> np.ndarray:
+    # The diagonal of the phase shifter lifted onto path (x) detector, of a
+    # phase or of each of an array of them: shape phi.shape + (4,).
+    return np.exp(np.asarray(phi, dtype=float)[..., None] * _PHASE_SIGNS)
 
 
 def _beam_splitters(beta) -> np.ndarray:
@@ -234,8 +242,12 @@ def _lift_path(u: np.ndarray) -> np.ndarray:
     return _kron2(u, IDENTITY_2)
 
 
-# The input splitter is always the symmetric one, so it is lifted once.
+# The input splitter is always the symmetric one, so it is lifted once. The
+# joint input rho (x) |r><r| is nonzero only on the rows and columns where the
+# detector is in its start state r (0 and 2), so the splitter acts on it
+# through those two columns alone: S (rho (x) |r><r|) S^H = S0 rho S0^H.
 _INPUT_SPLITTER = _lift_path(_beam_splitters(math.pi / 2))
+_SPLITTER_ON_START = _INPUT_SPLITTER[:, ::2]
 
 
 def _one_point(state, det, beta, phi) -> tuple:
@@ -250,9 +262,12 @@ def _tail(unitary, beta) -> np.ndarray:
 
 
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    # K rho K^H with K = T D S0 (4x2): the tail, the phase shifter's diagonal
+    # D as a row scale and the input splitter's columns on the detector's
+    # start state.
     rho = check_densities(_bloch_densities(s_x, s_y, s_z))
-    w = _tail(unitary, beta) @ _lifted_phase_shifters(phi) @ _INPUT_SPLITTER
-    return w @ _kron2(rho, _DETECTOR_START) @ w.conj().swapaxes(-1, -2)
+    k = _tail(unitary, beta) @ (_phase_diagonals(phi)[..., None] * _SPLITTER_ON_START)
+    return k @ rho @ k.conj().swapaxes(-1, -2)
 
 
 def evolve_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
@@ -403,7 +418,7 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     # 2x2 blocks, e^{-2i*phi} on the upper right and e^{+2i*phi} on the lower
     # left one, so all 16 terms are summed once, blockwise, per point.
     rho = _bloch_densities(s_x, s_y, s_z)
-    prepared = _INPUT_SPLITTER @ _kron2(rho, _DETECTOR_START) @ _INPUT_SPLITTER.conj().T
+    prepared = _SPLITTER_ON_START @ rho @ _SPLITTER_ON_START.conj().T
     port_a = _tail(unitary, beta)[:, 2:, :]
     m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
     blocks = m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))

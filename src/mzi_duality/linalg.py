@@ -9,6 +9,7 @@ The composite index convention is path-first: the basis vector
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 DEGENERATE_GAP = 1e-14
 _SMALLEST_NORMAL = sys.float_info.min
+# From this eigenvalue half-gap on, the squared norm of a 2x2 eigensolver's
+# raw eigenvector, at most (2 radius)^2 + radius^2, can overflow.
+_SCALED_RADIUS = 2.0**510
 _SIGNS = np.array([1.0, -1.0])
 # The identity and the swapped identity: the eigenvectors of a diagonal
 # matrix whose first entry is and is not the larger.
@@ -80,19 +84,20 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
     Raises InvalidInputError with DensityOperator's message for the first
     check, in DensityOperator's order, that any member fails, quoting the
-    worst member. One 2x2 matrix, alone or as a stack of one, is checked on
-    its four entries as Python complex numbers (_check_density2), a longer
-    stack in numpy; both take the lowest 2x2 eigenvalue as mean - radius,
-    _mean_radius's. The 4x4 spectrum is eigvalsh's.
+    worst member. One matrix of either size, alone or as a stack of one, is
+    checked on its entries as Python complex numbers (_check_density): finite
+    entries, the Hermitian defect and the trace, summed in numpy's order; a
+    longer stack in numpy. Both take the lowest 2x2 eigenvalue as
+    mean - radius, _mean_radius's, and the lowest 4x4 one from eigvalsh.
 
     The one modulus rule: where a one-point path and its stacked form each
     take a modulus (these checks, the 2x2 eigensolvers, BlochState.yz_norm),
     both take libm's hypot, as abs of a Python complex or np.hypot, so they
     agree to the bit; numpy's complex abs and math.hypot can differ in the last.
     """
-    if m.size == 4:
+    if m.size == m.shape[-1] ** 2:
         try:
-            _check_density2(*m.reshape(4).tolist())
+            _check_density(m.reshape(m.shape[-2:]))
             return m
         except OverflowError:
             pass  # a modulus beyond the float range: the stacked checks quote inf
@@ -113,20 +118,32 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_density2(a, b, c, d) -> None:
-    # check_densities on the 2x2 [[a, b], [c, d]], each check computed as the
-    # stacked path computes it. abs raises OverflowError where a modulus
-    # exceeds the float range.
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+def _check_density(m: np.ndarray) -> None:
+    # check_densities on one 2x2 or 4x4 matrix, each check computed as the
+    # stacked path computes it, on the entries as Python complex numbers. abs
+    # raises OverflowError where a modulus exceeds the float range.
+    rows = m.tolist()
+    d = len(rows)
+    if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
         raise InvalidInputError("density operator must have finite entries")
-    # |c - conj(b)| equals |b - conj(c)|.
-    defect = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+    # |m[j][i] - conj(m[i][j])| equals |m[i][j] - conj(m[j][i])|, so the upper
+    # triangle holds every defect.
+    defect = max(abs(rows[i][j] - rows[j][i].conjugate()) for i in range(d) for j in range(i, d))
     if defect > HERMITIAN_TOL:
         raise InvalidInputError(f"density operator is not Hermitian (defect {defect:.3e})")
-    trace_err = abs(a + d - 1.0)
+    # numpy's trace sums two diagonal entries in order and four in pairs.
+    if d == 2:
+        trace = rows[0][0] + rows[1][1]
+    else:
+        trace = (rows[0][0] + rows[1][1]) + (rows[2][2] + rows[3][3])
+    trace_err = abs(trace - 1.0)
     if trace_err > TRACE_TOL:
         raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
-    lowest = 0.5 * (a.real + d.real) - abs(complex(0.5 * (a.real - d.real), abs(b)))
+    if d == 2:
+        (a, b), (_, c) = rows
+        lowest = 0.5 * (a.real + c.real) - abs(complex(0.5 * (a.real - c.real), abs(b)))
+    else:
+        lowest = float(np.linalg.eigvalsh(m)[0])
     if lowest < -POSITIVITY_TOL:
         raise InvalidInputError(f"density operator has negative eigenvalue {lowest:.3e}")
 
@@ -223,17 +240,21 @@ def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
     return a, c, b, mean, radius
 
 
-# hermitian_eig2, trace_norm and check_densities work on one 2x2 matrix in
-# plain Python, apart from their stacked forms (_hermitian_eig2s, _trace_norms
-# and check_densities' numpy checks). Through the stacked forms (the first
-# two on a stack of one, after the same validation) they took 31.6, 5.9 and
-# 6.1 us per call against 9.2, 3.5 and 0.8 us. The benchmark's single-point
-# queries call the first two once each and check two 2x2 matrices (evolve's
-# Bloch input and partial_trace_path's result): with the stacked eigensolver
+# hermitian_eig2, trace_norm and check_densities work on one matrix in plain
+# Python, apart from their stacked forms (_hermitian_eig2s, _trace_norms and
+# check_densities' numpy checks). Through the stacked forms (the first two on
+# a stack of one, after the same validation) they took 31.6, 5.9 and 6.1 us
+# per call on a 2x2 matrix against 9.2, 3.5 and 0.8 us, and the check took
+# 7.6 us on a 4x4 against 5.5 us (3.0 of them eigvalsh's). The benchmark's
+# single-point queries call the first two once each and check two 2x2 and
+# two 4x4 matrices (evolve's Bloch input, partial_trace_path's result, and
+# evolve's and evolve_closed_form's results): with the stacked eigensolver
 # and trace norm they took 32% longer, with the stacked 2x2 check 11-16%
 # longer (medians of 8 interleaved in-process rounds, two sets of rounds for
-# the check; 2-vCPU x86-64 VM). The unchecked forms of the first two take a
-# complex matrix that the caller built Hermitian and finite.
+# the check) and with the stacked 4x4 check 7% longer, 102.9 against 96.3 us
+# (medians of 8 interleaved processes; 2-vCPU x86-64 VM).
+# The unchecked forms of the first two take a complex matrix that the caller
+# built Hermitian and finite.
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -258,6 +279,13 @@ def _hermitian_eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if 2.0 * radius < DEGENERATE_GAP:
         return values, _CANONICAL_BASES[0].copy()
 
+    if radius >= _SCALED_RADIUS:
+        # The vectors are built from half_diff, radius and b scaled exactly
+        # by a power of two, radius to [1/2, 1); below, nothing is scaled,
+        # so those matrices keep their bits.
+        shift = -math.frexp(radius)[1]
+        half_diff, radius = math.ldexp(half_diff, shift), math.ldexp(radius, shift)
+        b = complex(math.ldexp(b.real, shift), math.ldexp(b.imag, shift))
     # Pick, per eigenvalue, the null-space construction whose leading entry
     # involves no cancellation (|lambda - diagonal| is maximal), and build
     # that entry as |half_diff| + radius: lambda - diagonal written out, so it
@@ -303,8 +331,13 @@ def _hermitian_eig2s(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the null-space construction below runs on the stand-ins b = lead = 1,
     # so it divides by nothing there, and its result is discarded.
     canonical = _CANONICAL_BASES[((b == 0) & (a < c)).view(np.int8)]
-    general = (b != 0) & (2.0 * radius >= DEGENERATE_GAP)
+    general = (b != 0) & (radius >= 0.5 * DEGENERATE_GAP)  # 2 * radius can overflow
     half_diff = 0.5 * (a - c)
+    # Scaled as in _hermitian_eig2, where radius reaches _SCALED_RADIUS.
+    big = radius >= _SCALED_RADIUS
+    shift = np.where(big, -np.frexp(radius)[1], 0)
+    half_diff, radius = np.ldexp(half_diff, shift), np.ldexp(radius, shift)
+    b = np.where(big, np.ldexp(b.real, shift) + 1j * np.ldexp(b.imag, shift), b)
     # Per eigenvalue, pick the null-space construction whose leading entry
     # involves no cancellation (|lambda - diagonal| is maximal), and build
     # that entry as |half_diff| + radius: lambda - diagonal written out, so

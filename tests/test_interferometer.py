@@ -11,14 +11,15 @@ from mzi_duality import interferometer
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.interferometer import (
     BLOCH_NORM_TOL,
+    TWO_PI,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
     PhaseShift,
     _beam_splitters,
-    _lifted_phase_shifters,
     _marked_states,
     _marking_operators,
+    _phase_diagonals,
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
@@ -92,6 +93,29 @@ def test_bloch_state_holds_lam_slack_projected_onto_the_sphere():
     inside = BlochState(0.6, 0.8, 1e-9)
     assert (inside.s_x, inside.s_y, inside.s_z) == (0.6, 0.8, 1e-9)
     assert inside.lam == 0.6 * 0.6 + 0.8 * 0.8 + 1e-9 * 1e-9
+
+
+def test_a_projected_bloch_state_is_its_own_rebuild():
+    # One division by sqrt(lam) used to leave 1523 of these 19993 states with
+    # a rounded squared length whose square root exceeds 1, so that a state
+    # rebuilt from their components was projected again and moved by an ulp.
+    # The array route, whose points take one or two divisions, holds the same
+    # vectors to the bit.
+    rng = np.random.default_rng(3)
+    raw, states = [], []
+    for u, excess, angle in rng.uniform(size=(20000, 3)).tolist():
+        s_x = 2.0 * u - 1.0
+        r = math.sqrt(1.0 + BLOCH_NORM_TOL * excess - s_x * s_x)
+        s_y, s_z = r * math.sin(TWO_PI * angle), r * math.cos(TWO_PI * angle)
+        if not 1.0 < s_x * s_x + s_y * s_y + s_z * s_z <= 1.0 + BLOCH_NORM_TOL:
+            continue  # rounding carried the length out of the slack
+        state = BlochState(s_x, s_y, s_z)
+        assert BlochState(state.s_x, state.s_y, state.s_z) == state
+        raw.append((s_x, s_y, s_z, s_x * s_x + s_y * s_y + s_z * s_z))
+        states.append((state.s_x, state.s_y, state.s_z, state.lam))
+    assert len(states) >= 19900
+    columns = interferometer._onto_bloch_ball(*np.array(raw).T)
+    np.testing.assert_array_equal(np.array(columns).T, states)
 
 
 def test_bloch_state_alpha_is_zero_on_the_axis():
@@ -207,15 +231,14 @@ def test_detector_unitary_is_always_unitary(a, gamma, delta):
 
 
 def test_phase_shifter_values():
-    # The phase shifter diag(e^{-i*phi}, e^{+i*phi}) lifted onto path (x) detector.
-    np.testing.assert_allclose(_lifted_phase_shifters(0.0), I4, atol=1e-15)
-    np.testing.assert_allclose(_lifted_phase_shifters(math.pi), -I4, atol=1e-12)
-    np.testing.assert_allclose(
-        _lifted_phase_shifters(math.pi / 2), np.diag([-1j, -1j, 1j, 1j]), atol=1e-12
-    )
+    # The diagonal of the phase shifter diag(e^{-i*phi}, e^{+i*phi}) lifted
+    # onto path (x) detector.
+    np.testing.assert_array_equal(_phase_diagonals(0.0), np.ones(4))
+    np.testing.assert_allclose(_phase_diagonals(math.pi), -np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(_phase_diagonals(math.pi / 2), [-1j, -1j, 1j, 1j], atol=1e-12)
     phis = np.array([0.3, -2.0, 7.5])
-    expected = [np.kron(np.diag(np.exp(phi * np.array([-1j, 1j]))), I2) for phi in phis]
-    np.testing.assert_array_equal(_lifted_phase_shifters(phis), expected)
+    expected = [np.diag(np.kron(np.diag(np.exp(phi * np.array([-1j, 1j]))), I2)) for phi in phis]
+    np.testing.assert_array_equal(_phase_diagonals(phis), expected)
 
 
 def test_beam_splitter_values():
@@ -244,7 +267,7 @@ def test_marking_operator_block_structure():
 @given(angles, phases, overlaps, phases, phases)
 def test_pipeline_operators_are_unitary(beta, phi, a, gamma, delta):
     assert unitarity_defect(_beam_splitters(beta)) <= 1e-12
-    assert unitarity_defect(_lifted_phase_shifters(phi)) <= 1e-12
+    assert np.abs(np.abs(_phase_diagonals(phi)) - 1.0).max() <= 1e-12
     assert unitarity_defect(_marking_operators(DetectorConfig(a, gamma, delta).unitary)) <= 1e-12
 
 
@@ -341,6 +364,26 @@ def test_stacked_pipeline_takes_one_shared_unitary():
     for point, m, c in zip(points, stacked, closed):
         np.testing.assert_array_equal(m, evolve(*point).matrix)
         np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
+
+
+def test_stacked_pipeline_is_the_literal_product():
+    # W (rho (x) |r><r|) W^H, every factor lifted with np.kron: the pipeline
+    # takes the input through the detector's start columns alone.
+    def rotation(angle):
+        c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+        return np.array([[c, -s], [s, c]])
+
+    rng = np.random.default_rng(26)
+    points = edge_points(rng) + [draw_point(rng) for _ in range(200)]
+    stacked = evolve_stack(*stacked_arguments(points))
+    start, zero = np.diag([1.0, 0.0]), np.zeros((2, 2))
+    for (state, det, beta, phi), m in zip(points, stacked):
+        shifter = np.diag(np.exp(phi.phi * np.array([-1j, 1j])))
+        marking = np.block([[I2, zero], [zero, det.unitary]])
+        w = (np.kron(rotation(beta.beta), I2) @ marking @ np.kron(shifter, I2)
+             @ np.kron(rotation(math.pi / 2), I2))
+        joint = np.kron(bloch_to_density(state).matrix, start)
+        assert np.abs(m - w @ joint @ w.conj().T).max() <= 1e-15
 
 
 def test_closed_form_single_term_survival():

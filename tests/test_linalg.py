@@ -225,14 +225,17 @@ def _check_outcome(m):
 
 
 @st.composite
-def matrices_2x2(draw):
-    # A state (1 + s . sigma) / 2, whole or spoiled in one way next to the
-    # tolerance of the check that catches it.
-    s = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
-    s /= max(1.0, float(np.linalg.norm(s)))
-    m = 0.5 * (IDENTITY_2 + s[0] * PAULI_X + s[1] * PAULI_Y + s[2] * PAULI_Z)
+def density_matrices(draw, dim):
+    # A state, whole or spoiled in one way next to the tolerance of the check
+    # that catches it: (1 + s . sigma) / 2, or for dim 4 the product of two.
+    def bloch_density():
+        s = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        s /= max(1.0, float(np.linalg.norm(s)))
+        return 0.5 * (IDENTITY_2 + s[0] * PAULI_X + s[1] * PAULI_Y + s[2] * PAULI_Z)
+
+    m = bloch_density() if dim == 2 else np.kron(bloch_density(), bloch_density())
     kind = draw(st.sampled_from(["valid", "non-finite", "hermiticity", "trace", "negative"]))
-    entry = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    entry = draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
     if kind == "non-finite":
         value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         m[entry] += value * draw(st.sampled_from([1.0, 1j]))
@@ -242,25 +245,49 @@ def matrices_2x2(draw):
     elif kind == "trace":
         m[entry[0], entry[0]] += draw(st.floats(-2e-12, 2e-12))
     elif kind == "negative":
-        # Eigenvalues 1 + x and -x, in a drawn eigenbasis.
+        # Eigenvalues 1 + x and -x, in a drawn eigenbasis of two drawn axes.
         x = draw(st.floats(0.5e-10, 2e-10))
         theta, phase = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2 * np.pi))
-        v = np.array([np.cos(theta), np.exp(1j * phase) * np.sin(theta)])
-        w = np.array([-np.exp(-1j * phase) * np.sin(theta), np.cos(theta)])
+        axes = draw(st.permutations(range(dim)))[:2]
+        v, w = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+        v[axes] = np.cos(theta), np.exp(1j * phase) * np.sin(theta)
+        w[axes] = -np.exp(-1j * phase) * np.sin(theta), np.cos(theta)
         m = (1.0 + x) * np.outer(v, v.conj()) - x * np.outer(w, w.conj())
     return m
 
 
-@settings(max_examples=500, deadline=None)
-@given(matrices_2x2())
-def test_one_2x2_check_matches_the_stacked_check(m):
-    # m alone and as a stack of one are checked on Python scalars, m next to
-    # a valid member in numpy, where the stack quotes m's own values.
+def _check_outcomes(m):
+    # _check_outcome of m alone, as a stack of one and next to a valid member.
+    valid = np.eye(len(m)) / len(m)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        single = _check_outcome(m)
-        assert _check_outcome(m[None]) == single
-        assert _check_outcome(np.array([m, IDENTITY_2 / 2])) == single
+        return [_check_outcome(m), _check_outcome(m[None]), _check_outcome(np.array([m, valid]))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(density_matrices))
+def test_one_matrix_check_matches_the_stacked_check(m):
+    # m alone and as a stack of one are checked on Python scalars, m next to
+    # a valid member in numpy, where the stack quotes m's own values.
+    single, *stacked = _check_outcomes(m)
+    assert stacked == [single, single]
+
+
+@pytest.mark.parametrize(
+    "diagonal, outcome",
+    [
+        ([0.3151996467131973, 0.2698146090414814, 0.04425018292454937, 0.3707355613217719], None),
+        (
+            [0.2969871292021174, 0.0838641962939976, 0.5429479724171589, 0.0762007020877261],
+            "density operator trace deviates from 1 by 1.000e-12",
+        ),
+    ],
+    ids=["passes in pairs", "fails in pairs"],
+)
+def test_one_4x4_check_sums_the_trace_as_numpy(diagonal, outcome):
+    # numpy sums a 4x4 diagonal in pairs, (m00 + m11) + (m22 + m33). Summed in
+    # order, these traces land on the other side of TRACE_TOL.
+    assert _check_outcomes(np.diag(diagonal).astype(complex)) == [outcome] * 3
 
 
 def test_stacked_hermiticity_defect_rounds_as_the_one_2x2_check():
@@ -510,6 +537,19 @@ def test_stacked_eig_matches_the_scalar_eig_at_the_edges():
             PAULI_Z,
         ]
     )
+
+
+def test_eig_vectors_are_orthonormal_from_1e_300_to_1e300():
+    # The raw eigenvectors' squared norms used to overflow from a half-gap of
+    # about 1e154: hermitian_eig2 returned zero vectors ("overflow encountered
+    # in dot") and the stacked form warned in multiply.
+    rng = np.random.default_rng(12)
+    shapes = [np.array([[1.0, 1.0], [1.0, -1.0]])] + [random_hermitian(rng) for _ in range(4)]
+    stack = [scale * h for scale in 10.0 ** np.arange(-300, 301, 20) for h in shapes]
+    stack.append(np.array([[0.85e308, 1.5e308], [1.5e308, -0.85e308]]))  # half-gap 1.72e308
+    assert_stacked_eig_matches_scalar(stack)
+    _, vectors = _hermitian_eig2s(np.array(stack, dtype=complex))
+    assert np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(2)).max() <= 1e-15
 
 
 def test_stacked_trace_norms_match_the_scalar_trace_norm():
