@@ -28,7 +28,9 @@ from .duality import (
     port_is_dark,
     visibility_kernel,
     visibility_scans,
+    weight_in_range,
     weights_message,
+    weights_sum_to_one,
 )
 from .errors import DualityError, InvalidInputError, require_finite, require_in_range
 from .interferometer import (
@@ -37,6 +39,7 @@ from .interferometer import (
     BlochState,
     DetectorConfig,
     _onto_bloch_ball,
+    bloch_is_too_long,
     bloch_length_message,
     port_terms,
 )
@@ -138,13 +141,14 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec) -> str:
     """CSV text (header first) for the sweep; degenerate points get empty fields.
 
-    Every column is computed for all rows at once, and formatted in one pass.
-    A row is left blank, with a warning on stderr, where the scalar API would
-    raise: the rules run in its order (Bloch length, dark port, path weights,
-    then the scan), and the warning quotes the first one that fails.
+    Every column is computed for all rows at once, the fixed parameter passed
+    once as a length-1 column, and formatted in one pass. A row is left blank,
+    with a warning on stderr, where the scalar API would raise: all rows are
+    screened as arrays by its rules' predicates, and a flagged row's warning
+    quotes the first that fails (Bloch length, dark port, weights, the scan).
     """
     params = spec.grid()
-    fixed = np.full_like(params, spec.beta if spec.swept == "s_x" else spec.s_x)
+    fixed = np.array([spec.beta if spec.swept == "s_x" else spec.s_x])
     s_x, beta = (params, fixed) if spec.swept == "s_x" else (fixed, params)
     # The input state of each row, as BlochState holds it; the length rule
     # reads the raw squared length bloch_lam.
@@ -159,24 +163,22 @@ def run_sweep(spec: SweepSpec) -> str:
         )
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         d_trace = distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b)
+        weights_ok = weight_in_range(omega_a) & weight_in_range(omega_b)
+        weights_ok &= weights_sum_to_one(omega_a, omega_b)
+    blank = bloch_is_too_long(bloch_lam) | port_is_dark(den) | ~weights_ok | ~scanned
     table = np.column_stack([params, v, v_scan, d, d_trace, residual, omega_a, omega_b])
-    blank = []
-    rules = zip(bloch_lam.tolist(), den.tolist(), omega_a.tolist(), omega_b.tolist(), scanned.tolist())
-    for value, (lam, den_row, w_a, w_b, defined) in zip(params.tolist(), rules):
-        reason = (
-            bloch_length_message(lam)
-            or (DARK_PORT if port_is_dark(den_row) else None)
-            or weights_message(w_a, w_b)
-            or (None if defined else DARK_PORT)
-        )
-        if reason is not None:
-            print(f"warning: {spec.swept}={_fmt(value)} is degenerate ({reason})", file=sys.stderr)
-        blank.append(reason is not None)
+    # The message chain, on flagged rows only; one no earlier rule explains is dark.
+    warnings = []
+    columns = np.broadcast_arrays(params, bloch_lam, den, omega_a, omega_b)
+    for value, raw_lam, den_row, w_a, w_b in zip(*(c[blank].tolist() for c in columns)):
+        lit_reason = None if port_is_dark(den_row) else weights_message(w_a, w_b)
+        reason = bloch_length_message(raw_lam) or lit_reason or DARK_PORT
+        warnings.append(f"warning: {spec.swept}={_fmt(value)} is degenerate ({reason})\n")
+    sys.stderr.write("".join(warnings))
     # The mask drops blank rows' seven values and flattens the rest in row order.
-    keep = np.ones(table.shape, dtype=bool)
-    keep[blank, 1:] = False
+    keep = (np.arange(8) == 0) | ~blank[:, None]
     row, blank_row = ",".join([NUMBER] * 8) + "\n", NUMBER + ",,,,,,,\n"
-    body = "".join([blank_row if b else row for b in blank])
+    body = "".join([blank_row if b else row for b in blank.tolist()])
     return f"{SWEEP_HEADER}\n" + body % tuple(table[keep].tolist())
 
 

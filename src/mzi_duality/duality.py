@@ -120,8 +120,8 @@ def closed_form_columns(s_x, s_y, s_z, lam, a_overlap, beta) -> tuple:
 
     The points are taken as validated: nothing is checked, and a point whose
     port is dark divides by its own denominator ``den`` (1 + s_x cos beta),
-    which the caller tests with port_is_dark. ``lam`` is the squared Bloch
-    length that the residual reads; a_overlap may be one float for all points.
+    which the caller tests with port_is_dark; ``lam`` is the squared length
+    the residual reads. A length-1 column, or a float, is one value for all points.
     """
     sin_beta, den = port_terms(s_x, beta)
     v = visibility_kernel(np.hypot(s_y, s_z), a_overlap, sin_beta, den).clip(0.0, 1.0)
@@ -130,15 +130,23 @@ def closed_form_columns(s_x, s_y, s_z, lam, a_overlap, beta) -> tuple:
     return (v, d, residual, *weights_kernel(s_x, beta, den), den)
 
 
+def weight_in_range(value):
+    """Whether a path weight, or each of an array, is in [0, 1] within WEIGHT_TOL (NaN is not)."""
+    return (-WEIGHT_TOL <= value) & (value <= 1.0 + WEIGHT_TOL)
+
+
+def weights_sum_to_one(omega_a, omega_b):
+    """Whether two path weights, or each pair from two arrays, sum to 1 within WEIGHT_TOL."""
+    return abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL
+
+
 def weights_message(omega_a: float, omega_b: float) -> str | None:
-    """Why finite path weights are invalid, or None when each lies in [0, 1]
-    and they sum to 1, both within WEIGHT_TOL: the rule PathWeights enforces."""
+    """Why finite path weights break the rules PathWeights enforces, or None: the
+    first of weight_in_range (omega_a, then omega_b) and weights_sum_to_one to fail."""
     for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
-        if not -WEIGHT_TOL <= value <= 1.0 + WEIGHT_TOL:
+        if not weight_in_range(value):
             return WEIGHT_RANGE_MESSAGE.format(name=name, value=value)
-    if abs(omega_a + omega_b - 1.0) > WEIGHT_TOL:
-        return WEIGHT_SUM_MESSAGE
-    return None
+    return None if weights_sum_to_one(omega_a, omega_b) else WEIGHT_SUM_MESSAGE
 
 
 @dataclass(frozen=True)
@@ -227,14 +235,16 @@ def visibility_closed(
 def visibility_scans(s_x, s_y, s_z, unitary, beta):
     """Fringe contrast of n points from the pipeline's extrema over the phase dial.
 
-    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays, one entry per
-    point, of validated inputs; ``unitary`` is one (2, 2) marking unitary
-    for every point or an (n, 2, 2) stack of them, one per point. Returns
-    ``(visibility, defined)``: the contrast (p_max - p_min) / (p_max + p_min)
-    of each point's port-a extrema over the phase dial, c0 +- |c2| of the
-    pipeline's fringe c0 + Re(c2 e^{-2i*phi}) (_fringe_coefficients), with
-    ``defined`` False, and the visibility NaN, where p_max + p_min, the
-    scan's own port denominator, leaves the port dark (port_is_dark).
+    ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays of validated inputs,
+    one entry per point. The state's three columns together, or ``beta``, may
+    have length 1, one value for every point, as one (2, 2) marking
+    ``unitary`` is; else it is an (n, 2, 2) stack. Returns ``(visibility,
+    defined)``: the contrast (p_max - p_min) / (p_max + p_min) of each point's
+    port-a extrema over the phase dial, c0 +- |c2| of the pipeline's fringe
+    c0 + Re(c2 e^{-2i*phi}), folded on the start state's support alone
+    (_fringe_coefficients), with ``defined`` False, and the visibility NaN,
+    where p_max + p_min, the scan's own port denominator, leaves the port
+    dark (port_is_dark).
     """
     c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
     amplitude = np.abs(c2)

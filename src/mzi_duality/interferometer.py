@@ -36,12 +36,15 @@ _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
 _PHASE_SIGNS = np.array([-1j, -1j, 1j, 1j])
 
 
+def bloch_is_too_long(lam):
+    """Whether a squared Bloch length, or each of an array of them, exceeds 1
+    by more than BLOCH_NORM_TOL: the rule BlochState enforces."""
+    return lam > 1.0 + BLOCH_NORM_TOL
+
+
 def bloch_length_message(lam: float) -> str | None:
-    """Why a squared Bloch length ``lam`` is invalid, or None when it is at
-    most 1 within BLOCH_NORM_TOL: the rule BlochState enforces."""
-    if lam > 1.0 + BLOCH_NORM_TOL:
-        return BLOCH_LENGTH_MESSAGE.format(lam)
-    return None
+    """Why a squared Bloch length ``lam`` is invalid (bloch_is_too_long), or None."""
+    return BLOCH_LENGTH_MESSAGE.format(lam) if bloch_is_too_long(lam) else None
 
 
 def _onto_bloch_ball(s_x, s_y, s_z, lam):
@@ -242,12 +245,12 @@ def _lift_path(u: np.ndarray) -> np.ndarray:
     return _kron2(u, IDENTITY_2)
 
 
-# The input splitter is always the symmetric one, so it is lifted once. The
-# joint input rho (x) |r><r| is nonzero only on the rows and columns where the
-# detector is in its start state r (0 and 2), so the splitter acts on it
-# through those two columns alone: S (rho (x) |r><r|) S^H = S0 rho S0^H.
-_INPUT_SPLITTER = _lift_path(_beam_splitters(math.pi / 2))
-_SPLITTER_ON_START = _INPUT_SPLITTER[:, ::2]
+# The input splitter is always the symmetric one H, so it is lifted once. The
+# joint input rho (x) |r><r| is nonzero only where the detector is in its start
+# state r (rows and columns 0 and 2), so the splitter acts on it through those
+# columns alone: S (rho (x) |r><r|) S^H = S0 rho S0^H, H rho H^H on them.
+_SYMMETRIC_SPLITTER = _beam_splitters(math.pi / 2)
+_SPLITTER_ON_START = _lift_path(_SYMMETRIC_SPLITTER)[:, ::2]
 
 
 def _one_point(state, det, beta, phi) -> tuple:
@@ -410,19 +413,18 @@ def detection_probability_closed(
 
 def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
     # (c0, c2) of n points, shape (n,) each: the port-a probability at phase
-    # phi is c0 + Re(c2 e^{-2i*phi}). With the tail T (_tail) and the state P
-    # prepared by the input splitter, a point's matrix M = P o (T[2:]^T
-    # conj(T[2:])), an elementwise product, gives the probability
-    # Re sum_jk M_jk d_j conj(d_k) for the phase diagonal d = (e^{-i*phi},
-    # e^{-i*phi}, e^{+i*phi}, e^{+i*phi}). d_j conj(d_k) is 1 on the diagonal
-    # 2x2 blocks, e^{-2i*phi} on the upper right and e^{+2i*phi} on the lower
-    # left one, so all 16 terms are summed once, blockwise, per point.
+    # phi is c0 + Re(c2 e^{-2i*phi}); a length-1 state or beta column is one
+    # value for every point, as a (2, 2) unitary is. That probability is
+    # Re sum_jk P_jk Q_jk d_j conj(d_k) for P = S0 rho S0^H, Q = T[2:]^T conj(T[2:])
+    # of the tail T (_tail) and d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}).
+    # P is the path block H rho H^H on the start rows and columns 0 and 2, zero
+    # elsewhere, and there d_j conj(d_k) is 1 on the diagonal, e^{-2i*phi} at
+    # (0, 2) and e^{+2i*phi} at (2, 0): so the fold reads only Q[::2, ::2].
     rho = _bloch_densities(s_x, s_y, s_z)
-    prepared = _SPLITTER_ON_START @ rho @ _SPLITTER_ON_START.conj().T
+    prepared = _SYMMETRIC_SPLITTER @ rho @ _SYMMETRIC_SPLITTER.conj().T
     port_a = _tail(unitary, beta)[:, 2:, :]
-    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
-    blocks = m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))
-    return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
+    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())[:, ::2, ::2]
+    return (m[:, 0, 0] + m[:, 1, 1]).real, m[:, 0, 1] + m[:, 1, 0].conj()
 
 
 def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):

@@ -352,7 +352,8 @@ def _hermitian_eig2s(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw[:, 0, 1] = np.where(top, b, -lead)
     raw[:, 1, 0] = np.where(top, conj_b, lead)
     raw[:, 1, 1] = np.where(top, -lead, conj_b)
-    # The norm as np.linalg.norm sums it: real parts, then imaginary.
+    # Real parts, then imaginary. The one-matrix form's BLAS ddot fuses multiply-adds,
+    # so the two norms can differ in the last bit: parity tests hold vectors to 1e-15.
     norm = np.sqrt((raw.real * raw.real).sum(axis=1) + (raw.imag * raw.imag).sum(axis=1))
     unit = raw / norm[:, None, :]
     # conj(lead) / |lead| makes a unit vector's leading entry real and

@@ -268,6 +268,9 @@ EDGE_SPECS = [
     # s_x's slack beyond +-1 at both ends, folded onto a certain path
     SweepSpec(swept="s_x", lo=-1.0000000000004, hi=1.0000000000004, steps=3,
               lam=1.0000000000008, a_overlap=0.5, beta=1.0),
+    # a beta sweep with every row lit: the fixed state is passed once
+    SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=301, lam=0.81, a_overlap=0.7,
+              s_x=0.3, gamma=2.0),
 ]
 
 

@@ -351,6 +351,35 @@ def test_scan_reuses_its_work_memory_across_calls():
     assert int(result.stdout) < 256
 
 
+def scan_and_columns(s_x, s_y, s_z, lam, det, beta):
+    return (
+        *visibility_scans(s_x, s_y, s_z, det.unitary, beta),
+        *duality.closed_form_columns(s_x, s_y, s_z, lam, det.a_overlap, beta),
+    )
+
+
+@pytest.mark.parametrize("fixed", ["beta", "state"])
+def test_a_length_1_column_is_one_value_for_every_point(fixed):
+    # A sweep passes its fixed parameter once: beta in an s_x sweep, the
+    # state in a beta sweep. The scan and the closed-form columns take the
+    # length-1 column as that value for every point, to the bit of the same
+    # call with the column repeated by np.full.
+    rng = np.random.default_rng(79)
+    n = 241
+    det = draw_detector(rng)
+    states = [draw_bloch_state(rng) for _ in range(n)]
+    state = [np.array([getattr(s, name) for s in states]) for name in ("s_x", "s_y", "s_z", "lam")]
+    beta = np.array([0.0, math.pi] + [draw_beta(rng).beta for _ in range(n - 2)])
+    if fixed == "beta":
+        got = scan_and_columns(*state, det, beta[2:3])
+        want = scan_and_columns(*state, det, np.full(n, beta[2]))
+    else:
+        got = scan_and_columns(*(c[:1] for c in state), det, beta)
+        want = scan_and_columns(*(np.full(n, c[0]) for c in state), det, beta)
+    for g, w in zip(got, want):
+        assert g.shape == (n,) and g.tobytes() == w.tobytes()
+
+
 def test_stacked_scan_flags_only_the_dark_port():
     det = DetectorConfig(0.5, 0.2, 0.1)
     points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),

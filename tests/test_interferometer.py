@@ -586,3 +586,45 @@ def test_fringe_extrema_are_attained():
         for phi, extremum in ((peak, hi), (peak + 0.5 * math.pi, lo)):
             rho = evolve(state, det, beta, PhaseShift(phi))
             assert abs(detection_probability_numeric(rho) - extremum) <= 1e-14
+
+
+def block_fold(s_x, s_y, s_z, unitary, beta):
+    # The fold written on the whole 4x4: the prepared state S0 rho S0^H times
+    # Q = T[2:]^T conj(T[2:]) elementwise, each 2x2 block of the phase
+    # diagonal's pattern summed, then c0 and c2 read off the four block sums.
+    rho = interferometer._bloch_densities(s_x, s_y, s_z)
+    start = interferometer._SPLITTER_ON_START
+    prepared = start @ rho @ start.conj().T
+    port_a = interferometer._tail(unitary, beta)[:, 2:, :]
+    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
+    blocks = m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))
+    return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
+
+
+def assert_fold_is_the_block_fold(*args):
+    c0, c2 = interferometer._fringe_coefficients(*args)
+    ref0, ref2 = block_fold(*args)
+    np.testing.assert_array_equal(c0, ref0)
+    np.testing.assert_array_equal(c2, ref2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 241, 400])
+def test_fold_on_the_start_support_is_the_block_fold(n):
+    # The prepared state is zero off the detector's start rows and columns,
+    # so the fold reads only those entries: to the bit, on seeded stacks with
+    # one unitary per point and with one shared (2, 2) unitary.
+    rng = np.random.default_rng(500 + n)
+    points = [draw_point(rng) for _ in range(n)]
+    s_x, s_y, s_z, unitary, beta, _ = stacked_arguments(points)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, unitary, beta)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, points[0][1].unitary, beta)
+
+
+def test_fold_on_the_start_support_is_the_block_fold_at_the_edges():
+    # EDGE_STATES x A in {0, 1} x beta in {0, pi/2, pi}, with a stack of
+    # unitaries and with one shared unitary per overlap.
+    points = edge_points(np.random.default_rng(501))
+    s_x, s_y, s_z, unitary, beta, _ = stacked_arguments(points)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, unitary, beta)
+    for a in (0.0, 1.0):
+        assert_fold_is_the_block_fold(s_x, s_y, s_z, DetectorConfig(a, 0.4, 1.3).unitary, beta)
