@@ -299,33 +299,67 @@ def evolve(
     return DensityOperator(_evolve(*_one_point(state, det, beta, phi))[0])
 
 
-# The path factors of evolve_closed_form's terms b, ba, ab and a, with
-# s = sin(beta), c = cos(beta) and cross = s Z - c X:
-#   1 + c Z + s X = [[1 + c, s], [s, 1 - c]],
-#   cross - iY    = [[s, -(1 + c)], [1 - c, -s]],
-#   cross + iY    = [[s, 1 - c], [-(1 + c), -s]],
-#   1 - c Z - s X = [[1 - c, -s], [-s, 1 + c]],
-# as indices into (s, 1 + c, 1 - c) and signs.
-_PATH_ENTRY = np.array([[[1, 0], [0, 2]], [[0, 1], [2, 0]], [[0, 2], [1, 0]], [[2, 0], [0, 1]]])
-_PATH_SIGN = np.array([[[1, 1], [1, 1]], [[1, -1], [1, -1]], [[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
+def _sin_cos(angle):
+    # (sin, cos) of an angle by math, or of an array of them by numpy.
+    if isinstance(angle, np.ndarray):
+        return np.sin(angle), np.cos(angle)
+    return math.sin(angle), math.cos(angle)
 
 
-def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    s_x, s_y, s_z, beta, phi = np.array([s_x, s_y, s_z, beta, phi], dtype=float)
-    sin_b, cos_b = np.sin(beta), np.cos(beta)
-    trig = np.array([sin_b, 1.0 + cos_b, 1.0 - cos_b]).T
-    paths = trig[:, _PATH_ENTRY] * _PATH_SIGN
-    # The detector factors r r^H, r m^H, m r^H and m m^H of the reference
-    # state r, the first basis state, and the marked state m = U r.
-    kets = np.zeros((len(s_x), 2, 2), dtype=complex)
-    kets[:, 0, 0] = 1.0
-    kets[:, 1] = np.asarray(unitary)[..., :, 0]
-    detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
-    # The weight of the term ab; that of ba is its conjugate, since conjugation
-    # distributes exactly over a complex product.
-    cross = -0.25 * np.exp(2j * phi) * (s_z + 1j * s_y)
-    weights = np.array([0.25 * (1.0 - s_x), cross.conj(), cross, 0.25 * (1.0 + s_x)]).T
-    return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
+def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) -> np.ndarray:
+    # evolve_closed_form's four terms summed entry by entry, of floats or of
+    # 1-D arrays with one entry per point: shape (1, 4, 4) or (n, 4, 4). The
+    # marked state m = U r = (m0, m1) comes as real and imaginary parts, and
+    # every complex product is written out in real arithmetic, which rounds
+    # alike in Python and in numpy, so a point is bit-equal to its stack row.
+    # With s = sin(beta), c = cos(beta), the terms b, ba, ab and a are
+    #   (1 - s_x)/4 [[1 + c, s], [s, 1 - c]]    (x) r r^H,
+    #   conj(cross) [[s, -(1 + c)], [1 - c, -s]] (x) r m^H,
+    #   cross       [[s, 1 - c], [-(1 + c), -s]] (x) m r^H,
+    #   (1 + s_x)/4 [[1 - c, -s], [-s, 1 + c]]   (x) m m^H,
+    # for the start state r = (1, 0) and cross = -e^{2i*phi} (s_z + i*s_y) / 4.
+    # So path block (p, q) is f r r^H + g r m^H + h m r^H + k m m^H, with
+    # f, g, h, k the terms' weights times their path entries (p, q):
+    #   [[f + g conj(m0) + h m0 + k |m0|^2, (g + k m0) conj(m1)],
+    #    [(h + k conj(m0)) m1,              k |m1|^2]].
+    # Only the upper triangle is computed; the lower is its conjugate.
+    sin_b, cos_b = _sin_cos(beta)
+    sin_2phi, cos_2phi = _sin_cos(2.0 * phi)
+    plus, minus = 1.0 + cos_b, 1.0 - cos_b
+    w_b, w_a = 0.25 * (1.0 - s_x), 0.25 * (1.0 + s_x)
+    x = -0.25 * (cos_2phi * s_z - sin_2phi * s_y)  # cross = x + i*y
+    y = -0.25 * (sin_2phi * s_z + cos_2phi * s_y)
+    # cross m0 and cross m1, |m0|^2 and |m1|^2, and m0 conj(m1).
+    h0_re, h0_im = x * m0_re - y * m0_im, x * m0_im + y * m0_re
+    h1_re, h1_im = x * m1_re - y * m1_im, x * m1_im + y * m1_re
+    n0, n1 = m0_re * m0_re + m0_im * m0_im, m1_re * m1_re + m1_im * m1_im
+    c_re, c_im = m0_re * m1_re + m0_im * m1_im, m0_im * m1_re - m0_re * m1_im
+    # Blocks (0, 0) and (1, 1): f = w_b (1 +- c), g = conj(h), h = +-s cross,
+    # k = w_a (1 -+ c); so g conj(m0) + h m0 = +-2 s Re(cross m0).
+    k0, k1 = w_a * minus, w_a * plus
+    fringe = 2.0 * sin_b * h0_re
+    r00, r01, r11 = w_b * plus + fringe + k0 * n0, sin_b * h1_re + k0 * c_re, k0 * n1
+    i01 = k0 * c_im - sin_b * h1_im
+    r22, r23, r33 = w_b * minus - fringe + k1 * n0, k1 * c_re - sin_b * h1_re, k1 * n1
+    i23 = sin_b * h1_im + k1 * c_im
+    # Block (0, 1): f = w_b s, g = -(1 + c) conj(cross), h = (1 - c) cross,
+    # k = -w_a s; so g conj(m0) + h m0 = -2c Re(cross m0) + 2i Im(cross m0).
+    k01 = w_a * sin_b
+    r02 = w_b * sin_b - k01 * n0 - 2.0 * cos_b * h0_re
+    i02 = 2.0 * h0_im
+    r03, i03 = -plus * h1_re - k01 * c_re, plus * h1_im - k01 * c_im
+    r12, i12 = minus * h1_re - k01 * c_re, minus * h1_im + k01 * c_im
+    r13 = -k01 * n1
+    # The real and imaginary parts of each entry in row-major order, viewed
+    # as complex: shape (1, 4, 4) for floats, (n, 4, 4) for arrays.
+    zero = np.zeros_like(s_x)
+    parts = np.array([
+        r00, zero, r01, i01, r02, i02, r03, i03,
+        r01, -i01, r11, zero, r12, i12, r13, zero,
+        r02, -i02, r12, -i12, r22, zero, r23, i23,
+        r03, -i03, r13, zero, r23, -i23, r33, zero,
+    ])  # fmt: skip
+    return parts.T.copy().view(complex).reshape(-1, 4, 4)
 
 
 def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
@@ -334,7 +368,12 @@ def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     Takes evolve_stack's arguments; every matrix passes DensityOperator's
     checks (linalg.check_densities).
     """
-    return check_densities(_evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi))
+    s_x, s_y, s_z, beta, phi = (np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi))
+    unitary = np.asarray(unitary)
+    m0, m1 = unitary[..., 0, 0], unitary[..., 1, 0]
+    return check_densities(
+        _evolve_closed_form(s_x, s_y, s_z, m0.real, m0.imag, m1.real, m1.imag, beta, phi)
+    )
 
 
 def evolve_closed_form(
@@ -348,9 +387,17 @@ def evolve_closed_form(
     Independent of :func:`evolve`; tests enforce entrywise agreement. The
     cross terms carry e^{-+2i*phi} because conjugating by
     diag(e^{-i*phi}, e^{+i*phi}) advances the inter-arm phase by 2*phi.
-    The one-point view of evolve_closed_form_stack.
+    The sixteen entries are the terms summed entry by entry, in real
+    arithmetic on the point's Python floats; evolve_closed_form_stack runs
+    the same formula on arrays, and its row for this point is this matrix
+    to the bit.
     """
-    return DensityOperator(_evolve_closed_form(*_one_point(state, det, beta, phi))[0])
+    m0, m1 = det.unitary[:, 0].tolist()
+    return DensityOperator(
+        _evolve_closed_form(
+            state.s_x, state.s_y, state.s_z, m0.real, m0.imag, m1.real, m1.imag, beta.beta, phi.phi
+        )[0]
+    )
 
 
 def _port_a_probabilities(m: np.ndarray) -> np.ndarray:

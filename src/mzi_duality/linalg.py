@@ -193,24 +193,6 @@ def partial_trace_path(rho) -> DensityOperator:
     return DensityOperator(trace_path(state.matrix))
 
 
-def _phase_normalized(vector: np.ndarray) -> np.ndarray:
-    # Rotate the global phase so the leading component is real and positive;
-    # both construction branches below guarantee it is nonzero.
-    # np.linalg.norm's arithmetic, bit for bit, without its dispatch.
-    re, im = vector.real, vector.imag
-    v = vector / math.sqrt(re.dot(re) + im.dot(im))
-    lead = v[0]
-    if abs(lead) < _SMALLEST_NORMAL:
-        # Below the normal range 1/|lead| overflows, and v[0] may even have
-        # underflowed to zero: take the phase of the unnormalized lead,
-        # scaled exactly by a power of two to order one; a numpy scalar, as
-        # v[0] is, so that the phase below rounds as numpy does.
-        lead = vector[0]
-        shift = -math.frexp(max(abs(lead.real), abs(lead.imag)))[1]
-        lead = np.complex128(math.ldexp(lead.real, shift), math.ldexp(lead.imag, shift))
-    return v * (lead.conjugate() / abs(lead))
-
-
 def _checked_hermitian(h, caller: str) -> np.ndarray:
     # h as a 2x2 complex matrix with finite entries and Hermitian within
     # HERMITIAN_TOL, or InvalidInputError naming the caller.
@@ -243,9 +225,12 @@ def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
 # hermitian_eig2, trace_norm and check_densities work on one matrix in plain
 # Python, apart from their stacked forms (_hermitian_eig2s, _trace_norms and
 # check_densities' numpy checks). Through the stacked forms (the first two on
-# a stack of one, after the same validation) they took 31.6, 5.9 and 6.1 us
-# per call on a 2x2 matrix against 9.2, 3.5 and 0.8 us, and the check took
-# 7.6 us on a 4x4 against 5.5 us (3.0 of them eigvalsh's). The benchmark's
+# a stack of one, after the same validation) the eigensolver takes 34.6 us per
+# call on a 2x2 matrix against 5.8 us with its eigenvectors built on Python
+# complex numbers (9.2 us when it built them as numpy 2-vectors; best of 9
+# in-process rounds of 20 000 calls). The trace norm and the check took 5.9
+# and 6.1 us against 3.5 and 0.8 us, and the check took 7.6 us on a 4x4
+# against 5.5 us (3.0 of them eigvalsh's). The benchmark's
 # single-point queries call the first two once each and check two 2x2 and
 # two 4x4 matrices (evolve's Bloch input, partial_trace_path's result, and
 # evolve's and evolve_closed_form's results): with the stacked eigensolver
@@ -292,13 +277,30 @@ def _hermitian_eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # stays nonzero even where mean +- radius rounds back to the diagonal.
     lead = abs(half_diff) + radius
     if half_diff >= 0:
-        v_top = np.array([lead, b.conjugate()])
-        v_bot = np.array([b, -lead])
+        raw = ((complex(lead), b.conjugate()), (b, complex(-lead)))
     else:
-        v_top = np.array([b, lead])
-        v_bot = np.array([-lead, b.conjugate()])
-    vectors = np.array([_phase_normalized(v_top), _phase_normalized(v_bot)]).T
-    return values, vectors
+        raw = ((b, complex(lead)), (complex(-lead), b.conjugate()))
+    columns = []
+    for top, bottom in raw:
+        # Normalized with the stacked form's sums, then phase-fixed by
+        # conj(lead) / |lead| so that the leading entry is real and positive.
+        norm = math.sqrt(
+            (top.real * top.real + bottom.real * bottom.real)
+            + (top.imag * top.imag + bottom.imag * bottom.imag)
+        )
+        unit_top = complex(top.real / norm, top.imag / norm)
+        unit_bottom = complex(bottom.real / norm, bottom.imag / norm)
+        lead = unit_top
+        if abs(lead) < _SMALLEST_NORMAL:
+            # The raw lead is nonzero, but below the normal range 1/|lead|
+            # overflows, and the unit lead may even have underflowed to
+            # zero: take the phase of the raw lead, scaled exactly by a
+            # power of two to order one.
+            shift = -math.frexp(max(abs(top.real), abs(top.imag)))[1]
+            lead = complex(math.ldexp(top.real, shift), math.ldexp(top.imag, shift))
+        phase = lead.conjugate() / abs(lead)
+        columns.append([unit_top * phase, unit_bottom * phase])
+    return values, np.array(columns).T
 
 
 def trace_norm(h) -> float:
@@ -352,8 +354,11 @@ def _hermitian_eig2s(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw[:, 0, 1] = np.where(top, b, -lead)
     raw[:, 1, 0] = np.where(top, conj_b, lead)
     raw[:, 1, 1] = np.where(top, -lead, conj_b)
-    # Real parts, then imaginary. The one-matrix form's BLAS ddot fuses multiply-adds,
-    # so the two norms can differ in the last bit: parity tests hold vectors to 1e-15.
+    # Real parts, then imaginary, as the one-matrix form sums them. That form
+    # divides and phase-fixes on Python complex numbers; numpy's complex
+    # division scales by a reciprocal and its complex product may fuse
+    # multiply-adds, so the two forms' vectors can differ in the last bit:
+    # parity tests hold them to 1e-15.
     norm = np.sqrt((raw.real * raw.real).sum(axis=1) + (raw.imag * raw.imag).sum(axis=1))
     unit = raw / norm[:, None, :]
     # conj(lead) / |lead| makes a unit vector's leading entry real and

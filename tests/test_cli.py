@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzi_duality import interferometer, verify
+from mzi_duality import cli, interferometer, verify
 from mzi_duality.cli import (
     SWEEP_HEADER,
     SweepSpec,
@@ -20,6 +20,8 @@ from mzi_duality.cli import (
     run_sweep,
 )
 from mzi_duality.duality import (
+    DARK_PORT,
+    DENOMINATOR_TOL,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_kernel,
@@ -225,6 +227,27 @@ def test_sweep_emits_empty_fields_on_degenerate_points(capsys):
     assert "degenerate" in capsys.readouterr().err
     complete = [line for line in lines[1:] if not line.endswith(",,,,,,,")]
     assert len(complete) == 4
+
+
+def test_sweep_blanks_a_dark_denominator_with_valid_weights_and_scan(monkeypatch, capsys):
+    # No real row reaches the screen's dark-port term alone: a den-dark row
+    # also fails the weights or the scan. So one row's den is set dark while
+    # its weights and scan stay valid.
+    columns = cli.closed_form_columns
+
+    def dark_row(*args):
+        *values, den = columns(*args)
+        den = den.copy()
+        den[4] = 0.5 * DENOMINATOR_TOL
+        return (*values, den)
+
+    monkeypatch.setattr(cli, "closed_form_columns", dark_row)
+    spec = small_sx_spec()
+    lines = run_sweep(spec).splitlines()[1:]
+    blank = [i for i, line in enumerate(lines) if line.endswith(",,,,,,,")]
+    assert blank == [4]
+    value = _fmt(spec.grid()[4])
+    assert capsys.readouterr().err == f"warning: s_x={value} is degenerate ({DARK_PORT})\n"
 
 
 def scalar_sweep(spec):

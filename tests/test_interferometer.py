@@ -31,7 +31,7 @@ from mzi_duality.interferometer import (
     phase_probe,
     port_terms,
 )
-from mzi_duality.linalg import DensityOperator, partial_trace_path
+from mzi_duality.linalg import DensityOperator, _kron2, partial_trace_path
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -325,11 +325,11 @@ EDGE_STATES = [BlochState(0.6, 0.0, 0.8), BlochState(0.0, 1.0, 0.0),
                BlochState(-0.3, 0.2, -0.4), BlochState(0.0, 0.0, 0.0)]
 
 
-def edge_points(rng):
+def edge_points(rng, states=EDGE_STATES):
     return [
         (state, DetectorConfig(a, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)),
          BeamSplitterAngle(beta), PhaseShift(rng.uniform(0, 2 * math.pi)))
-        for state in EDGE_STATES
+        for state in states
         for a in (0.0, 1.0)
         for beta in (0.0, math.pi / 2, math.pi)
     ]
@@ -364,6 +364,41 @@ def test_stacked_pipeline_takes_one_shared_unitary():
     for point, m, c in zip(points, stacked, closed):
         np.testing.assert_array_equal(m, evolve(*point).matrix)
         np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
+
+
+def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
+    # The closed form as four Kronecker products, path factor (x) detector
+    # factor, weighted and summed in numpy: the reference for the library's
+    # entry-by-entry real arithmetic.
+    path_entry = np.array([[[1, 0], [0, 2]], [[0, 1], [2, 0]], [[0, 2], [1, 0]], [[2, 0], [0, 1]]])
+    path_sign = np.array([[[1, 1], [1, 1]], [[1, -1], [1, -1]], [[1, 1], [-1, -1]], [[1, -1], [-1, 1]]])
+    s_x, s_y, s_z, beta, phi = np.array([s_x, s_y, s_z, beta, phi], dtype=float)
+    trig = np.array([np.sin(beta), 1.0 + np.cos(beta), 1.0 - np.cos(beta)]).T
+    paths = trig[:, path_entry] * path_sign
+    # r r^H, r m^H, m r^H and m m^H of the start state r and m = U r.
+    kets = np.zeros((len(s_x), 2, 2), dtype=complex)
+    kets[:, 0, 0] = 1.0
+    kets[:, 1] = np.asarray(unitary)[..., :, 0]
+    detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
+    cross = -0.25 * np.exp(2j * phi) * (s_z + 1j * s_y)
+    weights = np.array([0.25 * (1.0 - s_x), cross.conj(), cross, 0.25 * (1.0 + s_x)]).T
+    return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
+
+
+# Pure states projected from BlochState's slack above the unit sphere.
+SLACK_STATES = [BlochState(1.0000000000004, 0.0, 0.0), BlochState(1.0, 0.0, 1e-6),
+                BlochState(0.6, 0.0, math.sqrt(1.0 + 1e-12 - 0.36))]
+
+
+def test_closed_form_matches_the_kron_sum_reference():
+    # Entries are at most 1 in modulus and each is a short sum of rounded
+    # products, summed in another order than the reference's: 1e-15 is
+    # about 4.5 float64 epsilons.
+    rng = np.random.default_rng(27)
+    points = edge_points(rng) + edge_points(rng, SLACK_STATES)
+    points += [draw_point(rng) for _ in range(3000)]
+    args = stacked_arguments(points)
+    assert np.abs(evolve_closed_form_stack(*args) - kron_sum_closed_form(*args)).max() <= 1e-15
 
 
 def test_stacked_pipeline_is_the_literal_product():
