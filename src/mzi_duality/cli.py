@@ -47,7 +47,20 @@ from .verify import RunConfig, all_passed, run_verification
 
 SWEEP_HEADER = "param,V_closed,V_scan,D_closed,D_trace,residual,omega_a,omega_b"
 FIGURE_POINTS = 501
-NUMBER = "%.17g"  # every output number: 17 significant digits round-trip a double
+# Every output number: 17 significant digits round-trip a double. The CSV
+# writers print it for whole arrays with _format_numbers, which gives the same
+# bytes; NUMBER % v stays its definition and its fallback.
+NUMBER = "%.17g"
+_TEXT_WIDTH = 24  # the longest NUMBER text: -2.2250738585072014e-308
+
+# _format_numbers' tables. 10^k is an exact double for k <= 22; Veltkamp's
+# splitter 2^27 + 1 cuts each into halves of at most 26 bits.
+_SPLITTER = 134217729.0
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16)
+_DIGIT_ROWS = np.arange(17, dtype=np.uint8)[:, None]
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<mult>[+-]?(?:\d+\.?\d*|\.\d+)?)\s*pi\s*(?:/\s*(?P<div>\d+\.?\d*|\.\d+))?\s*$",
@@ -80,8 +93,98 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def _fmt(value: float) -> str:
-    return NUMBER % value
+def _scaled_exactly(a: np.ndarray, e: np.ndarray):
+    """(hi, lo) with hi + lo == a * 10^(16 - e) exactly: Dekker's TwoProduct.
+
+    Each product below is rounded on its own; numpy fuses no multiply-add
+    across ufunc calls."""
+    k = 16 - e
+    hi = a * _POW10[k]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _format_numbers(values) -> np.ndarray:
+    """NUMBER % v for every value of a float64 array, as a flat bytes ('S24')
+    array, in a fixed number of numpy passes.
+
+    Where 1e-4 <= |v| < 1e17, NUMBER prints v's 17-digit significand N
+    without an exponent. With E = floor(log10|v|), the exact product
+    |v| * 10^(16 - E) = hi + lo lies in [1e16, 1e17); hi >= 1e16 > 2^53 is an
+    even integer, so N = hi + rint(lo) is the correctly rounded, half-even
+    significand that dtoa prints. Every other value (zeros, nan, infinities,
+    subnormals and the exponent forms) is formatted by NUMBER % v.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    size = v.size
+    magnitude = np.abs(v)
+    fallback = ~((magnitude >= 1e-4) & (magnitude < 1e17))  # nan compares false
+    magnitude[fallback] = 1.0  # so log10 and the int casts see no 0, nan or inf
+    e = np.floor(np.log10(magnitude)).astype(np.int64).clip(-4, 16)
+    hi, lo = _scaled_exactly(magnitude, e)
+    # log10 can miss the decade next to a power of ten: those lanes move by
+    # one decade and are scaled again.
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(high | low)
+    if moved.size:
+        e[moved] += high[moved].astype(np.int64) - low[moved]
+        hi[moved], lo[moved] = _scaled_exactly(magnitude[moved], e[moved])
+    significand = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = significand == 10**17  # rounded up into the next decade
+    significand[carry] = 10**16
+    e += carry
+
+    # The 17 digits as ASCII, one row per digit position: the lead digit,
+    # then eight pairs from the pair table.
+    lead, rest = np.divmod(significand, 10**16)
+    eights = np.stack(np.divmod(rest, 10**8)).astype(np.uint32)
+    fours = np.stack(np.divmod(eights, 10**4), axis=1).reshape(4, size)
+    twos = np.stack(np.divmod(fours, 100), axis=1).reshape(8, size)
+    digits = np.empty((17, size), np.uint8)
+    digits[0] = lead + ord("0")
+    pairs = _DIGIT_PAIRS.take(twos).view(np.uint8).reshape(8, size, 2)
+    digits[1:] = pairs.transpose(0, 2, 1).reshape(16, size)
+    # The fraction's trailing zeros become NUL, which the 'S' dtype strips;
+    # the integer part keeps its digits. The lead digit is never 0.
+    last = ((digits != ord("0")) * _DIGIT_ROWS).max(axis=0)
+    end = np.maximum(last + 1, e + 1).astype(np.uint8)
+    digits *= _DIGIT_ROWS < end
+
+    # One text layout per (E, sign) group: the lanes are sorted by group, so
+    # each group is one block of columns.
+    group = ((e + 4) * 2 + (v < 0)).astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    digits, end = digits[:, order], end[order]
+    text = np.zeros((_TEXT_WIDTH, size), np.uint8)
+    stop = 0
+    for g, count in enumerate(np.bincount(group).tolist()):
+        start, stop = stop, stop + count
+        if not count:
+            continue
+        exponent, sign = g // 2 - 4, g % 2
+        block, block_digits = text[sign:, start:stop], digits[:, start:stop]
+        if sign:
+            text[0, start:stop] = ord("-")
+        if exponent >= 0:  # d...d.d...d, with no point if no fraction digit is left
+            block[: exponent + 1] = block_digits[: exponent + 1]
+            block[exponent + 1] = ord(".") * (end[start:stop] > exponent + 1)
+            block[exponent + 2 : 18] = block_digits[exponent + 1 :]
+        else:  # 0.0...0d...d
+            block[: 1 - exponent] = ord("0")
+            block[1] = ord(".")
+            block[1 - exponent : 18 - exponent] = block_digits
+    rows = np.empty((size, _TEXT_WIDTH), np.uint8)
+    rows[order] = text.T
+    rows = rows.view(f"S{_TEXT_WIDTH}").ravel()
+    slow = np.flatnonzero(fallback)
+    if slow.size:
+        rows[slow] = [(NUMBER % x).encode() for x in v[slow].tolist()]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -142,10 +245,12 @@ def run_sweep(spec: SweepSpec) -> str:
     """CSV text (header first) for the sweep; degenerate points get empty fields.
 
     Every column is computed for all rows at once, the fixed parameter passed
-    once as a length-1 column, and formatted in one pass. A row is left blank,
-    with a warning on stderr, where the scalar API would raise: all rows are
-    screened as arrays by its rules' predicates, and a flagged row's warning
-    quotes the first that fails (Bloch length, dark port, weights, the scan).
+    once as a length-1 column. Only the written fields are formatted, by
+    _format_numbers: every row's param, and the lit rows' seven values. A row
+    is left blank, with a warning on stderr that quotes its param text, where
+    the scalar API would raise: all rows are screened as arrays by its rules'
+    predicates, and a flagged row's warning quotes the first that fails
+    (Bloch length, dark port, weights, the scan).
     """
     params = spec.grid()
     fixed = np.array([spec.beta if spec.swept == "s_x" else spec.s_x])
@@ -166,20 +271,26 @@ def run_sweep(spec: SweepSpec) -> str:
         weights_ok = weight_in_range(omega_a) & weight_in_range(omega_b)
         weights_ok &= weights_sum_to_one(omega_a, omega_b)
     blank = bloch_is_too_long(bloch_lam) | port_is_dark(den) | ~weights_ok | ~scanned
-    table = np.column_stack([params, v, v_scan, d, d_trace, residual, omega_a, omega_b])
+    lit = ~blank
+    table = np.column_stack([v, v_scan, d, d_trace, residual, omega_a, omega_b])
+    formatted = _format_numbers(np.concatenate([params, table[lit].ravel()]))
+    fields = np.zeros((params.size, 8), formatted.dtype)
+    fields[:, 0] = formatted[: params.size]
+    fields[lit, 1:] = formatted[params.size :].reshape(-1, 7)
     # The message chain, on flagged rows only; one no earlier rule explains is dark.
     warnings = []
-    columns = np.broadcast_arrays(params, bloch_lam, den, omega_a, omega_b)
-    for value, raw_lam, den_row, w_a, w_b in zip(*(c[blank].tolist() for c in columns)):
+    columns = np.broadcast_arrays(bloch_lam, den, omega_a, omega_b)
+    blank_params = fields[blank, 0].tolist()
+    for param, raw_lam, den_row, w_a, w_b in zip(blank_params, *(c[blank].tolist() for c in columns)):
         lit_reason = None if port_is_dark(den_row) else weights_message(w_a, w_b)
         reason = bloch_length_message(raw_lam) or lit_reason or DARK_PORT
-        warnings.append(f"warning: {spec.swept}={_fmt(value)} is degenerate ({reason})\n")
+        warnings.append(f"warning: {spec.swept}={param.decode()} is degenerate ({reason})\n")
     sys.stderr.write("".join(warnings))
-    # The mask drops blank rows' seven values and flattens the rest in row order.
-    keep = (np.arange(8) == 0) | ~blank[:, None]
-    row, blank_row = ",".join([NUMBER] * 8) + "\n", NUMBER + ",,,,,,,\n"
-    body = "".join([blank_row if b else row for b in blank.tolist()])
-    return f"{SWEEP_HEADER}\n" + body % tuple(table[keep].tolist())
+    # The mask drops blank rows' seven fields and flattens the rest in row order.
+    keep = (np.arange(8) == 0) | lit[:, None]
+    row, blank_row = b",".join([b"%s"] * 8) + b"\n", b"%s,,,,,,,\n"
+    body = b"".join([blank_row if b else row for b in blank.tolist()])
+    return f"{SWEEP_HEADER}\n" + (body % tuple(fields[keep].tolist())).decode("ascii")
 
 
 # --- figure presets -----------------------------------------------------------
@@ -188,34 +299,34 @@ _BETA_CURVES = (("beta=pi/4", math.pi / 4), ("beta=pi/2", math.pi / 2), ("beta=3
 _SX_CURVES = (("sx=-0.5", -0.5), ("sx=0", 0.0), ("sx=0.5", 0.5))
 
 
-def _figure_table(quantity: str, swept: str, points, params, lam: float, a_overlap: float) -> str:
+def _figure_table(quantity: str, swept: str, points, param_text, lam: float, a_overlap: float) -> str:
     """One preset family: V or D over s_x (three betas) or beta (three s_x)."""
     curves = _BETA_CURVES if swept == "s_x" else _SX_CURVES
-    text = [f"curve,param,{quantity}_closed\n"]
-    # Each curve's rows are one % pass over its params and values interleaved.
-    args = [None] * (2 * FIGURE_POINTS)
-    args[0::2] = params
-    for label, fixed in curves:
+    values = []
+    for _, fixed in curves:
         s_x, beta = (points, fixed) if swept == "s_x" else (fixed, points)
         sin_beta, den = port_terms(s_x, beta)
         if quantity == "V":
             yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
-            values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)
+            values.append(visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0))
         else:
-            values = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
-        args[1::2] = values.tolist()
-        text.append(f"{label},%s,{NUMBER}\n" * FIGURE_POINTS % tuple(args))
-    return "".join(text)
+            values.append(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
+    # One format pass over the table's values; the params come formatted.
+    fields = np.empty((len(curves), FIGURE_POINTS, 2), param_text.dtype)
+    fields[:, :, 0] = param_text
+    fields[:, :, 1] = _format_numbers(np.stack(values)).reshape(len(curves), FIGURE_POINTS)
+    rows = b"".join(f"{label},%s,%s\n".encode() * FIGURE_POINTS for label, _ in curves)
+    return f"curve,param,{quantity}_closed\n" + (rows % tuple(fields.ravel().tolist())).decode("ascii")
 
 
 def figure_tables() -> dict[str, str]:
     """The eight bundled preset curve families as CSV text, keyed by file stem."""
     third, mixed = 1.0 / 3.0, 9.0 / 25.0
     edge = math.sqrt(mixed)
-    # The three distinct grids, each formatted once for all its tables.
+    # The three distinct grids, formatted once for all their tables.
     ranges = ((-edge, edge), (-1.0, 1.0), (0.0, math.pi))
-    grids = [np.linspace(lo, hi, FIGURE_POINTS) for lo, hi in ranges]
-    sx_mixed, sx_pure, betas = [(g, [NUMBER % p for p in g.tolist()]) for g in grids]
+    grids = np.array([np.linspace(lo, hi, FIGURE_POINTS) for lo, hi in ranges])
+    sx_mixed, sx_pure, betas = zip(grids, _format_numbers(grids).reshape(grids.shape))
     return {
         "fig2a": _figure_table("V", "s_x", *sx_mixed, lam=mixed, a_overlap=third),
         "fig2b": _figure_table("V", "beta", *betas, lam=mixed, a_overlap=third),

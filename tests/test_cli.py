@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mzi_duality import cli, interferometer, verify
 from mzi_duality.cli import (
     SWEEP_HEADER,
     SweepSpec,
-    _fmt,
+    _format_numbers,
     figure_tables,
     main,
     parse_angle,
@@ -33,6 +34,65 @@ from mzi_duality.duality import (
 )
 from mzi_duality.errors import DualityError, InvalidInputError
 from mzi_duality.interferometer import BeamSplitterAngle, BlochState, port_terms
+
+
+def _fmt(value):
+    """The output number format, written out: the reference for every CSV number."""
+    return "%.17g" % value
+
+
+def formatted(values):
+    return [text.decode("ascii") for text in _format_numbers(np.asarray(values, float)).tolist()]
+
+
+# --- number formatting -------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_format_numbers_equals_the_format_on_drawn_floats(values):
+    # st.floats() draws nan, infinities, zeros and subnormals too.
+    assert formatted(values) == [_fmt(v) for v in values]
+
+
+def neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+FORMAT_EDGES = [
+    0.0, 5e-324, 2.2250738585072014e-308,
+    *(x for k in range(-6, 19) for x in neighbours(10.0**k)),
+    *neighbours(1e-4),
+    1000000000000000.25, 1000000000000000.75,  # exact ties: half-even
+    *neighbours(2.0**53),
+    1 / 3, math.pi,
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_format_numbers_equals_the_format_at_the_edges(sign):
+    values = [sign * x for x in FORMAT_EDGES]
+    assert formatted(values) == [_fmt(v) for v in values]
+
+
+@pytest.mark.parametrize("binades", [(0, 2047), (1023 - 14, 1023 + 57)])
+def test_format_numbers_equals_the_format_on_every_binade(binades):
+    # 100 000 values log-uniform over the binades of the whole double range,
+    # then over those of the exponent-free window [1e-4, 1e17), both signs.
+    rng = np.random.default_rng(20261019)
+    size = 100_000
+    exponent = rng.integers(*binades, size=size, dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, size=size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    values = (sign | exponent | mantissa).view(np.float64)
+    assert formatted(values) == [_fmt(v) for v in values.tolist()]
+
+
+def test_format_numbers_passes_no_special_value_to_log10_or_a_cast():
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert formatted(values) == [_fmt(v) for v in values]
 
 
 # --- angle parsing ---------------------------------------------------------------
@@ -313,6 +373,37 @@ def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
             assert fields[1 + k] == _fmt(row[k])
         for k in (1, 3):  # V_scan and D_trace
             assert abs(float(fields[1 + k]) - row[k]) <= 1e-15
+
+
+README_SWEEP = SweepSpec(swept="s_x", lo=-0.6, hi=0.6, steps=241, lam=0.36,
+                         a_overlap=0.3333333333333333, beta=math.pi / 2)
+
+
+@pytest.mark.parametrize("spec", [README_SWEEP, *EDGE_SPECS])
+def test_sweep_texts_equal_a_reference_assembled_with_the_format(spec, monkeypatch, capsys):
+    # The CSV and its stderr as whole texts. The reference writes each
+    # number run_sweep formats (params first, then the lit rows' seven
+    # values) with "%.17g", and takes the blank rows and the warnings from
+    # the scalar API.
+    numbers = []
+
+    def recording(values):
+        numbers.extend(np.ravel(values).tolist())
+        return _format_numbers(values)
+
+    monkeypatch.setattr(cli, "_format_numbers", recording)
+    text = run_sweep(spec)
+    err = capsys.readouterr().err
+    rows, expected_warnings = scalar_sweep(spec)
+    assert numbers[: spec.steps] == spec.grid().tolist()
+    values = iter(numbers[spec.steps :])
+    lines = [SWEEP_HEADER]
+    for value, row in rows:
+        fields = [""] * 7 if row is None else [_fmt(next(values)) for _ in range(7)]
+        lines.append(",".join([_fmt(value), *fields]))
+    assert next(values, None) is None
+    assert text == "\n".join(lines) + "\n"
+    assert err == "".join(warning + "\n" for warning in expected_warnings)
 
 
 @pytest.mark.parametrize("spec", EDGE_SPECS)
