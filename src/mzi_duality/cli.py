@@ -60,6 +60,9 @@ _POW10 = np.array([float(10**k) for k in range(21)])
 _POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint16)
+# Text k of the 10 000 four-digit texts is one uint32: pair k // 100, then pair k % 100.
+_DIGIT_QUADS = np.stack([_DIGIT_PAIRS.repeat(100), np.tile(_DIGIT_PAIRS, 100)], axis=1)
+_DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
 _DIGIT_ROWS = np.arange(17, dtype=np.uint8)[:, None]
 
 _ANGLE_RE = re.compile(
@@ -118,6 +121,10 @@ def _format_numbers(values) -> np.ndarray:
     even integer, so N = hi + rint(lo) is the correctly rounded, half-even
     significand that dtoa prints. Every other value (zeros, nan, infinities,
     subnormals and the exponent forms) is formatted by NUMBER % v.
+
+    N's digits come from integer splits written as q = x // d and
+    r = x - q * d, not np.divmod: numpy gives the same integers either way,
+    but its divmod loops cost several times as much per element.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     size = v.size
@@ -139,27 +146,29 @@ def _format_numbers(values) -> np.ndarray:
     significand[carry] = 10**16
     e += carry
 
+    # One text layout per (E, sign) group: the lanes are sorted by group before
+    # their digits are made, and only the finished text goes back in input order.
+    group = ((e + 4) * 2 + (v < 0)).astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    significand, e = significand[order], e[order]
     # The 17 digits as ASCII, one row per digit position: the lead digit,
-    # then eight pairs from the pair table.
-    lead, rest = np.divmod(significand, 10**16)
-    eights = np.stack(np.divmod(rest, 10**8)).astype(np.uint32)
-    fours = np.stack(np.divmod(eights, 10**4), axis=1).reshape(4, size)
-    twos = np.stack(np.divmod(fours, 100), axis=1).reshape(8, size)
+    # then four texts from the 4-digit table, split off at 10^8 and 10^4.
+    lead = significand // 10**16
+    rest = significand - lead * 10**16
+    high = rest // 10**8
+    eights = np.array([high, rest - high * 10**8], np.uint32)
+    high = eights // 10**4
+    fours = np.array([high, eights - high * 10**4])  # [split, half of eights, lane]
     digits = np.empty((17, size), np.uint8)
     digits[0] = lead + ord("0")
-    pairs = _DIGIT_PAIRS.take(twos).view(np.uint8).reshape(8, size, 2)
-    digits[1:] = pairs.transpose(0, 2, 1).reshape(16, size)
+    quads = _DIGIT_QUADS.take(fours).view(np.uint8).reshape(2, 2, size, 4)
+    digits[1:] = quads.transpose(1, 0, 3, 2).reshape(16, size)
     # The fraction's trailing zeros become NUL, which the 'S' dtype strips;
     # the integer part keeps its digits. The lead digit is never 0.
     last = ((digits != ord("0")) * _DIGIT_ROWS).max(axis=0)
     end = np.maximum(last + 1, e + 1).astype(np.uint8)
     digits *= _DIGIT_ROWS < end
 
-    # One text layout per (E, sign) group: the lanes are sorted by group, so
-    # each group is one block of columns.
-    group = ((e + 4) * 2 + (v < 0)).astype(np.uint8)
-    order = np.argsort(group, kind="stable")
-    digits, end = digits[:, order], end[order]
     text = np.zeros((_TEXT_WIDTH, size), np.uint8)
     stop = 0
     for g, count in enumerate(np.bincount(group).tolist()):
@@ -178,13 +187,22 @@ def _format_numbers(values) -> np.ndarray:
             block[: 1 - exponent] = ord("0")
             block[1] = ord(".")
             block[1 - exponent : 18 - exponent] = block_digits
-    rows = np.empty((size, _TEXT_WIDTH), np.uint8)
-    rows[order] = text.T
-    rows = rows.view(f"S{_TEXT_WIDTH}").ravel()
+    rows = np.empty(size, f"S{_TEXT_WIDTH}")
+    rows[order] = np.ascontiguousarray(text.T).view(rows.dtype).ravel()
     slow = np.flatnonzero(fallback)
     if slow.size:
         rows[slow] = [(NUMBER % x).encode() for x in v[slow].tolist()]
     return rows
+
+
+def _csv_lines(fields: np.ndarray) -> str:
+    """One CSV line per row of a 2-D bytes ('S') array: full-width fields and
+    separators, with every NUL dropped in one boolean pass (an all-NUL field is empty)."""
+    rows, columns = fields.shape
+    line = np.full((rows, columns, fields.itemsize + 1), ord(","), np.uint8)
+    line[:, :, :-1] = fields.view(np.uint8).reshape(rows, columns, -1)
+    line[:, -1, -1] = ord("\n")
+    return line[line != 0].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -286,11 +304,7 @@ def run_sweep(spec: SweepSpec) -> str:
         reason = bloch_length_message(raw_lam) or lit_reason or DARK_PORT
         warnings.append(f"warning: {spec.swept}={param.decode()} is degenerate ({reason})\n")
     sys.stderr.write("".join(warnings))
-    # The mask drops blank rows' seven fields and flattens the rest in row order.
-    keep = (np.arange(8) == 0) | lit[:, None]
-    row, blank_row = b",".join([b"%s"] * 8) + b"\n", b"%s,,,,,,,\n"
-    body = b"".join([blank_row if b else row for b in blank.tolist()])
-    return f"{SWEEP_HEADER}\n" + (body % tuple(fields[keep].tolist())).decode("ascii")
+    return f"{SWEEP_HEADER}\n" + _csv_lines(fields)
 
 
 # --- figure presets -----------------------------------------------------------
@@ -312,11 +326,11 @@ def _figure_table(quantity: str, swept: str, points, param_text, lam: float, a_o
         else:
             values.append(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
     # One format pass over the table's values; the params come formatted.
-    fields = np.empty((len(curves), FIGURE_POINTS, 2), param_text.dtype)
-    fields[:, :, 0] = param_text
-    fields[:, :, 1] = _format_numbers(np.stack(values)).reshape(len(curves), FIGURE_POINTS)
-    rows = b"".join(f"{label},%s,%s\n".encode() * FIGURE_POINTS for label, _ in curves)
-    return f"curve,param,{quantity}_closed\n" + (rows % tuple(fields.ravel().tolist())).decode("ascii")
+    fields = np.empty((len(curves), FIGURE_POINTS, 3), param_text.dtype)
+    fields[:, :, 0] = np.array([label for label, _ in curves], "S")[:, None]
+    fields[:, :, 1] = param_text
+    fields[:, :, 2] = _format_numbers(np.stack(values)).reshape(len(curves), FIGURE_POINTS)
+    return f"curve,param,{quantity}_closed\n" + _csv_lines(fields.reshape(-1, 3))
 
 
 def figure_tables() -> dict[str, str]:

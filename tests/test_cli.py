@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -93,6 +94,56 @@ def test_format_numbers_passes_no_special_value_to_log10_or_a_cast():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         assert formatted(values) == [_fmt(v) for v in values]
+
+
+def test_format_numbers_keeps_input_order_across_every_group():
+    # The lanes are laid out sorted by (E, sign), 21 decades times 2 signs,
+    # and put back in input order at the end; fallback lanes are mixed in.
+    mantissas = [1.0, 1.25, 3.0000000000000004, 9.999999999999998, math.pi]
+    grouped = [s * m * 10.0**e for e in range(-4, 17) for s in (1.0, -1.0) for m in mantissas]
+    fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 5e-5, -5e-5, 1e17, -1e17]
+    groups = {(Decimal(v).adjusted(), v < 0) for v in grouped if 1e-4 <= abs(v) < 1e17}
+    assert len(groups) == 42
+    values = np.array(grouped + fallback)
+    np.random.default_rng(42).shuffle(values)
+    assert formatted(values) == [_fmt(v) for v in values.tolist()]
+
+
+def test_format_numbers_returns_flat_bytes_in_c_order():
+    empty = _format_numbers(np.array([]))
+    assert empty.dtype == np.dtype("S24") and empty.shape == (0,)
+    grid = np.array([[0.5, -1e17, 2.0], [1 / 3, 0.0, -7e-5]])
+    text = _format_numbers(grid)
+    assert text.dtype == np.dtype("S24") and text.shape == (6,)
+    assert formatted(grid) == [_fmt(v) for v in grid.ravel().tolist()]
+
+
+def test_digit_tables_hold_every_zero_padded_text():
+    assert cli._DIGIT_PAIRS.view("S2").tolist() == [b"%02d" % k for k in range(100)]
+    assert cli._DIGIT_QUADS.view("S4").tolist() == [b"%04d" % k for k in range(10_000)]
+
+
+# --- CSV lines ---------------------------------------------------------------------
+
+
+def test_csv_lines_join_fields_of_every_width():
+    # Labels of different widths, an all-NUL field (a blank sweep field) and
+    # a field filling the whole width, with no NUL padding before its comma.
+    fields = np.array(
+        [
+            [b"beta=pi/4", b"0.5", b""],
+            [b"beta=3pi/4", b"-2.2250738585072014e-308", b"1"],
+            [b"", b"", b"-2.2250738585072014e-308"],
+        ],
+        "S24",
+    )
+    assert fields.dtype.itemsize == len(b"-2.2250738585072014e-308")
+    assert cli._csv_lines(fields) == (
+        "beta=pi/4,0.5,\n"
+        "beta=3pi/4,-2.2250738585072014e-308,1\n"
+        ",,-2.2250738585072014e-308\n"
+    )
+    assert cli._csv_lines(np.zeros((2, 8), "S24")) == ",,,,,,,\n" * 2
 
 
 # --- angle parsing ---------------------------------------------------------------
