@@ -34,7 +34,7 @@ from .interferometer import (
     port_terms,
 )
 from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
-from .linalg import IDENTITY_2, _hermitian_eig2, _trace_norm, _trace_norms
+from .linalg import IDENTITY_2, _entries, _hermitian_eig2, _trace_norm
 
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -299,7 +299,7 @@ def _discrimination_operator(marked, omega_a, omega_b) -> np.ndarray:
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return _trace_norm(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b))
+    return _trace_norm(*_entries(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b)))
 
 
 def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
@@ -309,7 +309,7 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
     (n, 2, 2) stack of them. The weights are taken as validated (see
     PathWeights); the trace norms come from one stacked 2x2 eigenvalue pass.
     """
-    return _trace_norms(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
+    return _trace_norm(*_entries(_discrimination_operator(_marked_states(unitary), omega_a, omega_b)))
 
 
 def _basis_is_degenerate(values):
@@ -328,7 +328,7 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     stays well-conditioned over the whole parameter domain.
     """
     gamma_op = _discrimination_operator(det.marked, weights.omega_a, weights.omega_b)
-    values, vectors = _hermitian_eig2(gamma_op)
+    values, vectors = _hermitian_eig2(*_entries(gamma_op))
     if _basis_is_degenerate(values):
         raise DegenerateBasisError(
             "detector states coincide; any orthonormal basis is optimal",

@@ -28,10 +28,6 @@ _SMALLEST_NORMAL = sys.float_info.min
 # From this eigenvalue half-gap on, the squared norm of a 2x2 eigensolver's
 # raw eigenvector, at most (2 radius)^2 + radius^2, can overflow.
 _SCALED_RADIUS = 2.0**510
-_SIGNS = np.array([1.0, -1.0])
-# The identity and the swapped identity: the eigenvectors of a diagonal
-# matrix whose first entry is and is not the larger.
-_CANONICAL_BASES = np.array([np.eye(2), np.eye(2)[::-1]], dtype=complex)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,9 +87,10 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     mean - radius, _mean_radius's, and the lowest 4x4 one from eigvalsh.
 
     The one modulus rule: where a one-point path and its stacked form each
-    take a modulus (these checks, the 2x2 eigensolvers, BlochState.yz_norm),
-    both take libm's hypot, as abs of a Python complex or np.hypot, so they
-    agree to the bit; numpy's complex abs and math.hypot can differ in the last.
+    take a modulus (these checks, the 2x2 eigensolver and trace norm,
+    BlochState.yz_norm), both take libm's hypot, as abs of a Python complex or
+    np.hypot (the shared helper _modulus), so they agree to the bit; numpy's
+    complex abs and math.hypot can differ in the last.
     """
     if m.size == m.shape[-1] ** 2:
         try:
@@ -111,7 +108,11 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     trace_err = max(trace_errors(m).flat)
     if trace_err > TRACE_TOL:
         raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
-    lowest = np.subtract(*_mean_radius(m)) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)[..., 0]
+    if m.shape[-1] == 2:
+        mean, radius = _mean_radius(*_entries(m.reshape(-1, 2, 2)))
+        lowest = mean - radius
+    else:
+        lowest = np.linalg.eigvalsh(m)[..., 0]
     smallest = min(lowest.flat)
     if smallest < -POSITIVITY_TOL:
         raise InvalidInputError(f"density operator has negative eigenvalue {smallest:.3e}")
@@ -141,7 +142,8 @@ def _check_density(m: np.ndarray) -> None:
         raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
     if d == 2:
         (a, b), (_, c) = rows
-        lowest = 0.5 * (a.real + c.real) - abs(complex(0.5 * (a.real - c.real), abs(b)))
+        mean, radius = _mean_radius(a.real, c.real, b.real, b.imag)
+        lowest = mean - radius
     else:
         lowest = float(np.linalg.eigvalsh(m)[0])
     if lowest < -POSITIVITY_TOL:
@@ -193,53 +195,71 @@ def partial_trace_path(rho) -> DensityOperator:
     return DensityOperator(trace_path(state.matrix))
 
 
-def _checked_hermitian(h, caller: str) -> np.ndarray:
-    # h as a 2x2 complex matrix with finite entries and Hermitian within
-    # HERMITIAN_TOL, or InvalidInputError naming the caller.
+def _checked_hermitian(h, caller: str) -> tuple[float, float, float, float]:
+    # The entries (a, c, b_re, b_im) of h = [[a, b], [conj(b), c]] as Python
+    # floats, where h is 2x2 with finite entries, Hermitian within
+    # HERMITIAN_TOL and with eigenvalues in the float range; else
+    # InvalidInputError naming the caller.
     m = _as_matrix(h, "hermitian matrix")
     if m.shape != (2, 2):
         raise InvalidInputError(f"{caller} expects a 2x2 matrix")
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise InvalidInputError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return m
-
-
-def _eigen_parts(m: np.ndarray) -> tuple[float, float, complex, float, float]:
-    # The entries of a Hermitian [[a, b], [conj(b), c]] (a, c real) and the
-    # mean and half-gap of its eigenvalues, which are mean +- radius. Python
-    # floats overflow to inf without a numpy warning; abs raises OverflowError
-    # where a modulus of finite parts exceeds the float range.
-    (a, b), (_, c) = m.tolist()
-    a, c, b = a.real, c.real, complex(b)
-    mean = 0.5 * (a + c)
+    entries = _entries(m)
     try:
-        radius = abs(complex(0.5 * (a - c), abs(b)))
+        mean, radius = _mean_radius(*entries)
     except OverflowError:
-        radius = math.inf
+        mean, radius = 0.0, math.inf
     if abs(mean) + radius == math.inf:
         raise InvalidInputError("matrix eigenvalues exceed the float range")
-    return a, c, b, mean, radius
+    return entries
 
 
-# hermitian_eig2, trace_norm and check_densities work on one matrix in plain
-# Python, apart from their stacked forms (_hermitian_eig2s, _trace_norms and
-# check_densities' numpy checks). Through the stacked forms (the first two on
-# a stack of one, after the same validation) the eigensolver takes 34.6 us per
-# call on a 2x2 matrix against 5.8 us with its eigenvectors built on Python
-# complex numbers (9.2 us when it built them as numpy 2-vectors; best of 9
-# in-process rounds of 20 000 calls). The trace norm and the check took 5.9
-# and 6.1 us against 3.5 and 0.8 us, and the check took 7.6 us on a 4x4
-# against 5.5 us (3.0 of them eigvalsh's). The benchmark's
-# single-point queries call the first two once each and check two 2x2 and
-# two 4x4 matrices (evolve's Bloch input, partial_trace_path's result, and
-# evolve's and evolve_closed_form's results): with the stacked eigensolver
-# and trace norm they took 32% longer, with the stacked 2x2 check 11-16%
-# longer (medians of 8 interleaved in-process rounds, two sets of rounds for
-# the check) and with the stacked 4x4 check 7% longer, 102.9 against 96.3 us
-# (medians of 8 interleaved processes; 2-vCPU x86-64 VM).
-# The unchecked forms of the first two take a complex matrix that the caller
-# built Hermitian and finite.
+def _entries(h: np.ndarray):
+    # (a, c, b_re, b_im) of a Hermitian h = [[a, b], [conj(b), c]]: Python
+    # floats for one matrix, 1-D arrays for an (n, 2, 2) stack.
+    if h.ndim == 2:
+        (a, b), (_, c) = h.tolist()
+        return a.real, c.real, b.real, b.imag
+    b = h[:, 0, 1]
+    return h[:, 0, 0].real, h[:, 1, 1].real, b.real, b.imag
+
+
+def _select(cond, x, y):
+    # x where cond holds, else y: a branch on a point's Python scalars, or
+    # np.where on a stack's arrays, which computes both sides on every lane.
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _any(cond) -> bool:
+    # Whether cond holds for a point, or on any lane of a stack.
+    if isinstance(cond, np.ndarray):
+        return bool(cond.any())
+    return cond
+
+
+def _modulus(x, y):
+    # |x + iy| by libm's hypot, of floats or of arrays (the one modulus rule,
+    # check_densities). Of floats, abs raises OverflowError where the modulus
+    # of finite parts exceeds the float range.
+    if isinstance(x, np.ndarray):
+        return np.hypot(x, y)
+    return abs(complex(x, y))
+
+
+def _mean_radius(a, c, b_re, b_im):
+    # Mean and half-gap of the eigenvalues mean +- radius of the Hermitian
+    # [[a, b], [conj(b), c]], of floats or of 1-D arrays (see _entries).
+    return 0.5 * (a + c), _modulus(0.5 * (a - c), _modulus(b_re, b_im))
+
+
+def _trace_norm(a, c, b_re, b_im):
+    # trace_norm of the Hermitian [[a, b], [conj(b), c]], of floats or arrays.
+    mean, radius = _mean_radius(a, c, b_re, b_im)
+    return abs(mean + radius) + abs(mean - radius)
 
 
 def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
@@ -250,132 +270,79 @@ def hermitian_eig2(h) -> tuple[np.ndarray, np.ndarray]:
     columns of ``vectors``. Each eigenvector is phase-fixed so its first
     nonzero component is real and positive, making the output deterministic.
     A spectrum with gap below ``DEGENERATE_GAP`` returns the canonical basis.
+    The one formula, _hermitian_eig2, also takes a stack as arrays, and its
+    row for this matrix is this result to the bit.
     """
-    return _hermitian_eig2(_checked_hermitian(h, "hermitian_eig2"))
+    return _hermitian_eig2(*_checked_hermitian(h, "hermitian_eig2"))
 
 
-def _hermitian_eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, c, b, mean, radius = _eigen_parts(h)
+def _hermitian_eig2(a, c, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
+    # hermitian_eig2 of [[a, b], [conj(b), c]], b = b_re + i b_im, which the
+    # caller built Hermitian and finite: of floats, values (2,) and vectors
+    # (2, 2); of 1-D arrays, (n, 2) and (n, 2, 2). Every step is real
+    # arithmetic, which rounds alike in Python and in numpy, so each stack row
+    # is its point to the bit, as in interferometer._evolve_closed_form.
+    xp = np if isinstance(a, np.ndarray) else math
+    mean, radius = _mean_radius(a, c, b_re, b_im)
+    values = np.array([mean + radius, mean - radius]).T
+    # The canonical basis where b == 0, swapped where a < c so that the larger
+    # diagonal entry comes first, and where the gap is below DEGENERATE_GAP
+    # (2 * radius can overflow). Elsewhere the matrix is general; on the
+    # canonical ones the construction below runs on the stand-ins
+    # b = lead = 1, so it divides by nothing, and its result is discarded.
+    general = ((b_re != 0) | (b_im != 0)) & (radius >= 0.5 * DEGENERATE_GAP)
+    off = _select((b_re == 0) & (b_im == 0) & (a < c), 1.0, 0.0)
+    on, zero = 1.0 - off, 0.0 * off  # +0.0, a float or an array as off is
+    # From a half-gap of _SCALED_RADIUS on, half_diff, radius and b are scaled
+    # exactly by a power of two, radius to [1/2, 1), so that no squared norm
+    # overflows; ldexp by 0 keeps every bit of the others. (Here and below,
+    # the rare side is computed only where some lane takes it.)
     half_diff = 0.5 * (a - c)
-    values = np.array([mean + radius, mean - radius])
-
-    if b == 0:
-        return values, _CANONICAL_BASES[int(a < c)].copy()
-    if 2.0 * radius < DEGENERATE_GAP:
-        return values, _CANONICAL_BASES[0].copy()
-
-    if radius >= _SCALED_RADIUS:
-        # The vectors are built from half_diff, radius and b scaled exactly
-        # by a power of two, radius to [1/2, 1); below, nothing is scaled,
-        # so those matrices keep their bits.
-        shift = -math.frexp(radius)[1]
-        half_diff, radius = math.ldexp(half_diff, shift), math.ldexp(radius, shift)
-        b = complex(math.ldexp(b.real, shift), math.ldexp(b.imag, shift))
-    # Pick, per eigenvalue, the null-space construction whose leading entry
-    # involves no cancellation (|lambda - diagonal| is maximal), and build
-    # that entry as |half_diff| + radius: lambda - diagonal written out, so it
-    # stays nonzero even where mean +- radius rounds back to the diagonal.
-    lead = abs(half_diff) + radius
-    if half_diff >= 0:
-        raw = ((complex(lead), b.conjugate()), (b, complex(-lead)))
-    else:
-        raw = ((b, complex(lead)), (complex(-lead), b.conjugate()))
-    columns = []
-    for top, bottom in raw:
-        # Normalized with the stacked form's sums, then phase-fixed by
-        # conj(lead) / |lead| so that the leading entry is real and positive.
-        norm = math.sqrt(
-            (top.real * top.real + bottom.real * bottom.real)
-            + (top.imag * top.imag + bottom.imag * bottom.imag)
-        )
-        unit_top = complex(top.real / norm, top.imag / norm)
-        unit_bottom = complex(bottom.real / norm, bottom.imag / norm)
-        lead = unit_top
-        if abs(lead) < _SMALLEST_NORMAL:
-            # The raw lead is nonzero, but below the normal range 1/|lead|
-            # overflows, and the unit lead may even have underflowed to
-            # zero: take the phase of the raw lead, scaled exactly by a
-            # power of two to order one.
-            shift = -math.frexp(max(abs(top.real), abs(top.imag)))[1]
-            lead = complex(math.ldexp(top.real, shift), math.ldexp(top.imag, shift))
-        phase = lead.conjugate() / abs(lead)
-        columns.append([unit_top * phase, unit_bottom * phase])
-    return values, np.array(columns).T
+    big = radius >= _SCALED_RADIUS
+    if _any(big):
+        shift = _select(big, -xp.frexp(radius)[1], 0)
+        half_diff, radius, b_re, b_im = (xp.ldexp(x, shift) for x in (half_diff, radius, b_re, b_im))
+    b_re, b_im = _select(general, b_re, 1.0), _select(general, b_im, 0.0)
+    # Per eigenvalue, the null-space construction whose leading entry,
+    # lambda - diagonal, involves no cancellation, that entry written out as
+    # |half_diff| + radius so that it stays nonzero even where mean +- radius
+    # rounds back to the diagonal: the columns (lead, conj b) and (b, -lead)
+    # where half_diff >= 0, else (b, lead) and (-lead, conj b).
+    lead = _select(general, abs(half_diff) + radius, 1.0)
+    columns = _select(
+        half_diff >= 0,
+        ((lead, zero, b_re, -b_im), (b_re, b_im, -lead, zero)),
+        ((b_re, b_im, lead, zero), (-lead, zero, b_re, -b_im)),
+    )
+    # The two columns' one norm: either's (re^2 + re^2) + (im^2 + im^2), with
+    # its exact zero term dropped.
+    norm = xp.sqrt((lead * lead + b_re * b_re) + b_im * b_im)
+    tops, lows = [], []
+    for top_re, top_im, low_re, low_im in columns:
+        t_re, t_im, u_re, u_im = top_re / norm, top_im / norm, low_re / norm, low_im / norm
+        # Phase-fixed by conj(lead) / |lead|, the lead real and positive. The
+        # raw lead is nonzero, but below the normal range 1/|lead| overflows,
+        # and the unit lead may even underflow to zero: there take the phase
+        # of the raw lead, scaled exactly by a power of two to order one.
+        l_re, l_im, size = t_re, t_im, _modulus(t_re, t_im)
+        small = size < _SMALLEST_NORMAL
+        if _any(small):
+            peak = _select(abs(top_im) > abs(top_re), abs(top_im), abs(top_re))  # as max() picks
+            exponent = -xp.frexp(peak)[1]
+            scaled = (xp.ldexp(top_re, exponent), xp.ldexp(top_im, exponent))
+            l_re, l_im = _select(small, scaled, (l_re, l_im))
+            size = _modulus(l_re, l_im)
+        # As Python's complex division by (size, 0.0) and product compute
+        # them: the products with the zero fix the signs of zeros.
+        p_re, p_im = (l_re - l_im * 0.0) / size, (-l_im - l_re * 0.0) / size
+        tops += (t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re)
+        lows += (u_re * p_re - u_im * p_im, u_re * p_im + u_im * p_re)
+    # Real and imaginary parts of the entries in row-major order.
+    parts = _select(general, (*tops, *lows), (on, zero, off, zero, off, zero, on, zero))
+    # Fortran order lays each matrix's parts out contiguously.
+    return values, np.array(parts, order="F").T.view(complex).reshape(values.shape + (2,))
 
 
 def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
-    return _trace_norm(_checked_hermitian(h, "trace_norm"))
-
-
-def _trace_norm(h: np.ndarray) -> float:
-    *_, mean, radius = _eigen_parts(h)
-    return float(abs(mean + radius) + abs(mean - radius))
-
-
-def _mean_radius(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Mean and half-gap of the eigenvalues mean +- radius of a Hermitian
-    # [[a, b], [conj(b), c]] or of each of an (n, 2, 2) stack.
-    a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
-    return 0.5 * (a + c), np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
-
-
-def _hermitian_eig2s(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # hermitian_eig2 of each matrix of an (n, 2, 2) stack the caller built
-    # Hermitian and finite: values (n, 2) in descending order and the
-    # phase-fixed eigenvectors as the columns of (n, 2, 2).
-    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
-    mean, radius = _mean_radius(h)
-    values = mean[:, None] + radius[:, None] * _SIGNS
-    # The canonical basis where b == 0 (swapped where a < c, so that the
-    # larger diagonal entry comes first) and where the gap is below
-    # DEGENERATE_GAP. The other matrices are general; on the canonical ones
-    # the null-space construction below runs on the stand-ins b = lead = 1,
-    # so it divides by nothing there, and its result is discarded.
-    canonical = _CANONICAL_BASES[((b == 0) & (a < c)).view(np.int8)]
-    general = (b != 0) & (radius >= 0.5 * DEGENERATE_GAP)  # 2 * radius can overflow
-    half_diff = 0.5 * (a - c)
-    # Scaled as in _hermitian_eig2, where radius reaches _SCALED_RADIUS.
-    big = radius >= _SCALED_RADIUS
-    shift = np.where(big, -np.frexp(radius)[1], 0)
-    half_diff, radius = np.ldexp(half_diff, shift), np.ldexp(radius, shift)
-    b = np.where(big, np.ldexp(b.real, shift) + 1j * np.ldexp(b.imag, shift), b)
-    # Per eigenvalue, pick the null-space construction whose leading entry
-    # involves no cancellation (|lambda - diagonal| is maximal), and build
-    # that entry as |half_diff| + radius: lambda - diagonal written out, so
-    # it stays nonzero even where mean +- radius rounds back to the diagonal.
-    # The unnormalized eigenvectors are the columns of raw.
-    b = np.where(general, b, 1.0)
-    lead = np.where(general, abs(half_diff) + radius, 1.0)
-    top = half_diff >= 0
-    conj_b = b.conj()
-    raw = np.empty(h.shape, dtype=complex)
-    raw[:, 0, 0] = np.where(top, lead, b)
-    raw[:, 0, 1] = np.where(top, b, -lead)
-    raw[:, 1, 0] = np.where(top, conj_b, lead)
-    raw[:, 1, 1] = np.where(top, -lead, conj_b)
-    # Real parts, then imaginary, as the one-matrix form sums them. That form
-    # divides and phase-fixes on Python complex numbers; numpy's complex
-    # division scales by a reciprocal and its complex product may fuse
-    # multiply-adds, so the two forms' vectors can differ in the last bit:
-    # parity tests hold them to 1e-15.
-    norm = np.sqrt((raw.real * raw.real).sum(axis=1) + (raw.imag * raw.imag).sum(axis=1))
-    unit = raw / norm[:, None, :]
-    # conj(lead) / |lead| makes a unit vector's leading entry real and
-    # positive. The unnormalized leading entry is nonzero, but below the
-    # normal range 1/|lead| overflows, and the unit lead may even have
-    # underflowed to zero: there take the phase of the unnormalized lead,
-    # scaled exactly by a power of two to order one.
-    lead, raw_lead = unit[:, 0, :], raw[:, 0, :]
-    shift = -np.frexp(np.maximum(abs(raw_lead.real), abs(raw_lead.imag)))[1]
-    scaled = np.ldexp(raw_lead.real, shift) + 1j * np.ldexp(raw_lead.imag, shift)
-    lead = np.where(abs(lead) < _SMALLEST_NORMAL, scaled, lead)
-    phased = unit * (lead.conj() / abs(lead))[:, None, :]
-    return values, np.where(general[:, None, None], phased, canonical)
-
-
-def _trace_norms(h: np.ndarray) -> np.ndarray:
-    # trace_norm of each matrix of an (n, 2, 2) stack the caller built
-    # Hermitian and finite.
-    mean, radius = _mean_radius(h)
-    return np.abs(mean + radius) + np.abs(mean - radius)
+    return _trace_norm(*_checked_hermitian(h, "trace_norm"))

@@ -48,7 +48,7 @@ from .interferometer import (
     marking_unitaries,
     port_terms,
 )
-from .linalg import _hermitian_eig2s, check_densities, hermiticity_defect, trace_errors, trace_path
+from .linalg import _entries, _hermitian_eig2, check_densities, hermiticity_defect, trace_errors, trace_path
 
 # Brute-force extremum searches walk the closed forms at this resolution and
 # must land within 1e-3 of the predicted locus.
@@ -303,7 +303,7 @@ def _min_error_measurement(rng, draws):
     p = _draw_points(rng, draws)
     omega_a, omega_b = _closed_columns(p)[3:5]
     gamma_op = _discrimination_operator(_marked_states(p.unitary), omega_a, omega_b)
-    values, vectors = _hermitian_eig2s(gamma_op)
+    values, vectors = _hermitian_eig2(*_entries(gamma_op))
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
     m_a, m_b = vectors[:, :, 0], vectors[:, :, 1]
     ortho_err = np.maximum(
@@ -377,7 +377,9 @@ def _measurement_basis_closed_form(rng, draws):
     omega_b = 1.0 - omega_a
     gamma = np.zeros(draws)
     unitary = marking_unitaries(a_overlap, gamma, delta)
-    _, numeric = _hermitian_eig2s(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
+    _, numeric = _hermitian_eig2(
+        *_entries(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
+    )
     literal = _min_error_basis_closed_form(a_overlap, gamma, unitary[:, :, 0], omega_a, omega_b)
     return _none_skipped(
         np.maximum(
@@ -409,7 +411,7 @@ def _eig_reconstruction(rng, draws):
     first, second, real, imag = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
     off = real + 1j * imag
     h = np.array([[first, off], [off.conj(), second]], dtype=complex).transpose(2, 0, 1)
-    values, vectors = _hermitian_eig2s(h)
+    values, vectors = _hermitian_eig2(first, second, real, imag)
     adjoint = vectors.conj().swapaxes(1, 2)
     rebuilt = (vectors * values[:, None, :]) @ adjoint
     return _none_skipped(

@@ -13,9 +13,10 @@ from mzi_duality.linalg import (
     PAULI_Z,
     DEGENERATE_GAP,
     DensityOperator,
-    _hermitian_eig2s,
+    _entries,
+    _hermitian_eig2,
     _kron2,
-    _trace_norms,
+    _trace_norm,
     check_densities,
     hermitian_eig2,
     hermiticity_defect,
@@ -483,21 +484,20 @@ def test_eig_vectors_stay_finite_when_the_gap_rounds_away():
     assert np.abs((vectors * values) @ vectors.conj().T - h).max() <= 1e-15 * 1e10
 
 
-def assert_stacked_eig_matches_scalar(stack, exact=False):
-    # _hermitian_eig2s against hermitian_eig2, matrix by matrix, with every
-    # RuntimeWarning an error: the values exactly, the vectors exactly or to 1e-15.
+def assert_stacked_eig_matches_scalar(stack):
+    # The eigensolver on a stack against hermitian_eig2, matrix by matrix,
+    # with every RuntimeWarning an error: the values and vectors exactly.
+    # Returns the stack's vectors.
     stack = np.asarray(stack, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values, vectors = _hermitian_eig2s(stack)
+        values, vectors = _hermitian_eig2(*_entries(stack))
         expected = [hermitian_eig2(h) for h in stack]
     assert values.shape == (len(stack), 2) and vectors.shape == (len(stack), 2, 2)
     for got_values, got_vectors, (want_values, want_vectors) in zip(values, vectors, expected):
         np.testing.assert_array_equal(got_values, want_values)
-        if exact:
-            np.testing.assert_array_equal(got_vectors, want_vectors)
-        else:
-            assert np.abs(got_vectors - want_vectors).max() <= 1e-15
+        np.testing.assert_array_equal(got_vectors, want_vectors)
+    return vectors
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,27 +516,31 @@ def test_stacked_eig_takes_the_scalar_canonical_branches_exactly():
             np.zeros((2, 2)),
             [[1.0, 0.1 * DEGENERATE_GAP], [0.1 * DEGENERATE_GAP, 1.0]],  # gap below DEGENERATE_GAP
             [[2.0, 0.2 * DEGENERATE_GAP], [0.2 * DEGENERATE_GAP, 2.0 + 0.1 * DEGENERATE_GAP]],
-        ],
-        exact=True,
+        ]
     )
 
 
 def test_stacked_eig_matches_the_scalar_eig_at_the_edges():
     # The general branch next to its limits, stacked with canonical lanes so
     # that their masks are exercised in one call.
-    assert_stacked_eig_matches_scalar(
-        [
-            [[0, 5e-324j], [-5e-324j, 1]],  # subnormal leading entry
-            [[0, 2e-308j], [-2e-308j, 1]],  # just below the normal range
-            [[0, 1e-320], [1e-320, 1e10]],  # lead underflows to zero on normalizing
-            [[1e10, 1e-300], [1e-300, 0]],  # lead underflows below the normal range
-            [[1e10, 1e-14], [1e-14, 1e10]],  # the gap passes, mean +- radius rounds back
-            np.diag([-2.0, 3.0]),
-            [[1.0, 1e-15], [1e-15, 1.0]],
-            PAULI_X,
-            PAULI_Z,
-        ]
-    )
+    scaled, unscaled = 2.0**510, np.nextafter(2.0**510, 0)  # the half-gaps either side of scaling
+    stack = [
+        [[0, 5e-324j], [-5e-324j, 1]],  # subnormal leading entry
+        [[0, 2e-308j], [-2e-308j, 1]],  # just below the normal range
+        [[0, 1e-320], [1e-320, 1e10]],  # lead underflows to zero on normalizing
+        [[1e10, 1e-300], [1e-300, 0]],  # lead underflows below the normal range
+        [[1e10, 1e-14], [1e-14, 1e10]],  # the gap passes, mean +- radius rounds back
+        [[0, scaled], [scaled, 0]],
+        [[0, unscaled], [unscaled, 0]],
+        [[scaled, 1.0], [1.0, -scaled]],
+        [[unscaled, 1.0], [1.0, -unscaled]],
+        np.diag([-2.0, 3.0]),
+        [[1.0, 1e-15], [1e-15, 1.0]],
+        PAULI_X,
+        PAULI_Z,
+    ]
+    vectors = assert_stacked_eig_matches_scalar(stack)
+    assert np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(2)).max() <= 1e-15
 
 
 def test_eig_vectors_are_orthonormal_from_1e_300_to_1e300():
@@ -547,8 +551,7 @@ def test_eig_vectors_are_orthonormal_from_1e_300_to_1e300():
     shapes = [np.array([[1.0, 1.0], [1.0, -1.0]])] + [random_hermitian(rng) for _ in range(4)]
     stack = [scale * h for scale in 10.0 ** np.arange(-300, 301, 20) for h in shapes]
     stack.append(np.array([[0.85e308, 1.5e308], [1.5e308, -0.85e308]]))  # half-gap 1.72e308
-    assert_stacked_eig_matches_scalar(stack)
-    _, vectors = _hermitian_eig2s(np.array(stack, dtype=complex))
+    vectors = assert_stacked_eig_matches_scalar(stack)
     assert np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(2)).max() <= 1e-15
 
 
@@ -556,20 +559,23 @@ def test_stacked_trace_norms_match_the_scalar_trace_norm():
     rng = np.random.default_rng(8)
     stack = np.array([random_hermitian(rng) for _ in range(200)])
     expected = np.array([trace_norm(h) for h in stack])
-    np.testing.assert_array_equal(_trace_norms(stack), expected)
+    np.testing.assert_array_equal(_trace_norm(*_entries(stack)), expected)
 
 
 def test_one_matrix_eigenvalues_and_trace_norms_are_the_stacked_ones_exactly():
-    # Both forms take the half-gap by libm's hypot (the one modulus rule,
-    # check_densities), so they agree to the bit over six decades of scale;
-    # with math.hypot's half-gap, 43 eigenvalue pairs and 37 trace norms differed here.
+    # One real-arithmetic formula on floats and on arrays, each modulus by
+    # libm's hypot (the one modulus rule, check_densities), so a point and its
+    # stack row agree to the bit over six decades of scale; with math.hypot's
+    # half-gap, 43 eigenvalue pairs and 37 trace norms differed here.
     rng = np.random.default_rng(25)
     d0, d1, re, im = rng.standard_normal((4, 20000)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 20000))
     off = re + 1j * im
     stack = np.array([[d0, off], [off.conj(), d1]]).transpose(2, 0, 1)
-    values, _ = _hermitian_eig2s(stack)
-    np.testing.assert_array_equal(values, [hermitian_eig2(h)[0] for h in stack])
-    np.testing.assert_array_equal(_trace_norms(stack), [trace_norm(h) for h in stack])
+    values, vectors = _hermitian_eig2(*_entries(stack))
+    expected = [hermitian_eig2(h) for h in stack]
+    np.testing.assert_array_equal(values, [want for want, _ in expected])
+    np.testing.assert_array_equal(vectors, [want for _, want in expected])
+    np.testing.assert_array_equal(_trace_norm(*_entries(stack)), [trace_norm(h) for h in stack])
 
 
 def test_hermiticity_defect_measures_asymmetry():
