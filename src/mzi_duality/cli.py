@@ -14,7 +14,7 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -387,19 +387,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        swept=args.param,
-        lo=args.lo,
-        hi=args.hi,
-        steps=args.steps,
-        lam=args.lam,
-        a_overlap=args.a_overlap,
-        beta=args.beta,
-        s_x=args.sx,
-        gamma=args.gamma,
-        delta=args.delta,
-        yz_angle=args.yz_angle,
-    )
+    given = vars(args)
+    spec = SweepSpec(**{f.name: given[f.name] for f in fields(SweepSpec) if f.name in given})
     _write_text(args.out, run_sweep(spec))
     return 0
 
@@ -411,28 +400,8 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _convert(kind, value, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
-
-
-def _config_int(value, what: str) -> int:
-    # int() would truncate 2.9 and accept true as 1.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-    return _convert(int, value, what)
-
-
-def _config_float(value, what: str) -> float:
-    # float() would accept true as 1.0.
-    if isinstance(value, bool):
-        raise InvalidInputError(f"{what} must be a number, got {value!r}")
-    return _convert(float, value, what)
-
-
 def _cmd_verify(args) -> int:
+    # The flags laid over the file; RunConfig checks every value and holds the defaults.
     settings: dict = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -445,24 +414,18 @@ def _cmd_verify(args) -> int:
         unknown = set(settings) - {"seed", "draws", "tolerances"}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    tolerances = settings.get("tolerances", {})
+    tolerances = settings.setdefault("tolerances", {})
     if not isinstance(tolerances, dict):
         raise InvalidInputError("config tolerances must be a JSON object of name: value")
-    tolerances = {
-        name: _config_float(value, f"tolerance {name!r}") for name, value in tolerances.items()
-    }
     for item in args.tolerance:
         name, _, value = item.partition("=")
         if not value:
             raise InvalidInputError(f"tolerance override must look like name=value: {item!r}")
-        tolerances[name] = _convert(float, value, f"tolerance {name!r}")
-    seed, draws = args.seed, args.draws
-    if seed is None:
-        seed = _config_int(settings.get("seed", 42), "seed")
-    if draws is None:
-        draws = _config_int(settings.get("draws", 1000), "draws")
-    config = RunConfig(seed=seed, draws=draws, tolerances=tolerances)
-    summary = run_verification(config)
+        tolerances[name] = value
+    for name in ("seed", "draws"):
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    summary = run_verification(RunConfig(**settings))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if all_passed(summary) else 1
 
@@ -495,8 +458,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="recombining beam-splitter angle")
     report.set_defaults(handler=_cmd_report)
 
-    sweep = sub.add_parser("sweep", help="one-parameter sweep written as CSV")
-    sweep.add_argument("--param", choices=["s_x", "sx", "beta"], required=True,
+    # Each flag's dest is a SweepSpec field; one left out is absent from the
+    # namespace, so SweepSpec's default holds.
+    sweep = sub.add_parser("sweep", help="one-parameter sweep written as CSV",
+                           argument_default=argparse.SUPPRESS)
+    sweep.add_argument("--param", dest="swept", choices=["s_x", "sx", "beta"], required=True,
+                       type=lambda text: "s_x" if text == "sx" else text,
                        help="which parameter to sweep")
     sweep.add_argument("--lo", type=parse_angle, required=True)
     sweep.add_argument("--hi", type=parse_angle, required=True)
@@ -504,13 +471,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lam", type=float, required=True,
                        help="squared Bloch length, held fixed along the sweep")
     sweep.add_argument("--A", dest="a_overlap", type=float, required=True)
-    sweep.add_argument("--beta", type=parse_angle, default=None,
+    sweep.add_argument("--beta", type=parse_angle,
                        help="fixed beta (required when sweeping s_x)")
-    sweep.add_argument("--sx", type=float, default=None,
+    sweep.add_argument("--sx", dest="s_x", metavar="SX", type=float,
                        help="fixed s_x (required when sweeping beta)")
-    sweep.add_argument("--gamma", type=parse_angle, default=0.0)
-    sweep.add_argument("--delta", type=parse_angle, default=0.0)
-    sweep.add_argument("--yz-angle", dest="yz_angle", type=parse_angle, default=0.0,
+    sweep.add_argument("--gamma", type=parse_angle)
+    sweep.add_argument("--delta", type=parse_angle)
+    sweep.add_argument("--yz-angle", dest="yz_angle", type=parse_angle,
                        help="direction of the (s_y, s_z) share of lam")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -531,8 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "param", None) == "sx":
-        args.param = "s_x"
     try:
         return args.handler(args)
     except (DualityError, OSError) as exc:

@@ -22,6 +22,8 @@ from .linalg import (
     PAULI_Z,
     DensityOperator,
     _kron2,
+    _select,
+    _sin_cos,
     check_densities,
 )
 
@@ -55,22 +57,12 @@ def _onto_bloch_ball(s_x, s_y, s_z, lam):
     # The division repeats on the result's own rounded squared length until
     # its square root rounds to 1, which leaves that length at most one ulp
     # above 1: the result is a fixed point, so a state rebuilt from its
-    # components is the same state.
-    if isinstance(lam, np.ndarray):
-        root = np.where(lam > 1.0, np.sqrt(lam), 1.0)
-        while True:
-            s_x, s_y, s_z = np.clip(s_x / root, -1.0, 1.0), s_y / root, s_z / root
-            root = np.sqrt(np.maximum(s_x * s_x + s_y * s_y + s_z * s_z, 1.0))
-            if not (root > 1.0).any():
-                return s_x, s_y, s_z, np.minimum(lam, 1.0)
-    if lam <= 1.0:
-        return s_x, s_y, s_z, lam
-    root = math.sqrt(lam)
-    while True:
-        s_x, s_y, s_z = min(max(s_x / root, -1.0), 1.0), s_y / root, s_z / root
-        root = math.sqrt(max(s_x * s_x + s_y * s_y + s_z * s_z, 1.0))
-        if root == 1.0:
-            return s_x, s_y, s_z, 1.0
+    # components is the same state. A point's values come back as numpy scalars.
+    root = np.sqrt(np.maximum(lam, 1.0))
+    while (root > 1.0).any():
+        s_x, s_y, s_z = np.clip(s_x / root, -1.0, 1.0), s_y / root, s_z / root
+        root = np.sqrt(np.maximum(s_x * s_x + s_y * s_y + s_z * s_z, 1.0))
+    return s_x, s_y, s_z, np.minimum(lam, 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ class BlochState:
         if lam > 1.0:  # the only points _onto_bloch_ball moves
             projected = _onto_bloch_ball(self.s_x, self.s_y, self.s_z, lam)
             for name, value in zip(("s_x", "s_y", "s_z", "lam"), projected):
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, float(value))
 
     @property
     def yz_norm(self) -> float:
@@ -299,13 +291,6 @@ def evolve(
     return DensityOperator(_evolve(*_one_point(state, det, beta, phi))[0])
 
 
-def _sin_cos(angle):
-    # (sin, cos) of an angle by math, or of an array of them by numpy.
-    if isinstance(angle, np.ndarray):
-        return np.sin(angle), np.cos(angle)
-    return math.sin(angle), math.cos(angle)
-
-
 def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) -> np.ndarray:
     # evolve_closed_form's four terms summed entry by entry, of floats or of
     # 1-D arrays with one entry per point: shape (1, 4, 4) or (n, 4, 4). The
@@ -422,11 +407,8 @@ def port_terms(s_x, beta):
     dark where it vanishes. The closest double to pi counts as an exact half
     turn, so the boundary statements V=0, D=1, residual=0 hold exactly.
     """
-    if isinstance(beta, np.ndarray):
-        sin_beta, cos_beta = np.where(beta == math.pi, 0.0, np.sin(beta)), np.cos(beta)
-    else:
-        sin_beta, cos_beta = (0.0 if beta == math.pi else math.sin(beta)), math.cos(beta)
-    return sin_beta, 1.0 + s_x * cos_beta
+    sin_beta, cos_beta = _sin_cos(beta)
+    return _select(beta == math.pi, 0.0, sin_beta), 1.0 + s_x * cos_beta
 
 
 def _port_a_closed(s_x, yz_norm, alpha, a_overlap, gamma, beta, phi):

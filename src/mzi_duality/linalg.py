@@ -109,7 +109,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     if trace_err > TRACE_TOL:
         raise InvalidInputError(f"density operator trace deviates from 1 by {trace_err:.3e}")
     if m.shape[-1] == 2:
-        mean, radius = _mean_radius(*_entries(m.reshape(-1, 2, 2)))
+        with np.errstate(over="ignore"):  # a modulus beyond the float range: -inf
+            mean, radius = _mean_radius(*_entries(m.reshape(-1, 2, 2)))
         lowest = mean - radius
     else:
         lowest = np.linalg.eigvalsh(m)[..., 0]
@@ -241,6 +242,13 @@ def _any(cond) -> bool:
     return cond
 
 
+def _sin_cos(angle):
+    # (sin, cos) of an angle by math, or of an array of them by numpy.
+    if isinstance(angle, np.ndarray):
+        return np.sin(angle), np.cos(angle)
+    return math.sin(angle), math.cos(angle)
+
+
 def _modulus(x, y):
     # |x + iy| by libm's hypot, of floats or of arrays (the one modulus rule,
     # check_densities). Of floats, abs raises OverflowError where the modulus
@@ -345,4 +353,7 @@ def _hermitian_eig2(a, c, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_norm(h) -> float:
     """Sum of the absolute eigenvalues of a Hermitian 2x2 matrix."""
-    return _trace_norm(*_checked_hermitian(h, "trace_norm"))
+    norm = _trace_norm(*_checked_hermitian(h, "trace_norm"))
+    if norm == math.inf:  # each eigenvalue is in the float range, their sum is not
+        raise InvalidInputError("matrix trace norm exceeds the float range")
+    return norm

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,20 +56,41 @@ from .linalg import _entries, _hermitian_eig2, check_densities, hermiticity_defe
 GRID_STEP = 1e-4
 
 
+def _setting(kind, value, what: str):
+    # kind(value), for kind int or float, with a failed conversion as invalid
+    # input. Alone, int() would truncate 2.9, and both would take True as 1.
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if fractional or isinstance(value, (bool, np.bool_)):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"{what} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed, draw count, and per-suite tolerance overrides for one verify run."""
+    """Seed, draw count, and per-suite tolerance overrides for one verify run,
+    checked here for library callers and the CLI alike: taken by int() and
+    float(), so 5, 5.0 and "5" agree, with booleans and fractional counts invalid."""
 
     seed: int = 42
     draws: int = 1000
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, Mapping):
+            raise InvalidInputError("tolerances must be a mapping of name: value")
+        tolerances = {k: _setting(float, v, f"tolerance {k!r}") for k, v in self.tolerances.items()}
+        object.__setattr__(self, "tolerances", tolerances)
+        object.__setattr__(self, "seed", _setting(int, self.seed, "seed"))
+        object.__setattr__(self, "draws", _setting(int, self.draws, "draws"))
         if self.draws < 1:
             raise InvalidInputError("draws must be at least 1")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed!r}")
-        for name, value in self.tolerances.items():
+        for name, value in tolerances.items():
             if name not in CHECKS:
                 known = ", ".join(sorted(CHECKS))
                 raise InvalidInputError(f"unknown tolerance {name!r}; known: {known}")
@@ -76,7 +98,7 @@ class RunConfig:
                 raise InvalidInputError(f"tolerance {name!r} must be finite and positive")
 
     def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, CHECKS[name].tolerance))
+        return self.tolerances.get(name, CHECKS[name].tolerance)
 
 
 def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:

@@ -862,3 +862,43 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     ):
         config.write_text(json.dumps(bad))
         assert main(["verify", "--config", str(config)]) == 2
+
+
+# test_verify_rejects_bad_config's bad settings that are JSON objects, and more
+# that only a library caller can pass.
+BAD_SETTINGS = [
+    {"draws": "x"},
+    {"tolerances": [1, 2]},
+    {"draws": 2.9, "seed": True},
+    {"draws": 2.9},
+    {"seed": True},
+    {"draws": False},
+    {"seed": 1.5},
+    {"draws": float("inf")},
+    {"draws": 5, "tolerances": {"visibility_oracle": True}},
+    {"draws": True},
+    {"seed": np.True_},
+    {"seed": None},
+    {"draws": float("nan")},
+    {"draws": 5, "tolerances": {"visibility_oracle": 10**400}},
+    {"draws": 5, "tolerances": {"visibility_oracle": None}},
+]
+
+
+@pytest.mark.parametrize("settings", BAD_SETTINGS)
+def test_run_config_rejects_every_bad_setting(settings):
+    # The library route raises InvalidInputError, never a bare TypeError.
+    with pytest.raises(InvalidInputError):
+        verify.run_verification(verify.RunConfig(**settings))
+
+
+def test_run_config_takes_an_int_an_integral_float_and_numeric_text_alike():
+    expected = verify.run_verification(
+        verify.RunConfig(seed=5, draws=3, tolerances={"visibility_oracle": 1e-9})
+    )
+    for seed, draws, tolerance in ((5, 3, 1e-9), (5.0, 3.0, "1e-9"), ("5", "3", "1e-9")):
+        config = verify.RunConfig(seed=seed, draws=draws, tolerances={"visibility_oracle": tolerance})
+        assert (config.seed, config.draws, config.tolerance("visibility_oracle")) == (5, 3, 1e-9)
+        assert type(config.seed) is type(config.draws) is int
+        assert verify.run_verification(config) == expected
+    assert verify.RunConfig(draws=1, tolerances={"extremum_loci": 1}).tolerance("extremum_loci") == 1.0

@@ -327,22 +327,31 @@ def test_2x2_check_quotes_a_defect_beyond_the_float_range_as_inf():
 # A finite diagonal entry whose imaginary part is so large that m - m^H overflows.
 OVERFLOWING_DIAGONAL = np.diag([1.5e308 + 1.5e308j, -1.5e308])
 OVERFLOWING_DIAGONAL_4X4 = np.diag([1.5e308 + 1.5e308j, -1.5e308, 0.0, 0.0])
+# A finite, Hermitian, unit-trace 2x2 whose off-diagonal modulus, and so its
+# eigenvalue half-gap, overflows.
+OVERFLOWING_OFF_DIAGONAL = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
+DEFECT_INF = r"is not Hermitian \(defect inf\)"
+NEGATIVE_INF = "density operator has negative eigenvalue -inf"
 
 
 @pytest.mark.parametrize(
     "call, m, message",
     [
-        (check_densities, np.array([OVERFLOWING_DIAGONAL, IDENTITY_2 / 2]), "density operator"),
-        (check_densities, OVERFLOWING_DIAGONAL_4X4, "density operator"),
-        (check_densities, np.array([OVERFLOWING_DIAGONAL_4X4, np.eye(4) / 4]), "density operator"),
-        (DensityOperator, OVERFLOWING_DIAGONAL_4X4, "density operator"),
-        (hermitian_eig2, OVERFLOWING_DIAGONAL, "matrix"),
+        (check_densities, np.array([OVERFLOWING_DIAGONAL, IDENTITY_2 / 2]), f"density operator {DEFECT_INF}"),
+        (check_densities, OVERFLOWING_DIAGONAL_4X4, f"density operator {DEFECT_INF}"),
+        (check_densities, np.array([OVERFLOWING_DIAGONAL_4X4, np.eye(4) / 4]), f"density operator {DEFECT_INF}"),
+        (DensityOperator, OVERFLOWING_DIAGONAL_4X4, f"density operator {DEFECT_INF}"),
+        (hermitian_eig2, OVERFLOWING_DIAGONAL, f"matrix {DEFECT_INF}"),
+        (DensityOperator, OVERFLOWING_OFF_DIAGONAL, NEGATIVE_INF),
+        (check_densities, np.array([OVERFLOWING_OFF_DIAGONAL, IDENTITY_2 / 2]), NEGATIVE_INF),
     ],
-    ids=["2x2 stack", "4x4", "4x4 stack", "4x4 density operator", "eig"],
+    ids=["2x2 stack", "4x4", "4x4 stack", "4x4 density operator", "eig",
+         "off-diagonal density operator", "off-diagonal 2x2 stack"],
 )
 def test_checks_quote_an_overflowing_defect_as_inf(call, m, message):
-    # The defect overflows where it is computed; the check rejects it, with no RuntimeWarning.
-    with pytest.raises(InvalidInputError, match=rf"^{message} is not Hermitian \(defect inf\)$"):
+    # The defect, or the 2x2 eigenvalue half-gap, overflows where it is
+    # computed; the check rejects it, quoting inf, with no RuntimeWarning.
+    with pytest.raises(InvalidInputError, match=rf"^{message}$"):
         call(m)
 
 
@@ -363,6 +372,16 @@ def test_a_modulus_beyond_the_float_range_is_invalid_input(call, m):
     # return inf eigenvalues with a RuntimeWarning.
     with pytest.raises(InvalidInputError, match="^matrix eigenvalues exceed the float range$"):
         call(np.array(m))
+
+
+def test_a_trace_norm_beyond_the_float_range_is_invalid_input():
+    # The eigenvalues +-1.72e308 are in the float range, and hermitian_eig2
+    # returns them; the trace norm, their absolute sum, is not.
+    m = np.array([[0.85e308, 1.5e308], [1.5e308, -0.85e308]])
+    values, _ = hermitian_eig2(m)
+    assert np.isfinite(values).all() and values[0] == -values[1]
+    with pytest.raises(InvalidInputError, match="^matrix trace norm exceeds the float range$"):
+        trace_norm(m)
 
 
 def test_partial_trace_rejects_wrong_dim():
