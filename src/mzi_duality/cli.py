@@ -32,7 +32,7 @@ from .duality import (
     weights_message,
     weights_sum_to_one,
 )
-from .errors import DualityError, InvalidInputError, require_finite, require_in_range
+from .errors import DualityError, InvalidInputError, _setting, require_finite, require_in_range
 from .interferometer import (
     BLOCH_NORM_TOL,
     BeamSplitterAngle,
@@ -230,6 +230,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.swept not in ("s_x", "beta"):
             raise InvalidInputError("swept parameter must be 's_x' or 'beta'")
+        object.__setattr__(self, "steps", _setting(int, self.steps, "steps"))
         if self.steps < 2:
             raise InvalidInputError("steps must be at least 2")
         if not self.lo < self.hi:

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class DualityError(Exception):
     """Base class for every error raised by this package."""
@@ -41,6 +43,20 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
+def _setting(kind, value, what: str):
+    # kind(value), for kind int or float, with a failed conversion as invalid
+    # input (RunConfig's and SweepSpec's settings). Alone, int() would
+    # truncate 2.9, and both would take True as 1.
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if fractional or isinstance(value, (bool, np.bool_)):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"{what} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
 def require_in_range(name: str, value, hi: float = 1.0) -> None:

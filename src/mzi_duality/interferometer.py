@@ -8,6 +8,7 @@ is expressed on the path basis (|b>, |a>), detector appended second.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     DensityOperator,
-    _kron2,
+    _exp_i,
     _select,
     _sin_cos,
     check_densities,
@@ -137,14 +138,14 @@ class PhaseShift:
 
 def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
     """DetectorConfig's marking unitary, unit determinant by construction:
-    (2, 2) of floats, or an (n, 2, 2) stack of 1-D arrays. Inputs are taken
-    as validated; 0 <= a_overlap <= 1 keeps 1 - a_overlap**2 nonnegative."""
+    (2, 2) of floats, on Python complex numbers (math.sqrt, cmath.exp), or
+    an (n, 2, 2) stack of 1-D arrays, on arrays (np.sqrt, np.exp). Inputs are
+    taken as validated; 0 <= a_overlap <= 1 keeps 1 - a_overlap**2 nonnegative."""
     a = a_overlap
-    b = np.sqrt(1.0 - a * a)
-    eg, ed = np.exp(1j * gamma), np.exp(1j * delta)
+    b = (np.sqrt if isinstance(a, np.ndarray) else math.sqrt)(1.0 - a * a)
+    eg, ed = _exp_i(gamma), _exp_i(delta)
     entries = np.array([a * eg, -b * ed.conjugate(), b * ed, a * eg.conjugate()])
-    # b.shape, not np.shape(a): a float's np.shape costs more than the formula.
-    return entries.T.reshape(b.shape + (2, 2))
+    return entries.T.reshape(entries.shape[1:] + (2, 2))
 
 
 def _marked_states(unitary) -> np.ndarray:
@@ -211,49 +212,54 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
 
 def _phase_diagonals(phi) -> np.ndarray:
     # The diagonal of the phase shifter lifted onto path (x) detector, of a
-    # phase or of each of an array of them: shape phi.shape + (4,).
+    # float phase by cmath, shape (4,), or of each of an array of phases by
+    # numpy, shape phi.shape + (4,); both exponentiate phi * _PHASE_SIGNS.
+    if isinstance(phi, float):
+        minus, plus = cmath.exp(phi * -1j), cmath.exp(phi * 1j)
+        return np.array([minus, minus, plus, plus])
     return np.exp(np.asarray(phi, dtype=float)[..., None] * _PHASE_SIGNS)
 
 
-def _beam_splitters(beta) -> np.ndarray:
-    # Rotation by beta about the y axis, for an angle or each of an array of them.
-    half = 0.5 * np.asarray(beta, dtype=float)
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    entries = np.array([cos_h, -sin_h, sin_h, cos_h], dtype=complex)
-    return entries.T.reshape(half.shape + (2, 2))
-
-
-def _marking_operators(unitary) -> np.ndarray:
-    # 1 (+) U for a (2, 2) marking unitary or each of an (n, 2, 2) stack.
-    unitary = np.asarray(unitary)
-    m = np.zeros(unitary.shape[:-2] + (4, 4), dtype=complex)
-    m[..., :2, :2] = IDENTITY_2
-    m[..., 2:, 2:] = unitary
-    return m
-
-
-def _lift_path(u: np.ndarray) -> np.ndarray:
-    # u (x) 1 for a 2x2 path operator or each of a stack of them.
-    return _kron2(u, IDENTITY_2)
+def _tail(unitary, beta) -> np.ndarray:
+    # The pipeline after the phase shifter, T = (R(beta) x 1)(1 (+) U) =
+    # [[c 1, -s U], [s 1, c U]], c = cos(beta/2) and s = sin(beta/2), in real
+    # and imaginary parts, eight to a row: of a point's float beta and (2, 2)
+    # U on Python floats, shape (1, 4, 4); of a 1-D beta and one U or an
+    # (n, 2, 2) stack on arrays, (n, 4, 4). Each part is one rounded product,
+    # as in the lifted matrix product, where an exact zero sums to +0.0:
+    # hence 0.0 - x, x + 0.0 and + 0.0 on the half angle. (An underflowed
+    # product is +0.0 too; a fused BLAS kernel keeps its sign in the lift.)
+    if isinstance(beta, float):
+        half = 0.5 * beta + 0.0
+        s, c = math.sin(half), math.cos(half)
+        (a, b), (d, e) = unitary.tolist()
+        return np.array([
+            c, 0.0, 0.0, 0.0, 0.0 - s * a.real, 0.0 - s * a.imag, 0.0 - s * b.real, 0.0 - s * b.imag,
+            0.0, 0.0, c, 0.0, 0.0 - s * d.real, 0.0 - s * d.imag, 0.0 - s * e.real, 0.0 - s * e.imag,
+            s, 0.0, 0.0, 0.0, c * a.real + 0.0, c * a.imag + 0.0, c * b.real + 0.0, c * b.imag + 0.0,
+            0.0, 0.0, s, 0.0, c * d.real + 0.0, c * d.imag + 0.0, c * e.real + 0.0, c * e.imag + 0.0,
+        ]).view(complex).reshape(1, 4, 4)  # fmt: skip
+    u = np.ascontiguousarray(unitary).reshape(-1, 2, 2).view(float)  # (1 or n, 2, 4)
+    s, c = _sin_cos(0.5 * np.asarray(beta, dtype=float) + 0.0)
+    parts = np.zeros((max(len(u), len(s)), 4, 8))
+    parts[:, 0, 0] = parts[:, 1, 2] = c
+    parts[:, 2, 0] = parts[:, 3, 2] = s
+    parts[:, :2, 4:] = 0.0 - s[:, None, None] * u
+    parts[:, 2:, 4:] = c[:, None, None] * u + 0.0
+    return parts.view(complex)
 
 
 # The input splitter is always the symmetric one H, so it is lifted once. The
 # joint input rho (x) |r><r| is nonzero only where the detector is in its start
 # state r (rows and columns 0 and 2), so the splitter acts on it through those
 # columns alone: S (rho (x) |r><r|) S^H = S0 rho S0^H, H rho H^H on them.
-_SYMMETRIC_SPLITTER = _beam_splitters(math.pi / 2)
-_SPLITTER_ON_START = _lift_path(_SYMMETRIC_SPLITTER)[:, ::2]
+_SYMMETRIC_SPLITTER = _tail(IDENTITY_2, [math.pi / 2])[0, ::2, ::2]
+_SPLITTER_ON_START = np.kron(_SYMMETRIC_SPLITTER, IDENTITY_2)[:, ::2]
 
 
 def _one_point(state, det, beta, phi) -> tuple:
-    # The stacked pipeline's arguments for a single point.
-    return [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta], [phi.phi]
-
-
-def _tail(unitary, beta) -> np.ndarray:
-    # The pipeline after the phase shifter, T = (recombiner x 1)(1 (+) U),
-    # of each point: (n, 4, 4).
-    return _lift_path(_beam_splitters(beta)) @ _marking_operators(unitary)
+    # The stacked pipeline's arguments for a single point, beta and phi as floats.
+    return [state.s_x], [state.s_y], [state.s_z], det.unitary, float(beta.beta), phi.phi
 
 
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
@@ -270,10 +276,11 @@ def evolve_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
 
     ``s_x``, ``s_y``, ``s_z``, ``beta`` and ``phi`` are 1-D arrays with one
     entry per point, of validated inputs; ``unitary`` is one (2, 2) marking
-    unitary for every point or an (n, 2, 2) stack of them. The factors are
-    stacked along the first axis and multiplied as broadcast matrix
-    products, and every input and output matrix passes DensityOperator's
-    checks (linalg.check_densities).
+    unitary for every point or an (n, 2, 2) stack of them. The tail is
+    written entry by entry (_tail), so a point's matrix is its stack row to
+    the bit; only K = T (d o S0) and K rho K^H are broadcast matrix products.
+    Every input and output matrix passes DensityOperator's checks
+    (linalg.check_densities).
     """
     return check_densities(_evolve(s_x, s_y, s_z, unitary, beta, phi))
 

@@ -168,14 +168,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Entry (2i+k, 2j+l) is the single product a[i,j]*b[k,l], as in np.kron,
-    # without np.kron's generic-shape overhead. Leading axes are stack axes
-    # and broadcast.
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (4, 4))
-
-
 def _coerce_density(rho, name: str) -> DensityOperator:
     if isinstance(rho, DensityOperator):
         return rho
@@ -247,6 +239,13 @@ def _sin_cos(angle):
     if isinstance(angle, np.ndarray):
         return np.sin(angle), np.cos(angle)
     return math.sin(angle), math.cos(angle)
+
+
+def _exp_i(angle):
+    # e^{i*angle} of an angle by cmath, or of an array of them by numpy.
+    if isinstance(angle, np.ndarray):
+        return np.exp(1j * angle)
+    return cmath.exp(1j * angle)
 
 
 def _modulus(x, y):

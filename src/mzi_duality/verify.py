@@ -36,7 +36,7 @@ from .duality import (
     visibility_peak_fixed_sx,
     visibility_scans,
 )
-from .errors import DualityError, InvalidInputError
+from .errors import DualityError, InvalidInputError, _setting
 from .interferometer import (
     BeamSplitterAngle,
     TWO_PI,
@@ -54,19 +54,6 @@ from .linalg import _entries, _hermitian_eig2, check_densities, hermiticity_defe
 # Brute-force extremum searches walk the closed forms at this resolution and
 # must land within 1e-3 of the predicted locus.
 GRID_STEP = 1e-4
-
-
-def _setting(kind, value, what: str):
-    # kind(value), for kind int or float, with a failed conversion as invalid
-    # input. Alone, int() would truncate 2.9, and both would take True as 1.
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if fractional or isinstance(value, (bool, np.bool_)):
-        noun = "an integer" if kind is int else "a number"
-        raise InvalidInputError(f"{what} must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import threading
 import warnings
@@ -262,6 +263,32 @@ def test_sweep_spec_validation():
         small_sx_spec(yz_angle=math.inf)
     with pytest.raises(InvalidInputError):
         SweepSpec(swept="beta", lo=0, hi=math.pi, steps=5, lam=0.2, a_overlap=0.5, s_x=math.nan)
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (2.5, "steps must be an integer, got 2.5"),
+        (True, "steps must be an integer, got True"),
+        (np.bool_(True), "steps must be an integer, got "),
+        (math.inf, "steps must be an integer, got inf"),
+        ("three", "steps must be int, got 'three'"),
+        (None, "steps must be int, got None"),
+    ],
+)
+def test_sweep_spec_rejects_a_step_count_that_is_not_an_integer(steps, message):
+    # The same check as RunConfig's integer settings: invalid input, never a
+    # bare TypeError from np.linspace or a boolean taken as 1.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        small_sx_spec(steps=steps)
+
+
+def test_sweep_spec_takes_an_integral_step_count_as_that_integer():
+    spec = small_sx_spec(steps=3.0)
+    assert spec.steps == 3 and type(spec.steps) is int
+    assert spec == small_sx_spec(steps=3)
+    assert run_sweep(spec) == run_sweep(small_sx_spec(steps=3))
+    assert run_sweep(small_sx_spec(steps="13")) == run_sweep(small_sx_spec())
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from draws import draw_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lifted import beam_splitters, kron2, lifted_tail
 
 from mzi_duality import interferometer
 from mzi_duality.errors import InvalidInputError
@@ -16,10 +17,9 @@ from mzi_duality.interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
-    _beam_splitters,
     _marked_states,
-    _marking_operators,
     _phase_diagonals,
+    _tail,
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
@@ -31,7 +31,7 @@ from mzi_duality.interferometer import (
     phase_probe,
     port_terms,
 )
-from mzi_duality.linalg import DensityOperator, _kron2, partial_trace_path
+from mzi_duality.linalg import DensityOperator, partial_trace_path
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -164,11 +164,29 @@ def test_detector_config_trivial_and_orthogonal_marking():
     )
 
 
+# Marking phases at the signed zeros and at tiny and large magnitudes, where
+# libm's sin and cos, under cmath.exp (a detector's unitary) and np.exp (a
+# stack's), take their small-argument and argument-reduction paths. No phase
+# here makes a product of U underflow: there numpy's fused complex product and
+# Python's unfused one can round to zeros of opposite sign.
+MARKING_PHASES = [0.0, -0.0, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
+
+
+def marking_phase_pairs(rng, count):
+    # Every pair of MARKING_PHASES, then count seeded pairs up to |1e6|.
+    pairs = [(g, d) for g in MARKING_PHASES for d in MARKING_PHASES]
+    return pairs + [tuple(rng.uniform(-1e6, 1e6, 2).tolist()) for _ in range(count)]
+
+
 def test_detector_unitary_is_built_once_and_read_only():
-    # Bit-equal to the marking-unitary formula, including the A = 0, 1 edges.
+    # Bit-equal to the marking-unitary formula, including the A = 0, 1 edges,
+    # at phases in [-10, 10] and on MARKING_PHASES and up to |1e6|.
     rng = np.random.default_rng(29)
-    for a in [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]:
-        gamma, delta = rng.uniform(-10.0, 10.0, 2).tolist()
+    overlaps = [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
+    phases = [tuple(rng.uniform(-10.0, 10.0, 2).tolist()) for _ in overlaps]
+    phases += marking_phase_pairs(rng, 100)
+    for i, (gamma, delta) in enumerate(phases):
+        a = overlaps[i % len(overlaps)]
         det = DetectorConfig(a, gamma, delta)
         assert det.unitary is det.unitary
         assert not det.unitary.flags.writeable
@@ -198,13 +216,16 @@ def test_detector_marked_state_is_built_once_and_read_only():
 
 
 def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
-    # Bit for bit, at A in {0, 1}, at zero marking phases and on seeded draws.
+    # Bit for bit, a detector's cmath.exp against the stack's np.exp: at A in
+    # {0, 1}, at zero marking phases, on MARKING_PHASES and up to |1e6|, and
+    # on seeded draws.
     rng = np.random.default_rng(31)
     dets = [
         DetectorConfig(a, gamma, delta)
         for a in (0.0, 1.0, 0.37)
         for gamma, delta in [(0.0, 0.0), (0.0, 2.5), tuple(rng.uniform(-10.0, 10.0, 2).tolist())]
     ]
+    dets += [DetectorConfig(0.37, gamma, delta) for gamma, delta in marking_phase_pairs(rng, 100)]
     dets += [draw_point(rng)[1] for _ in range(200)]
     stack = marking_unitaries(
         *(np.array([getattr(d, name) for d in dets]) for name in ("a_overlap", "gamma", "delta"))
@@ -239,24 +260,24 @@ def test_phase_shifter_values():
     phis = np.array([0.3, -2.0, 7.5])
     expected = [np.diag(np.kron(np.diag(np.exp(phi * np.array([-1j, 1j]))), I2)) for phi in phis]
     np.testing.assert_array_equal(_phase_diagonals(phis), expected)
+    # A float phase (cmath.exp) is its row of a stack (np.exp) to the bit.
+    phis = [0.0, -0.0, 1e-300, math.pi, TWO_PI - 1e-9, 1e6, *np.random.default_rng(32).uniform(0, 7, 200)]
+    stack = _phase_diagonals(np.array(phis))
+    for phi, row in zip(phis, stack):
+        assert _phase_diagonals(float(phi)).tobytes() == row.tobytes()
 
 
 def test_beam_splitter_values():
-    np.testing.assert_allclose(_beam_splitters(0.0), I2, atol=1e-15)
-    np.testing.assert_allclose(
-        _beam_splitters(math.pi), np.array([[0, -1], [1, 0]]), atol=1e-15
-    )
+    # The tail with no marking is the recombiner lifted onto path (x) detector.
     s = 1 / math.sqrt(2)
-    np.testing.assert_allclose(
-        _beam_splitters(math.pi / 2),
-        np.array([[s, -s], [s, s]]),
-        atol=1e-15,
-    )
+    for beta, splitter in [(0.0, I2), (math.pi, [[0, -1], [1, 0]]), (math.pi / 2, [[s, -s], [s, s]])]:
+        np.testing.assert_allclose(_tail(I2, beta)[0], np.kron(splitter, I2), atol=1e-15)
 
 
 def test_marking_operator_block_structure():
-    np.testing.assert_allclose(_marking_operators(DetectorConfig(1.0).unitary), I4, atol=1e-15)
-    m = _marking_operators(DetectorConfig(0.0).unitary)
+    # The tail at full transmission is the marking operator 1 (+) U.
+    np.testing.assert_allclose(_tail(DetectorConfig(1.0).unitary, 0.0)[0], I4, atol=1e-15)
+    m = _tail(DetectorConfig(0.0).unitary, 0.0)[0]
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = I2
     expected[2:, 2:] = np.array([[0, -1], [1, 0]])
@@ -266,9 +287,50 @@ def test_marking_operator_block_structure():
 @settings(max_examples=100, deadline=None)
 @given(angles, phases, overlaps, phases, phases)
 def test_pipeline_operators_are_unitary(beta, phi, a, gamma, delta):
-    assert unitarity_defect(_beam_splitters(beta)) <= 1e-12
     assert np.abs(np.abs(_phase_diagonals(phi)) - 1.0).max() <= 1e-12
-    assert unitarity_defect(_marking_operators(DetectorConfig(a, gamma, delta).unitary)) <= 1e-12
+    assert unitarity_defect(_tail(DetectorConfig(a, gamma, delta).unitary, beta)[0]) <= 1e-12
+
+
+def assert_tail_is_the_lifted_product(dets, betas):
+    # The tail of each point (Python floats), of the stack of them and of the
+    # stack of betas with each point's one shared unitary (arrays), to the
+    # bit of the lift-and-multiply reference.
+    unitary = np.stack([det.unitary for det in dets])
+    stack = _tail(unitary, np.array(betas))
+    assert stack.tobytes() == lifted_tail(unitary, betas).tobytes()
+    for det, beta, row in zip(dets, betas, stack):
+        point = _tail(det.unitary, beta)
+        assert point.shape == (1, 4, 4)
+        assert point.tobytes() == lifted_tail(det.unitary, [beta]).tobytes() == row.tobytes()
+    shared = _tail(dets[0].unitary, np.array(betas))
+    assert shared.tobytes() == lifted_tail(dets[0].unitary, betas).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 10, 241])
+def test_tail_is_the_lifted_product_on_draws(n):
+    rng = np.random.default_rng(700 + n)
+    points = [draw_point(rng) for _ in range(n)]
+    assert_tail_is_the_lifted_product([p[1] for p in points], [p[2].beta for p in points])
+
+
+def test_tail_is_the_lifted_product_at_the_edges():
+    # beta in {0, pi/2, pi} and A in {0, 1}, at zero, signed-zero and seeded
+    # marking phases, where entries of U and of T are zeros of either sign.
+    rng = np.random.default_rng(701)
+    phases = [(0.0, 0.0), (-0.0, math.pi), (math.pi / 2, -0.0), *rng.uniform(-10, 10, (3, 2)).tolist()]
+    dets = [DetectorConfig(a, *pair) for a in (0.0, 1.0) for pair in phases]
+    for beta in (0.0, -0.0, math.pi / 2, math.pi):
+        assert_tail_is_the_lifted_product(dets, [beta] * len(dets))
+    assert_tail_is_the_lifted_product(dets, [0.0, math.pi / 2, math.pi] * (len(dets) // 3))
+
+
+def test_tail_equals_the_lifted_product_where_a_product_underflows():
+    # s = sin(beta/2) times a part of U below 2^-1074: the tail's part is
+    # +0.0, the lifted product's keeps the product's sign where its BLAS
+    # kernel fuses the multiply-add, so only the values are held equal here.
+    det = DetectorConfig(1e-200, 0.5, math.pi)
+    for tail in (_tail(det.unitary, 1e-300), _tail(det.unitary, np.array([1e-300]))):
+        np.testing.assert_array_equal(tail, lifted_tail(det.unitary, [1e-300]))
 
 
 # --- Bloch vector to density -------------------------------------------------------
@@ -304,7 +366,7 @@ def test_evolve_with_trivial_tail_is_a_rotated_product_state():
     # full transmission at the recombiner, no phase, trivial marking
     state = BlochState(0, 0, 1)
     rho = evolve(state, DetectorConfig(1.0), BeamSplitterAngle(0.0), PhaseShift(0.0))
-    bs1 = _beam_splitters(math.pi / 2)
+    bs1 = beam_splitters(math.pi / 2)
     path = bs1 @ np.diag([1.0, 0.0]) @ bs1.conj().T
     expected = np.kron(path, np.diag([1.0, 0.0]))
     np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
@@ -382,7 +444,7 @@ def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
     detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
     cross = -0.25 * np.exp(2j * phi) * (s_z + 1j * s_y)
     weights = np.array([0.25 * (1.0 - s_x), cross.conj(), cross, 0.25 * (1.0 + s_x)]).T
-    return (weights[:, :, None, None] * _kron2(paths, detectors)).sum(axis=1)
+    return (weights[:, :, None, None] * kron2(paths, detectors)).sum(axis=1)
 
 
 # Pure states projected from BlochState's slack above the unit sphere.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lifted import kron2
 
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.linalg import (
@@ -15,7 +16,6 @@ from mzi_duality.linalg import (
     DensityOperator,
     _entries,
     _hermitian_eig2,
-    _kron2,
     _trace_norm,
     check_densities,
     hermitian_eig2,
@@ -50,41 +50,41 @@ def complex_2x2(draw):
     return re + 1j * im
 
 
-# --- Kronecker product ---------------------------------------------------------
+# --- Kronecker product (lifted.kron2, the tail reference's lift) -------------
 
 
 def test_tensor_identity():
-    np.testing.assert_array_equal(_kron2(IDENTITY_2, IDENTITY_2), I4)
+    np.testing.assert_array_equal(kron2(IDENTITY_2, IDENTITY_2), I4)
 
 
 def test_tensor_pauli_z_with_identity_is_diagonal():
     # basis order |b0>, |b1>, |a0>, |a1>
-    np.testing.assert_array_equal(_kron2(PAULI_Z, IDENTITY_2), np.diag([1, 1, -1, -1]))
+    np.testing.assert_array_equal(kron2(PAULI_Z, IDENTITY_2), np.diag([1, 1, -1, -1]))
 
 
 def test_tensor_xx_squares_to_identity():
-    xx = _kron2(PAULI_X, PAULI_X)
+    xx = kron2(PAULI_X, PAULI_X)
     np.testing.assert_allclose(xx @ xx, I4, atol=1e-15)
 
 
 @given(complex_2x2(), complex_2x2())
 def test_tensor_is_bitwise_kron(a, b):
-    assert np.array_equal(_kron2(a, b), np.kron(a, b))
+    assert np.array_equal(kron2(a, b), np.kron(a, b))
 
 
 @settings(max_examples=100, deadline=None)
 @given(complex_2x2(), complex_2x2(), complex_2x2(), complex_2x2())
 def test_tensor_mixed_product_property(a, b, c, d):
-    lhs = _kron2(a, b) @ _kron2(c, d)
-    rhs = _kron2(a @ c, b @ d)
+    lhs = kron2(a, b) @ kron2(c, d)
+    rhs = kron2(a @ c, b @ d)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(complex_2x2(), complex_2x2(), finite_entry, finite_entry)
 def test_tensor_is_bilinear(a, b, x, y):
-    lhs = _kron2(x * a + y * b, a)
-    rhs = x * _kron2(a, a) + y * _kron2(b, a)
+    lhs = kron2(x * a + y * b, a)
+    rhs = x * kron2(a, a) + y * kron2(b, a)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
