@@ -19,18 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .duality import (
-    DARK_PORT,
     closed_form_columns,
     distinguishability_kernel,
     distinguishability_trace_norms,
     duality_report,
     path_weights,
-    port_is_dark,
     visibility_kernel,
     visibility_scans,
-    weight_in_range,
-    weights_message,
-    weights_sum_to_one,
 )
 from .errors import DualityError, InvalidInputError, _setting, require_finite, require_in_range
 from .interferometer import (
@@ -38,9 +33,9 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    OUTCOMES,
     _onto_bloch_ball,
-    bloch_is_too_long,
-    bloch_length_message,
+    _outcomes,
     port_terms,
 )
 from .verify import RunConfig, all_passed, run_verification
@@ -266,16 +261,16 @@ def run_sweep(spec: SweepSpec) -> str:
     Every column is computed for all rows at once, the fixed parameter passed
     once as a length-1 column. Only the written fields are formatted, by
     _format_numbers: every row's param, and the lit rows' seven values. A row
-    is left blank, with a warning on stderr that quotes its param text, where
-    the scalar API would raise: all rows are screened as arrays by its rules'
-    predicates, and a flagged row's warning quotes the first that fails
-    (Bloch length, dark port, weights, the scan).
+    is left blank where the scalar API would raise: one
+    interferometer._outcomes call gives every row's outcome code, and a row
+    whose code is not 0 gets a warning on stderr that quotes its param text
+    and the message of the error the scalar API raises there (OUTCOMES).
     """
     params = spec.grid()
     fixed = np.array([spec.beta if spec.swept == "s_x" else spec.s_x])
     s_x, beta = (params, fixed) if spec.swept == "s_x" else (fixed, params)
-    # The input state of each row, as BlochState holds it; the length rule
-    # reads the raw squared length bloch_lam.
+    # The input state of each row, as BlochState holds it; the Bloch length
+    # rule reads the raw squared length bloch_lam.
     r = np.sqrt(np.maximum(spec.lam - s_x * s_x, 0.0))
     s_y, s_z = r * math.sin(spec.yz_angle), r * math.cos(spec.yz_angle)
     bloch_lam = s_x * s_x + s_y * s_y + s_z * s_z
@@ -287,24 +282,20 @@ def run_sweep(spec: SweepSpec) -> str:
         )
         v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         d_trace = distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b)
-        weights_ok = weight_in_range(omega_a) & weight_in_range(omega_b)
-        weights_ok &= weights_sum_to_one(omega_a, omega_b)
-    blank = bloch_is_too_long(bloch_lam) | port_is_dark(den) | ~weights_ok | ~scanned
-    lit = ~blank
+        codes = _outcomes(bloch_lam, den, omega_a, omega_b, scanned)
+    lit = codes == 0
     table = np.column_stack([v, v_scan, d, d_trace, residual, omega_a, omega_b])
     formatted = _format_numbers(np.concatenate([params, table[lit].ravel()]))
     fields = np.zeros((params.size, 8), formatted.dtype)
     fields[:, 0] = formatted[: params.size]
     fields[lit, 1:] = formatted[params.size :].reshape(-1, 7)
-    # The message chain, on flagged rows only; one no earlier rule explains is dark.
-    warnings = []
-    columns = np.broadcast_arrays(bloch_lam, den, omega_a, omega_b)
-    blank_params = fields[blank, 0].tolist()
-    for param, raw_lam, den_row, w_a, w_b in zip(blank_params, *(c[blank].tolist() for c in columns)):
-        lit_reason = None if port_is_dark(den_row) else weights_message(w_a, w_b)
-        reason = bloch_length_message(raw_lam) or lit_reason or DARK_PORT
-        warnings.append(f"warning: {spec.swept}={param.decode()} is degenerate ({reason})\n")
-    sys.stderr.write("".join(warnings))
+    blank = ~lit
+    columns = (c[blank].tolist() for c in np.broadcast_arrays(codes, bloch_lam, omega_a, omega_b))
+    sys.stderr.write("".join(
+        f"warning: {spec.swept}={param.decode()} is degenerate"
+        f" ({OUTCOMES[code][1].format(lam=raw_lam, omega_a=w_a, omega_b=w_b)})\n"
+        for param, code, raw_lam, w_a, w_b in zip(fields[blank, 0].tolist(), *columns)
+    ))
     return f"{SWEEP_HEADER}\n" + _csv_lines(fields)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DarkPortError,
     DegenerateBasisError,
     InvalidInputError,
     NoExtremumError,
@@ -26,34 +25,28 @@ from .errors import (
 from .interferometer import (
     _DETECTOR_START,
     BLOCH_NORM_TOL,
+    OUTCOMES,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
     _fringe_coefficients,
     _marked_states,
+    _outcomes,
+    _undefined,
     port_terms,
 )
-from .interferometer import phase_probe  # noqa: F401  (kept importable here; bench/tracing.py wraps it)
+# Kept importable here: phase_probe (bench/tracing.py wraps it) and the dark
+# port's threshold, whose message is DARK_PORT.
+from .interferometer import DENOMINATOR_TOL, phase_probe  # noqa: F401
 from .linalg import IDENTITY_2, _entries, _hermitian_eig2, _trace_norm
 
-DENOMINATOR_TOL = 1e-12
-WEIGHT_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 NORM_TOL = 1e-12
 BASIS_GAP_TOL = 1e-12
 COMPLEMENTARITY_TOL = 1e-10
 RESIDUAL_FLOOR = -1e-12
 
-DARK_PORT = "monitored port has zero intensity; V, D, the residual and the path weights are undefined"
-WEIGHT_RANGE_MESSAGE = "{name} out of [0, 1]: {value!r}"
-WEIGHT_SUM_MESSAGE = "path weights must sum to 1"
-
-
-def port_is_dark(den):
-    """Whether a port denominator (interferometer.port_terms), or each
-    of an array of them, leaves the monitored port dark, so that V, D, the
-    residual and the path weights are undefined there."""
-    return den <= DENOMINATOR_TOL
+DARK_PORT = OUTCOMES[2][1]
 
 
 def _bounded_s_x(s_x: float) -> float:
@@ -67,11 +60,12 @@ def _bounded_s_x(s_x: float) -> float:
 
 def _lit_port(s_x: float, beta: float) -> tuple[float, float, float]:
     # (s_x as _bounded_s_x returns it, sin beta, port denominator) of a point
-    # whose port is lit, else DarkPortError.
+    # whose port is lit, else the dark port's error (_outcomes).
     s_x = _bounded_s_x(s_x)
     sin_beta, den = port_terms(s_x, beta)
-    if port_is_dark(den):
-        raise DarkPortError(DARK_PORT)
+    code = _outcomes(den=den)
+    if code:
+        raise _undefined(code)
     return s_x, sin_beta, den
 
 
@@ -85,10 +79,10 @@ def _checked_port(s_x, a_overlap, beta):
 # The closed forms for V, D, the residual and the path weights, written once.
 # Arguments are scalars or broadcastable arrays; callers supply sin(beta) and
 # den = 1 + s_x cos(beta) from interferometer.port_terms. The scalar API
-# checks den through _lit_port; closed_form_columns leaves it to its callers,
-# and verify's extremum oracles and the figures run V and D on grids. V comes
-# back unclipped. Squares are products, which round the same for floats and
-# arrays (** uses pow).
+# screens den through _lit_port and the sweep the rows of closed_form_columns,
+# both by interferometer._outcomes; verify's extremum oracles and the figures
+# run V and D on grids. V comes back unclipped. Squares are products, which
+# round the same for floats and arrays (** uses pow).
 
 
 def visibility_kernel(yz, a_overlap, sin_beta, den):
@@ -120,33 +114,14 @@ def closed_form_columns(s_x, s_y, s_z, lam, a_overlap, beta) -> tuple:
 
     The points are taken as validated: nothing is checked, and a point whose
     port is dark divides by its own denominator ``den`` (1 + s_x cos beta),
-    which the caller tests with port_is_dark; ``lam`` is the squared length
-    the residual reads. A length-1 column, or a float, is one value for all points.
+    which the caller screens (interferometer._outcomes); ``lam`` is the
+    squared length the residual reads. A length-1 column, or a float, is one value for all points.
     """
     sin_beta, den = port_terms(s_x, beta)
     v = visibility_kernel(np.hypot(s_y, s_z), a_overlap, sin_beta, den).clip(0.0, 1.0)
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     residual = residual_kernel(lam, a_overlap, sin_beta, den)
     return (v, d, residual, *weights_kernel(s_x, beta, den), den)
-
-
-def weight_in_range(value):
-    """Whether a path weight, or each of an array, is in [0, 1] within WEIGHT_TOL (NaN is not)."""
-    return (-WEIGHT_TOL <= value) & (value <= 1.0 + WEIGHT_TOL)
-
-
-def weights_sum_to_one(omega_a, omega_b):
-    """Whether two path weights, or each pair from two arrays, sum to 1 within WEIGHT_TOL."""
-    return abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL
-
-
-def weights_message(omega_a: float, omega_b: float) -> str | None:
-    """Why finite path weights break the rules PathWeights enforces, or None: the
-    first of weight_in_range (omega_a, then omega_b) and weights_sum_to_one to fail."""
-    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
-        if not weight_in_range(value):
-            return WEIGHT_RANGE_MESSAGE.format(name=name, value=value)
-    return None if weights_sum_to_one(omega_a, omega_b) else WEIGHT_SUM_MESSAGE
 
 
 @dataclass(frozen=True)
@@ -158,9 +133,9 @@ class PathWeights:
 
     def __post_init__(self):
         require_finite(omega_a=self.omega_a, omega_b=self.omega_b)
-        message = weights_message(self.omega_a, self.omega_b)
-        if message is not None:
-            raise InvalidInputError(message)
+        code = _outcomes(omega_a=self.omega_a, omega_b=self.omega_b)
+        if code:
+            raise _undefined(code, omega_a=self.omega_a, omega_b=self.omega_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +219,13 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
     c0 + Re(c2 e^{-2i*phi}), folded on the start state's support alone
     (_fringe_coefficients), with ``defined`` False, and the visibility NaN,
     where p_max + p_min, the scan's own port denominator, leaves the port
-    dark (port_is_dark).
+    dark (_outcomes' dark-port rule).
     """
     c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
     amplitude = np.abs(c2)
     p_max, p_min = c0 + amplitude, c0 - amplitude
     total = p_max + p_min
-    defined = ~port_is_dark(total)
+    defined = _outcomes(den=total) == 0
     visibility = np.full(len(total), np.nan)
     np.divide(p_max - p_min, total, out=visibility, where=defined)
     return visibility, defined
@@ -265,8 +240,9 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
     visibility, defined = visibility_scans(
         [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]
     )
-    if not defined[0]:
-        raise DarkPortError(DARK_PORT)
+    code = _outcomes(scan_lit=defined[0])
+    if code:
+        raise _undefined(code)
     return float(visibility[0])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, require_finite, require_in_range
+from .errors import DarkPortError, DualityError, InvalidInputError, require_finite, require_in_range
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -29,7 +29,8 @@ from .linalg import (
 )
 
 BLOCH_NORM_TOL = 1e-12
-BLOCH_LENGTH_MESSAGE = "Bloch vector length squared {!r} exceeds 1"
+DENOMINATOR_TOL = 1e-12
+WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
@@ -38,16 +39,44 @@ _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
 # path (x) detector, is exp(phi * _PHASE_SIGNS).
 _PHASE_SIGNS = np.array([-1j, -1j, 1j, 1j])
 
+# --- the outcome of a point -------------------------------------------------------
 
-def bloch_is_too_long(lam):
-    """Whether a squared Bloch length, or each of an array of them, exceeds 1
-    by more than BLOCH_NORM_TOL: the rule BlochState enforces."""
-    return lam > 1.0 + BLOCH_NORM_TOL
+# The error a point raises where it is undefined: outcome code -> (error
+# class, message), the codes in the order _outcomes screens their rules (the
+# scan's own dark port, screened last, is code 2 too). Code 0 is lit. Each
+# message names the value it quotes.
+OUTCOMES = {
+    1: (InvalidInputError, "Bloch vector length squared {lam!r} exceeds 1"),
+    2: (DarkPortError, "monitored port has zero intensity; V, D, the residual and the path weights are undefined"),
+    3: (InvalidInputError, "omega_a out of [0, 1]: {omega_a!r}"),
+    4: (InvalidInputError, "omega_b out of [0, 1]: {omega_b!r}"),
+    5: (InvalidInputError, "path weights must sum to 1"),
+}
 
 
-def bloch_length_message(lam: float) -> str | None:
-    """Why a squared Bloch length ``lam`` is invalid (bloch_is_too_long), or None."""
-    return BLOCH_LENGTH_MESSAGE.format(lam) if bloch_is_too_long(lam) else None
+def _outcomes(lam=None, den=None, omega_a=None, omega_b=None, scan_lit=None):
+    # The outcome code of a point's floats, or of each point of a stack's
+    # arrays: the first rule it breaks, or 0. In the scalar API's order: lam
+    # at most 1 + BLOCH_NORM_TOL, the port denominator den above
+    # DENOMINATOR_TOL, omega_a and then omega_b in [0, 1] (NaN is not) and
+    # their sum 1, both within WEIGHT_TOL, then the scan's own port lit
+    # (scan_lit). A value left out (None) is not screened, so each scalar
+    # stage screens what it knows. The chain runs from the last rule to the
+    # first, on _select: one point makes no numpy call.
+    code = 0 if scan_lit is None else _select(scan_lit, 0, 2)
+    if omega_a is not None:
+        code = _select(abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL, code, 5)
+        for rule, weight in ((4, omega_b), (3, omega_a)):
+            code = _select((-WEIGHT_TOL <= weight) & (weight <= 1.0 + WEIGHT_TOL), code, rule)
+    if den is not None:
+        code = _select(den <= DENOMINATOR_TOL, 2, code)
+    return code if lam is None else _select(lam > 1.0 + BLOCH_NORM_TOL, 1, code)
+
+
+def _undefined(code, **values) -> DualityError:
+    # The error of a nonzero outcome code, its message quoting the point's values.
+    kind, message = OUTCOMES[code]
+    return kind(message.format(**values))
 
 
 def _onto_bloch_ball(s_x, s_y, s_z, lam):
@@ -85,9 +114,9 @@ class BlochState:
     def __post_init__(self):
         require_finite(s_x=self.s_x, s_y=self.s_y, s_z=self.s_z)
         lam = self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
-        message = bloch_length_message(lam)
-        if message is not None:
-            raise InvalidInputError(message)
+        code = _outcomes(lam=lam)
+        if code:
+            raise _undefined(code, lam=lam)
         object.__setattr__(self, "lam", lam)
         if lam > 1.0:  # the only points _onto_bloch_ball moves
             projected = _onto_bloch_ball(self.s_x, self.s_y, self.s_z, lam)

@@ -421,9 +421,10 @@ EDGE_SPECS = [
     # next to the dark port: 60 of 61 rows blank on the weights' sum
     SweepSpec(swept="beta", lo=0.0, hi=1e-3, steps=61, lam=1.0, a_overlap=0.4,
               s_x=-0.9999999999, gamma=4.0, delta=1.0, yz_angle=2.5),
-    # Bloch length, weights range and dark-port rows
+    # Bloch length rows at both ends
     SweepSpec(swept="s_x", lo=-1.000000000001, hi=1.000000000001, steps=9,
               lam=1.000000000001, a_overlap=0.5, beta=1.0, yz_angle=0.3),
+    # a dark-port row at beta = pi
     SweepSpec(swept="beta", lo=0.0, hi=math.pi, steps=9, lam=1.000000000001,
               a_overlap=0.5, s_x=1.0000000000005, yz_angle=0.7),
     # s_x's slack beyond +-1 at both ends, folded onto a certain path
@@ -435,7 +436,18 @@ EDGE_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", EDGE_SPECS)
+# Sweeps with every row blank, next to the dark port of a certain path: with
+# s_x = 1 near pi, 24 omega_a-range rows, 36 weight-sum rows and a dark row;
+# with s_x = -1 near 0, the same with omega_b. Between them and EDGE_SPECS
+# every outcome code blanks some row.
+BLANK_SPECS = [
+    SweepSpec(swept="beta", lo=math.pi - 1e-4, hi=math.pi, steps=61, lam=1.0,
+              a_overlap=0.5, s_x=1.0),
+    SweepSpec(swept="beta", lo=0.0, hi=1e-4, steps=61, lam=1.0, a_overlap=0.5, s_x=-1.0),
+]
+
+
+@pytest.mark.parametrize("spec", [*EDGE_SPECS, *BLANK_SPECS])
 def test_sweep_matches_the_scalar_api_row_by_row(spec, capsys):
     lines = run_sweep(spec).splitlines()
     rows, warnings = scalar_sweep(spec)
@@ -457,7 +469,7 @@ README_SWEEP = SweepSpec(swept="s_x", lo=-0.6, hi=0.6, steps=241, lam=0.36,
                          a_overlap=0.3333333333333333, beta=math.pi / 2)
 
 
-@pytest.mark.parametrize("spec", [README_SWEEP, *EDGE_SPECS])
+@pytest.mark.parametrize("spec", [README_SWEEP, *EDGE_SPECS, *BLANK_SPECS])
 def test_sweep_texts_equal_a_reference_assembled_with_the_format(spec, monkeypatch, capsys):
     # The CSV and its stderr as whole texts. The reference writes each
     # number run_sweep formats (params first, then the lit rows' seven
@@ -484,6 +496,7 @@ def test_sweep_texts_equal_a_reference_assembled_with_the_format(spec, monkeypat
     assert err == "".join(warning + "\n" for warning in expected_warnings)
 
 
+# Not BLANK_SPECS: they have no lit row, and the test asserts that some row is lit.
 @pytest.mark.parametrize("spec", EDGE_SPECS)
 def test_edge_sweep_rows_meet_the_row_identities(spec):
     # Each lit row at verify's default tolerances: V against the scan, D

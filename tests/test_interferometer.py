@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +13,15 @@ from mzi_duality import interferometer
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.interferometer import (
     BLOCH_NORM_TOL,
+    DENOMINATOR_TOL,
     TWO_PI,
+    WEIGHT_TOL,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
     PhaseShift,
     _marked_states,
+    _outcomes,
     _phase_diagonals,
     _tail,
     bloch_to_density,
@@ -575,6 +579,46 @@ def test_port_terms_take_the_half_turn_as_exact():
     for phi in (0.0, 0.7, 2.0, 5.5):
         p = detection_probability_closed(state, det, BeamSplitterAngle(math.pi), PhaseShift(phi))
         assert p == 0.5 * (1.0 - 0.3)
+
+
+# --- the outcome screen ----------------------------------------------------------------
+
+
+def first_broken_rule(lam, den, omega_a, omega_b, scan_lit):
+    # The outcome code written out as the scalar API's checks, in their order.
+    if lam > 1.0 + BLOCH_NORM_TOL:
+        return 1
+    if den <= DENOMINATOR_TOL:
+        return 2
+    for code, weight in ((3, omega_a), (4, omega_b)):
+        if not -WEIGHT_TOL <= weight <= 1.0 + WEIGHT_TOL:
+            return code
+    if not abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL:
+        return 5
+    return 0 if scan_lit else 2
+
+
+def test_a_points_outcome_is_its_stack_row():
+    # Every combination of values on both sides of each rule, exactly at its
+    # tolerance among them, and NaN: many points break several rules at once.
+    up, down = math.inf, -math.inf
+    lams = [0.0, 1.0, 1.0 + 1e-12, math.nextafter(1.0 + 1e-12, up), 2.0, math.nan]
+    dens = [1.0, math.nextafter(1e-12, up), 1e-12, 0.0, -1.0, math.nan]
+    weights = [0.0, 0.4, 0.6, 1.0, -1e-12, math.nextafter(-1e-12, down), 1.0 + 1e-12,
+               math.nextafter(1.0 + 1e-12, up), math.nan]
+    points = list(itertools.product(lams, dens, weights, weights, [True, False]))
+    per_point = [_outcomes(*point) for point in points]
+    stack = _outcomes(*(np.array(column) for column in zip(*points)))
+    assert stack.tolist() == per_point == [first_broken_rule(*point) for point in points]
+    assert set(per_point) == {0, 1, 2, 3, 4, 5}
+    # A stage of the scalar API screens only what it knows: the same code as
+    # a point whose other values are lit.
+    lit = dict(lam=0.0, den=1.0, omega_a=1.0, omega_b=0.0, scan_lit=True)
+    stages = [{"lam": v} for v in lams] + [{"den": v} for v in dens]
+    stages += [{"omega_a": a, "omega_b": b} for a, b in itertools.product(weights, weights)]
+    stages += [{"scan_lit": True}, {"scan_lit": False}]
+    for known in stages:
+        assert _outcomes(**known) == _outcomes(**{**lit, **known}), known
 
 
 def test_detection_probability_mean_over_phase_grid():

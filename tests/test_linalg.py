@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lifted import kron2
 
@@ -68,8 +68,15 @@ def test_tensor_xx_squares_to_identity():
 
 
 @given(complex_2x2(), complex_2x2())
+@example(
+    np.array([[complex(-0.0, 0.0), 1.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+    np.array([[complex(-1.0, -0.0), -0.0], [complex(5e-324, -5e-324), complex(1e300, -1e-300)]]),
+)
 def test_tensor_is_bitwise_kron(a, b):
-    assert np.array_equal(kron2(a, b), np.kron(a, b))
+    # tobytes(), not array_equal, which takes -0.0 == 0.0: the tail's bit
+    # tests rest on the lift's zero signs too.
+    lifted, reference = kron2(a, b), np.kron(a, b)
+    assert lifted.shape == reference.shape and lifted.tobytes() == reference.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
