@@ -8,7 +8,6 @@ is expressed on the path basis (|b>, |a>), detector appended second.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -16,17 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DarkPortError, DualityError, InvalidInputError, require_finite, require_in_range
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    DensityOperator,
-    _exp_i,
-    _select,
-    _sin_cos,
-    check_densities,
-)
+from .linalg import IDENTITY_2, DensityOperator, _select, _sin_cos, check_densities
 
 BLOCH_NORM_TOL = 1e-12
 DENOMINATOR_TOL = 1e-12
@@ -35,9 +24,6 @@ TWO_PI = 2.0 * math.pi
 
 # The detector starts in the first basis state of its own qubit.
 _DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
-# The diagonal of the phase shifter diag(e^{-i*phi}, e^{+i*phi}), lifted onto
-# path (x) detector, is exp(phi * _PHASE_SIGNS).
-_PHASE_SIGNS = np.array([-1j, -1j, 1j, 1j])
 
 # --- the outcome of a point -------------------------------------------------------
 
@@ -166,15 +152,24 @@ class PhaseShift:
 
 
 def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
-    """DetectorConfig's marking unitary, unit determinant by construction:
-    (2, 2) of floats, on Python complex numbers (math.sqrt, cmath.exp), or
-    an (n, 2, 2) stack of 1-D arrays, on arrays (np.sqrt, np.exp). Inputs are
-    taken as validated; 0 <= a_overlap <= 1 keeps 1 - a_overlap**2 nonnegative."""
-    a = a_overlap
+    """DetectorConfig's marking unitary [[A e^{i gamma}, -B e^{-i delta}],
+    [B e^{i delta}, A e^{-i gamma}]], B = sqrt(1 - A^2), unit determinant by
+    construction: (2, 2) of floats, or an (n, 2, 2) stack of 1-D arrays.
+    Each real and imaginary part is one rounded product of A or B and a sine
+    or cosine (math for floats, numpy for arrays), or its negation, which
+    rounds alike in Python and in numpy, so a detector's unitary is its row
+    of a stack to the bit. Inputs are taken as validated; 0 <= a_overlap <= 1 keeps
+    1 - a_overlap**2 nonnegative."""
+    a, gamma, delta = (
+        v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (a_overlap, gamma, delta)
+    )
     b = (np.sqrt if isinstance(a, np.ndarray) else math.sqrt)(1.0 - a * a)
-    eg, ed = _exp_i(gamma), _exp_i(delta)
-    entries = np.array([a * eg, -b * ed.conjugate(), b * ed, a * eg.conjugate()])
-    return entries.T.reshape(entries.shape[1:] + (2, 2))
+    sin_g, cos_g = _sin_cos(gamma)
+    sin_d, cos_d = _sin_cos(delta)
+    # A e^{i gamma} and B e^{i delta}; the other two entries negate a part of each.
+    g_re, g_im, d_re, d_im = a * cos_g, a * sin_g, b * cos_d, b * sin_d
+    parts = np.array([g_re, g_im, -d_re, d_im, d_re, d_im, g_re, -g_im])
+    return parts.T.copy().view(complex).reshape(parts.shape[1:] + (2, 2))
 
 
 def _marked_states(unitary) -> np.ndarray:
@@ -222,31 +217,35 @@ class DetectorConfig:
         return m
 
 
-# The Pauli matrices X, Y, Z as the rows of a (3, 4) matrix.
-_PAULI_ROWS = np.array([PAULI_X, PAULI_Y, PAULI_Z]).reshape(3, 4)
-
-
 def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
-    # (1 + s . sigma) / 2 of each point of 1-D Bloch component arrays: (n, 2, 2).
-    # Each real and imaginary part of s . sigma is one component up to sign,
-    # so the product is exact.
-    s_dot_sigma = np.array([s_x, s_y, s_z], dtype=complex).T @ _PAULI_ROWS
-    return 0.5 * (IDENTITY_2 + s_dot_sigma.reshape(-1, 2, 2))
+    # (1 + s . sigma) / 2 = [[1 + s_z, s_x - i s_y], [s_x + i s_y, 1 - s_z]] / 2
+    # in real and imaginary parts: of a point's floats, shape (2, 2), or of
+    # each point of 1-D Bloch component arrays, (n, 2, 2), of validated
+    # (finite) inputs. The + 0.0 makes every zero part +0.0.
+    s_x, s_y, s_z = (v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (s_x, s_y, s_z))
+    zero = 0.0 * s_x
+    parts = 0.5 * np.array([1.0 + s_z, zero, s_x, -s_y, s_x, s_y, 1.0 - s_z, zero]) + 0.0
+    return parts.T.copy().view(complex).reshape(parts.shape[1:] + (2, 2))
 
 
 def bloch_to_density(state: BlochState) -> DensityOperator:
     """Density operator (1 + s . sigma) / 2 of a Bloch vector."""
-    return DensityOperator(_bloch_densities([state.s_x], [state.s_y], [state.s_z])[0])
+    return DensityOperator(_bloch_densities(state.s_x, state.s_y, state.s_z))
 
 
 def _phase_diagonals(phi) -> np.ndarray:
-    # The diagonal of the phase shifter lifted onto path (x) detector, of a
-    # float phase by cmath, shape (4,), or of each of an array of phases by
-    # numpy, shape phi.shape + (4,); both exponentiate phi * _PHASE_SIGNS.
-    if isinstance(phi, float):
-        minus, plus = cmath.exp(phi * -1j), cmath.exp(phi * 1j)
-        return np.array([minus, minus, plus, plus])
-    return np.exp(np.asarray(phi, dtype=float)[..., None] * _PHASE_SIGNS)
+    # The diagonal (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}) of the
+    # phase shifter diag(e^{-i*phi}, e^{+i*phi}) lifted onto path (x)
+    # detector, in real and imaginary parts: of a float phase, shape (4,), or
+    # of each of a 1-D array of phases, (n, 4). The imaginary parts -sin(phi)
+    # and sin(phi) + 0.0 keep the zero signs of the exponential of phi times
+    # -1j = (-0.0, -1.0) and 1j: -0.0 and +0.0 at phi = +0.0, the reverse at -0.0.
+    if not isinstance(phi, float):
+        phi = np.asarray(phi, dtype=float)
+    sin_phi, cos_phi = _sin_cos(phi)
+    minus, plus = -sin_phi, sin_phi + 0.0
+    parts = np.array([cos_phi, minus, cos_phi, minus, cos_phi, plus, cos_phi, plus])
+    return parts.T.copy().view(complex)
 
 
 def _tail(unitary, beta) -> np.ndarray:
@@ -286,11 +285,6 @@ _SYMMETRIC_SPLITTER = _tail(IDENTITY_2, [math.pi / 2])[0, ::2, ::2]
 _SPLITTER_ON_START = np.kron(_SYMMETRIC_SPLITTER, IDENTITY_2)[:, ::2]
 
 
-def _one_point(state, det, beta, phi) -> tuple:
-    # The stacked pipeline's arguments for a single point, beta and phi as floats.
-    return [state.s_x], [state.s_y], [state.s_z], det.unitary, float(beta.beta), phi.phi
-
-
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     # K rho K^H with K = T D S0 (4x2): the tail, the phase shifter's diagonal
     # D as a row scale and the input splitter's columns on the detector's
@@ -324,7 +318,9 @@ def evolve(
 
     The one-point view of evolve_stack.
     """
-    return DensityOperator(_evolve(*_one_point(state, det, beta, phi))[0])
+    return DensityOperator(
+        _evolve(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)[0]
+    )
 
 
 def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) -> np.ndarray:
@@ -500,7 +496,7 @@ def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle)
     coefficients, the ones whose extrema c0 +- |c2| duality.visibility_scans
     takes.
     """
-    c0, c2 = _fringe_coefficients([state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta])
+    c0, c2 = _fringe_coefficients(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta))
 
     def probe(phis: np.ndarray) -> np.ndarray:
         return c0 + (c2 * np.exp(-2j * np.asarray(phis, dtype=float))).real

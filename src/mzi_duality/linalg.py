@@ -241,13 +241,6 @@ def _sin_cos(angle):
     return math.sin(angle), math.cos(angle)
 
 
-def _exp_i(angle):
-    # e^{i*angle} of an angle by cmath, or of an array of them by numpy.
-    if isinstance(angle, np.ndarray):
-        return np.exp(1j * angle)
-    return cmath.exp(1j * angle)
-
-
 def _modulus(x, y):
     # |x + iy| by libm's hypot, of floats or of arrays (the one modulus rule,
     # check_densities). Of floats, abs raises OverflowError where the modulus

@@ -168,12 +168,11 @@ def test_detector_config_trivial_and_orthogonal_marking():
     )
 
 
-# Marking phases at the signed zeros and at tiny and large magnitudes, where
-# libm's sin and cos, under cmath.exp (a detector's unitary) and np.exp (a
-# stack's), take their small-argument and argument-reduction paths. No phase
-# here makes a product of U underflow: there numpy's fused complex product and
-# Python's unfused one can round to zeros of opposite sign.
-MARKING_PHASES = [0.0, -0.0, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
+# Marking phases at the signed zeros, at the smallest subnormals and at tiny
+# and large magnitudes, where libm's sin and cos, under math (a detector's
+# unitary) and numpy (a stack's), take their small-argument and
+# argument-reduction paths.
+MARKING_PHASES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
 
 
 def marking_phase_pairs(rng, count):
@@ -194,9 +193,14 @@ def test_detector_unitary_is_built_once_and_read_only():
         det = DetectorConfig(a, gamma, delta)
         assert det.unitary is det.unitary
         assert not det.unitary.flags.writeable
+        # [[a e^{i gamma}, -b e^{-i delta}], [b e^{i delta}, a e^{-i gamma}]],
+        # each real and imaginary part one product.
         b = math.sqrt(max(1.0 - a * a, 0.0))
-        eg, ed = cmath.exp(1j * gamma), cmath.exp(1j * delta)
-        expected = np.array([[a * eg, -b * np.conj(ed)], [b * ed, a * np.conj(eg)]], dtype=complex)
+        cg, sg, cd, sd = math.cos(gamma), math.sin(gamma), math.cos(delta), math.sin(delta)
+        expected = np.array([
+            [complex(a * cg, a * sg), complex(-b * cd, b * sd)],
+            [complex(b * cd, b * sd), complex(a * cg, -a * sg)],
+        ])  # fmt: skip
         assert det.unitary.tobytes() == expected.tobytes()
         same = DetectorConfig(a, gamma, delta)
         assert same == det and hash(same) == hash(det)
@@ -220,8 +224,9 @@ def test_detector_marked_state_is_built_once_and_read_only():
 
 
 def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
-    # Bit for bit, a detector's cmath.exp against the stack's np.exp: at A in
-    # {0, 1}, at zero marking phases, on MARKING_PHASES and up to |1e6|, and
+    # Bit for bit, a detector's math sin and cos and Python products against
+    # the stack's numpy ones: at A in {0, 1}, at zero marking phases, on
+    # MARKING_PHASES (products that underflow included) and up to |1e6|, and
     # on seeded draws.
     rng = np.random.default_rng(31)
     dets = [
@@ -264,8 +269,12 @@ def test_phase_shifter_values():
     phis = np.array([0.3, -2.0, 7.5])
     expected = [np.diag(np.kron(np.diag(np.exp(phi * np.array([-1j, 1j]))), I2)) for phi in phis]
     np.testing.assert_array_equal(_phase_diagonals(phis), expected)
-    # A float phase (cmath.exp) is its row of a stack (np.exp) to the bit.
-    phis = [0.0, -0.0, 1e-300, math.pi, TWO_PI - 1e-9, 1e6, *np.random.default_rng(32).uniform(0, 7, 200)]
+    # At a signed zero phase, the zero parts carry the signs of exp(phi * -+1j).
+    for phi in (0.0, -0.0):
+        assert _phase_diagonals(phi).tobytes() == np.exp(phi * np.array([-1j, -1j, 1j, 1j])).tobytes()
+    # A float phase (math sin and cos) is its row of a stack (numpy's) to the bit.
+    phis = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi, TWO_PI - 1e-9, 1e6]
+    phis += np.random.default_rng(32).uniform(0, 7, 200).tolist()
     stack = _phase_diagonals(np.array(phis))
     for phi, row in zip(phis, stack):
         assert _phase_diagonals(float(phi)).tobytes() == row.tobytes()
@@ -354,6 +363,21 @@ def test_bloch_to_density_examples():
     )
 
 
+def test_bloch_density_of_a_point_is_its_stack_row():
+    # A point's floats against a stack's arrays, to the bit, at signed zeros,
+    # the smallest subnormals, the poles and on seeded draws; zero parts are
+    # +0.0.
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.3]
+    points = [(x, y, z) for x in edges for y in edges for z in edges]
+    points += [tuple(v) for v in np.random.default_rng(33).uniform(-0.57, 0.57, (200, 3)).tolist()]
+    stack = interferometer._bloch_densities(*(np.array(c) for c in zip(*points)))
+    for point, row in zip(points, stack):
+        density = interferometer._bloch_densities(*point)
+        assert density.shape == (2, 2) and density.tobytes() == row.tobytes()
+        parts = density.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
+
+
 # --- evolution ----------------------------------------------------------------------
 
 
@@ -409,27 +433,42 @@ def stacked_arguments(points):
     )
 
 
+# Detectors whose marking products underflow: gamma = +-5e-324, delta = -gamma.
+UNDERFLOW_DETECTORS = [DetectorConfig(a, g, -g) for a in (0.37, 1e-300) for g in (5e-324, -5e-324)]
+
+
+def underflow_points(rng):
+    return [
+        (state, det, BeamSplitterAngle(rng.uniform(0, math.pi)), PhaseShift(rng.uniform(0, 2 * math.pi)))
+        for state in EDGE_STATES
+        for det in UNDERFLOW_DETECTORS
+    ]
+
+
+def assert_points_are_their_rows(points, stacked, closed):
+    # tobytes(), not array_equal, which takes -0.0 == 0.0.
+    for point, m, c in zip(points, stacked, closed):
+        assert m.tobytes() == evolve(*point).matrix.tobytes()
+        assert c.tobytes() == evolve_closed_form(*point).matrix.tobytes()
+
+
 def test_stacked_pipeline_equals_scalar_pipeline_at_edges_and_on_draws():
     rng = np.random.default_rng(24)
-    points = edge_points(rng) + [draw_point(rng) for _ in range(200)]
+    points = edge_points(rng) + underflow_points(rng) + [draw_point(rng) for _ in range(200)]
     stacked = evolve_stack(*stacked_arguments(points))
     closed = evolve_closed_form_stack(*stacked_arguments(points))
     assert stacked.shape == closed.shape == (len(points), 4, 4)
-    for point, m, c in zip(points, stacked, closed):
-        np.testing.assert_array_equal(m, evolve(*point).matrix)
-        np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
+    assert_points_are_their_rows(points, stacked, closed)
 
 
 def test_stacked_pipeline_takes_one_shared_unitary():
     rng = np.random.default_rng(25)
-    det = DetectorConfig(0.4, 1.3, 2.1)
-    points = [(state, det, beta, phi) for state, _, beta, phi in edge_points(rng)]
-    s_x, s_y, s_z, _, beta, phi = stacked_arguments(points)
-    stacked = evolve_stack(s_x, s_y, s_z, det.unitary, beta, phi)
-    closed = evolve_closed_form_stack(s_x, s_y, s_z, det.unitary, beta, phi)
-    for point, m, c in zip(points, stacked, closed):
-        np.testing.assert_array_equal(m, evolve(*point).matrix)
-        np.testing.assert_array_equal(c, evolve_closed_form(*point).matrix)
+    for det in [DetectorConfig(0.4, 1.3, 2.1), *UNDERFLOW_DETECTORS]:
+        points = [(state, det, beta, phi) for state, _, beta, phi in edge_points(rng)]
+        s_x, s_y, s_z, _, beta, phi = stacked_arguments(points)
+        stacked = evolve_stack(s_x, s_y, s_z, det.unitary, beta, phi)
+        closed = evolve_closed_form_stack(s_x, s_y, s_z, det.unitary, beta, phi)
+        assert_points_are_their_rows(points, stacked, closed)
 
 
 def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
