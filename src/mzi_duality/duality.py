@@ -23,22 +23,19 @@ from .errors import (
     require_in_range,
 )
 from .interferometer import (
-    _DETECTOR_START,
     BLOCH_NORM_TOL,
     OUTCOMES,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
     _fringe_coefficients,
-    _marked_states,
     _outcomes,
     _undefined,
     port_terms,
 )
-# Kept importable here: phase_probe (bench/tracing.py wraps it) and the dark
-# port's threshold, whose message is DARK_PORT.
-from .interferometer import DENOMINATOR_TOL, phase_probe  # noqa: F401
-from .linalg import IDENTITY_2, _entries, _hermitian_eig2, _trace_norm
+# Kept importable here: phase_probe, which bench/tracing.py wraps.
+from .interferometer import phase_probe  # noqa: F401
+from .linalg import IDENTITY_2, _hermitian_eig2, _trace_norm
 
 ORTHONORMALITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -211,22 +208,23 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
     """Fringe contrast of n points from the pipeline's extrema over the phase dial.
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays of validated inputs,
-    one entry per point. The state's three columns together, or ``beta``, may
-    have length 1, one value for every point, as one (2, 2) marking
-    ``unitary`` is; else it is an (n, 2, 2) stack. Returns ``(visibility,
-    defined)``: the contrast (p_max - p_min) / (p_max + p_min) of each point's
-    port-a extrema over the phase dial, c0 +- |c2| of the pipeline's fringe
-    c0 + Re(c2 e^{-2i*phi}), folded on the start state's support alone
-    (_fringe_coefficients), with ``defined`` False, and the visibility NaN,
-    where p_max + p_min, the scan's own port denominator, leaves the port
-    dark (_outcomes' dark-port rule).
+    one entry per point, or one point's floats. The state's three columns
+    together, or ``beta``, may have length 1, one value for every point, as
+    one (2, 2) marking ``unitary`` is; else it is an (n, 2, 2) stack. A
+    point is its stack row to the bit. Returns ``(visibility, defined)``,
+    shape (n,), or (1,) for a point: the contrast (p_max - p_min) / (p_max +
+    p_min) of each point's port-a extrema over the phase dial, c0 +- |c2| of
+    the pipeline's fringe c0 + Re(c2 e^{-2i*phi}), folded on the start
+    state's support alone (_fringe_coefficients), with ``defined`` False,
+    and the visibility NaN, where p_max + p_min, the scan's own port
+    denominator, leaves the port dark (_outcomes' dark-port rule).
     """
     c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
     amplitude = np.abs(c2)
     p_max, p_min = c0 + amplitude, c0 - amplitude
     total = p_max + p_min
     defined = _outcomes(den=total) == 0
-    visibility = np.full(len(total), np.nan)
+    visibility = np.full(total.shape, np.nan)
     np.divide(p_max - p_min, total, out=visibility, where=defined)
     return visibility, defined
 
@@ -238,7 +236,7 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
     visibility_closed, whose independent oracle it is.
     """
     visibility, defined = visibility_scans(
-        [state.s_x], [state.s_y], [state.s_z], det.unitary, [beta.beta]
+        state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta)
     )
     code = _outcomes(scan_lit=defined[0])
     if code:
@@ -265,17 +263,22 @@ def distinguishability_closed(
     return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
-def _discrimination_operator(marked, omega_a, omega_b) -> np.ndarray:
-    # omega_a * marked - omega_b * unmarked (the start state): a (2, 2) operator
-    # for float weights, an (n, 2, 2) stack for 1-D arrays (see _marked_states).
-    if isinstance(omega_a, np.ndarray):
-        omega_a, omega_b = omega_a[:, None, None], omega_b[:, None, None]
-    return omega_a * marked - omega_b * _DETECTOR_START
+def _discrimination_entries(unitary, omega_a, omega_b) -> tuple:
+    # (a, c, b_re, b_im) of omega_a U r r^H U^H - omega_b r r^H = [[a, b],
+    # [conj(b), c]], r = (1, 0) the start state, from U's first column
+    # (m0, m1) = U r: a = omega_a |m0|^2 - omega_b, c = omega_a |m1|^2, b =
+    # omega_a m0 conj(m1). Floats for a (2, 2) U and float weights, else 1-D
+    # arrays; real arithmetic, so a point is its stack row to the bit.
+    column = np.asarray(unitary)[..., 0]
+    m0, m1 = column.tolist() if column.ndim == 1 else column.T
+    n0, n1 = m0.real * m0.real + m0.imag * m0.imag, m1.real * m1.real + m1.imag * m1.imag
+    b_re, b_im = m0.real * m1.real + m0.imag * m1.imag, m0.imag * m1.real - m0.real * m1.imag
+    return omega_a * n0 - omega_b, omega_a * n1, omega_a * b_re, omega_a * b_im
 
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return _trace_norm(*_entries(_discrimination_operator(det.marked, weights.omega_a, weights.omega_b)))
+    return _trace_norm(*_discrimination_entries(det.unitary, weights.omega_a, weights.omega_b))
 
 
 def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
@@ -283,9 +286,10 @@ def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
 
     ``unitary`` is one (2, 2) marking unitary for every point or an
     (n, 2, 2) stack of them. The weights are taken as validated (see
-    PathWeights); the trace norms come from one stacked 2x2 eigenvalue pass.
+    PathWeights). Each point's trace norm is distinguishability_trace_norm's
+    to the bit.
     """
-    return _trace_norm(*_entries(_discrimination_operator(_marked_states(unitary), omega_a, omega_b)))
+    return _trace_norm(*_discrimination_entries(unitary, omega_a, omega_b))
 
 
 def _basis_is_degenerate(values):
@@ -303,8 +307,8 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     the one with negative eigenvalue. Computed by eigendecomposition, which
     stays well-conditioned over the whole parameter domain.
     """
-    gamma_op = _discrimination_operator(det.marked, weights.omega_a, weights.omega_b)
-    values, vectors = _hermitian_eig2(*_entries(gamma_op))
+    entries = _discrimination_entries(det.unitary, weights.omega_a, weights.omega_b)
+    values, vectors = _hermitian_eig2(*entries)
     if _basis_is_degenerate(values):
         raise DegenerateBasisError(
             "detector states coincide; any orthonormal basis is optimal",

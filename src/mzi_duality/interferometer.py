@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DarkPortError, DualityError, InvalidInputError, require_finite, require_in_range
-from .linalg import IDENTITY_2, DensityOperator, _select, _sin_cos, check_densities
+from .linalg import IDENTITY_2, DensityOperator, _from_parts, _select, _sin_cos, check_densities
 
 BLOCH_NORM_TOL = 1e-12
 DENOMINATOR_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
-
-# The detector starts in the first basis state of its own qubit.
-_DETECTOR_START = np.array([[1, 0], [0, 0]], dtype=complex)
 
 # --- the outcome of a point -------------------------------------------------------
 
@@ -168,15 +165,7 @@ def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
     sin_d, cos_d = _sin_cos(delta)
     # A e^{i gamma} and B e^{i delta}; the other two entries negate a part of each.
     g_re, g_im, d_re, d_im = a * cos_g, a * sin_g, b * cos_d, b * sin_d
-    parts = np.array([g_re, g_im, -d_re, d_im, d_re, d_im, g_re, -g_im])
-    return parts.T.copy().view(complex).reshape(parts.shape[1:] + (2, 2))
-
-
-def _marked_states(unitary) -> np.ndarray:
-    # U r r^H U^H, the detector state that path a leaves from the start state
-    # r, for a (2, 2) marking unitary or each of an (n, 2, 2) stack.
-    u = np.asarray(unitary)
-    return u @ _DETECTOR_START @ u.conj().swapaxes(-1, -2)
+    return _from_parts([g_re, g_im, -d_re, d_im, d_re, d_im, g_re, -g_im], (2, 2))
 
 
 @dataclass(frozen=True)
@@ -209,13 +198,6 @@ class DetectorConfig:
         u.setflags(write=False)
         return u
 
-    @functools.cached_property
-    def marked(self) -> np.ndarray:
-        """The marked detector state U r r^H U^H, cached read-only as unitary is."""
-        m = _marked_states(self.unitary)
-        m.setflags(write=False)
-        return m
-
 
 def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
     # (1 + s . sigma) / 2 = [[1 + s_z, s_x - i s_y], [s_x + i s_y, 1 - s_z]] / 2
@@ -225,7 +207,7 @@ def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
     s_x, s_y, s_z = (v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (s_x, s_y, s_z))
     zero = 0.0 * s_x
     parts = 0.5 * np.array([1.0 + s_z, zero, s_x, -s_y, s_x, s_y, 1.0 - s_z, zero]) + 0.0
-    return parts.T.copy().view(complex).reshape(parts.shape[1:] + (2, 2))
+    return _from_parts(parts, (2, 2))
 
 
 def bloch_to_density(state: BlochState) -> DensityOperator:
@@ -244,8 +226,7 @@ def _phase_diagonals(phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
     sin_phi, cos_phi = _sin_cos(phi)
     minus, plus = -sin_phi, sin_phi + 0.0
-    parts = np.array([cos_phi, minus, cos_phi, minus, cos_phi, plus, cos_phi, plus])
-    return parts.T.copy().view(complex)
+    return _from_parts([cos_phi, minus, cos_phi, minus, cos_phi, plus, cos_phi, plus])
 
 
 def _tail(unitary, beta) -> np.ndarray:
@@ -325,7 +306,7 @@ def evolve(
 
 def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) -> np.ndarray:
     # evolve_closed_form's four terms summed entry by entry, of floats or of
-    # 1-D arrays with one entry per point: shape (1, 4, 4) or (n, 4, 4). The
+    # 1-D arrays with one entry per point: shape (4, 4) or (n, 4, 4). The
     # marked state m = U r = (m0, m1) comes as real and imaginary parts, and
     # every complex product is written out in real arithmetic, which rounds
     # alike in Python and in numpy, so a point is bit-equal to its stack row.
@@ -367,16 +348,14 @@ def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) ->
     r03, i03 = -plus * h1_re - k01 * c_re, plus * h1_im - k01 * c_im
     r12, i12 = minus * h1_re - k01 * c_re, minus * h1_im + k01 * c_im
     r13 = -k01 * n1
-    # The real and imaginary parts of each entry in row-major order, viewed
-    # as complex: shape (1, 4, 4) for floats, (n, 4, 4) for arrays.
-    zero = np.zeros_like(s_x)
-    parts = np.array([
+    # The real and imaginary parts of each entry in row-major order.
+    zero = 0.0 * s_x + 0.0  # +0.0, a float or an array as s_x is
+    return _from_parts([
         r00, zero, r01, i01, r02, i02, r03, i03,
         r01, -i01, r11, zero, r12, i12, r13, zero,
         r02, -i02, r12, -i12, r22, zero, r23, i23,
         r03, -i03, r13, zero, r23, -i23, r33, zero,
-    ])  # fmt: skip
-    return parts.T.copy().view(complex).reshape(-1, 4, 4)
+    ], (4, 4))  # fmt: skip
 
 
 def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
@@ -413,7 +392,7 @@ def evolve_closed_form(
     return DensityOperator(
         _evolve_closed_form(
             state.s_x, state.s_y, state.s_z, m0.real, m0.imag, m1.real, m1.imag, beta.beta, phi.phi
-        )[0]
+        )
     )
 
 

@@ -30,9 +30,6 @@ _SMALLEST_NORMAL = sys.float_info.min
 _SCALED_RADIUS = 2.0**510
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -219,6 +216,16 @@ def _entries(h: np.ndarray):
     return h[:, 0, 0].real, h[:, 1, 1].real, b.real, b.imag
 
 
+def _from_parts(parts, shape=None) -> np.ndarray:
+    # The complex vector, or matrix of the given shape, whose real and
+    # imaginary parts in row-major order are the items of parts: a point's
+    # floats, or a stack's 1-D arrays, one entry per point (shape (n, ...)).
+    # Fortran order lays each point's parts out contiguously: a point's
+    # array is not copied, a stack's parts are copied once.
+    entries = np.asarray(parts, order="F").T.view(complex)
+    return entries if shape is None else entries.reshape(entries.shape[:-1] + shape)
+
+
 def _select(cond, x, y):
     # x where cond holds, else y: a branch on a point's Python scalars, or
     # np.where on a stack's arrays, which computes both sides on every lane.
@@ -302,13 +309,13 @@ def _hermitian_eig2(a, c, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
     if _any(big):
         shift = _select(big, -xp.frexp(radius)[1], 0)
         half_diff, radius, b_re, b_im = (xp.ldexp(x, shift) for x in (half_diff, radius, b_re, b_im))
-    b_re, b_im = _select(general, b_re, 1.0), _select(general, b_im, 0.0)
     # Per eigenvalue, the null-space construction whose leading entry,
     # lambda - diagonal, involves no cancellation, that entry written out as
     # |half_diff| + radius so that it stays nonzero even where mean +- radius
     # rounds back to the diagonal: the columns (lead, conj b) and (b, -lead)
     # where half_diff >= 0, else (b, lead) and (-lead, conj b).
-    lead = _select(general, abs(half_diff) + radius, 1.0)
+    one = 1.0 + zero
+    lead, b_re, b_im = _select(general, (abs(half_diff) + radius, b_re, b_im), (one, one, zero))
     columns = _select(
         half_diff >= 0,
         ((lead, zero, b_re, -b_im), (b_re, b_im, -lead, zero)),
@@ -338,9 +345,8 @@ def _hermitian_eig2(a, c, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
         tops += (t_re * p_re - t_im * p_im, t_re * p_im + t_im * p_re)
         lows += (u_re * p_re - u_im * p_im, u_re * p_im + u_im * p_re)
     # Real and imaginary parts of the entries in row-major order.
-    parts = _select(general, (*tops, *lows), (on, zero, off, zero, off, zero, on, zero))
-    # Fortran order lays each matrix's parts out contiguously.
-    return values, np.array(parts, order="F").T.view(complex).reshape(values.shape + (2,))
+    parts = _select(general, tops + lows, [on, zero, off, zero, off, zero, on, zero])
+    return values, _from_parts(parts, (2, 2))
 
 
 def trace_norm(h) -> float:

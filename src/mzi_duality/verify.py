@@ -26,7 +26,7 @@ import numpy as np
 
 from .duality import (
     _basis_is_degenerate,
-    _discrimination_operator,
+    _discrimination_entries,
     closed_form_columns,
     distinguishability_kernel,
     distinguishability_trace_norms,
@@ -40,8 +40,6 @@ from .errors import DualityError, InvalidInputError, _setting
 from .interferometer import (
     BeamSplitterAngle,
     TWO_PI,
-    _DETECTOR_START,
-    _marked_states,
     _port_a_closed,
     _port_a_probabilities,
     evolve_closed_form_stack,
@@ -49,7 +47,7 @@ from .interferometer import (
     marking_unitaries,
     port_terms,
 )
-from .linalg import _entries, _hermitian_eig2, check_densities, hermiticity_defect, trace_errors, trace_path
+from .linalg import _hermitian_eig2, check_densities, hermiticity_defect, trace_errors, trace_path
 
 # Brute-force extremum searches walk the closed forms at this resolution and
 # must land within 1e-3 of the predicted locus.
@@ -223,6 +221,12 @@ def _closed_columns(p: _Points) -> tuple:
     return closed_form_columns(p.s_x, p.s_y, p.s_z, lam, p.a_overlap, p.beta)
 
 
+def _hermitian(a, c, b_re, b_im) -> np.ndarray:
+    # The stack of Hermitian [[a, b], [conj(b), c]], b = b_re + i b_im, of 1-D arrays.
+    b = b_re + 1j * b_im
+    return np.array([[a, b], [b.conj(), c]], dtype=complex).transpose(2, 0, 1)
+
+
 def _largest_entries(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(1, 2))
 
@@ -251,8 +255,11 @@ def _state_validity(rng, draws):
 def _reduced_detector_state(rng, draws):
     p = _draw_points(rng, draws)
     reduced = check_densities(trace_path(evolve_stack(*_pipeline(p))))
-    s_x = p.s_x[:, None, None]
-    expected = 0.5 * (1.0 - s_x) * _DETECTOR_START + 0.5 * (1.0 + s_x) * _marked_states(p.unitary)
+    # (1 - s_x)/2 r r^H + (1 + s_x)/2 U r r^H U^H, the start state r = (1, 0)
+    # and U r the first column of U, entry by entry.
+    marked = p.unitary[:, :, 0]
+    expected = 0.5 * (1.0 + p.s_x)[:, None, None] * (marked[:, :, None] * marked[:, None, :].conj())
+    expected[:, 0, 0] += 0.5 * (1.0 - p.s_x)
     return _none_skipped(_largest_entries(reduced - expected))
 
 
@@ -311,8 +318,9 @@ def _min_error_measurement(rng, draws):
     # path. Draws whose operator is degenerate (no basis singled out) skip.
     p = _draw_points(rng, draws)
     omega_a, omega_b = _closed_columns(p)[3:5]
-    gamma_op = _discrimination_operator(_marked_states(p.unitary), omega_a, omega_b)
-    values, vectors = _hermitian_eig2(*_entries(gamma_op))
+    entries = _discrimination_entries(p.unitary, omega_a, omega_b)
+    values, vectors = _hermitian_eig2(*entries)
+    gamma_op = _hermitian(*entries)
     eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
     m_a, m_b = vectors[:, :, 0], vectors[:, :, 1]
     ortho_err = np.maximum(
@@ -386,9 +394,7 @@ def _measurement_basis_closed_form(rng, draws):
     omega_b = 1.0 - omega_a
     gamma = np.zeros(draws)
     unitary = marking_unitaries(a_overlap, gamma, delta)
-    _, numeric = _hermitian_eig2(
-        *_entries(_discrimination_operator(_marked_states(unitary), omega_a, omega_b))
-    )
+    _, numeric = _hermitian_eig2(*_discrimination_entries(unitary, omega_a, omega_b))
     literal = _min_error_basis_closed_form(a_overlap, gamma, unitary[:, :, 0], omega_a, omega_b)
     return _none_skipped(
         np.maximum(
@@ -417,10 +423,9 @@ def _complementarity(rng, draws):
 def _eig_reconstruction(rng, draws):
     # Per draw: the two diagonal entries, then the off-diagonal's real and
     # imaginary parts.
-    first, second, real, imag = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
-    off = real + 1j * imag
-    h = np.array([[first, off], [off.conj(), second]], dtype=complex).transpose(2, 0, 1)
-    values, vectors = _hermitian_eig2(first, second, real, imag)
+    entries = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
+    h = _hermitian(*entries)
+    values, vectors = _hermitian_eig2(*entries)
     adjoint = vectors.conj().swapaxes(1, 2)
     rebuilt = (vectors * values[:, None, :]) @ adjoint
     return _none_skipped(

@@ -4,7 +4,9 @@ They are verify._draw_point's distributions in its order: draw_point is
 draw_bloch_state, draw_detector, draw_beta and draw_phase drawn in turn, and
 its objects hold the floats that verify._draw_point returns, to the bit and
 to the generator state (test_verify.py pins it). So a test that draws here
-takes the same values from the same stream that verify does.
+takes the same values from the same stream that verify does. The marking
+phases at the end are the edge phases that the bit-for-bit tests of a
+detector against its stack row share.
 """
 
 import math
@@ -50,3 +52,16 @@ def draw_phase(rng):
 
 def draw_point(rng):
     return draw_bloch_state(rng), draw_detector(rng), draw_beta(rng), draw_phase(rng)
+
+
+# Marking phases at the signed zeros, at the smallest subnormals and at tiny
+# and large magnitudes, where libm's sin and cos, under math (a detector's
+# unitary) and numpy (a stack's), take their small-argument and
+# argument-reduction paths.
+MARKING_PHASES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
+
+
+def marking_phase_pairs(rng, count):
+    # Every pair of MARKING_PHASES, then count seeded pairs up to |1e6|.
+    pairs = [(g, d) for g in MARKING_PHASES for d in MARKING_PHASES]
+    return pairs + [tuple(rng.uniform(-1e6, 1e6, 2).tolist()) for _ in range(count)]

@@ -24,7 +24,6 @@ from mzi_duality.cli import (
 )
 from mzi_duality.duality import (
     DARK_PORT,
-    DENOMINATOR_TOL,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_kernel,
@@ -35,7 +34,7 @@ from mzi_duality.duality import (
     visibility_scan,
 )
 from mzi_duality.errors import DualityError, InvalidInputError
-from mzi_duality.interferometer import BeamSplitterAngle, BlochState, port_terms
+from mzi_duality.interferometer import DENOMINATOR_TOL, BeamSplitterAngle, BlochState, port_terms
 
 
 def _fmt(value):

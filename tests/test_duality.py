@@ -7,11 +7,12 @@ import sys
 import textwrap
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from draws import draw_beta, draw_bloch_state, draw_detector, draw_point
+from draws import draw_beta, draw_bloch_state, draw_detector, draw_point, marking_phase_pairs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,6 @@ from mzi_duality.errors import (
 from mzi_duality.interferometer import (
     BLOCH_NORM_TOL,
     TWO_PI,
-    _DETECTOR_START,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
@@ -54,7 +54,7 @@ from mzi_duality.interferometer import (
     evolve,
     phase_probe,
 )
-from mzi_duality.linalg import DensityOperator, hermitian_eig2, trace_norm
+from mzi_duality.linalg import DensityOperator, _hermitian_eig2, hermitian_eig2, trace_norm
 from mzi_duality.verify import (
     grid_distinguishability_valley,
     grid_visibility_peak_fixed_beta,
@@ -302,6 +302,45 @@ def test_harmonic_identity_matches_the_pipeline():
             assert abs(value - detection_probability_numeric(rho)) <= 1e-14
 
 
+def test_scan_of_a_point_is_its_stack_row_bit_for_bit():
+    # visibility_scans on a point's floats, as visibility_scan passes them,
+    # against the point's row of a stack: the fringe coefficients, the
+    # visibility and its flag, to the bit. Edge points at A = 0, 1 and one
+    # interior overlap, detectors on MARKING_PHASES, verify's draws, pure
+    # states next to the dark port and two on it, whose visibility is NaN.
+    rng = np.random.default_rng(107)
+    cases = [
+        (state, DetectorConfig(a_overlap, 0.4, 1.3), beta)
+        for a_overlap in (0.0, 1.0, 0.37)
+        for state, beta in EDGE_POINTS
+    ]
+    cases += [
+        (draw_bloch_state(rng), DetectorConfig(0.37, gamma, delta), draw_beta(rng))
+        for gamma, delta in marking_phase_pairs(rng, 0)
+    ]
+    cases += [draw_point(rng)[:3] for _ in range(100)]
+    cases += [
+        (BlochState(x, y, z), draw_detector(rng), BeamSplitterAngle(b))
+        for x, y, z, b in zip(*(c.tolist() for c in dark_port_rows(30)))
+    ]
+    cases += [
+        (BlochState(s_x, 0.0, 0.0), DetectorConfig(0.5), BeamSplitterAngle(beta))
+        for s_x, beta in ((-1.0, 0.0), (1.0, math.pi))
+    ]
+    (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
+    unitary = np.stack([det.unitary for _, det, _ in cases])
+    rows = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
+    stacked = visibility_scans(s_x, s_y, s_z, unitary, betas)
+    assert np.count_nonzero(~stacked[1]) == 2
+    for i, (state, det, beta) in enumerate(cases):
+        point = (state.s_x, state.s_y, state.s_z, det.unitary, beta.beta)
+        for got, row in zip(
+            (*interferometer._fringe_coefficients(*point), *visibility_scans(*point)),
+            (*rows, *stacked),
+        ):
+            assert got.tobytes() == row[i : i + 1].tobytes()
+
+
 def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     # A scan keeps no state between calls: a scan of 513 points followed by
     # a smaller scan, and the reverse order, give the same bits.
@@ -458,7 +497,7 @@ def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta, capsys):
     row = run_sweep(spec).splitlines()[1 if beta == lo else 2]
     warning = f"warning: beta={row.split(',')[0]} is degenerate ({duality.DARK_PORT})"
     outcomes.append(row.endswith(",,,,,,,") and warning in capsys.readouterr().err.splitlines())
-    undefined = 1.0 + s_x * math.cos(beta) <= duality.DENOMINATOR_TOL
+    undefined = 1.0 + s_x * math.cos(beta) <= interferometer.DENOMINATOR_TOL
     assert outcomes == [undefined] * 6
 
 
@@ -503,9 +542,23 @@ def test_path_weights_type_enforces_normalization():
 # --- detector mixture -------------------------------------------------------------
 
 
+def detector_states(det):
+    # r r^H and U r r^H U^H, the detector states that paths b and a leave from
+    # the reference state r: of U r = (m0, m1), U's first column, each entry
+    # m_j conj(m_k) in real products, which no multiply-add fuses.
+    (m0, _), (m1, _) = det.unitary.tolist()
+
+    def times_conj(x, y):
+        return complex(x.real * y.real + x.imag * y.imag, x.imag * y.real - x.real * y.imag)
+
+    marked = np.array([[times_conj(x, y) for y in (m0, m1)] for x in (m0, m1)])
+    return np.outer(REFERENCE, REFERENCE), marked
+
+
 def detector_mixture(det, weights):
     # The detector state conditioned on the monitored port.
-    return DensityOperator(weights.omega_b * _DETECTOR_START + weights.omega_a * det.marked)
+    unmarked, marked = detector_states(det)
+    return DensityOperator(weights.omega_b * unmarked + weights.omega_a * marked)
 
 
 def test_mixture_ignores_pure_phase_marking():
@@ -585,11 +638,12 @@ def test_trace_norm_route_is_phase_invariant():
 
 
 def test_unchecked_eigen_routes_equal_the_checked_ones_bit_for_bit():
-    # distinguishability_trace_norm and min_error_basis build their 2x2
-    # operator from validated inputs and skip linalg's input checks on it:
-    # their results are the bits of the checked trace_norm and
-    # hermitian_eig2 on the same operator, at the splitter edges with
-    # A = 0, 1 and one interior overlap, then on seeded draws.
+    # distinguishability_trace_norm and min_error_basis write their 2x2
+    # operator's entries from validated inputs and skip linalg's input
+    # checks on it: their results are the bits of the checked trace_norm and
+    # hermitian_eig2 on the operator built from U's first column, at the
+    # splitter edges with A = 0, 1 and one interior overlap, then on seeded
+    # draws.
     rng = np.random.default_rng(97)
     cases = [
         (DetectorConfig(a_overlap, 0.4, 1.3), path_weights(state.s_x, beta))
@@ -602,7 +656,8 @@ def test_unchecked_eigen_routes_equal_the_checked_ones_bit_for_bit():
     ]
     degenerate = 0
     for det, w in cases:
-        op = duality._discrimination_operator(det.marked, w.omega_a, w.omega_b)
+        unmarked, marked = detector_states(det)
+        op = w.omega_a * marked - w.omega_b * unmarked
         assert distinguishability_trace_norm(det, w) == trace_norm(op)
         values, vectors = hermitian_eig2(op)
         if duality._basis_is_degenerate(values):
@@ -614,6 +669,78 @@ def test_unchecked_eigen_routes_equal_the_checked_ones_bit_for_bit():
         assert basis.m_a.tobytes() == vectors[:, 0].tobytes()
         assert basis.m_b.tobytes() == vectors[:, 1].tobytes()
     assert 0 < degenerate < len(cases)
+
+
+def discrimination_cases(rng):
+    # Detectors at A = 0, 1 and one interior overlap on MARKING_PHASES (whose
+    # products underflow) and seeded phases up to |1e6|, then verify's draws;
+    # each under the edge weights (1, 0), (0, 1), (1/2, 1/2) and one drawn pair.
+    dets = [DetectorConfig(a, g, d) for a in (0.0, 1.0, 0.37) for g, d in marking_phase_pairs(rng, 20)]
+    dets += [draw_point(rng)[1] for _ in range(200)]
+    edges = [PathWeights(1.0, 0.0), PathWeights(0.0, 1.0), PathWeights(0.5, 0.5)]
+    drawn = [path_weights(draw_bloch_state(rng).s_x, draw_beta(rng)) for _ in dets]
+    return [(det, w) for det, other in zip(dets, drawn) for w in (*edges, other)]
+
+
+def test_trace_norm_and_basis_of_a_point_are_its_stack_row():
+    # The operator's entries, its trace norm and its eigenbasis: one
+    # real-arithmetic formula on a point's floats and a stack's arrays, so
+    # each point is its stack row to the bit, degenerate bases included. A
+    # shared (2, 2) unitary over arrays of weights, as the sweep passes it,
+    # gives the same rows.
+    rng = np.random.default_rng(101)
+    cases = discrimination_cases(rng)
+    unitary = np.array([det.unitary for det, _ in cases])
+    omega_a, omega_b = (np.array([getattr(w, name) for _, w in cases]) for name in ("omega_a", "omega_b"))
+    entries = duality._discrimination_entries(unitary, omega_a, omega_b)
+    rows = np.array(entries).T
+    norms = duality.distinguishability_trace_norms(unitary, omega_a, omega_b)
+    values, vectors = _hermitian_eig2(*entries)
+    degenerate = 0
+    for i, (det, w) in enumerate(cases):
+        point = duality._discrimination_entries(det.unitary, w.omega_a, w.omega_b)
+        assert np.array(point).tobytes() == rows[i].tobytes()
+        assert float(norms[i]).hex() == distinguishability_trace_norm(det, w).hex()
+        try:
+            basis = min_error_basis(det, w)
+        except DegenerateBasisError:
+            degenerate += 1
+            assert duality._basis_is_degenerate(values[i])
+            continue
+        assert not duality._basis_is_degenerate(values[i])
+        assert basis.m_a.tobytes() == vectors[i, :, 0].tobytes()
+        assert basis.m_b.tobytes() == vectors[i, :, 1].tobytes()
+    assert 0 < degenerate < len(cases)
+    for start in range(0, 40, 4):  # one detector's four cases
+        shared = duality.distinguishability_trace_norms(
+            cases[start][0].unitary, omega_a[start : start + 4], omega_b[start : start + 4]
+        )
+        assert shared.tobytes() == norms[start : start + 4].tobytes()
+
+
+def test_discrimination_entries_are_within_four_roundings_of_exact():
+    # An entry of omega_a U r r^H U^H - omega_b r r^H takes at most four
+    # rounded operations on the float parts of U r = (m0, m1) and the
+    # weights: two products, their sum, the product by omega_a and, for a,
+    # the subtraction of omega_b. Every operand and partial result is at
+    # most 1 + O(u) in magnitude, u = 2^-53 (|m0|^2 + |m1|^2 rounds to 1,
+    # the weights lie in [0, 1]), so each rounding adds at most u (1 + O(u)):
+    # an entry is within 4u (1 + 2^-48) of the exact value, in fractions, of
+    # the same float inputs.
+    bound = Fraction(4, 2**53) * (1 + Fraction(1, 2**48))
+    rng = np.random.default_rng(103)
+    for det, w in discrimination_cases(rng):
+        (m0, _), (m1, _) = det.unitary.tolist()
+        x0, y0, x1, y1, wa, wb = map(Fraction, (m0.real, m0.imag, m1.real, m1.imag, w.omega_a, w.omega_b))
+        exact = (
+            wa * (x0 * x0 + y0 * y0) - wb,
+            wa * (x1 * x1 + y1 * y1),
+            wa * (x0 * x1 + y0 * y1),
+            wa * (y0 * x1 - x0 * y1),
+        )
+        got = duality._discrimination_entries(det.unitary, w.omega_a, w.omega_b)
+        assert all(type(v) is float for v in got)
+        assert max(abs(Fraction(v) - e) for v, e in zip(got, exact)) <= bound
 
 
 # --- minimum-error measurement -------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from draws import draw_point
+from draws import draw_point, marking_phase_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lifted import beam_splitters, kron2, lifted_tail
@@ -20,7 +20,6 @@ from mzi_duality.interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
-    _marked_states,
     _outcomes,
     _phase_diagonals,
     _tail,
@@ -168,19 +167,6 @@ def test_detector_config_trivial_and_orthogonal_marking():
     )
 
 
-# Marking phases at the signed zeros, at the smallest subnormals and at tiny
-# and large magnitudes, where libm's sin and cos, under math (a detector's
-# unitary) and numpy (a stack's), take their small-argument and
-# argument-reduction paths.
-MARKING_PHASES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
-
-
-def marking_phase_pairs(rng, count):
-    # Every pair of MARKING_PHASES, then count seeded pairs up to |1e6|.
-    pairs = [(g, d) for g in MARKING_PHASES for d in MARKING_PHASES]
-    return pairs + [tuple(rng.uniform(-1e6, 1e6, 2).tolist()) for _ in range(count)]
-
-
 def test_detector_unitary_is_built_once_and_read_only():
     # Bit-equal to the marking-unitary formula, including the A = 0, 1 edges,
     # at phases in [-10, 10] and on MARKING_PHASES and up to |1e6|.
@@ -204,23 +190,6 @@ def test_detector_unitary_is_built_once_and_read_only():
         assert det.unitary.tobytes() == expected.tobytes()
         same = DetectorConfig(a, gamma, delta)
         assert same == det and hash(same) == hash(det)
-
-
-def test_detector_marked_state_is_built_once_and_read_only():
-    # Bit-equal to U r r^H U^H, r the detector's start state, and to each
-    # member of the stacked form, including the A = 0, 1 edges.
-    rng = np.random.default_rng(30)
-    dets = [
-        DetectorConfig(a, *rng.uniform(-10.0, 10.0, 2).tolist())
-        for a in [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
-    ]
-    stack = _marked_states(np.array([det.unitary for det in dets]))
-    start = np.diag([1.0, 0.0]).astype(complex)
-    for det, member in zip(dets, stack):
-        assert det.marked is det.marked
-        assert not det.marked.flags.writeable
-        expected = det.unitary @ start @ det.unitary.conj().T
-        assert det.marked.tobytes() == expected.tobytes() == member.tobytes()
 
 
 def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():

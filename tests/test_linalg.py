@@ -9,9 +9,6 @@ from lifted import kron2
 from mzi_duality.errors import InvalidInputError
 from mzi_duality.linalg import (
     IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DEGENERATE_GAP,
     DensityOperator,
     _entries,
@@ -26,6 +23,9 @@ from mzi_duality.linalg import (
 )
 
 I4 = np.eye(4, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_density(rng, dim=2):
