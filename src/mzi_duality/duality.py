@@ -24,10 +24,10 @@ from .errors import (
 )
 from .interferometer import (
     BLOCH_NORM_TOL,
-    OUTCOMES,
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
+    _first_column,
     _fringe_coefficients,
     _outcomes,
     _undefined,
@@ -42,8 +42,6 @@ NORM_TOL = 1e-12
 BASIS_GAP_TOL = 1e-12
 COMPLEMENTARITY_TOL = 1e-10
 RESIDUAL_FLOOR = -1e-12
-
-DARK_PORT = OUTCOMES[2][1]
 
 
 def _bounded_s_x(s_x: float) -> float:
@@ -269,10 +267,9 @@ def _discrimination_entries(unitary, omega_a, omega_b) -> tuple:
     # (m0, m1) = U r: a = omega_a |m0|^2 - omega_b, c = omega_a |m1|^2, b =
     # omega_a m0 conj(m1). Floats for a (2, 2) U and float weights, else 1-D
     # arrays; real arithmetic, so a point is its stack row to the bit.
-    column = np.asarray(unitary)[..., 0]
-    m0, m1 = column.tolist() if column.ndim == 1 else column.T
-    n0, n1 = m0.real * m0.real + m0.imag * m0.imag, m1.real * m1.real + m1.imag * m1.imag
-    b_re, b_im = m0.real * m1.real + m0.imag * m1.imag, m0.imag * m1.real - m0.real * m1.imag
+    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
+    n0, n1 = m0_re * m0_re + m0_im * m0_im, m1_re * m1_re + m1_im * m1_im
+    b_re, b_im = m0_re * m1_re + m0_im * m1_im, m0_im * m1_re - m0_re * m1_im
     return omega_a * n0 - omega_b, omega_a * n1, omega_a * b_re, omega_a * b_im
 
 

@@ -216,17 +216,15 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
 
 
 def _phase_diagonals(phi) -> np.ndarray:
-    # The diagonal (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}) of the
-    # phase shifter diag(e^{-i*phi}, e^{+i*phi}) lifted onto path (x)
-    # detector, in real and imaginary parts: of a float phase, shape (4,), or
-    # of each of a 1-D array of phases, (n, 4). The imaginary parts -sin(phi)
-    # and sin(phi) + 0.0 keep the zero signs of the exponential of phi times
-    # -1j = (-0.0, -1.0) and 1j: -0.0 and +0.0 at phi = +0.0, the reverse at -0.0.
+    # The diagonal (e^{-i*phi}, e^{+i*phi}) of the phase shifter, in real and
+    # imaginary parts: of a float phase, shape (2,), or of each of a 1-D array
+    # of phases, (n, 2). The imaginary parts -sin(phi) and sin(phi) + 0.0 keep
+    # the zero signs of the exponential of phi times -1j = (-0.0, -1.0) and 1j:
+    # -0.0 and +0.0 at phi = +0.0, the reverse at -0.0.
     if not isinstance(phi, float):
         phi = np.asarray(phi, dtype=float)
     sin_phi, cos_phi = _sin_cos(phi)
-    minus, plus = -sin_phi, sin_phi + 0.0
-    return _from_parts([cos_phi, minus, cos_phi, minus, cos_phi, plus, cos_phi, plus])
+    return _from_parts([cos_phi, -sin_phi, cos_phi, sin_phi + 0.0])
 
 
 def _tail(unitary, beta) -> np.ndarray:
@@ -258,20 +256,26 @@ def _tail(unitary, beta) -> np.ndarray:
     return parts.view(complex)
 
 
-# The input splitter is always the symmetric one H, so it is lifted once. The
-# joint input rho (x) |r><r| is nonzero only where the detector is in its start
-# state r (rows and columns 0 and 2), so the splitter acts on it through those
-# columns alone: S (rho (x) |r><r|) S^H = S0 rho S0^H, H rho H^H on them.
+# The input splitter is always the symmetric one H.
 _SYMMETRIC_SPLITTER = _tail(IDENTITY_2, [math.pi / 2])[0, ::2, ::2]
-_SPLITTER_ON_START = np.kron(_SYMMETRIC_SPLITTER, IDENTITY_2)[:, ::2]
+
+
+def _first_column(unitary):
+    # (m0_re, m0_im, m1_re, m1_im): the real and imaginary parts of the marked
+    # state U r = (m0, m1), U's first column on the detector's start state
+    # r = (1, 0). Floats for a (2, 2) U, 1-D arrays for an (n, 2, 2) stack.
+    column = np.asarray(unitary)[..., 0]
+    m0, m1 = column.tolist() if column.ndim == 1 else column.T
+    return m0.real, m0.imag, m1.real, m1.imag
 
 
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    # K rho K^H with K = T D S0 (4x2): the tail, the phase shifter's diagonal
-    # D as a row scale and the input splitter's columns on the detector's
-    # start state.
+    # K rho K^H with K = T[..., ::2] (d o H) (4x2). The detector starts in r,
+    # so the joint input rho (x) |r><r| is rho on the start rows and columns 0
+    # and 2 and zero elsewhere: the splitter H and the phase diagonal d act on
+    # the path alone, and the tail T through its two start columns.
     rho = check_densities(_bloch_densities(s_x, s_y, s_z))
-    k = _tail(unitary, beta) @ (_phase_diagonals(phi)[..., None] * _SPLITTER_ON_START)
+    k = _tail(unitary, beta)[..., ::2] @ (_phase_diagonals(phi)[..., None] * _SYMMETRIC_SPLITTER)
     return k @ rho @ k.conj().swapaxes(-1, -2)
 
 
@@ -282,7 +286,7 @@ def evolve_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     entry per point, of validated inputs; ``unitary`` is one (2, 2) marking
     unitary for every point or an (n, 2, 2) stack of them. The tail is
     written entry by entry (_tail), so a point's matrix is its stack row to
-    the bit; only K = T (d o S0) and K rho K^H are broadcast matrix products.
+    the bit; only K = T[..., ::2] (d o H) and K rho K^H are matrix products.
     Every input and output matrix passes DensityOperator's checks
     (linalg.check_densities).
     """
@@ -304,12 +308,13 @@ def evolve(
     )
 
 
-def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) -> np.ndarray:
-    # evolve_closed_form's four terms summed entry by entry, of floats or of
-    # 1-D arrays with one entry per point: shape (4, 4) or (n, 4, 4). The
-    # marked state m = U r = (m0, m1) comes as real and imaginary parts, and
-    # every complex product is written out in real arithmetic, which rounds
-    # alike in Python and in numpy, so a point is bit-equal to its stack row.
+def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+    # evolve_closed_form's four terms summed entry by entry, of _evolve's
+    # inputs: shape (4, 4) for a point's floats, (n, 4, 4) for 1-D arrays with
+    # one entry per point. U enters only through the marked state m = U r =
+    # (m0, m1) (_first_column), and every complex product is written out in
+    # real arithmetic, which rounds alike in Python and in numpy, so a point
+    # is bit-equal to its stack row.
     # With s = sin(beta), c = cos(beta), the terms b, ba, ab and a are
     #   (1 - s_x)/4 [[1 + c, s], [s, 1 - c]]    (x) r r^H,
     #   conj(cross) [[s, -(1 + c)], [1 - c, -s]] (x) r m^H,
@@ -321,6 +326,10 @@ def _evolve_closed_form(s_x, s_y, s_z, m0_re, m0_im, m1_re, m1_im, beta, phi) ->
     #   [[f + g conj(m0) + h m0 + k |m0|^2, (g + k m0) conj(m1)],
     #    [(h + k conj(m0)) m1,              k |m1|^2]].
     # Only the upper triangle is computed; the lower is its conjugate.
+    s_x, s_y, s_z, beta, phi = (
+        v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi)
+    )
+    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
     sin_b, cos_b = _sin_cos(beta)
     sin_2phi, cos_2phi = _sin_cos(2.0 * phi)
     plus, minus = 1.0 + cos_b, 1.0 - cos_b
@@ -364,12 +373,7 @@ def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     Takes evolve_stack's arguments; every matrix passes DensityOperator's
     checks (linalg.check_densities).
     """
-    s_x, s_y, s_z, beta, phi = (np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi))
-    unitary = np.asarray(unitary)
-    m0, m1 = unitary[..., 0, 0], unitary[..., 1, 0]
-    return check_densities(
-        _evolve_closed_form(s_x, s_y, s_z, m0.real, m0.imag, m1.real, m1.imag, beta, phi)
-    )
+    return check_densities(_evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi))
 
 
 def evolve_closed_form(
@@ -388,11 +392,8 @@ def evolve_closed_form(
     the same formula on arrays, and its row for this point is this matrix
     to the bit.
     """
-    m0, m1 = det.unitary[:, 0].tolist()
     return DensityOperator(
-        _evolve_closed_form(
-            state.s_x, state.s_y, state.s_z, m0.real, m0.imag, m1.real, m1.imag, beta.beta, phi.phi
-        )
+        _evolve_closed_form(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)
     )
 
 
@@ -455,16 +456,18 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     # (c0, c2) of n points, shape (n,) each: the port-a probability at phase
     # phi is c0 + Re(c2 e^{-2i*phi}); a length-1 state or beta column is one
     # value for every point, as a (2, 2) unitary is. That probability is
-    # Re sum_jk P_jk Q_jk d_j conj(d_k) for P = S0 rho S0^H, Q = T[2:]^T conj(T[2:])
-    # of the tail T (_tail) and d = (e^{-i*phi}, e^{-i*phi}, e^{+i*phi}, e^{+i*phi}).
-    # P is the path block H rho H^H on the start rows and columns 0 and 2, zero
-    # elsewhere, and there d_j conj(d_k) is 1 on the diagonal, e^{-2i*phi} at
-    # (0, 2) and e^{+2i*phi} at (2, 0): so the fold reads only Q[::2, ::2].
+    # Re sum_jk P_jk Q_jk d_j conj(d_k) on the whole 4x4: the prepared joint
+    # state P, Q = T[2:]^T conj(T[2:]) of the tail T and the phase diagonal d
+    # lifted onto path (x) detector. P is H rho H^H on the start rows and
+    # columns 0 and 2 (_evolve), zero elsewhere, and there d_j conj(d_k) is 1
+    # on the diagonal, e^{-2i*phi} at (0, 2) and e^{+2i*phi} at (2, 0): so the
+    # fold reads only Q[::2, ::2]. + 0.0 makes c2's zero parts +0.0, as in the
+    # whole-block fold.
     rho = _bloch_densities(s_x, s_y, s_z)
     prepared = _SYMMETRIC_SPLITTER @ rho @ _SYMMETRIC_SPLITTER.conj().T
     port_a = _tail(unitary, beta)[:, 2:, :]
     m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())[:, ::2, ::2]
-    return (m[:, 0, 0] + m[:, 1, 1]).real, m[:, 0, 1] + m[:, 1, 0].conj()
+    return (m[:, 0, 0] + m[:, 1, 1]).real, m[:, 0, 1] + m[:, 1, 0].conj() + 0.0
 
 
 def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):

@@ -23,7 +23,6 @@ from mzi_duality.cli import (
     run_sweep,
 )
 from mzi_duality.duality import (
-    DARK_PORT,
     complementarity_residual,
     distinguishability_closed,
     distinguishability_kernel,
@@ -383,8 +382,8 @@ def test_sweep_blanks_a_dark_denominator_with_valid_weights_and_scan(monkeypatch
     lines = run_sweep(spec).splitlines()[1:]
     blank = [i for i, line in enumerate(lines) if line.endswith(",,,,,,,")]
     assert blank == [4]
-    value = _fmt(spec.grid()[4])
-    assert capsys.readouterr().err == f"warning: s_x={value} is degenerate ({DARK_PORT})\n"
+    value, dark_port = _fmt(spec.grid()[4]), interferometer.OUTCOMES[2][1]
+    assert capsys.readouterr().err == f"warning: s_x={value} is degenerate ({dark_port})\n"
 
 
 def scalar_sweep(spec):

@@ -490,12 +490,12 @@ def test_scan_and_closed_form_share_the_dark_port_threshold(s_x, beta, capsys):
             route()
             outcomes.append(False)
         except DualityError as exc:
-            outcomes.append((type(exc), str(exc)) == (DarkPortError, duality.DARK_PORT))
+            outcomes.append((type(exc), str(exc)) == (DarkPortError, interferometer.OUTCOMES[2][1]))
     # The sweep row at this point, the first or last row of a two-row beta sweep.
     lo, hi = sorted((beta, HALF_PI))
     spec = SweepSpec(swept="beta", lo=lo, hi=hi, steps=2, lam=1.0, a_overlap=0.5, s_x=s_x)
     row = run_sweep(spec).splitlines()[1 if beta == lo else 2]
-    warning = f"warning: beta={row.split(',')[0]} is degenerate ({duality.DARK_PORT})"
+    warning = f"warning: beta={row.split(',')[0]} is degenerate ({interferometer.OUTCOMES[2][1]})"
     outcomes.append(row.endswith(",,,,,,,") and warning in capsys.readouterr().err.splitlines())
     undefined = 1.0 + s_x * math.cos(beta) <= interferometer.DENOMINATOR_TOL
     assert outcomes == [undefined] * 6

@@ -156,7 +156,7 @@ def test_trace_path_of_a_stack_matches_each_partial_trace():
     reduced = trace_path(np.array([j.matrix for j in joints]))
     assert reduced.shape == (20, 2, 2)
     for joint, r in zip(joints, reduced):
-        np.testing.assert_array_equal(r, partial_trace_path(joint).matrix)
+        assert r.tobytes() == partial_trace_path(joint).matrix.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -585,7 +585,7 @@ def test_stacked_trace_norms_match_the_scalar_trace_norm():
     rng = np.random.default_rng(8)
     stack = np.array([random_hermitian(rng) for _ in range(200)])
     expected = np.array([trace_norm(h) for h in stack])
-    np.testing.assert_array_equal(_trace_norm(*_entries(stack)), expected)
+    assert _trace_norm(*_entries(stack)).tobytes() == expected.tobytes()
 
 
 def test_one_matrix_eigenvalues_and_trace_norms_are_the_stacked_ones_exactly():
@@ -599,9 +599,10 @@ def test_one_matrix_eigenvalues_and_trace_norms_are_the_stacked_ones_exactly():
     stack = np.array([[d0, off], [off.conj(), d1]]).transpose(2, 0, 1)
     values, vectors = _hermitian_eig2(*_entries(stack))
     expected = [hermitian_eig2(h) for h in stack]
-    np.testing.assert_array_equal(values, [want for want, _ in expected])
-    np.testing.assert_array_equal(vectors, [want for _, want in expected])
-    np.testing.assert_array_equal(_trace_norm(*_entries(stack)), [trace_norm(h) for h in stack])
+    assert values.tobytes() == np.array([want for want, _ in expected]).tobytes()
+    assert vectors.tobytes() == np.array([want for _, want in expected]).tobytes()
+    norms = np.array([trace_norm(h) for h in stack])
+    assert _trace_norm(*_entries(stack)).tobytes() == norms.tobytes()
 
 
 def test_hermiticity_defect_measures_asymmetry():
