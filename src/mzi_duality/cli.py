@@ -280,9 +280,9 @@ def run_sweep(spec: SweepSpec) -> str:
         v, d, residual, omega_a, omega_b, den = closed_form_columns(
             s_x, s_y, s_z, lam, spec.a_overlap, beta
         )
-        v_scan, scanned = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
+        v_scan, scan = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
         d_trace = distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b)
-        codes = _outcomes(bloch_lam, den, omega_a, omega_b, scanned)
+        codes = _outcomes(bloch_lam, den, omega_a, omega_b, scan)
     lit = codes == 0
     table = np.column_stack([v, v_scan, d, d_trace, residual, omega_a, omega_b])
     formatted = _format_numbers(np.concatenate([params, table[lit].ravel()]))

@@ -30,12 +30,12 @@ from .interferometer import (
     _first_column,
     _fringe_coefficients,
     _outcomes,
-    _undefined,
+    _screen,
     port_terms,
 )
 # Kept importable here: phase_probe, which bench/tracing.py wraps.
 from .interferometer import phase_probe  # noqa: F401
-from .linalg import IDENTITY_2, _hermitian_eig2, _trace_norm
+from .linalg import IDENTITY_2, _hermitian_eig2, _sin_cos, _trace_norm
 
 ORTHONORMALITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -55,12 +55,10 @@ def _bounded_s_x(s_x: float) -> float:
 
 def _lit_port(s_x: float, beta: float) -> tuple[float, float, float]:
     # (s_x as _bounded_s_x returns it, sin beta, port denominator) of a point
-    # whose port is lit, else the dark port's error (_outcomes).
+    # whose port is lit, else the dark port's error (_screen).
     s_x = _bounded_s_x(s_x)
     sin_beta, den = port_terms(s_x, beta)
-    code = _outcomes(den=den)
-    if code:
-        raise _undefined(code)
+    _screen(den=den)
     return s_x, sin_beta, den
 
 
@@ -99,7 +97,7 @@ def residual_kernel(lam, a_overlap, sin_beta, den):
 
 def weights_kernel(s_x, beta, den):
     """(omega_a, omega_b) = (cos^2(beta/2) (1 + s_x), sin^2(beta/2) (1 - s_x)) / den."""
-    cos_half, sin_half = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    sin_half, cos_half = _sin_cos(0.5 * beta)
     return cos_half * cos_half * (1.0 + s_x) / den, sin_half * sin_half * (1.0 - s_x) / den
 
 
@@ -128,9 +126,7 @@ class PathWeights:
 
     def __post_init__(self):
         require_finite(omega_a=self.omega_a, omega_b=self.omega_b)
-        code = _outcomes(omega_a=self.omega_a, omega_b=self.omega_b)
-        if code:
-            raise _undefined(code, omega_a=self.omega_a, omega_b=self.omega_b)
+        _screen(omega_a=self.omega_a, omega_b=self.omega_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,22 +205,22 @@ def visibility_scans(s_x, s_y, s_z, unitary, beta):
     one entry per point, or one point's floats. The state's three columns
     together, or ``beta``, may have length 1, one value for every point, as
     one (2, 2) marking ``unitary`` is; else it is an (n, 2, 2) stack. A
-    point is its stack row to the bit. Returns ``(visibility, defined)``,
+    point is its stack row to the bit. Returns ``(visibility, code)``,
     shape (n,), or (1,) for a point: the contrast (p_max - p_min) / (p_max +
     p_min) of each point's port-a extrema over the phase dial, c0 +- |c2| of
     the pipeline's fringe c0 + Re(c2 e^{-2i*phi}), folded on the start
-    state's support alone (_fringe_coefficients), with ``defined`` False,
-    and the visibility NaN, where p_max + p_min, the scan's own port
-    denominator, leaves the port dark (_outcomes' dark-port rule).
+    state's support alone (_fringe_coefficients), and each point's outcome
+    code: 0, or 2 with the visibility NaN where p_max + p_min, the scan's
+    own port denominator, leaves the port dark (_outcomes' dark-port rule).
     """
     c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
     amplitude = np.abs(c2)
     p_max, p_min = c0 + amplitude, c0 - amplitude
     total = p_max + p_min
-    defined = _outcomes(den=total) == 0
+    code = _outcomes(den=total)
     visibility = np.full(total.shape, np.nan)
-    np.divide(p_max - p_min, total, out=visibility, where=defined)
-    return visibility, defined
+    np.divide(p_max - p_min, total, out=visibility, where=code == 0)
+    return visibility, code
 
 
 def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle) -> float:
@@ -233,12 +229,10 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
     The one-point case of visibility_scans. Shares no formula with
     visibility_closed, whose independent oracle it is.
     """
-    visibility, defined = visibility_scans(
+    visibility, code = visibility_scans(
         state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta)
     )
-    code = _outcomes(scan_lit=defined[0])
-    if code:
-        raise _undefined(code)
+    _screen(scan=int(code[0]))
     return float(visibility[0])
 
 

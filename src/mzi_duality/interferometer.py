@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DarkPortError, DualityError, InvalidInputError, require_finite, require_in_range
+from .errors import DarkPortError, InvalidInputError, require_finite, require_in_range
 from .linalg import IDENTITY_2, DensityOperator, _from_parts, _select, _sin_cos, check_densities
 
 BLOCH_NORM_TOL = 1e-12
@@ -26,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 
 # The error a point raises where it is undefined: outcome code -> (error
 # class, message), the codes in the order _outcomes screens their rules (the
-# scan's own dark port, screened last, is code 2 too). Code 0 is lit. Each
+# scan's own dark port, the chain's base, is code 2 too). Code 0 is lit. Each
 # message names the value it quotes.
 OUTCOMES = {
     1: (InvalidInputError, "Bloch vector length squared {lam!r} exceeds 1"),
@@ -37,16 +37,16 @@ OUTCOMES = {
 }
 
 
-def _outcomes(lam=None, den=None, omega_a=None, omega_b=None, scan_lit=None):
+def _outcomes(lam=None, den=None, omega_a=None, omega_b=None, scan=0):
     # The outcome code of a point's floats, or of each point of a stack's
     # arrays: the first rule it breaks, or 0. In the scalar API's order: lam
     # at most 1 + BLOCH_NORM_TOL, the port denominator den above
     # DENOMINATOR_TOL, omega_a and then omega_b in [0, 1] (NaN is not) and
-    # their sum 1, both within WEIGHT_TOL, then the scan's own port lit
-    # (scan_lit). A value left out (None) is not screened, so each scalar
-    # stage screens what it knows. The chain runs from the last rule to the
-    # first, on _select: one point makes no numpy call.
-    code = 0 if scan_lit is None else _select(scan_lit, 0, 2)
+    # their sum 1, both within WEIGHT_TOL, then the scan's own code (scan, as
+    # duality.visibility_scans returns it). A value left out (None) is not
+    # screened, so each scalar stage screens what it knows. The chain runs
+    # from the last rule to the first, on _select: one point makes no numpy call.
+    code = scan
     if omega_a is not None:
         code = _select(abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL, code, 5)
         for rule, weight in ((4, omega_b), (3, omega_a)):
@@ -56,10 +56,13 @@ def _outcomes(lam=None, den=None, omega_a=None, omega_b=None, scan_lit=None):
     return code if lam is None else _select(lam > 1.0 + BLOCH_NORM_TOL, 1, code)
 
 
-def _undefined(code, **values) -> DualityError:
-    # The error of a nonzero outcome code, its message quoting the point's values.
-    kind, message = OUTCOMES[code]
-    return kind(message.format(**values))
+def _screen(lam=None, den=None, omega_a=None, omega_b=None, scan=0) -> None:
+    # Raise the error of a point's first broken rule (_outcomes' code, OUTCOMES'
+    # class and message quoting the point's values); return where it is lit.
+    code = _outcomes(lam, den, omega_a, omega_b, scan)
+    if code:
+        kind, message = OUTCOMES[code]
+        raise kind(message.format(lam=lam, omega_a=omega_a, omega_b=omega_b))
 
 
 def _onto_bloch_ball(s_x, s_y, s_z, lam):
@@ -97,9 +100,7 @@ class BlochState:
     def __post_init__(self):
         require_finite(s_x=self.s_x, s_y=self.s_y, s_z=self.s_z)
         lam = self.s_x * self.s_x + self.s_y * self.s_y + self.s_z * self.s_z
-        code = _outcomes(lam=lam)
-        if code:
-            raise _undefined(code, lam=lam)
+        _screen(lam=lam)
         object.__setattr__(self, "lam", lam)
         if lam > 1.0:  # the only points _onto_bloch_ball moves
             projected = _onto_bloch_ball(self.s_x, self.s_y, self.s_z, lam)

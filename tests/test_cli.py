@@ -3,6 +3,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import warnings
 from decimal import Decimal
@@ -34,6 +36,8 @@ from mzi_duality.duality import (
 )
 from mzi_duality.errors import DualityError, InvalidInputError
 from mzi_duality.interferometer import DENOMINATOR_TOL, BeamSplitterAngle, BlochState, port_terms
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fmt(value):
@@ -437,11 +441,15 @@ EDGE_SPECS = [
 # Sweeps with every row blank, next to the dark port of a certain path: with
 # s_x = 1 near pi, 24 omega_a-range rows, 36 weight-sum rows and a dark row;
 # with s_x = -1 near 0, the same with omega_b. Between them and EDGE_SPECS
-# every outcome code blanks some row.
+# every outcome code blanks some row. The last is a beta sweep whose fixed
+# state is too long, squared length 1.0000000000010003: every row is blank
+# on the Bloch length rule, one code for the whole sweep.
 BLANK_SPECS = [
     SweepSpec(swept="beta", lo=math.pi - 1e-4, hi=math.pi, steps=61, lam=1.0,
               a_overlap=0.5, s_x=1.0),
     SweepSpec(swept="beta", lo=0.0, hi=1e-4, steps=61, lam=1.0, a_overlap=0.5, s_x=-1.0),
+    SweepSpec(swept="beta", lo=0.5, hi=1.0, steps=5, lam=1.0 + 1e-12, a_overlap=0.5,
+              s_x=0.00225, yz_angle=0.37),
 ]
 
 
@@ -764,6 +772,39 @@ def test_every_distinguishability_curve_falls_then_rises(tables):
             changes, first = single_sign_change([v for _, v in points])
             assert changes == 1, (stem, label)
             assert first < 0, (stem, label)
+
+
+def test_outputs_without_a_matrix_product_do_not_follow_the_blas_kernel():
+    # The README sweep and the figures in a child process on OpenBLAS's
+    # Sandybridge kernel, which has no fused multiply-add, against this
+    # process's default kernel. The closed forms, the path weights, the trace
+    # norm and the number formatter are elementwise, so they are byte-identical;
+    # only V_scan rests on matrix products (the fringe fold), which may round
+    # differently on another kernel. A BLAS build that ignores
+    # OPENBLAS_CORETYPE runs its one kernel twice, and the test passes trivially.
+    fields = ("swept", "lo", "hi", "steps", "lam", "a_overlap", "beta")
+    child = (
+        "import json, sys\n"
+        "from mzi_duality import cli\n"
+        "spec = cli.SweepSpec(*json.loads(sys.argv[1]))\n"
+        "print(json.dumps([cli.run_sweep(spec), cli.figure_tables()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1",
+               OPENBLAS_CORETYPE="Sandybridge")
+    result = subprocess.run(
+        [sys.executable, "-c", child, json.dumps([getattr(README_SWEEP, f) for f in fields])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    sweep, tables = json.loads(result.stdout)
+    assert tables == figure_tables()
+    lines, expected = sweep.splitlines(), run_sweep(README_SWEEP).splitlines()
+    assert len(lines) == len(expected) == README_SWEEP.steps + 1
+    v_scan = SWEEP_HEADER.split(",").index("V_scan")
+    for line, want in zip(lines, expected):
+        got, ref = line.split(","), want.split(",")
+        del got[v_scan], ref[v_scan]
+        assert got == ref
 
 
 def test_figures_cli_is_byte_deterministic(tmp_path):

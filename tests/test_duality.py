@@ -250,8 +250,8 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     det = DetectorConfig(a_overlap, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
     points = (EDGE_POINTS + [(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])[:n]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
-    assert visibility.shape == (n,) and defined.all()
+    visibility, code = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
+    assert visibility.shape == (n,) and code.tolist() == [0] * n
     for (state, beta), v in zip(points, visibility):
         assert v == visibility_scan(state, det, beta)
 
@@ -305,9 +305,10 @@ def test_harmonic_identity_matches_the_pipeline():
 def test_scan_of_a_point_is_its_stack_row_bit_for_bit():
     # visibility_scans on a point's floats, as visibility_scan passes them,
     # against the point's row of a stack: the fringe coefficients, the
-    # visibility and its flag, to the bit. Edge points at A = 0, 1 and one
-    # interior overlap, detectors on MARKING_PHASES, verify's draws, pure
-    # states next to the dark port and two on it, whose visibility is NaN.
+    # visibility and its outcome code, to the bit. Edge points at A = 0, 1
+    # and one interior overlap, detectors on MARKING_PHASES, verify's draws,
+    # pure states next to the dark port and two on it, whose visibility is
+    # NaN and whose code is 2.
     rng = np.random.default_rng(107)
     cases = [
         (state, DetectorConfig(a_overlap, 0.4, 1.3), beta)
@@ -331,7 +332,7 @@ def test_scan_of_a_point_is_its_stack_row_bit_for_bit():
     unitary = np.stack([det.unitary for _, det, _ in cases])
     rows = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
     stacked = visibility_scans(s_x, s_y, s_z, unitary, betas)
-    assert np.count_nonzero(~stacked[1]) == 2
+    assert np.count_nonzero(stacked[1]) == 2
     for i, (state, det, beta) in enumerate(cases):
         point = (state.s_x, state.s_y, state.s_z, det.unitary, beta.beta)
         for got, row in zip(
@@ -424,8 +425,8 @@ def test_stacked_scan_flags_only_the_dark_port():
     points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),
               (BlochState(1.0, 0.0, 0.0), BeamSplitterAngle(math.pi))]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, defined = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
-    assert defined.tolist() == [True, False]
+    visibility, code = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
+    assert code.tolist() == [0, 2]
     (lit, lit_beta), (dark, dark_beta) = points
     assert abs(visibility[0] - visibility_scan(lit, det, lit_beta)) <= 1e-15
     assert math.isnan(visibility[1])

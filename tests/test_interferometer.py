@@ -592,7 +592,7 @@ def test_port_terms_take_the_half_turn_as_exact():
 # --- the outcome screen ----------------------------------------------------------------
 
 
-def first_broken_rule(lam, den, omega_a, omega_b, scan_lit):
+def first_broken_rule(lam, den, omega_a, omega_b, scan):
     # The outcome code written out as the scalar API's checks, in their order.
     if lam > 1.0 + BLOCH_NORM_TOL:
         return 1
@@ -603,7 +603,7 @@ def first_broken_rule(lam, den, omega_a, omega_b, scan_lit):
             return code
     if not abs(omega_a + omega_b - 1.0) <= WEIGHT_TOL:
         return 5
-    return 0 if scan_lit else 2
+    return scan
 
 
 def test_a_points_outcome_is_its_stack_row():
@@ -614,17 +614,17 @@ def test_a_points_outcome_is_its_stack_row():
     dens = [1.0, math.nextafter(1e-12, up), 1e-12, 0.0, -1.0, math.nan]
     weights = [0.0, 0.4, 0.6, 1.0, -1e-12, math.nextafter(-1e-12, down), 1.0 + 1e-12,
                math.nextafter(1.0 + 1e-12, up), math.nan]
-    points = list(itertools.product(lams, dens, weights, weights, [True, False]))
+    points = list(itertools.product(lams, dens, weights, weights, [0, 2]))
     per_point = [_outcomes(*point) for point in points]
     stack = _outcomes(*(np.array(column) for column in zip(*points)))
     assert stack.tolist() == per_point == [first_broken_rule(*point) for point in points]
     assert set(per_point) == {0, 1, 2, 3, 4, 5}
     # A stage of the scalar API screens only what it knows: the same code as
     # a point whose other values are lit.
-    lit = dict(lam=0.0, den=1.0, omega_a=1.0, omega_b=0.0, scan_lit=True)
+    lit = dict(lam=0.0, den=1.0, omega_a=1.0, omega_b=0.0, scan=0)
     stages = [{"lam": v} for v in lams] + [{"den": v} for v in dens]
     stages += [{"omega_a": a, "omega_b": b} for a, b in itertools.product(weights, weights)]
-    stages += [{"scan_lit": True}, {"scan_lit": False}]
+    stages += [{"scan": 0}, {"scan": 2}]
     for known in stages:
         assert _outcomes(**known) == _outcomes(**{**lit, **known}), known
 
