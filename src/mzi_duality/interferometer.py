@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DarkPortError, InvalidInputError, require_finite, require_in_range
-from .linalg import IDENTITY_2, DensityOperator, _from_parts, _select, _sin_cos, check_densities
+from .linalg import IDENTITY_2, DensityOperator, _from_parts, _select, _sin_cos
 
 BLOCH_NORM_TOL = 1e-12
 DENOMINATOR_TOL = 1e-12
@@ -271,27 +271,19 @@ def _first_column(unitary):
 
 
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    # K rho K^H with K = T[..., ::2] (d o H) (4x2). The detector starts in r,
-    # so the joint input rho (x) |r><r| is rho on the start rows and columns 0
-    # and 2 and zero elsewhere: the splitter H and the phase diagonal d act on
-    # the path alone, and the tail T through its two start columns.
-    rho = check_densities(_bloch_densities(s_x, s_y, s_z))
+    # The joint state of validated inputs, unchecked: of a point's floats,
+    # shape (1, 4, 4); of 1-D arrays with one entry per point, (n, 4, 4).
+    # unitary is one (2, 2) marking unitary for every point or an (n, 2, 2)
+    # stack of them. K rho K^H with K = T[..., ::2] (d o H) (4x2). The
+    # detector starts in r, so the joint input rho (x) |r><r| is rho on the
+    # start rows and columns 0 and 2 and zero elsewhere: the splitter H and
+    # the phase diagonal d act on the path alone, and the tail T through its
+    # two start columns. The tail is written entry by entry (_tail), so a
+    # point's matrix is its stack row to the bit; only K and K rho K^H are
+    # matrix products.
+    rho = _bloch_densities(s_x, s_y, s_z)
     k = _tail(unitary, beta)[..., ::2] @ (_phase_diagonals(phi)[..., None] * _SYMMETRIC_SPLITTER)
     return k @ rho @ k.conj().swapaxes(-1, -2)
-
-
-def evolve_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    """evolve of n points at once: shape (n, 4, 4).
-
-    ``s_x``, ``s_y``, ``s_z``, ``beta`` and ``phi`` are 1-D arrays with one
-    entry per point, of validated inputs; ``unitary`` is one (2, 2) marking
-    unitary for every point or an (n, 2, 2) stack of them. The tail is
-    written entry by entry (_tail), so a point's matrix is its stack row to
-    the bit; only K = T[..., ::2] (d o H) and K rho K^H are matrix products.
-    Every input and output matrix passes DensityOperator's checks
-    (linalg.check_densities).
-    """
-    return check_densities(_evolve(s_x, s_y, s_z, unitary, beta, phi))
 
 
 def evolve(
@@ -302,7 +294,7 @@ def evolve(
 ) -> DensityOperator:
     """Full pipeline: symmetric splitter, phase shift, marking, then recombiner.
 
-    The one-point view of evolve_stack.
+    The one-point view of the stacked pipeline, checked as a DensityOperator.
     """
     return DensityOperator(
         _evolve(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)[0]
@@ -310,12 +302,13 @@ def evolve(
 
 
 def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    # evolve_closed_form's four terms summed entry by entry, of _evolve's
-    # inputs: shape (4, 4) for a point's floats, (n, 4, 4) for 1-D arrays with
-    # one entry per point. U enters only through the marked state m = U r =
-    # (m0, m1) (_first_column), and every complex product is written out in
-    # real arithmetic, which rounds alike in Python and in numpy, so a point
-    # is bit-equal to its stack row.
+    # evolve_closed_form's four terms summed entry by entry, unchecked, of
+    # _evolve's validated inputs (one (2, 2) U or an (n, 2, 2) stack): shape
+    # (4, 4) for a point's floats, (n, 4, 4) for 1-D arrays with one entry
+    # per point. U enters only through the marked state m = U r = (m0, m1)
+    # (_first_column), and every complex product is written out in real
+    # arithmetic, which rounds alike in Python and in numpy, so a point is
+    # its stack row to the bit.
     # With s = sin(beta), c = cos(beta), the terms b, ba, ab and a are
     #   (1 - s_x)/4 [[1 + c, s], [s, 1 - c]]    (x) r r^H,
     #   conj(cross) [[s, -(1 + c)], [1 - c, -s]] (x) r m^H,
@@ -368,15 +361,6 @@ def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     ], (4, 4))  # fmt: skip
 
 
-def evolve_closed_form_stack(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    """evolve_closed_form of n points at once: shape (n, 4, 4).
-
-    Takes evolve_stack's arguments; every matrix passes DensityOperator's
-    checks (linalg.check_densities).
-    """
-    return check_densities(_evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi))
-
-
 def evolve_closed_form(
     state: BlochState,
     det: DetectorConfig,
@@ -389,7 +373,7 @@ def evolve_closed_form(
     cross terms carry e^{-+2i*phi} because conjugating by
     diag(e^{-i*phi}, e^{+i*phi}) advances the inter-arm phase by 2*phi.
     The sixteen entries are the terms summed entry by entry, in real
-    arithmetic on the point's Python floats; evolve_closed_form_stack runs
+    arithmetic on the point's Python floats; the stacked closed form runs
     the same formula on arrays, and its row for this point is this matrix
     to the bit.
     """

@@ -40,10 +40,10 @@ from .errors import DualityError, InvalidInputError, _setting
 from .interferometer import (
     BeamSplitterAngle,
     TWO_PI,
+    _evolve,
+    _evolve_closed_form,
     _port_a_closed,
     _port_a_probabilities,
-    evolve_closed_form_stack,
-    evolve_stack,
     marking_unitaries,
     port_terms,
 )
@@ -211,7 +211,7 @@ def _draw_points(rng, draws) -> _Points:
 
 
 def _pipeline(p: _Points) -> tuple:
-    # evolve_stack's arguments.
+    # _evolve's and _evolve_closed_form's arguments.
     return p.s_x, p.s_y, p.s_z, p.unitary, p.beta, p.phi
 
 
@@ -233,19 +233,19 @@ def _largest_entries(m: np.ndarray) -> np.ndarray:
 
 def _pipeline_equivalence(rng, draws):
     args = _pipeline(_draw_points(rng, draws))
-    return _none_skipped(_largest_entries(evolve_stack(*args) - evolve_closed_form_stack(*args)))
+    return _none_skipped(_largest_entries(_evolve(*args) - _evolve_closed_form(*args)))
 
 
 def _detection_probability(rng, draws):
     p = _draw_points(rng, draws)
-    numeric = _port_a_probabilities(evolve_stack(*_pipeline(p)))
+    numeric = _port_a_probabilities(_evolve(*_pipeline(p)))
     yz, alpha = np.hypot(p.s_y, p.s_z), np.arctan2(p.s_y, p.s_z)
     closed = _port_a_closed(p.s_x, yz, alpha, p.a_overlap, p.gamma, p.beta, p.phi)
     return _none_skipped(np.abs(numeric - closed))
 
 
 def _state_validity(rng, draws):
-    m = evolve_stack(*_pipeline(_draw_points(rng, draws)))
+    m = _evolve(*_pipeline(_draw_points(rng, draws)))
     negativity = np.maximum(0.0, -np.linalg.eigvalsh(m)[:, 0])
     return _none_skipped(
         np.maximum(np.maximum(hermiticity_defect(m, axis=(1, 2)), trace_errors(m)), negativity)
@@ -254,7 +254,7 @@ def _state_validity(rng, draws):
 
 def _reduced_detector_state(rng, draws):
     p = _draw_points(rng, draws)
-    reduced = check_densities(trace_path(evolve_stack(*_pipeline(p))))
+    reduced = check_densities(trace_path(_evolve(*_pipeline(p))))
     # (1 - s_x)/2 r r^H + (1 + s_x)/2 U r r^H U^H, the start state r = (1, 0)
     # and U r the first column of U, entry by entry.
     marked = p.unitary[:, :, 0]

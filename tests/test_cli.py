@@ -843,20 +843,31 @@ def test_verify_injected_fault_fails(capsys):
 
 
 def test_verify_counts_a_failed_density_check_as_a_suite_failure(monkeypatch, capsys):
-    # A 1e-9 relative fault in the closed-form expansion breaks the trace of
-    # the library's own output. That is a failure of the suite that checks
-    # it, with a NaN worst error and a note on stderr, not invalid input.
-    closed_form = interferometer._evolve_closed_form
-    monkeypatch.setattr(
-        interferometer, "_evolve_closed_form", lambda *args: closed_form(*args) * (1.0 + 1e-9)
-    )
+    # The stacked joint states are not re-checked at run time: a 1e-9
+    # relative fault in the closed-form expansion fails the suite that
+    # compares it, with a finite worst error and nothing on stderr.
+    closed_form = verify._evolve_closed_form
+    monkeypatch.setattr(verify, "_evolve_closed_form", lambda *args: closed_form(*args) * (1.0 + 1e-9))
     assert main(["verify", "--draws", "20"]) == 1
     captured = capsys.readouterr()
     summary = json.loads(captured.out)
     failed = summary.pop("pipeline_equivalence")
+    assert failed["failures"] == failed["cases"] == 20 and 8e-10 < failed["max_error"] < 1e-9
+    assert all(entry["failures"] == 0 for entry in summary.values())
+    assert captured.err == ""
+    # The reduced detector state keeps its density check: a check that
+    # raises is a failure of its suite, with a NaN worst error and a note on
+    # stderr, not invalid input.
+    monkeypatch.undo()
+    partial_trace = verify.trace_path
+    monkeypatch.setattr(verify, "trace_path", lambda m: partial_trace(m) * (1.0 + 1e-9))
+    assert main(["verify", "--draws", "20"]) == 1
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    failed = summary.pop("reduced_detector_state")
     assert failed["failures"] == failed["cases"] == 20 and math.isnan(failed["max_error"])
     assert all(entry["failures"] == 0 for entry in summary.values())
-    note = "suite pipeline_equivalence raised: density operator trace deviates from 1"
+    note = "suite reduced_detector_state raised: density operator trace deviates from 1 by 1.000e-09"
     assert note in captured.err and len(captured.err.splitlines()) == 1
 
 

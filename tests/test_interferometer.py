@@ -20,6 +20,8 @@ from mzi_duality.interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
+    _evolve,
+    _evolve_closed_form,
     _outcomes,
     _phase_diagonals,
     _tail,
@@ -28,13 +30,11 @@ from mzi_duality.interferometer import (
     detection_probability_numeric,
     evolve,
     evolve_closed_form,
-    evolve_closed_form_stack,
-    evolve_stack,
     marking_unitaries,
     phase_probe,
     port_terms,
 )
-from mzi_duality.linalg import DensityOperator, partial_trace_path
+from mzi_duality.linalg import DensityOperator, check_densities, partial_trace_path
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -406,6 +406,11 @@ def stacked_arguments(points):
 UNDERFLOW_DETECTORS = [DetectorConfig(a, g, -g) for a in (0.37, 1e-300) for g in (5e-324, -5e-324)]
 
 
+# Pure states projected from BlochState's slack above the unit sphere.
+SLACK_STATES = [BlochState(1.0000000000004, 0.0, 0.0), BlochState(1.0, 0.0, 1e-6),
+                BlochState(0.6, 0.0, math.sqrt(1.0 + 1e-12 - 0.36))]
+
+
 def underflow_points(rng):
     return [
         (state, det, BeamSplitterAngle(rng.uniform(0, math.pi)), PhaseShift(rng.uniform(0, 2 * math.pi)))
@@ -422,10 +427,13 @@ def assert_points_are_their_rows(points, stacked, closed):
 
 
 def test_stacked_pipeline_equals_scalar_pipeline_at_edges_and_on_draws():
+    # The stacked routes skip DensityOperator's checks; every stack row must
+    # pass them, the pure slack states included.
     rng = np.random.default_rng(24)
     points = edge_points(rng) + underflow_points(rng) + [draw_point(rng) for _ in range(200)]
-    stacked = evolve_stack(*stacked_arguments(points))
-    closed = evolve_closed_form_stack(*stacked_arguments(points))
+    points += edge_points(rng, SLACK_STATES)
+    stacked = check_densities(_evolve(*stacked_arguments(points)))
+    closed = check_densities(_evolve_closed_form(*stacked_arguments(points)))
     assert stacked.shape == closed.shape == (len(points), 4, 4)
     assert_points_are_their_rows(points, stacked, closed)
 
@@ -435,8 +443,8 @@ def test_stacked_pipeline_takes_one_shared_unitary():
     for det in [DetectorConfig(0.4, 1.3, 2.1), *UNDERFLOW_DETECTORS]:
         points = [(state, det, beta, phi) for state, _, beta, phi in edge_points(rng)]
         s_x, s_y, s_z, _, beta, phi = stacked_arguments(points)
-        stacked = evolve_stack(s_x, s_y, s_z, det.unitary, beta, phi)
-        closed = evolve_closed_form_stack(s_x, s_y, s_z, det.unitary, beta, phi)
+        stacked = _evolve(s_x, s_y, s_z, det.unitary, beta, phi)
+        closed = _evolve_closed_form(s_x, s_y, s_z, det.unitary, beta, phi)
         assert_points_are_their_rows(points, stacked, closed)
 
 
@@ -459,11 +467,6 @@ def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
     return (weights[:, :, None, None] * kron2(paths, detectors)).sum(axis=1)
 
 
-# Pure states projected from BlochState's slack above the unit sphere.
-SLACK_STATES = [BlochState(1.0000000000004, 0.0, 0.0), BlochState(1.0, 0.0, 1e-6),
-                BlochState(0.6, 0.0, math.sqrt(1.0 + 1e-12 - 0.36))]
-
-
 def test_closed_form_matches_the_kron_sum_reference():
     # Entries are at most 1 in modulus and each is a short sum of rounded
     # products, summed in another order than the reference's: 1e-15 is
@@ -472,7 +475,7 @@ def test_closed_form_matches_the_kron_sum_reference():
     points = edge_points(rng) + edge_points(rng, SLACK_STATES)
     points += [draw_point(rng) for _ in range(3000)]
     args = stacked_arguments(points)
-    assert np.abs(evolve_closed_form_stack(*args) - kron_sum_closed_form(*args)).max() <= 1e-15
+    assert np.abs(_evolve_closed_form(*args) - kron_sum_closed_form(*args)).max() <= 1e-15
 
 
 def test_stacked_pipeline_is_the_literal_product():
@@ -484,7 +487,7 @@ def test_stacked_pipeline_is_the_literal_product():
 
     rng = np.random.default_rng(26)
     points = edge_points(rng) + [draw_point(rng) for _ in range(200)]
-    stacked = evolve_stack(*stacked_arguments(points))
+    stacked = _evolve(*stacked_arguments(points))
     start, zero = np.diag([1.0, 0.0]), np.zeros((2, 2))
     for (state, det, beta, phi), m in zip(points, stacked):
         shifter = np.diag(np.exp(phi.phi * np.array([-1j, 1j])))
@@ -707,7 +710,7 @@ def test_fringe_extrema_bound_every_probe_value():
         values = phase_probe(state, det, beta)(phis)
         assert lo - slack <= values.min() and values.max() <= hi + slack
         point = (np.full(len(phis), x) for x in (state.s_x, state.s_y, state.s_z))
-        rho = evolve_stack(*point, det.unitary, np.full(len(phis), beta.beta), phis)
+        rho = _evolve(*point, det.unitary, np.full(len(phis), beta.beta), phis)
         pipeline = interferometer._port_a_probabilities(rho)
         assert lo - 1e-14 <= pipeline.min() and pipeline.max() <= hi + 1e-14
 
