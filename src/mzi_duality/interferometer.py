@@ -149,6 +149,11 @@ class PhaseShift:
         object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
 
 
+def _floats_or_arrays(*values):
+    # Each of a point's floats as it is, and each other value as a float array.
+    return (v if isinstance(v, float) else np.asarray(v, dtype=float) for v in values)
+
+
 def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
     """DetectorConfig's marking unitary [[A e^{i gamma}, -B e^{-i delta}],
     [B e^{i delta}, A e^{-i gamma}]], B = sqrt(1 - A^2), unit determinant by
@@ -158,9 +163,7 @@ def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
     rounds alike in Python and in numpy, so a detector's unitary is its row
     of a stack to the bit. Inputs are taken as validated; 0 <= a_overlap <= 1 keeps
     1 - a_overlap**2 nonnegative."""
-    a, gamma, delta = (
-        v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (a_overlap, gamma, delta)
-    )
+    a, gamma, delta = _floats_or_arrays(a_overlap, gamma, delta)
     b = (np.sqrt if isinstance(a, np.ndarray) else math.sqrt)(1.0 - a * a)
     sin_g, cos_g = _sin_cos(gamma)
     sin_d, cos_d = _sin_cos(delta)
@@ -205,7 +208,7 @@ def _bloch_densities(s_x, s_y, s_z) -> np.ndarray:
     # in real and imaginary parts: of a point's floats, shape (2, 2), or of
     # each point of 1-D Bloch component arrays, (n, 2, 2), of validated
     # (finite) inputs. The + 0.0 makes every zero part +0.0.
-    s_x, s_y, s_z = (v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (s_x, s_y, s_z))
+    s_x, s_y, s_z = _floats_or_arrays(s_x, s_y, s_z)
     zero = 0.0 * s_x
     parts = 0.5 * np.array([1.0 + s_z, zero, s_x, -s_y, s_x, s_y, 1.0 - s_z, zero]) + 0.0
     return _from_parts(parts, (2, 2))
@@ -257,8 +260,9 @@ def _tail(unitary, beta) -> np.ndarray:
     return parts.view(complex)
 
 
-# The input splitter is always the symmetric one H.
+# The input splitter is always the symmetric one H, whose entries are real.
 _SYMMETRIC_SPLITTER = _tail(IDENTITY_2, [math.pi / 2])[0, ::2, ::2]
+(_H00, _H01), (_H10, _H11) = _SYMMETRIC_SPLITTER.real.tolist()
 
 
 def _first_column(unitary):
@@ -320,9 +324,7 @@ def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     #   [[f + g conj(m0) + h m0 + k |m0|^2, (g + k m0) conj(m1)],
     #    [(h + k conj(m0)) m1,              k |m1|^2]].
     # Only the upper triangle is computed; the lower is its conjugate.
-    s_x, s_y, s_z, beta, phi = (
-        v if isinstance(v, float) else np.asarray(v, dtype=float) for v in (s_x, s_y, s_z, beta, phi)
-    )
+    s_x, s_y, s_z, beta, phi = _floats_or_arrays(s_x, s_y, s_z, beta, phi)
     m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
     sin_b, cos_b = _sin_cos(beta)
     sin_2phi, cos_2phi = _sin_cos(2.0 * phi)
@@ -438,21 +440,29 @@ def detection_probability_closed(
 
 
 def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
-    # (c0, c2) of n points, shape (n,) each: the port-a probability at phase
-    # phi is c0 + Re(c2 e^{-2i*phi}); a length-1 state or beta column is one
-    # value for every point, as a (2, 2) unitary is. That probability is
-    # Re sum_jk P_jk Q_jk d_j conj(d_k) on the whole 4x4: the prepared joint
-    # state P, Q = T[2:]^T conj(T[2:]) of the tail T and the phase diagonal d
-    # lifted onto path (x) detector. P is H rho H^H on the start rows and
-    # columns 0 and 2 (_evolve), zero elsewhere, and there d_j conj(d_k) is 1
-    # on the diagonal, e^{-2i*phi} at (0, 2) and e^{+2i*phi} at (2, 0): so the
-    # fold reads only Q[::2, ::2]. + 0.0 makes c2's zero parts +0.0, as in the
-    # whole-block fold.
-    rho = _bloch_densities(s_x, s_y, s_z)
-    prepared = _SYMMETRIC_SPLITTER @ rho @ _SYMMETRIC_SPLITTER.conj().T
-    port_a = _tail(unitary, beta)[:, 2:, :]
-    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())[:, ::2, ::2]
-    return (m[:, 0, 0] + m[:, 1, 1]).real, m[:, 0, 1] + m[:, 1, 0].conj() + 0.0
+    # (c0, c2), shape (n,) each or (1,) for a point's floats; a length-1 column or a
+    # (2, 2) unitary serves every point. The port-a probability at phase phi, c0 +
+    # Re(c2 e^{-2i*phi}), is Re sum_jk P_jk Q_jk d_j conj(d_k) of the phase diagonal d,
+    # Q = T[2:]^T conj(T[2:]) of the tail T and the prepared P = H rho H^H, zero off the
+    # start rows and columns 0 and 2 (_evolve): c0 = P00 Q00 + P22 Q22, c2 = P02 Q02 +
+    # conj(P20 Q20). P_jk = A_j0 H_k0 + A_j1 H_k1 of A = H rho, rho = [[r0, x - iy],
+    # [x + iy, r1]]; T[2:]'s start columns, (s, 0) and c U r = (t0, t1), s, c = sin,
+    # cos(beta/2), give Q00 = s^2, Q22 = |t0|^2 + |t1|^2, Q20 = conj(Q02) = s t0. In real
+    # arithmetic a point is its stack row to the bit; + 0.0 makes c2's zero parts +0.0.
+    s_x, s_y, s_z, beta = _floats_or_arrays(s_x, s_y, s_z, beta)
+    r0, r1, x, y = 0.5 * (1.0 + s_z), 0.5 * (1.0 - s_z), 0.5 * s_x, 0.5 * s_y
+    a00, a01 = _H00 * r0 + _H01 * x, _H00 * x + _H01 * r1  # Re A, rows 0 and 2
+    a20, a21 = _H10 * r0 + _H11 * x, _H10 * x + _H11 * r1
+    p00, p22 = a00 * _H00 + a01 * _H01, a20 * _H10 + a21 * _H11
+    p02_re, p02_im = a00 * _H10 + a01 * _H11, _H01 * y * _H10 - _H00 * y * _H11
+    p20_re, p20_im = a20 * _H00 + a21 * _H01, _H11 * y * _H00 - _H10 * y * _H01
+    s, c = _sin_cos(0.5 * beta)
+    t0_re, t0_im, t1_re, t1_im = (c * m for m in _first_column(unitary))
+    q_re, q_im = s * t0_re, s * t0_im  # Q20
+    c0 = p00 * (s * s) + p22 * ((t0_re * t0_re + t0_im * t0_im) + (t1_re * t1_re + t1_im * t1_im))
+    c2_re = (p02_re * q_re + p02_im * q_im) + (p20_re * q_re - p20_im * q_im) + 0.0
+    c2_im = (p02_im * q_re - p02_re * q_im) - (p20_re * q_im + p20_im * q_re) + 0.0
+    return np.array(c0, ndmin=1), _from_parts([c2_re, c2_im]).reshape(-1)
 
 
 def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -774,37 +775,43 @@ def test_every_distinguishability_curve_falls_then_rises(tables):
             assert first < 0, (stem, label)
 
 
-def test_outputs_without_a_matrix_product_do_not_follow_the_blas_kernel():
-    # The README sweep and the figures in a child process on OpenBLAS's
-    # Sandybridge kernel, which has no fused multiply-add, against this
-    # process's default kernel. The closed forms, the path weights, the trace
-    # norm and the number formatter are elementwise, so they are byte-identical;
-    # only V_scan rests on matrix products (the fringe fold), which may round
-    # differently on another kernel. A BLAS build that ignores
+def test_outputs_do_not_follow_the_blas_kernel_outside_four_verify_suites():
+    # The README sweep, EDGE_SPECS' sweeps, the figures and the default verify
+    # in a child process on OpenBLAS's Sandybridge kernel, which has no fused
+    # multiply-add, against this process's default kernel. The closed forms,
+    # the path weights, the trace norm, the fringe fold and the number
+    # formatter are elementwise, so every sweep column, V_scan included, and
+    # every figure are byte-identical, and so is every verify suite's entry,
+    # visibility_oracle's included, but the four whose checks rest on matrix
+    # products, as the README lists them. A BLAS build that ignores
     # OPENBLAS_CORETYPE runs its one kernel twice, and the test passes trivially.
-    fields = ("swept", "lo", "hi", "steps", "lam", "a_overlap", "beta")
+    specs = [README_SWEEP, *EDGE_SPECS]
     child = (
         "import json, sys\n"
-        "from mzi_duality import cli\n"
-        "spec = cli.SweepSpec(*json.loads(sys.argv[1]))\n"
-        "print(json.dumps([cli.run_sweep(spec), cli.figure_tables()]))\n"
+        "from mzi_duality import cli, verify\n"
+        "specs = [cli.SweepSpec(**kwargs) for kwargs in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[cli.run_sweep(spec) for spec in specs], cli.figure_tables(),\n"
+        "                  verify.run_verification(verify.RunConfig())]))\n"
     )
+    arguments = [
+        {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec) if f.init} for spec in specs
+    ]
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1",
                OPENBLAS_CORETYPE="Sandybridge")
     result = subprocess.run(
-        [sys.executable, "-c", child, json.dumps([getattr(README_SWEEP, f) for f in fields])],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", child, json.dumps(arguments)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    sweep, tables = json.loads(result.stdout)
+    sweeps, tables, summary = json.loads(result.stdout)
+    assert sweeps == [run_sweep(spec) for spec in specs]
     assert tables == figure_tables()
-    lines, expected = sweep.splitlines(), run_sweep(README_SWEEP).splitlines()
-    assert len(lines) == len(expected) == README_SWEEP.steps + 1
-    v_scan = SWEEP_HEADER.split(",").index("V_scan")
-    for line, want in zip(lines, expected):
-        got, ref = line.split(","), want.split(",")
-        del got[v_scan], ref[v_scan]
-        assert got == ref
+    kernel_dependent = {"eig_reconstruction", "pipeline_equivalence", "reduced_detector_state",
+                        "state_validity"}
+    expected = verify.run_verification(verify.RunConfig())
+    assert {k: v for k, v in summary.items() if k not in kernel_dependent} == {
+        k: v for k, v in expected.items() if k not in kernel_dependent
+    }
 
 
 def test_figures_cli_is_byte_deterministic(tmp_path):

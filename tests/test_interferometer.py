@@ -740,26 +740,45 @@ def test_fringe_extrema_are_attained():
             assert abs(detection_probability_numeric(rho) - extremum) <= 1e-14
 
 
+def real_product(a, b):
+    # a @ b of complex stacks given as (real, imaginary) pairs, written out in
+    # real arithmetic, with no BLAS call: entry (i, j) sums the complex
+    # products a[i, k] b[k, j] over k, in order.
+    (a_re, a_im), (b_re, b_im) = a, b
+    re = im = 0.0
+    for k in range(a_re.shape[-1]):
+        x_re, x_im = a_re[..., :, k, None], a_im[..., :, k, None]
+        y_re, y_im = b_re[..., None, k, :], b_im[..., None, k, :]
+        re, im = re + (x_re * y_re - x_im * y_im), im + (x_re * y_im + x_im * y_re)
+    return re, im
+
+
 def block_fold(s_x, s_y, s_z, unitary, beta):
-    # The fold written on the whole 4x4: the prepared state S0 rho S0^H, with
-    # S0 = (H (x) 1)[:, ::2] the splitter lifted onto path (x) detector on the
-    # detector's start columns, times Q = T[2:]^T conj(T[2:]) elementwise,
-    # each 2x2 block of the phase diagonal's pattern summed, then c0 and c2
+    # The fold written on the whole 4x4, in real arithmetic: the prepared
+    # state S0 rho S0^H, with S0 = (H (x) 1)[:, ::2] the splitter lifted onto
+    # path (x) detector on the detector's start columns, times all 16 entries
+    # of Q = T[2:]^T conj(T[2:]) elementwise, each 2x2 block of the phase
+    # diagonal's pattern summed, then c0 and c2's real and imaginary parts
     # read off the four block sums.
     rho = interferometer._bloch_densities(s_x, s_y, s_z)
     start = kron2(interferometer._SYMMETRIC_SPLITTER, I2)[:, ::2]
-    prepared = start @ rho @ start.conj().T
+    start_h = start.conj().T
+    p_re, p_im = real_product(real_product((start.real, start.imag), (rho.real, rho.imag)),
+                              (start_h.real, start_h.imag))
     port_a = interferometer._tail(unitary, beta)[:, 2:, :]
-    m = prepared * (port_a.transpose(0, 2, 1) @ port_a.conj())
-    blocks = m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4))
-    return (blocks[:, 0, 0] + blocks[:, 1, 1]).real, blocks[:, 0, 1] + blocks[:, 1, 0].conj()
+    q_re, q_im = real_product((port_a.real.swapaxes(1, 2), port_a.imag.swapaxes(1, 2)),
+                              (port_a.real, -port_a.imag))
+    m_re, m_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
+    b_re, b_im = (m.reshape(-1, 2, 2, 2, 2).sum(axis=(2, 4)) for m in (m_re, m_im))
+    return b_re[:, 0, 0] + b_re[:, 1, 1], b_re[:, 0, 1] + b_re[:, 1, 0], b_im[:, 0, 1] - b_im[:, 1, 0]
 
 
 def assert_fold_is_the_block_fold(*args):
     c0, c2 = interferometer._fringe_coefficients(*args)
-    ref0, ref2 = block_fold(*args)
+    ref0, ref2_re, ref2_im = block_fold(*args)
     assert c0.tobytes() == ref0.tobytes()
-    assert c2.tobytes() == ref2.tobytes()
+    assert c2.real.tobytes() == ref2_re.tobytes()
+    assert c2.imag.tobytes() == ref2_im.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 241, 400])
