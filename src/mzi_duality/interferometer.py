@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DarkPortError, InvalidInputError, require_finite, require_in_range
-from .linalg import IDENTITY_2, DensityOperator, _from_parts, _select, _sin_cos
+from .linalg import DensityOperator, _from_parts, _select, _sin_cos
 
 BLOCH_NORM_TOL = 1e-12
 DENOMINATOR_TOL = 1e-12
@@ -219,50 +219,16 @@ def bloch_to_density(state: BlochState) -> DensityOperator:
     return DensityOperator(_bloch_densities(state.s_x, state.s_y, state.s_z))
 
 
-def _phase_diagonals(phi) -> np.ndarray:
-    # The diagonal (e^{-i*phi}, e^{+i*phi}) of the phase shifter, in real and
-    # imaginary parts: of a float phase, shape (2,), or of each of a 1-D array
-    # of phases, (n, 2). The imaginary parts -sin(phi) and sin(phi) + 0.0 keep
-    # the zero signs of the exponential of phi times -1j = (-0.0, -1.0) and 1j:
-    # -0.0 and +0.0 at phi = +0.0, the reverse at -0.0.
-    if not isinstance(phi, float):
-        phi = np.asarray(phi, dtype=float)
-    sin_phi, cos_phi = _sin_cos(phi)
-    return _from_parts([cos_phi, -sin_phi, cos_phi, sin_phi + 0.0])
-
-
-def _tail(unitary, beta) -> np.ndarray:
-    # The pipeline after the phase shifter, T = (R(beta) x 1)(1 (+) U) =
-    # [[c 1, -s U], [s 1, c U]], c = cos(beta/2) and s = sin(beta/2), in real
-    # and imaginary parts, eight to a row: of a point's float beta and (2, 2)
-    # U on Python floats, shape (1, 4, 4); of a 1-D beta and one U or an
-    # (n, 2, 2) stack on arrays, (n, 4, 4). Each part is one rounded product,
-    # as in the lifted matrix product, where an exact zero sums to +0.0:
-    # hence 0.0 - x, x + 0.0 and + 0.0 on the half angle. (An underflowed
-    # product is +0.0 too; a fused BLAS kernel keeps its sign in the lift.)
-    if isinstance(beta, float):
-        half = 0.5 * beta + 0.0
-        s, c = math.sin(half), math.cos(half)
-        (a, b), (d, e) = unitary.tolist()
-        return np.array([
-            c, 0.0, 0.0, 0.0, 0.0 - s * a.real, 0.0 - s * a.imag, 0.0 - s * b.real, 0.0 - s * b.imag,
-            0.0, 0.0, c, 0.0, 0.0 - s * d.real, 0.0 - s * d.imag, 0.0 - s * e.real, 0.0 - s * e.imag,
-            s, 0.0, 0.0, 0.0, c * a.real + 0.0, c * a.imag + 0.0, c * b.real + 0.0, c * b.imag + 0.0,
-            0.0, 0.0, s, 0.0, c * d.real + 0.0, c * d.imag + 0.0, c * e.real + 0.0, c * e.imag + 0.0,
-        ]).view(complex).reshape(1, 4, 4)  # fmt: skip
-    u = np.ascontiguousarray(unitary).reshape(-1, 2, 2).view(float)  # (1 or n, 2, 4)
-    s, c = _sin_cos(0.5 * np.asarray(beta, dtype=float) + 0.0)
-    parts = np.zeros((max(len(u), len(s)), 4, 8))
-    parts[:, 0, 0] = parts[:, 1, 2] = c
-    parts[:, 2, 0] = parts[:, 3, 2] = s
-    parts[:, :2, 4:] = 0.0 - s[:, None, None] * u
-    parts[:, 2:, 4:] = c[:, None, None] * u + 0.0
-    return parts.view(complex)
-
-
-# The input splitter is always the symmetric one H, whose entries are real.
-_SYMMETRIC_SPLITTER = _tail(IDENTITY_2, [math.pi / 2])[0, ::2, ::2]
-(_H00, _H01), (_H10, _H11) = _SYMMETRIC_SPLITTER.real.tolist()
+# The input splitter is always the symmetric one H = R(pi/2), whose entries
+# are real: cos(pi/4) on the diagonal, -sin(pi/4) and sin(pi/4) off it.
+_H00 = _H11 = math.cos(math.pi / 4)
+_H10 = math.sin(math.pi / 4)
+_H01 = -_H10
+# H's entries, 1/2 and 1 as _prepared takes them: Python floats for a point's floats,
+# 0-d arrays for a stack's arrays. numpy multiplies an array by a 0-d array in about
+# two thirds of the time it takes with a Python float; the bits are the same.
+_PREPARING_FLOATS = (_H00, _H01, _H10, _H11, 0.5, 1.0)
+_PREPARING_ARRAYS = tuple(np.array(value) for value in _PREPARING_FLOATS)
 
 
 def _first_column(unitary):
@@ -274,20 +240,72 @@ def _first_column(unitary):
     return m0.real, m0.imag, m1.real, m1.imag
 
 
+def _prepared(s_x, s_y, s_z):
+    # The prepared state P = H rho H^H on the start rows and columns 0 and 2
+    # (_evolve), of a point's floats or a stack's arrays: (P00, P22, Re P02,
+    # Im P02), and the real parts (A20, A21) of the row of A = H rho from which
+    # the fold forms P20 in its own rounding. P_jk = A_j0 H_k0 + A_j1 H_k1 of
+    # rho = [[r0, x - iy], [x + iy, r1]] and the real H.
+    h00, h01, h10, h11, half, one = (
+        _PREPARING_ARRAYS if isinstance(s_x, np.ndarray) else _PREPARING_FLOATS
+    )
+    r0, r1, x, y = half * (one + s_z), half * (one - s_z), half * s_x, half * s_y
+    # Re A, rows 0 and 2; H01 x = -(H10 x) and H11 x = H00 x to the bit.
+    h0x, h1x = h00 * x, h10 * x
+    a00, a01 = h00 * r0 - h1x, h0x - h10 * r1
+    a20, a21 = h10 * r0 + h0x, h1x + h00 * r1
+    p00, p22 = a00 * h00 + a01 * h01, a20 * h10 + a21 * h11
+    p02_re, p02_im = a00 * h10 + a01 * h11, h01 * y * h10 - h00 * y * h11
+    return p00, p22, p02_re, p02_im, a20, a21
+
+
 def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
-    # The joint state of validated inputs, unchecked: of a point's floats,
-    # shape (1, 4, 4); of 1-D arrays with one entry per point, (n, 4, 4).
-    # unitary is one (2, 2) marking unitary for every point or an (n, 2, 2)
-    # stack of them. K rho K^H with K = T[..., ::2] (d o H) (4x2). The
-    # detector starts in r, so the joint input rho (x) |r><r| is rho on the
-    # start rows and columns 0 and 2 and zero elsewhere: the splitter H and
-    # the phase diagonal d act on the path alone, and the tail T through its
-    # two start columns. The tail is written entry by entry (_tail), so a
-    # point's matrix is its stack row to the bit; only K and K rho K^H are
-    # matrix products.
-    rho = _bloch_densities(s_x, s_y, s_z)
-    k = _tail(unitary, beta)[..., ::2] @ (_phase_diagonals(phi)[..., None] * _SYMMETRIC_SPLITTER)
-    return k @ rho @ k.conj().swapaxes(-1, -2)
+    # The joint state T_s P' T_s^H of validated inputs, unchecked: of a
+    # point's floats, shape (4, 4); of 1-D arrays with one entry per point,
+    # (n, 4, 4). unitary is one (2, 2) marking unitary for every point or an
+    # (n, 2, 2) stack of them. The detector starts in r, so the joint input
+    # rho (x) |r><r| is rho on the start rows and columns 0 and 2 and zero
+    # elsewhere: there the splitter H makes it P (_prepared), and the phase
+    # diagonal (e^{-i*phi}, e^{+i*phi}) makes it P' = [[P00, z], [conj(z),
+    # P22]], z = P02 e^{-2i*phi}. The tail T = (R(beta) x 1)(1 (+) U) acts
+    # through its two start columns T_s, (c, 0, s, 0) and (-s m, c m), with
+    # c, s = cos, sin(beta/2) and m = U r (_first_column). So path block
+    # (p, q) of the joint state, R = [[c, -s], [s, c]], is
+    #   R_p0 R_q0 P00 r r^H + R_p1 R_q1 P22 m m^H
+    #     + R_p0 R_q1 z r m^H + R_p1 R_q0 conj(z) m r^H,
+    # written out below with w_k = z conj(m_k), |m_k|^2 and m0 conj(m1). Every
+    # product is real, so a point is its stack row to the bit; only the upper
+    # triangle is computed, and the lower is its conjugate to the bit.
+    s_x, s_y, s_z, beta, phi = _floats_or_arrays(s_x, s_y, s_z, beta, phi)
+    a, g, p_re, p_im, _, _ = _prepared(s_x, s_y, s_z)
+    sin_2phi, cos_2phi = _sin_cos(phi + phi)
+    z_re, z_im = p_re * cos_2phi + p_im * sin_2phi, p_im * cos_2phi - p_re * sin_2phi
+    s, c = _sin_cos(0.5 * beta)
+    c2, s2, cs = c * c, s * s, c * s
+    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
+    w0_re, w0_im = z_re * m0_re + z_im * m0_im, z_im * m0_re - z_re * m0_im
+    w1_re, w1_im = z_re * m1_re + z_im * m1_im, z_im * m1_re - z_re * m1_im
+    n0, n1 = m0_re * m0_re + m0_im * m0_im, m1_re * m1_re + m1_im * m1_im
+    x_re, x_im = m0_re * m1_re + m0_im * m1_im, m0_im * m1_re - m0_re * m1_im
+    # P22 R_p1 R_q1 for blocks (0, 0), (1, 1) and (0, 1).
+    gs2, gc2, k = g * s2, g * c2, -g * cs
+    fringe = (cs + cs) * w0_re
+    r00, r22 = a * c2 + gs2 * n0 - fringe, a * s2 + gc2 * n0 + fringe
+    r11, r13, r33 = gs2 * n1, k * n1, gc2 * n1
+    v_re, v_im = cs * w1_re, cs * w1_im
+    r01, i01 = gs2 * x_re - v_re, gs2 * x_im - v_im
+    r23, i23 = gc2 * x_re + v_re, gc2 * x_im + v_im
+    r02, i02 = a * cs + k * n0 + (c2 - s2) * w0_re, w0_im  # (c^2 + s^2) Im w0
+    kx_re, kx_im = k * x_re, k * x_im
+    r03, i03 = kx_re + c2 * w1_re, kx_im + c2 * w1_im
+    r12, i12 = kx_re - s2 * w1_re, s2 * w1_im - kx_im
+    zero = s2 - s2  # +0.0
+    return _from_parts([
+        r00, zero, r01, i01, r02, i02, r03, i03,
+        r01, -i01, r11, zero, r12, i12, r13, zero,
+        r02, -i02, r12, -i12, r22, zero, r23, i23,
+        r03, -i03, r13, -zero, r23, -i23, r33, zero,
+    ], (4, 4))  # fmt: skip
 
 
 def evolve(
@@ -301,7 +319,7 @@ def evolve(
     The one-point view of the stacked pipeline, checked as a DensityOperator.
     """
     return DensityOperator(
-        _evolve(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)[0]
+        _evolve(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)
     )
 
 
@@ -445,17 +463,14 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     # Re(c2 e^{-2i*phi}), is Re sum_jk P_jk Q_jk d_j conj(d_k) of the phase diagonal d,
     # Q = T[2:]^T conj(T[2:]) of the tail T and the prepared P = H rho H^H, zero off the
     # start rows and columns 0 and 2 (_evolve): c0 = P00 Q00 + P22 Q22, c2 = P02 Q02 +
-    # conj(P20 Q20). P_jk = A_j0 H_k0 + A_j1 H_k1 of A = H rho, rho = [[r0, x - iy],
-    # [x + iy, r1]]; T[2:]'s start columns, (s, 0) and c U r = (t0, t1), s, c = sin,
+    # conj(P20 Q20), P from _prepared. Re P20 = A20 H00 + A21 H01 in its own rounding;
+    # Im P20 = (H11 y) H00 - (H10 y) H01, y = s_y / 2, is -Im P02 to the bit, as H01 = -H10
+    # and H11 = H00. T[2:]'s start columns, (s, 0) and c U r = (t0, t1), s, c = sin,
     # cos(beta/2), give Q00 = s^2, Q22 = |t0|^2 + |t1|^2, Q20 = conj(Q02) = s t0. In real
     # arithmetic a point is its stack row to the bit; + 0.0 makes c2's zero parts +0.0.
     s_x, s_y, s_z, beta = _floats_or_arrays(s_x, s_y, s_z, beta)
-    r0, r1, x, y = 0.5 * (1.0 + s_z), 0.5 * (1.0 - s_z), 0.5 * s_x, 0.5 * s_y
-    a00, a01 = _H00 * r0 + _H01 * x, _H00 * x + _H01 * r1  # Re A, rows 0 and 2
-    a20, a21 = _H10 * r0 + _H11 * x, _H10 * x + _H11 * r1
-    p00, p22 = a00 * _H00 + a01 * _H01, a20 * _H10 + a21 * _H11
-    p02_re, p02_im = a00 * _H10 + a01 * _H11, _H01 * y * _H10 - _H00 * y * _H11
-    p20_re, p20_im = a20 * _H00 + a21 * _H01, _H11 * y * _H00 - _H10 * y * _H01
+    p00, p22, p02_re, p02_im, a20, a21 = _prepared(s_x, s_y, s_z)
+    p20_re, p20_im = a20 * _H00 + a21 * _H01, -p02_im
     s, c = _sin_cos(0.5 * beta)
     t0_re, t0_im, t1_re, t1_im = (c * m for m in _first_column(unitary))
     q_re, q_im = s * t0_re, s * t0_im  # Q20

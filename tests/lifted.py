@@ -1,5 +1,8 @@
-"""The interferometer's tail by lift and multiply: the reference that
-interferometer._tail's entry-by-entry form is held to.
+"""The interferometer's tail by lift and multiply: the reference from which
+the tests' whole-4x4 block fold reads the port-a rows that the library's
+fringe fold, written on the detector's start columns alone, is held to, and
+whose start columns the tests multiply into the joint state that _evolve
+writes out entry by entry.
 
 T = (R(beta) (x) 1)(1 (+) U), with the recombiner R(beta) lifted onto path
 (x) detector by an explicit Kronecker product and multiplied by the marking

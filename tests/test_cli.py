@@ -775,16 +775,19 @@ def test_every_distinguishability_curve_falls_then_rises(tables):
             assert first < 0, (stem, label)
 
 
-def test_outputs_do_not_follow_the_blas_kernel_outside_four_verify_suites():
+def test_outputs_do_not_follow_the_blas_kernel_outside_eig_reconstruction():
     # The README sweep, EDGE_SPECS' sweeps, the figures and the default verify
     # in a child process on OpenBLAS's Sandybridge kernel, which has no fused
     # multiply-add, against this process's default kernel. The closed forms,
-    # the path weights, the trace norm, the fringe fold and the number
-    # formatter are elementwise, so every sweep column, V_scan included, and
-    # every figure are byte-identical, and so is every verify suite's entry,
-    # visibility_oracle's included, but the four whose checks rest on matrix
-    # products, as the README lists them. A BLAS build that ignores
-    # OPENBLAS_CORETYPE runs its one kernel twice, and the test passes trivially.
+    # the path weights, the trace norm, the fringe fold, the joint state and
+    # the number formatter are elementwise, so every sweep column, V_scan
+    # included, and every figure are byte-identical, and so is every verify
+    # suite's entry but eig_reconstruction's, whose check rests on matrix
+    # products. state_validity's max_error is held too: at the default seed it
+    # is a trace error; its eigvalsh negativity, which LAPACK computes on the
+    # BLAS kernel, differs between the kernels but stays below it. A BLAS
+    # build that ignores OPENBLAS_CORETYPE runs its one kernel twice, and the
+    # test passes trivially.
     specs = [README_SWEEP, *EDGE_SPECS]
     child = (
         "import json, sys\n"
@@ -806,11 +809,9 @@ def test_outputs_do_not_follow_the_blas_kernel_outside_four_verify_suites():
     sweeps, tables, summary = json.loads(result.stdout)
     assert sweeps == [run_sweep(spec) for spec in specs]
     assert tables == figure_tables()
-    kernel_dependent = {"eig_reconstruction", "pipeline_equivalence", "reduced_detector_state",
-                        "state_validity"}
     expected = verify.run_verification(verify.RunConfig())
-    assert {k: v for k, v in summary.items() if k not in kernel_dependent} == {
-        k: v for k, v in expected.items() if k not in kernel_dependent
+    assert {k: v for k, v in summary.items() if k != "eig_reconstruction"} == {
+        k: v for k, v in expected.items() if k != "eig_reconstruction"
     }
 
 

@@ -20,11 +20,13 @@ from mzi_duality.interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
+    _H00,
+    _H01,
+    _H10,
+    _H11,
     _evolve,
     _evolve_closed_form,
     _outcomes,
-    _phase_diagonals,
-    _tail,
     bloch_to_density,
     detection_probability_closed,
     detection_probability_numeric,
@@ -227,92 +229,72 @@ def test_detector_unitary_is_always_unitary(a, gamma, delta):
 
 
 # --- elementary operators ----------------------------------------------------------
+# _evolve applies the splitter, phase shifter, marking and recombiner entry by
+# entry; each is read off the joint state it makes of an input that isolates it.
+# Bloch x = +1 and -1 are the inputs that H = R(pi/2) sends to path b and path a.
+
+START = np.diag([1.0, 0.0])
+
+
+def joint_state(s_x, s_y, s_z, unitary=I2, beta=0.0, phi=0.0):
+    return _evolve(s_x, s_y, s_z, unitary, beta, phi)
 
 
 def test_phase_shifter_values():
-    # The diagonal of the phase shifter diag(e^{-i*phi}, e^{+i*phi}).
-    np.testing.assert_array_equal(_phase_diagonals(0.0), np.ones(2))
-    np.testing.assert_allclose(_phase_diagonals(math.pi), -np.ones(2), atol=1e-12)
-    np.testing.assert_allclose(_phase_diagonals(math.pi / 2), [-1j, 1j], atol=1e-12)
-    phis = np.array([0.3, -2.0, 7.5])
-    expected = [np.exp(phi * np.array([-1j, 1j])) for phi in phis]
-    np.testing.assert_array_equal(_phase_diagonals(phis), expected)
-    # At a signed zero phase, the zero parts carry the signs of exp(phi * -+1j).
-    for phi in (0.0, -0.0):
-        assert _phase_diagonals(phi).tobytes() == np.exp(phi * np.array([-1j, 1j])).tobytes()
+    # The shifter diag(e^{-i*phi}, e^{+i*phi}) turns the path coherence 1/2
+    # that H makes of |0><0| by e^{-2i*phi}: entry (0, 2) with a trivial tail.
+    for phi, coherence in [(0.0, 0.5), (math.pi, 0.5), (math.pi / 2, -0.5), (math.pi / 4, -0.5j)]:
+        m = joint_state(0.0, 0.0, 1.0, phi=phi)
+        np.testing.assert_allclose(m, np.kron([[0.5, coherence], [np.conj(coherence), 0.5]], START),
+                                   atol=1e-15)
     # A float phase (math sin and cos) is its row of a stack (numpy's) to the bit.
     phis = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi, TWO_PI - 1e-9, 1e6]
     phis += np.random.default_rng(32).uniform(0, 7, 200).tolist()
-    stack = _phase_diagonals(np.array(phis))
-    assert stack.shape == (len(phis), 2)
+    n = len(phis)
+    stack = _evolve([0.0] * n, [0.0] * n, [1.0] * n, I2, [0.0] * n, phis)
+    assert stack.shape == (n, 4, 4)
+    np.testing.assert_allclose(stack[:, 0, 2], 0.5 * np.exp(-2j * np.array(phis)), atol=1e-15)
     for phi, row in zip(phis, stack):
-        assert _phase_diagonals(float(phi)).tobytes() == row.tobytes()
+        assert joint_state(0.0, 0.0, 1.0, phi=float(phi)).tobytes() == row.tobytes()
 
 
 def test_beam_splitter_values():
-    # The tail with no marking is the recombiner lifted onto path (x) detector.
+    # H's entries, with the bit equalities _prepared shares products on.
+    assert (_H00, _H01, _H10, _H11) == (math.cos(math.pi / 4), -math.sin(math.pi / 4),
+                                        math.sin(math.pi / 4), math.cos(math.pi / 4))
+    assert _H11 == _H00 and _H01 == -_H10
+    # The recombiner R(beta) takes path a to its first column and path b to
+    # its second, with no marking.
     s = 1 / math.sqrt(2)
     for beta, splitter in [(0.0, I2), (math.pi, [[0, -1], [1, 0]]), (math.pi / 2, [[s, -s], [s, s]])]:
-        np.testing.assert_allclose(_tail(I2, beta)[0], np.kron(splitter, I2), atol=1e-15)
+        for s_x, column in [(-1.0, 0), (1.0, 1)]:
+            out = np.asarray(splitter)[:, column]
+            np.testing.assert_allclose(joint_state(s_x, 0.0, 0.0, beta=beta),
+                                       np.kron(np.outer(out, out), START), atol=1e-15)
 
 
 def test_marking_operator_block_structure():
-    # The tail at full transmission is the marking operator 1 (+) U.
-    np.testing.assert_allclose(_tail(DetectorConfig(1.0).unitary, 0.0)[0], I4, atol=1e-15)
-    m = _tail(DetectorConfig(0.0).unitary, 0.0)[0]
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[:2, :2] = I2
-    expected[2:, 2:] = np.array([[0, -1], [1, 0]])
-    np.testing.assert_allclose(m, expected, atol=1e-15)
+    # The marking is 1 (+) U: the identity at full transmission, and at A = 0
+    # the orthogonal U = [[0, -1], [1, 0]], which moves path b's detector to
+    # its second state. H makes |0><0| the path superposition half-ones.
+    zero = np.zeros((2, 2))
+    for a, unitary in [(1.0, I2), (0.0, np.array([[0, -1], [1, 0]]))]:
+        marking = np.block([[I2, zero], [zero, unitary]])
+        expected = marking @ np.kron(np.full((2, 2), 0.5), START) @ marking.T
+        np.testing.assert_allclose(joint_state(0.0, 0.0, 1.0, DetectorConfig(a).unitary), expected,
+                                   atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
 @given(angles, phases, overlaps, phases, phases)
 def test_pipeline_operators_are_unitary(beta, phi, a, gamma, delta):
-    assert np.abs(np.abs(_phase_diagonals(phi)) - 1.0).max() <= 1e-12
-    assert unitarity_defect(_tail(DetectorConfig(a, gamma, delta).unitary, beta)[0]) <= 1e-12
-
-
-def assert_tail_is_the_lifted_product(dets, betas):
-    # The tail of each point (Python floats), of the stack of them and of the
-    # stack of betas with each point's one shared unitary (arrays), to the
-    # bit of the lift-and-multiply reference.
-    unitary = np.stack([det.unitary for det in dets])
-    stack = _tail(unitary, np.array(betas))
-    assert stack.tobytes() == lifted_tail(unitary, betas).tobytes()
-    for det, beta, row in zip(dets, betas, stack):
-        point = _tail(det.unitary, beta)
-        assert point.shape == (1, 4, 4)
-        assert point.tobytes() == lifted_tail(det.unitary, [beta]).tobytes() == row.tobytes()
-    shared = _tail(dets[0].unitary, np.array(betas))
-    assert shared.tobytes() == lifted_tail(dets[0].unitary, betas).tobytes()
-
-
-@pytest.mark.parametrize("n", [1, 10, 241])
-def test_tail_is_the_lifted_product_on_draws(n):
-    rng = np.random.default_rng(700 + n)
-    points = [draw_point(rng) for _ in range(n)]
-    assert_tail_is_the_lifted_product([p[1] for p in points], [p[2].beta for p in points])
-
-
-def test_tail_is_the_lifted_product_at_the_edges():
-    # beta in {0, pi/2, pi} and A in {0, 1}, at zero, signed-zero and seeded
-    # marking phases, where entries of U and of T are zeros of either sign.
-    rng = np.random.default_rng(701)
-    phases = [(0.0, 0.0), (-0.0, math.pi), (math.pi / 2, -0.0), *rng.uniform(-10, 10, (3, 2)).tolist()]
-    dets = [DetectorConfig(a, *pair) for a in (0.0, 1.0) for pair in phases]
-    for beta in (0.0, -0.0, math.pi / 2, math.pi):
-        assert_tail_is_the_lifted_product(dets, [beta] * len(dets))
-    assert_tail_is_the_lifted_product(dets, [0.0, math.pi / 2, math.pi] * (len(dets) // 3))
-
-
-def test_tail_equals_the_lifted_product_where_a_product_underflows():
-    # s = sin(beta/2) times a part of U below 2^-1074: the tail's part is
-    # +0.0, the lifted product's keeps the product's sign where its BLAS
-    # kernel fuses the multiply-add, so only the values are held equal here.
-    det = DetectorConfig(1e-200, 0.5, math.pi)
-    for tail in (_tail(det.unitary, 1e-300), _tail(det.unitary, np.array([1e-300]))):
-        np.testing.assert_array_equal(tail, lifted_tail(det.unitary, [1e-300]))
+    # A unitary pipeline keeps the input's trace and purity (1 + lam) / 2,
+    # for a pure, a mixed and the maximally mixed input.
+    unitary = DetectorConfig(a, gamma, delta).unitary
+    for state in (BlochState(0.6, 0.0, 0.8), BlochState(-0.3, 0.2, -0.4), BlochState(0.0, 0.0, 0.0)):
+        m = joint_state(state.s_x, state.s_y, state.s_z, unitary, beta, phi)
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        assert abs(np.vdot(m, m).real - 0.5 * (1.0 + state.lam)) <= 1e-12
 
 
 # --- Bloch vector to density -------------------------------------------------------
@@ -478,24 +460,109 @@ def test_closed_form_matches_the_kron_sum_reference():
     assert np.abs(_evolve_closed_form(*args) - kron_sum_closed_form(*args)).max() <= 1e-15
 
 
-def test_stacked_pipeline_is_the_literal_product():
+def assert_hermitian_to_the_bit(m):
+    # The lower triangle is the conjugate of the upper, zero signs included,
+    # and every diagonal imaginary part is +0.0: of a matrix or of a stack.
+    upper, lower = np.triu_indices(4, 1)
+    assert m[..., lower, upper].tobytes() == m[..., upper, lower].conj().tobytes()
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1).imag
+    assert diagonal.tobytes() == np.zeros_like(diagonal).tobytes()
+
+
+def literal_rows(name, rng):
+    # (state, det, beta, phi) of a named point set, beta and phi as floats: the
+    # signed-zero set passes -0.0, which PhaseShift would make 0.0.
+    if name == "signed_zeros":
+        return [(state, det, beta, phi) for state, det, _, _ in edge_points(rng)
+                for beta in (-0.0, 0.0) for phi in (-0.0, 0.0)]
+    points = {
+        "edges_and_draws": lambda: edge_points(rng) + [draw_point(rng) for _ in range(200)],
+        "underflow": lambda: underflow_points(rng),
+        "slack": lambda: edge_points(rng, SLACK_STATES),
+    }[name]()
+    return [(state, det, beta.beta, phi.phi) for state, det, beta, phi in points]
+
+
+@pytest.mark.parametrize("name", ["edges_and_draws", "underflow", "slack", "signed_zeros"])
+def test_stacked_pipeline_is_the_literal_product(name):
     # W (rho (x) |r><r|) W^H, every factor lifted with np.kron: the pipeline
-    # takes the input through the detector's start columns alone.
+    # takes the input through the detector's start columns alone. The stack
+    # and each point are Hermitian to the bit, and a point is its stack row.
     def rotation(angle):
         c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
         return np.array([[c, -s], [s, c]])
 
-    rng = np.random.default_rng(26)
-    points = edge_points(rng) + [draw_point(rng) for _ in range(200)]
-    stacked = _evolve(*stacked_arguments(points))
+    rows = literal_rows(name, np.random.default_rng(26))
+    states, dets, betas, phis = zip(*rows)
+    stacked = _evolve([s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states],
+                      np.stack([d.unitary for d in dets]), betas, phis)
+    assert_hermitian_to_the_bit(stacked)
     start, zero = np.diag([1.0, 0.0]), np.zeros((2, 2))
-    for (state, det, beta, phi), m in zip(points, stacked):
-        shifter = np.diag(np.exp(phi.phi * np.array([-1j, 1j])))
+    for (state, det, beta, phi), m in zip(rows, stacked):
+        point = _evolve(state.s_x, state.s_y, state.s_z, det.unitary, beta, phi)
+        assert_hermitian_to_the_bit(point)
+        assert point.tobytes() == m.tobytes()
+        shifter = np.diag(np.exp(phi * np.array([-1j, 1j])))
         marking = np.block([[I2, zero], [zero, det.unitary]])
-        w = (np.kron(rotation(beta.beta), I2) @ marking @ np.kron(shifter, I2)
+        w = (np.kron(rotation(beta), I2) @ marking @ np.kron(shifter, I2)
              @ np.kron(rotation(math.pi / 2), I2))
         joint = np.kron(bloch_to_density(state).matrix, start)
         assert np.abs(m - w @ joint @ w.conj().T).max() <= 1e-15
+
+
+def assert_tail_is_the_lifted_product(states, dets, betas, phis):
+    # The joint state T_s P' T_s^H, with the tail's start columns T_s read off
+    # the lift-and-multiply tail and P' = S H rho H^H S^H by matrix products:
+    # of each point (Python floats), of the stack of them and of the stack
+    # with the first point's one shared unitary. Each is Hermitian to the bit
+    # and a point is its stack row.
+    h = beam_splitters(math.pi / 2)
+    prepared = np.stack([
+        np.diag(np.exp(phi * np.array([-1j, 1j]))) @ h @ bloch_to_density(state).matrix @ h.T
+        @ np.diag(np.exp(phi * np.array([1j, -1j])))
+        for state, phi in zip(states, phis)
+    ])  # fmt: skip
+    columns = [s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states]
+    unitaries = np.stack([det.unitary for det in dets])
+    for unitary in (unitaries, dets[0].unitary):
+        stack = _evolve(*columns, unitary, betas, phis)
+        assert_hermitian_to_the_bit(stack)
+        tail = lifted_tail(unitary, betas)[:, :, ::2]
+        assert np.abs(stack - tail @ prepared @ tail.conj().swapaxes(1, 2)).max() <= 1e-15
+        for state, point_unitary, beta, phi, row in zip(
+            states, np.broadcast_to(unitary, stack.shape[:1] + (2, 2)), betas, phis, stack
+        ):
+            point = _evolve(state.s_x, state.s_y, state.s_z, point_unitary, beta, phi)
+            assert point.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 10, 241])
+def test_tail_is_the_lifted_product_on_draws(n):
+    rng = np.random.default_rng(700 + n)
+    states, dets, betas, phis = zip(*[draw_point(rng) for _ in range(n)])
+    assert_tail_is_the_lifted_product(states, dets, [b.beta for b in betas], [p.phi for p in phis])
+
+
+def test_tail_is_the_lifted_product_at_the_edges():
+    # beta in {0, -0.0, pi/2, pi} and A in {0, 1}, at zero, signed-zero and
+    # seeded marking phases, where entries of U and of T are zeros of either sign.
+    rng = np.random.default_rng(701)
+    phases = [(0.0, 0.0), (-0.0, math.pi), (math.pi / 2, -0.0), *rng.uniform(-10, 10, (3, 2)).tolist()]
+    dets = [DetectorConfig(a, *pair) for a in (0.0, 1.0) for pair in phases]
+    states = [EDGE_STATES[i % len(EDGE_STATES)] for i in range(len(dets))]
+    phis = rng.uniform(0, 2 * math.pi, len(dets)).tolist()
+    for beta in (0.0, -0.0, math.pi / 2, math.pi):
+        assert_tail_is_the_lifted_product(states, dets, [beta] * len(dets), phis)
+    assert_tail_is_the_lifted_product(states, dets, [0.0, math.pi / 2, math.pi] * (len(dets) // 3), phis)
+
+
+def test_tail_equals_the_lifted_product_where_a_product_underflows():
+    # s = sin(beta/2) times a part of U, and |m0|^2, fall below 2^-1074: the
+    # products round to zeros of either sign, and the values, the Hermitian
+    # bits and a point's row bits still hold.
+    det = DetectorConfig(1e-200, 0.5, math.pi)
+    assert_tail_is_the_lifted_product(EDGE_STATES, [det] * len(EDGE_STATES), [1e-300] * len(EDGE_STATES),
+                                      [0.0, 1.0, -0.0, 4.0])
 
 
 def test_closed_form_single_term_survival():
@@ -761,11 +828,13 @@ def block_fold(s_x, s_y, s_z, unitary, beta):
     # diagonal's pattern summed, then c0 and c2's real and imaginary parts
     # read off the four block sums.
     rho = interferometer._bloch_densities(s_x, s_y, s_z)
-    start = kron2(interferometer._SYMMETRIC_SPLITTER, I2)[:, ::2]
+    splitter = np.array([[interferometer._H00, interferometer._H01],
+                         [interferometer._H10, interferometer._H11]], dtype=complex)
+    start = kron2(splitter, I2)[:, ::2]
     start_h = start.conj().T
     p_re, p_im = real_product(real_product((start.real, start.imag), (rho.real, rho.imag)),
                               (start_h.real, start_h.imag))
-    port_a = interferometer._tail(unitary, beta)[:, 2:, :]
+    port_a = lifted_tail(unitary, beta)[:, 2:, :]
     q_re, q_im = real_product((port_a.real.swapaxes(1, 2), port_a.imag.swapaxes(1, 2)),
                               (port_a.real, -port_a.imag))
     m_re, m_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
