@@ -1,7 +1,8 @@
 """Command-line front end: single-point reports, parameter sweeps, bundled
 figure presets, and the randomized verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input or I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, an I/O error,
+or an input too large to allocate.
 """
 
 from __future__ import annotations
@@ -492,7 +493,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (DualityError, OSError) as exc:
+    # A MemoryError is an array too large to allocate: a --steps or --draws past memory.
+    except (DualityError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

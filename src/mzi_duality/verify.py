@@ -4,13 +4,14 @@ Each suite draws random parameter points (seeded, so reruns are bit-identical),
 computes one quantity along two independent routes or checks one invariant,
 and reports the case count, failure count, and worst observed error. The
 suites live in one registry, ``CHECKS``, shared with the acceptance gate.
-A suite of full parameter points draws them one at a time (_draw_point,
-two generator calls each), straight into floats, and stacks them as
-columns; a suite of plain uniforms takes all of them from one generator
-call. Either way each value and the stream are those of one rng.uniform
-call per value, in draw order. Every suite then evaluates all its draws in
-one stacked pass. extremum_loci's grid oracles search their lattices for
-every draw at once, in two passes that return the exhaustive grid's argmax.
+Every suite takes all its values from one generator call (_uniform_columns):
+per draw, one rng.uniform value per column, to the bit and in draw order,
+so draw i is the same point for any draw count. A suite of full parameter
+points maps its first eight columns onto the Bloch ball and the domains of
+the other parameters with a few array operations (_points). Every suite
+then evaluates all its draws in one stacked pass. extremum_loci's grid
+oracles search their lattices for every draw at once, in two passes that
+return the exhaustive grid's argmax.
 """
 
 from __future__ import annotations
@@ -84,37 +85,6 @@ class RunConfig:
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, CHECKS[name].tolerance)
-
-
-def _draw_point(rng: np.random.Generator) -> tuple[float, ...]:
-    """A random point (s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi),
-    in two generator calls.
-
-    The Bloch vector is uniform in the closed unit ball (cube-root radius
-    law): its direction, then one rng.random call for the radius's uniform
-    (none for the measure-zero zero direction) and the five uniforms of the
-    overlap, gamma, delta, beta and the phase. The stream and the values are
-    those of one rng.uniform call per value: each value is
-    rng.uniform(low, high) to the bit, written out as low + (high - low) * u
-    for a unit uniform u, with a zero low and a unit factor left out, as
-    they are exact. The direction's three entries are scaled by one product
-    each, as numpy scales an array. Each value is one that the domain types
-    accept as is.
-    """
-    direction = rng.standard_normal(3)
-    norm = math.sqrt(direction.dot(direction))  # np.linalg.norm, without its dispatch
-    if norm < 1e-12:
-        s_x = s_y = s_z = 0.0
-        u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(5).tolist()
-    else:
-        radius, u_overlap, u_gamma, u_delta, u_beta, u_phi = rng.random(6).tolist()
-        x, y, z = direction.tolist()
-        scale = radius ** (1.0 / 3.0) / norm
-        s_x, s_y, s_z = x * scale, y * scale, z * scale
-    # [0.01, pi - 0.01] keeps the measure-zero degenerate edge out of the draws.
-    beta = 0.01 + (math.pi - 0.01 - 0.01) * u_beta
-    gamma, delta, phi = TWO_PI * u_gamma, TWO_PI * u_delta, (TWO_PI * u_phi) % TWO_PI
-    return s_x, s_y, s_z, u_overlap, gamma, delta, beta, phi
 
 
 # --- brute-force extremum oracles, of floats or of 1-D arrays (one entry per point) ---
@@ -192,22 +162,38 @@ def _none_skipped(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma delta beta phi unitary")
 
 
-def _uniform_columns(rng, draws, ranges) -> list:
-    # One column per range: per draw, one rng.uniform(low, high) value per range, in order,
-    # all from one generator call. rng.uniform(low, high) is low + (high - low) * u to the
-    # bit, for the unit uniform u that rng.random draws in its place, as in _draw_point.
-    u = rng.random((draws, len(ranges)))
-    return [low + (high - low) * u[:, i] for i, (low, high) in enumerate(ranges)]
+def _uniform_columns(rng, draws, ranges) -> np.ndarray:
+    # One contiguous column per range: per draw, one rng.uniform(low, high) value per range,
+    # in order, all from one generator call. rng.uniform(low, high) is low + (high - low) * u
+    # to the bit, for the unit uniform u that rng.random draws in its place.
+    low, high = np.array(ranges).T
+    return (low + (high - low) * rng.random((draws, len(ranges)))).T.copy()
 
 
-def _stack_points(rows) -> _Points:
-    # Rows of floats as contiguous columns, one per field.
-    columns = np.array(rows, dtype=float).T.copy()
-    return _Points(*columns, marking_unitaries(*columns[3:6]))
+# A point's uniform columns, in _points' order: cos theta, the azimuth and the radius's
+# uniform of the Bloch vector, then the overlap, gamma, delta, beta and the phase.
+# [0.01, pi - 0.01] keeps the measure-zero degenerate beta edge out of the draws.
+_POINT_RANGES = (
+    (-1.0, 1.0), (0.0, TWO_PI), (0.0, 1.0),
+    (0.0, 1.0), (0.0, TWO_PI), (0.0, TWO_PI), (0.01, math.pi - 0.01), (0.0, TWO_PI),
+)
+
+
+def _points(columns) -> _Points:
+    # The points of _POINT_RANGES' columns. The Bloch vector is uniform in the closed unit
+    # ball: s_x = r cos theta with cos theta uniform, the azimuth uniform, and the cube-root
+    # radius law. Each value is one that the domain types accept as is; the phase is below
+    # TWO_PI, since TWO_PI * u rounds below it for every u that rng.random draws.
+    cos_theta, azimuth, u_radius, a_overlap, gamma, delta, beta, phi = columns
+    radius = np.cbrt(u_radius)
+    rho = radius * np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
+    s_x, s_y, s_z = radius * cos_theta, rho * np.cos(azimuth), rho * np.sin(azimuth)
+    unitary = marking_unitaries(a_overlap, gamma, delta)
+    return _Points(s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi, unitary)
 
 
 def _draw_points(rng, draws) -> _Points:
-    return _stack_points([_draw_point(rng) for _ in range(draws)])
+    return _points(_uniform_columns(rng, draws, _POINT_RANGES))
 
 
 def _pipeline(p: _Points) -> tuple:
@@ -291,18 +277,13 @@ def _phase_invariance(rng, draws):
     # gamma and delta shift the fringe and the unobservable off-diagonal phase
     # of the marking unitary; neither measured quantity may move. Each draw
     # is scanned under its own and a re-phased detector: the draws, then
-    # their re-phased copies, 2 * draws points in one stacked scan.
-    # Each re-phasing angle is rng.uniform(0.0, TWO_PI) to the bit, written out as TWO_PI * u
-    # with both u of a draw from one rng.random call, as in _draw_point.
-    rows, phases = [], []
-    for _ in range(draws):
-        rows.append(_draw_point(rng))
-        phases.append(rng.random(2))
-    p = _stack_points(rows)
+    # their re-phased copies, 2 * draws points in one stacked scan. The
+    # re-phasing angles are each draw's two columns after its point's.
+    *columns, gamma, delta = _uniform_columns(rng, draws, _POINT_RANGES + ((0.0, TWO_PI),) * 2)
+    p = _points(columns)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
         np.concatenate([x, x]) for x in (p.s_x, p.s_y, p.s_z, p.beta, *_closed_columns(p)[3:5])
     )
-    gamma, delta = TWO_PI * np.array(phases).T
     unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, gamma, delta)])
     scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
     norms = distinguishability_trace_norms(unitary, omega_a, omega_b)

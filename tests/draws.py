@@ -1,12 +1,13 @@
 """Per-parameter random draws for the tests, one rng.uniform call per value.
 
-They are verify._draw_point's distributions in its order: draw_point is
-draw_bloch_state, draw_detector, draw_beta and draw_phase drawn in turn, and
-its objects hold the floats that verify._draw_point returns, to the bit and
-to the generator state (test_verify.py pins it). So a test that draws here
-takes the same values from the same stream that verify does. The marking
-phases at the end are the edge phases that the bit-for-bit tests of a
-detector against its stack row share.
+draw_point is draw_bloch_state, draw_detector, draw_beta and draw_phase
+drawn in turn: the Bloch vector uniform in the closed unit ball (a normal
+direction and the cube-root radius law), the detector, beta in
+[0.01, pi - 0.01] and the phase. These are the distributions that verify
+draws, but not its stream: verify takes each suite's values from one
+generator call and maps them onto the ball in its own way (test_verify.py
+pins that). The marking phases at the end are the edge phases that the
+bit-for-bit tests of a detector against its stack row share.
 """
 
 import math

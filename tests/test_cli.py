@@ -310,6 +310,25 @@ def test_beta_sweep_usage_errors_exit_2(extra, message, tmp_path, capsys):
     assert not (tmp_path / "beta.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "sx", "--lo", "-0.6", "--hi", "0.6", "--steps", str(10**13),
+         "--lam", "0.36", "--A", "0.5", "--beta", "pi/2", "--out", "x.csv"],
+        ["verify", "--draws", str(10**13)],
+    ],
+    ids=["sweep --steps", "verify --draws"],
+)
+def test_a_count_too_large_to_allocate_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    # 10**13 rows or draws ask numpy for tens of terabytes at once; the allocation
+    # fails before any memory is committed, and no CSV is written.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_rows_satisfy_the_complementarity_identity():
     lines = run_sweep(small_sx_spec()).splitlines()
     assert lines[0] == SWEEP_HEADER

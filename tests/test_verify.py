@@ -1,12 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from draws import draw_point as uniform_draw_point
 
 from mzi_duality import verify
 from mzi_duality.duality import distinguishability_kernel
-from mzi_duality.interferometer import TWO_PI, port_terms
+from mzi_duality.interferometer import (
+    TWO_PI,
+    BeamSplitterAngle,
+    BlochState,
+    DetectorConfig,
+    PhaseShift,
+    port_terms,
+)
 from mzi_duality.verify import (
     GRID_STEP,
     grid_distinguishability_valley,
@@ -142,21 +149,22 @@ def test_check_with_every_draw_skipped_reports_nothing(monkeypatch):
 
 def test_min_error_measurement_skips_degenerate_draws_through_the_mask(monkeypatch):
     # Every other draw is a point where the detector states coincide and the
-    # path weights are equal, so the discrimination operator has no gap.
-    # (s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi)
-    degenerate = (0.0, 0.0, 0.5, 1.0, 0.0, 0.0, math.pi / 2, 0.0)
-    calls = []
-    draw_point = verify._draw_point
+    # path weights are equal, so the discrimination operator has no gap: s_x = 0
+    # (cos theta = 0), A = 1 and gamma = 0.
+    # (cos theta, azimuth, radius's uniform, a_overlap, gamma, delta, beta, phi)
+    degenerate = (0.0, 0.0, 0.125, 1.0, 0.0, 0.0, math.pi / 2, 0.0)
+    uniform_columns = verify._uniform_columns
 
-    def alternating(rng):
-        calls.append(None)
-        return draw_point(rng) if len(calls) % 2 else degenerate
+    def alternating(rng, draws, ranges):
+        columns = uniform_columns(rng, draws, ranges)
+        for column, value in zip(columns, degenerate):
+            column[1::2] = value
+        return columns
 
-    monkeypatch.setattr(verify, "_draw_point", alternating)
+    monkeypatch.setattr(verify, "_uniform_columns", alternating)
     errors, skipped = verify.CHECKS["min_error_measurement"].errors(np.random.default_rng(4), 6)
     assert skipped.tolist() == [False, True] * 3
     assert np.isnan(errors[skipped]).all() and np.isfinite(errors[~skipped]).all()
-    calls.clear()
     failures, worst = verify.run_check("min_error_measurement", np.random.default_rng(4), 6, 1e-10)
     assert (failures, worst) == (0, float(errors[~skipped].max()))
 
@@ -176,35 +184,41 @@ def test_errors_do_not_depend_on_how_the_draws_are_batched(name):
     assert whole_rng.bit_generator.state == split_rng.bit_generator.state
 
 
-class ZeroDirection:
-    """A generator whose standard_normal returns zeros, the draw's
-    zero-direction branch; every other call goes to the wrapped generator."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def standard_normal(self, size):
-        return np.zeros(size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+# A point's ranges, in verify._points' column order: cos theta, the azimuth and the
+# radius's uniform of the Bloch vector, the overlap, gamma, delta, beta and the phase.
+POINT_RANGES = (
+    (-1.0, 1.0), (0.0, TWO_PI), (0.0, 1.0),
+    (0.0, 1.0), (0.0, TWO_PI), (0.0, TWO_PI), (0.01, math.pi - 0.01), (0.0, TWO_PI),
+)
 
 
-def reference_point(rng):
-    # The per-parameter draws, one rng.uniform call per value, as the floats
-    # that verify._draw_point returns.
-    state, det, beta, phi = uniform_draw_point(rng)
-    return (
-        state.s_x, state.s_y, state.s_z, det.a_overlap, det.gamma, det.delta, beta.beta, phi.phi
-    )
+def reference_columns(rng, draws, ranges):
+    # One rng.uniform(low, high) call per value, draw by draw, as contiguous columns.
+    rows = [[rng.uniform(low, high) for low, high in ranges] for _ in range(draws)]
+    return np.array(rows).T.copy()
 
 
 @pytest.mark.parametrize("seed", [0, 11, 42, [7, 3], [42, 12]])
 def test_draw_point_stream_is_pinned(seed):
+    # Each drawn value is _points of one rng.uniform call per value, draw by draw, to the
+    # bit and to the generator state, in one batch or in several.
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(2000):
-        assert verify._draw_point(new) == reference_point(old)
+    for draws in (1, 400, 17, 1582):
+        expected = reference_columns(old, draws, POINT_RANGES)
+        drawn, reference = verify._draw_points(new, draws), verify._points(expected)
+        for name, a, b in zip(drawn._fields, drawn, reference):
+            assert a.tobytes() == b.tobytes(), name
     assert new.bit_generator.state == old.bit_generator.state
+    # _points is the ball's map, within a few ulps of the same map in math.
+    cos_theta, azimuth, u_radius = expected[:3]
+    p = verify._points(expected)
+    for i in range(draws):
+        r = u_radius[i] ** (1.0 / 3.0)
+        rho = r * math.sqrt((1.0 - cos_theta[i]) * (1.0 + cos_theta[i]))
+        s = (r * cos_theta[i], rho * math.cos(azimuth[i]), rho * math.sin(azimuth[i]))
+        assert max(abs(a - b) for a, b in zip(s, (p.s_x[i], p.s_y[i], p.s_z[i]))) <= 4 * 2.0**-52
+    for name, column in zip(p._fields[3:8], expected[3:]):
+        assert getattr(p, name).tobytes() == column.tobytes()
 
 
 # Each suite's ranges for verify._uniform_columns, in its per-draw order.
@@ -240,19 +254,48 @@ def test_phase_invariance_angles_are_pinned(monkeypatch):
     draws = 40
     new, old = np.random.default_rng(6), np.random.default_rng(6)
     verify.CHECKS["phase_invariance"].errors(new, draws)
-    expected = []
-    for _ in range(draws):
-        reference_point(old)
-        expected.append((old.uniform(0.0, TWO_PI), old.uniform(0.0, TWO_PI)))
-    _, gamma, delta = calls[-1]
-    assert np.array([gamma, delta]).tobytes() == np.array(expected).T.tobytes()
+    *point, gamma, delta = reference_columns(old, draws, POINT_RANGES + ((0.0, TWO_PI),) * 2)
+    assert np.array(calls[0]).tobytes() == np.array(point[3:6]).tobytes()
+    assert np.array(calls[-1]).tobytes() == np.array([point[3], gamma, delta]).tobytes()
     assert new.bit_generator.state == old.bit_generator.state
 
 
-def test_draw_point_stream_is_pinned_for_the_zero_direction():
-    new, old = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(200):
-        point = verify._draw_point(ZeroDirection(new))
-        assert point == reference_point(ZeroDirection(old))
-        assert point[:3] == (0.0, 0.0, 0.0)
-    assert new.bit_generator.state == old.bit_generator.state
+def test_points_of_extreme_uniforms_are_accepted_unchanged():
+    # Each column at both ends that the generator reaches (u = 0 and u = 1 - 2**-53, so the
+    # azimuth next to 2 pi and the radius's uniform next to 1), cos theta also at 0 and +1,
+    # in every combination: the domain types take each point's values as they are.
+    ends = [(low, low + (high - low) * (1.0 - 2.0**-53)) for low, high in POINT_RANGES]
+    ends[0] += (0.0, 1.0)
+    columns = np.array(list(itertools.product(*ends))).T.copy()
+    p = verify._points(columns)
+    assert np.isfinite(np.array(p[:8])).all()
+    for s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi in zip(*(c.tolist() for c in p[:8])):
+        state = BlochState(s_x, s_y, s_z)
+        assert (state.s_x, state.s_y, state.s_z) == (s_x, s_y, s_z)
+        detector = DetectorConfig(a_overlap, gamma, delta)
+        assert (detector.a_overlap, detector.gamma, detector.delta) == (a_overlap, gamma, delta)
+        assert BeamSplitterAngle(beta).beta == beta
+        assert PhaseShift(phi).phi == phi
+
+
+def test_drawn_points_fill_the_unit_ball_uniformly():
+    # Within the closed unit ball to a few ulps, with the moments of the uniform ball:
+    # each component has mean 0 and variance 1/5, E[s_k^4] = 3/35, and
+    # P(|s| <= 1/2) = 1/8. The bounds are 5 standard errors of the mean over n draws:
+    # 5 sqrt(1/5 / n), 5 sqrt((3/35 - 1/25) / n) and 5 sqrt(1/8 * 7/8 / n), which for
+    # n = 200 000 are about 5.0e-3, 2.4e-3 and 3.7e-3.
+    n = 200_000
+    p = verify._draw_points(np.random.default_rng(2026), n)
+    length_squared = p.s_x * p.s_x + p.s_y * p.s_y + p.s_z * p.s_z
+    assert np.sqrt(length_squared).max() <= 1.0 + 4 * 2.0**-52
+    for s in (p.s_x, p.s_y, p.s_z):
+        assert abs(s.mean()) <= 5.0 * math.sqrt(0.2 / n)
+        assert abs((s * s).mean() - 0.2) <= 5.0 * math.sqrt((3.0 / 35.0 - 0.04) / n)
+    inner = (length_squared <= 0.25).mean()
+    assert abs(inner - 0.125) <= 5.0 * math.sqrt(0.125 * 0.875 / n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_suite_passes_at_small_seeds(seed):
+    summary = verify.run_verification(verify.RunConfig(seed=seed, draws=200))
+    assert verify.all_passed(summary), summary
