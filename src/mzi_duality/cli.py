@@ -191,13 +191,17 @@ def _format_numbers(values) -> np.ndarray:
     return rows
 
 
-def _csv_lines(fields: np.ndarray) -> str:
-    """One CSV line per row of a 2-D bytes ('S') array: full-width fields and
-    separators, with every NUL dropped in one boolean pass (an all-NUL field is empty)."""
-    rows, columns = fields.shape
-    line = np.full((rows, columns, fields.itemsize + 1), ord(","), np.uint8)
-    line[:, :, :-1] = fields.view(np.uint8).reshape(rows, columns, -1)
-    line[:, -1, -1] = ord("\n")
+def _csv_lines(*columns: np.ndarray) -> str:
+    """One CSV line per element of the columns' broadcast shape: each bytes ('S')
+    column is written full width into its slot of one uint8 buffer of separators,
+    and every NUL is dropped in one boolean pass (an all-NUL field is empty)."""
+    width = sum(column.itemsize + 1 for column in columns)
+    line = np.full((*np.broadcast(*columns).shape, width), ord(","), np.uint8)
+    start = 0
+    for column in columns:
+        line[..., start : start + column.itemsize].view(column.dtype)[..., 0] = column
+        start += column.itemsize + 1
+    line[..., -1] = ord("\n")
     return line[line != 0].tobytes().decode("ascii")
 
 
@@ -287,17 +291,17 @@ def run_sweep(spec: SweepSpec) -> str:
     lit = codes == 0
     table = np.column_stack([v, v_scan, d, d_trace, residual, omega_a, omega_b])
     formatted = _format_numbers(np.concatenate([params, table[lit].ravel()]))
-    fields = np.zeros((params.size, 8), formatted.dtype)
-    fields[:, 0] = formatted[: params.size]
-    fields[lit, 1:] = formatted[params.size :].reshape(-1, 7)
+    param_text = formatted[: params.size]
+    values = np.zeros((params.size, 7), formatted.dtype)
+    values[lit] = formatted[params.size :].reshape(-1, 7)
     blank = ~lit
     columns = (c[blank].tolist() for c in np.broadcast_arrays(codes, bloch_lam, omega_a, omega_b))
     sys.stderr.write("".join(
         f"warning: {spec.swept}={param.decode()} is degenerate"
         f" ({OUTCOMES[code][1].format(lam=raw_lam, omega_a=w_a, omega_b=w_b)})\n"
-        for param, code, raw_lam, w_a, w_b in zip(fields[blank, 0].tolist(), *columns)
+        for param, code, raw_lam, w_a, w_b in zip(param_text[blank].tolist(), *columns)
     ))
-    return f"{SWEEP_HEADER}\n" + _csv_lines(fields)
+    return f"{SWEEP_HEADER}\n" + _csv_lines(param_text, *values.T)
 
 
 # --- figure presets -----------------------------------------------------------
@@ -307,23 +311,23 @@ _SX_CURVES = (("sx=-0.5", -0.5), ("sx=0", 0.0), ("sx=0.5", 0.5))
 
 
 def _figure_table(quantity: str, swept: str, points, param_text, lam: float, a_overlap: float) -> str:
-    """One preset family: V or D over s_x (three betas) or beta (three s_x)."""
-    curves = _BETA_CURVES if swept == "s_x" else _SX_CURVES
-    values = []
-    for _, fixed in curves:
-        s_x, beta = (points, fixed) if swept == "s_x" else (fixed, points)
-        sin_beta, den = port_terms(s_x, beta)
-        if quantity == "V":
-            yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
-            values.append(visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0))
-        else:
-            values.append(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
+    """One preset family as one (3, n) stack: V or D over s_x (three betas) or beta (three
+    s_x). A beta stays a float, so port_terms takes math's sin and cos, as in the scalar API."""
+    labels, fixed = zip(*(_BETA_CURVES if swept == "s_x" else _SX_CURVES))
+    if swept == "s_x":
+        sin_beta, den = zip(*(port_terms(points, beta) for beta in fixed))
+        s_x, sin_beta, den = points, np.array(sin_beta)[:, None], np.array(den)
+    else:
+        s_x = np.array(fixed)[:, None]
+        sin_beta, den = port_terms(s_x, points)
+    if quantity == "V":
+        yz = np.sqrt(np.maximum(lam - s_x * s_x, 0.0))
+        values = visibility_kernel(yz, a_overlap, sin_beta, den).clip(0.0, 1.0)
+    else:
+        values = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     # One format pass over the table's values; the params come formatted.
-    fields = np.empty((len(curves), FIGURE_POINTS, 3), param_text.dtype)
-    fields[:, :, 0] = np.array([label for label, _ in curves], "S")[:, None]
-    fields[:, :, 1] = param_text
-    fields[:, :, 2] = _format_numbers(np.stack(values)).reshape(len(curves), FIGURE_POINTS)
-    return f"curve,param,{quantity}_closed\n" + _csv_lines(fields.reshape(-1, 3))
+    texts = _format_numbers(values).reshape(values.shape)
+    return f"curve,param,{quantity}_closed\n" + _csv_lines(np.array(labels, "S")[:, None], param_text, texts)
 
 
 def figure_tables() -> dict[str, str]:

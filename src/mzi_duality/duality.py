@@ -74,7 +74,8 @@ def _checked_port(s_x, a_overlap, beta):
 # den = 1 + s_x cos(beta) from interferometer.port_terms. The scalar API
 # screens den through _lit_port and the sweep the rows of closed_form_columns,
 # both by interferometer._outcomes; verify's extremum oracles and the figures
-# run V and D on grids. V comes back unclipped. Squares are products, which
+# run V and D on grids. V comes back unclipped; a clip keeps the -0.0 of a -0.0
+# A or beta, so the API's clips add 0.0. Squares are products, which
 # round the same for floats and arrays (** uses pow).
 
 
@@ -111,7 +112,7 @@ def closed_form_columns(s_x, s_y, s_z, lam, a_overlap, beta) -> tuple:
     squared length the residual reads. A length-1 column, or a float, is one value for all points.
     """
     sin_beta, den = port_terms(s_x, beta)
-    v = visibility_kernel(np.hypot(s_y, s_z), a_overlap, sin_beta, den).clip(0.0, 1.0)
+    v = visibility_kernel(np.hypot(s_y, s_z), a_overlap, sin_beta, den).clip(0.0, 1.0) + 0.0
     d = distinguishability_kernel(s_x, a_overlap, sin_beta, den)
     residual = residual_kernel(lam, a_overlap, sin_beta, den)
     return (v, d, residual, *weights_kernel(s_x, beta, den), den)
@@ -186,7 +187,7 @@ def _closed_forms(state: BlochState, a_overlap: float, beta: BeamSplitterAngle) 
     # (V clipped to [0, 1], D, residual) of one checked point: the whole body
     # of visibility_closed, complementarity_residual and duality_report.
     s_x, sin_beta, den = _checked_port(state.s_x, a_overlap, beta)
-    v = min(max(visibility_kernel(state.yz_norm, a_overlap, sin_beta, den), 0.0), 1.0)
+    v = min(max(visibility_kernel(state.yz_norm, a_overlap, sin_beta, den), 0.0), 1.0) + 0.0
     d = float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
     return v, d, residual_kernel(state.lam, a_overlap, sin_beta, den)
 
@@ -336,7 +337,7 @@ def visibility_peak_fixed_beta(
     v_star = a_overlap * math.sqrt(pure) * sin_beta / math.sqrt(
         sin_beta * sin_beta + (1.0 - pure) * cos_beta * cos_beta
     )
-    return -pure * cos_beta, min(max(v_star, 0.0), 1.0)
+    return -pure * cos_beta, min(max(v_star, 0.0), 1.0) + 0.0
 
 
 def visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[float, float]:
@@ -353,7 +354,7 @@ def visibility_peak_fixed_sx(s_x: float, lam: float, a_overlap: float) -> tuple[
     # and exactly 1 for a pure state (lam's slack above 1 included), so v_star <= A.
     transverse = (1.0 - s_x) * (1.0 + s_x)
     ratio = max((min(lam, 1.0) - 1.0) + transverse, 0.0) / transverse
-    return math.acos(-s_x), a_overlap * math.sqrt(ratio)
+    return math.acos(-s_x), a_overlap * math.sqrt(ratio) + 0.0
 
 
 def distinguishability_valley(s_x: float, a_overlap: float) -> tuple[float, float]:

@@ -131,23 +131,31 @@ def test_digit_tables_hold_every_zero_padded_text():
 
 
 def test_csv_lines_join_fields_of_every_width():
-    # Labels of different widths, an all-NUL field (a blank sweep field) and
-    # a field filling the whole width, with no NUL padding before its comma.
-    fields = np.array(
-        [
-            [b"beta=pi/4", b"0.5", b""],
-            [b"beta=3pi/4", b"-2.2250738585072014e-308", b"1"],
-            [b"", b"", b"-2.2250738585072014e-308"],
-        ],
-        "S24",
+    # Columns of their own widths, broadcast as figures' (3, n) tables are: a
+    # 10-byte label column of shape (3, 1), a param row (n,) and a value table
+    # (3, n). A field filling its whole width (the 10-byte label, the 24-byte
+    # number) has no NUL before its comma; an all-NUL field comes out empty.
+    widest = b"-2.2250738585072014e-308"
+    labels = np.array([b"beta=pi/4", b"beta=3pi/4", b"sx=0"], "S10")[:, None]
+    params = np.array([b"0.5", widest], "S24")
+    values = np.array([[b"1", b""], [b"", widest], [b"0", b"0.25"]], "S24")
+    assert (labels.itemsize, params.itemsize) == (len(b"beta=3pi/4"), len(widest))
+    assert cli._csv_lines(labels, params, values) == (
+        "beta=pi/4,0.5,1\n"
+        "beta=pi/4,-2.2250738585072014e-308,\n"
+        "beta=3pi/4,0.5,\n"
+        "beta=3pi/4,-2.2250738585072014e-308,-2.2250738585072014e-308\n"
+        "sx=0,0.5,0\n"
+        "sx=0,-2.2250738585072014e-308,0.25\n"
     )
-    assert fields.dtype.itemsize == len(b"-2.2250738585072014e-308")
-    assert cli._csv_lines(fields) == (
-        "beta=pi/4,0.5,\n"
-        "beta=3pi/4,-2.2250738585072014e-308,1\n"
-        ",,-2.2250738585072014e-308\n"
+    # The sweep's layout: a param column, then seven value columns, each a
+    # strided column of a (rows, 7) table; a blank row's values are all NUL.
+    table = np.zeros((2, 7), "S24")
+    table[1] = widest
+    assert cli._csv_lines(np.array([b"1", b"-0.5"], "S24"), *table.T) == (
+        "1,,,,,,,\n-0.5" + f",{widest.decode()}" * 7 + "\n"
     )
-    assert cli._csv_lines(np.zeros((2, 8), "S24")) == ",,,,,,,\n" * 2
+    assert cli._csv_lines(*np.zeros((8, 2), "S24")) == ",,,,,,,\n" * 2
 
 
 # --- angle parsing ---------------------------------------------------------------
@@ -233,6 +241,32 @@ def test_report_accepts_s_x_slack_above_one(capsys):
 def test_report_accepts_pi_notation(capsys):
     assert main(["report", "--beta", "pi/2", "--A", "0.5"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+NEGATIVE_ZERO_COMMANDS = [
+    ["report", "--A", "Z", "--sy", "0.5", "--beta", "1"],
+    ["report", "--sy", "0.5", "--beta", "Z"],
+    ["report", "--A", "Z", "--sy", "0.6", "--beta", "Z"],
+    ["sweep", "--param", "sx", "--lo", "-0.5", "--hi", "0.5", "--steps", "3",
+     "--lam", "0.5", "--A", "0.5", "--beta", "Z"],
+    ["sweep", "--param", "beta", "--lo", "0", "--hi", "3", "--steps", "4",
+     "--lam", "0.5", "--sx", "0.2", "--A", "Z"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_ZERO_COMMANDS)
+def test_a_negative_zero_input_writes_the_bytes_of_a_zero(argv, tmp_path, capsys):
+    # V = A sin(beta) |(s_y, s_z)| / den is -0.0 where A or beta is -0.0, and
+    # clipping keeps that sign: report printed "visibility": -0.0 and the
+    # sweep -0 in every V_closed field.
+    outputs = []
+    for zero in ("-0", "0"):
+        out = tmp_path / f"{zero}.csv"
+        args = [zero if arg == "Z" else arg for arg in argv]
+        assert main(args + (["--out", str(out)] if argv[0] == "sweep" else [])) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes() if out.exists() else b""))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].out + outputs[0][1].decode() != ""
 
 
 # --- sweep ------------------------------------------------------------------------

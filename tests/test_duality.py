@@ -1104,6 +1104,15 @@ def test_peak_fixed_sx_errors():
         visibility_peak_fixed_sx(0.8, 0.5, 0.5)  # lam < s_x^2
 
 
+def test_visibility_peaks_of_a_negative_zero_overlap_are_a_positive_zero():
+    # A = -0.0 made both peak values -0.0; clipping keeps a zero's sign.
+    for _, v_star in (
+        visibility_peak_fixed_beta(0.5, -0.0, BeamSplitterAngle(1.0)),
+        visibility_peak_fixed_sx(0.1, 0.5, -0.0),
+    ):
+        assert v_star == 0.0 and math.copysign(1.0, v_star) == 1.0
+
+
 def test_valley_locations_for_reference_inputs():
     expectations = {-0.5: math.pi / 3, 0.0: HALF_PI, 0.5: 2 * math.pi / 3}
     for s_x, beta_expected in expectations.items():
