@@ -285,8 +285,8 @@ def run_sweep(spec: SweepSpec) -> str:
         v, d, residual, omega_a, omega_b, den = closed_form_columns(
             s_x, s_y, s_z, lam, spec.a_overlap, beta
         )
-        v_scan, scan = visibility_scans(s_x, s_y, s_z, spec.detector.unitary, beta)
-        d_trace = distinguishability_trace_norms(spec.detector.unitary, omega_a, omega_b)
+        v_scan, scan = visibility_scans(s_x, s_y, s_z, spec.detector.marked, beta)
+        d_trace = distinguishability_trace_norms(spec.detector.marked, omega_a, omega_b)
         codes = _outcomes(bloch_lam, den, omega_a, omega_b, scan)
     lit = codes == 0
     table = np.column_stack([v, v_scan, d, d_trace, residual, omega_a, omega_b])
@@ -450,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="detector overlap magnitude |<r|U|r>|")
     report.add_argument("--gamma", type=parse_angle, default=0.0, help="overlap phase")
     report.add_argument("--delta", type=parse_angle, default=0.0,
-                        help="free off-diagonal phase of the marking unitary")
+                        help="phase of the marked detector state's second entry")
     report.add_argument("--beta", type=parse_angle, default=math.pi / 2,
                         help="recombining beam-splitter angle")
     report.set_defaults(handler=_cmd_report)

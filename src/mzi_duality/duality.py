@@ -27,7 +27,6 @@ from .interferometer import (
     BeamSplitterAngle,
     BlochState,
     DetectorConfig,
-    _first_column,
     _fringe_coefficients,
     _outcomes,
     _screen,
@@ -199,22 +198,23 @@ def visibility_closed(
     return _closed_forms(state, a_overlap, beta)[0]
 
 
-def visibility_scans(s_x, s_y, s_z, unitary, beta):
+def visibility_scans(s_x, s_y, s_z, marked, beta):
     """Fringe contrast of n points from the pipeline's extrema over the phase dial.
 
     ``s_x``, ``s_y``, ``s_z`` and ``beta`` are 1-D arrays of validated inputs,
-    one entry per point, or one point's floats. The state's three columns
-    together, or ``beta``, may have length 1, one value for every point, as
-    one (2, 2) marking ``unitary`` is; else it is an (n, 2, 2) stack. A
-    point is its stack row to the bit. Returns ``(visibility, code)``,
-    shape (n,), or (1,) for a point: the contrast (p_max - p_min) / (p_max +
-    p_min) of each point's port-a extrema over the phase dial, c0 +- |c2| of
-    the pipeline's fringe c0 + Re(c2 e^{-2i*phi}), folded on the start
-    state's support alone (_fringe_coefficients), and each point's outcome
-    code: 0, or 2 with the visibility NaN where p_max + p_min, the scan's
-    own port denominator, leaves the port dark (_outcomes' dark-port rule).
+    one entry per point, or one point's floats; ``marked`` is the detectors'
+    marked state (interferometer.marked_states), floats or 1-D arrays. The
+    state's three columns together, ``beta`` or ``marked`` may hold one value
+    for every point. A point is its stack row to the bit. Returns
+    ``(visibility, code)``, shape (n,), or (1,) for a point: the contrast
+    (p_max - p_min) / (p_max + p_min) of each point's port-a extrema over the
+    phase dial, c0 +- |c2| of the pipeline's fringe c0 + Re(c2 e^{-2i*phi}),
+    folded on the start state's support alone (_fringe_coefficients), and
+    each point's outcome code: 0, or 2 with the visibility NaN where p_max +
+    p_min, the scan's own port denominator, leaves the port dark (_outcomes'
+    dark-port rule).
     """
-    c0, c2 = _fringe_coefficients(s_x, s_y, s_z, unitary, beta)
+    c0, c2 = _fringe_coefficients(s_x, s_y, s_z, marked, beta)
     amplitude = np.abs(c2)
     p_max, p_min = c0 + amplitude, c0 - amplitude
     total = p_max + p_min
@@ -231,7 +231,7 @@ def visibility_scan(state: BlochState, det: DetectorConfig, beta: BeamSplitterAn
     visibility_closed, whose independent oracle it is.
     """
     visibility, code = visibility_scans(
-        state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta)
+        state.s_x, state.s_y, state.s_z, det.marked, float(beta.beta)
     )
     _screen(scan=int(code[0]))
     return float(visibility[0])
@@ -256,13 +256,13 @@ def distinguishability_closed(
     return float(distinguishability_kernel(s_x, a_overlap, sin_beta, den))
 
 
-def _discrimination_entries(unitary, omega_a, omega_b) -> tuple:
-    # (a, c, b_re, b_im) of omega_a U r r^H U^H - omega_b r r^H = [[a, b],
-    # [conj(b), c]], r = (1, 0) the start state, from U's first column
-    # (m0, m1) = U r: a = omega_a |m0|^2 - omega_b, c = omega_a |m1|^2, b =
-    # omega_a m0 conj(m1). Floats for a (2, 2) U and float weights, else 1-D
-    # arrays; real arithmetic, so a point is its stack row to the bit.
-    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
+def _discrimination_entries(marked, omega_a, omega_b) -> tuple:
+    # (a, c, b_re, b_im) of omega_a m m^H - omega_b r r^H = [[a, b], [conj(b),
+    # c]] of the start state r = (1, 0) and the marked state m = U r = (m0, m1):
+    # a = omega_a |m0|^2 - omega_b, c = omega_a |m1|^2, b = omega_a m0 conj(m1).
+    # Floats for a marked state of floats and float weights, else 1-D arrays;
+    # real arithmetic, so a point is its stack row to the bit.
+    m0_re, m0_im, m1_re, m1_im = marked
     n0, n1 = m0_re * m0_re + m0_im * m0_im, m1_re * m1_re + m1_im * m1_im
     b_re, b_im = m0_re * m1_re + m0_im * m1_im, m0_im * m1_re - m0_re * m1_im
     return omega_a * n0 - omega_b, omega_a * n1, omega_a * b_re, omega_a * b_im
@@ -270,18 +270,18 @@ def _discrimination_entries(unitary, omega_a, omega_b) -> tuple:
 
 def distinguishability_trace_norm(det: DetectorConfig, weights: PathWeights) -> float:
     """Trace-norm route to the distinguishability; oracle for the closed form."""
-    return _trace_norm(*_discrimination_entries(det.unitary, weights.omega_a, weights.omega_b))
+    return _trace_norm(*_discrimination_entries(det.marked, weights.omega_a, weights.omega_b))
 
 
-def distinguishability_trace_norms(unitary, omega_a, omega_b) -> np.ndarray:
+def distinguishability_trace_norms(marked, omega_a, omega_b) -> np.ndarray:
     """distinguishability_trace_norm over 1-D arrays of path weights.
 
-    ``unitary`` is one (2, 2) marking unitary for every point or an
-    (n, 2, 2) stack of them. The weights are taken as validated (see
-    PathWeights). Each point's trace norm is distinguishability_trace_norm's
-    to the bit.
+    ``marked`` is the detectors' marked state (interferometer.marked_states),
+    floats for every point or 1-D arrays. The weights are taken as validated
+    (see PathWeights). Each point's trace norm is
+    distinguishability_trace_norm's to the bit.
     """
-    return _trace_norm(*_discrimination_entries(unitary, omega_a, omega_b))
+    return _trace_norm(*_discrimination_entries(marked, omega_a, omega_b))
 
 
 def _basis_is_degenerate(values):
@@ -299,7 +299,7 @@ def min_error_basis(det: DetectorConfig, weights: PathWeights) -> MeasurementBas
     the one with negative eigenvalue. Computed by eigendecomposition, which
     stays well-conditioned over the whole parameter domain.
     """
-    entries = _discrimination_entries(det.unitary, weights.omega_a, weights.omega_b)
+    entries = _discrimination_entries(det.marked, weights.omega_a, weights.omega_b)
     values, vectors = _hermitian_eig2(*entries)
     if _basis_is_degenerate(values):
         raise DegenerateBasisError(

@@ -154,33 +154,28 @@ def _floats_or_arrays(*values):
     return (v if isinstance(v, float) else np.asarray(v, dtype=float) for v in values)
 
 
-def marking_unitaries(a_overlap, gamma, delta) -> np.ndarray:
-    """DetectorConfig's marking unitary [[A e^{i gamma}, -B e^{-i delta}],
-    [B e^{i delta}, A e^{-i gamma}]], B = sqrt(1 - A^2), unit determinant by
-    construction: (2, 2) of floats, or an (n, 2, 2) stack of 1-D arrays.
-    Each real and imaginary part is one rounded product of A or B and a sine
-    or cosine (math for floats, numpy for arrays), or its negation, which
-    rounds alike in Python and in numpy, so a detector's unitary is its row
-    of a stack to the bit. Inputs are taken as validated; 0 <= a_overlap <= 1 keeps
-    1 - a_overlap**2 nonnegative."""
+def marked_states(a_overlap, gamma, delta):
+    """The marked state U r = (A e^{i gamma}, B e^{i delta}), B = sqrt(1 - A^2),
+    of a detector that starts in r, as its real parts (m0_re, m0_im, m1_re,
+    m1_im): floats, or 1-D arrays for a stack. Each part is one rounded product
+    of A or B and a sine or cosine (math for floats, numpy for arrays), so a
+    detector's marked state is its row of a stack to the bit. Inputs are taken
+    as validated; 0 <= a_overlap <= 1 keeps 1 - a_overlap**2 nonnegative."""
     a, gamma, delta = _floats_or_arrays(a_overlap, gamma, delta)
     b = (np.sqrt if isinstance(a, np.ndarray) else math.sqrt)(1.0 - a * a)
-    sin_g, cos_g = _sin_cos(gamma)
-    sin_d, cos_d = _sin_cos(delta)
-    # A e^{i gamma} and B e^{i delta}; the other two entries negate a part of each.
-    g_re, g_im, d_re, d_im = a * cos_g, a * sin_g, b * cos_d, b * sin_d
-    return _from_parts([g_re, g_im, -d_re, d_im, d_re, d_im, g_re, -g_im], (2, 2))
+    (sin_g, cos_g), (sin_d, cos_d) = _sin_cos(gamma), _sin_cos(delta)
+    return a * cos_g, a * sin_g, b * cos_d, b * sin_d
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which-path detector: the marking unitary U on a detector that starts
-    in its first basis state r.
+    """Which-path detector: it starts in its first basis state r, and the
+    particle marks it on arm a, taking r to the marked state U r (``marked``).
 
     ``a_overlap`` is the magnitude and ``gamma`` the phase of the overlap
-    <r|U|r> between the unmarked and marked detector states; ``delta`` is the
-    free phase of the off-diagonal of U and does not affect any duality
-    measure (a tested property).
+    <r|U|r> = m0; ``delta`` is the phase of m1. delta moves the joint state's
+    detector coherences, but not V, D, the residual, the path weights or the
+    port-a probability (a tested property).
     """
 
     a_overlap: float
@@ -192,13 +187,17 @@ class DetectorConfig:
         require_in_range("a_overlap", self.a_overlap)
 
     @functools.cached_property
-    def unitary(self) -> np.ndarray:
-        """The marking unitary, marking_unitaries of this detector.
+    def marked(self) -> tuple[float, float, float, float]:
+        """marked_states of this detector, as floats: built on first access and
+        kept outside the dataclass fields, so equality and hashing ignore it."""
+        return tuple(map(float, marked_states(self.a_overlap, self.gamma, self.delta)))
 
-        Built on first access and kept read-only on the instance; the cache
-        lives outside the dataclass fields, so equality and hashing ignore it.
-        """
-        u = marking_unitaries(self.a_overlap, self.gamma, self.delta)
+    @functools.cached_property
+    def unitary(self) -> np.ndarray:
+        """The marking unitary [[m0, -conj(m1)], [m1, conj(m0)]] of ``marked``'s
+        parts, unit determinant by construction: built once, read-only."""
+        m0_re, m0_im, m1_re, m1_im = self.marked
+        u = _from_parts([m0_re, m0_im, -m1_re, m1_im, m1_re, m1_im, m0_re, -m0_im], (2, 2))
         u.setflags(write=False)
         return u
 
@@ -231,15 +230,6 @@ _PREPARING_FLOATS = (_H00, _H01, _H10, _H11, 0.5, 1.0)
 _PREPARING_ARRAYS = tuple(np.array(value) for value in _PREPARING_FLOATS)
 
 
-def _first_column(unitary):
-    # (m0_re, m0_im, m1_re, m1_im): the real and imaginary parts of the marked
-    # state U r = (m0, m1), U's first column on the detector's start state
-    # r = (1, 0). Floats for a (2, 2) U, 1-D arrays for an (n, 2, 2) stack.
-    column = np.asarray(unitary)[..., 0]
-    m0, m1 = column.tolist() if column.ndim == 1 else column.T
-    return m0.real, m0.imag, m1.real, m1.imag
-
-
 def _prepared(s_x, s_y, s_z):
     # The prepared state P = H rho H^H on the start rows and columns 0 and 2
     # (_evolve), of a point's floats or a stack's arrays: (P00, P22, Re P02,
@@ -259,17 +249,17 @@ def _prepared(s_x, s_y, s_z):
     return p00, p22, p02_re, p02_im, a20, a21
 
 
-def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+def _evolve(s_x, s_y, s_z, marked, beta, phi) -> np.ndarray:
     # The joint state T_s P' T_s^H of validated inputs, unchecked: of a
     # point's floats, shape (4, 4); of 1-D arrays with one entry per point,
-    # (n, 4, 4). unitary is one (2, 2) marking unitary for every point or an
-    # (n, 2, 2) stack of them. The detector starts in r, so the joint input
-    # rho (x) |r><r| is rho on the start rows and columns 0 and 2 and zero
+    # (n, 4, 4). marked is the marked state's parts (marked_states): floats
+    # for every point, or 1-D arrays. The detector starts in r, so the joint
+    # input rho (x) |r><r| is rho on the start rows and columns 0 and 2 and zero
     # elsewhere: there the splitter H makes it P (_prepared), and the phase
     # diagonal (e^{-i*phi}, e^{+i*phi}) makes it P' = [[P00, z], [conj(z),
     # P22]], z = P02 e^{-2i*phi}. The tail T = (R(beta) x 1)(1 (+) U) acts
     # through its two start columns T_s, (c, 0, s, 0) and (-s m, c m), with
-    # c, s = cos, sin(beta/2) and m = U r (_first_column). So path block
+    # c, s = cos, sin(beta/2) and m = U r (marked). So path block
     # (p, q) of the joint state, R = [[c, -s], [s, c]], is
     #   R_p0 R_q0 P00 r r^H + R_p1 R_q1 P22 m m^H
     #     + R_p0 R_q1 z r m^H + R_p1 R_q0 conj(z) m r^H,
@@ -282,7 +272,7 @@ def _evolve(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     z_re, z_im = p_re * cos_2phi + p_im * sin_2phi, p_im * cos_2phi - p_re * sin_2phi
     s, c = _sin_cos(0.5 * beta)
     c2, s2, cs = c * c, s * s, c * s
-    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
+    m0_re, m0_im, m1_re, m1_im = marked
     w0_re, w0_im = z_re * m0_re + z_im * m0_im, z_im * m0_re - z_re * m0_im
     w1_re, w1_im = z_re * m1_re + z_im * m1_im, z_im * m1_re - z_re * m1_im
     n0, n1 = m0_re * m0_re + m0_im * m0_im, m1_re * m1_re + m1_im * m1_im
@@ -319,18 +309,17 @@ def evolve(
     The one-point view of the stacked pipeline, checked as a DensityOperator.
     """
     return DensityOperator(
-        _evolve(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)
+        _evolve(state.s_x, state.s_y, state.s_z, det.marked, float(beta.beta), phi.phi)
     )
 
 
-def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
+def _evolve_closed_form(s_x, s_y, s_z, marked, beta, phi) -> np.ndarray:
     # evolve_closed_form's four terms summed entry by entry, unchecked, of
-    # _evolve's validated inputs (one (2, 2) U or an (n, 2, 2) stack): shape
-    # (4, 4) for a point's floats, (n, 4, 4) for 1-D arrays with one entry
-    # per point. U enters only through the marked state m = U r = (m0, m1)
-    # (_first_column), and every complex product is written out in real
-    # arithmetic, which rounds alike in Python and in numpy, so a point is
-    # its stack row to the bit.
+    # _evolve's validated inputs: shape (4, 4) for a point's floats, (n, 4, 4)
+    # for 1-D arrays with one entry per point. The detector enters only
+    # through the marked state m = U r = (m0, m1) (marked), and every complex
+    # product is written out in real arithmetic, which rounds alike in Python
+    # and in numpy, so a point is its stack row to the bit.
     # With s = sin(beta), c = cos(beta), the terms b, ba, ab and a are
     #   (1 - s_x)/4 [[1 + c, s], [s, 1 - c]]    (x) r r^H,
     #   conj(cross) [[s, -(1 + c)], [1 - c, -s]] (x) r m^H,
@@ -343,7 +332,7 @@ def _evolve_closed_form(s_x, s_y, s_z, unitary, beta, phi) -> np.ndarray:
     #    [(h + k conj(m0)) m1,              k |m1|^2]].
     # Only the upper triangle is computed; the lower is its conjugate.
     s_x, s_y, s_z, beta, phi = _floats_or_arrays(s_x, s_y, s_z, beta, phi)
-    m0_re, m0_im, m1_re, m1_im = _first_column(unitary)
+    m0_re, m0_im, m1_re, m1_im = marked
     sin_b, cos_b = _sin_cos(beta)
     sin_2phi, cos_2phi = _sin_cos(2.0 * phi)
     plus, minus = 1.0 + cos_b, 1.0 - cos_b
@@ -398,7 +387,7 @@ def evolve_closed_form(
     to the bit.
     """
     return DensityOperator(
-        _evolve_closed_form(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta), phi.phi)
+        _evolve_closed_form(state.s_x, state.s_y, state.s_z, det.marked, float(beta.beta), phi.phi)
     )
 
 
@@ -457,9 +446,9 @@ def detection_probability_closed(
 # --- the fringe coefficients ----------------------------------------------------
 
 
-def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.ndarray]:
+def _fringe_coefficients(s_x, s_y, s_z, marked, beta) -> tuple[np.ndarray, np.ndarray]:
     # (c0, c2), shape (n,) each or (1,) for a point's floats; a length-1 column or a
-    # (2, 2) unitary serves every point. The port-a probability at phase phi, c0 +
+    # marked state of floats serves every point. The port-a probability at phase phi, c0 +
     # Re(c2 e^{-2i*phi}), is Re sum_jk P_jk Q_jk d_j conj(d_k) of the phase diagonal d,
     # Q = T[2:]^T conj(T[2:]) of the tail T and the prepared P = H rho H^H, zero off the
     # start rows and columns 0 and 2 (_evolve): c0 = P00 Q00 + P22 Q22, c2 = P02 Q02 +
@@ -472,7 +461,7 @@ def _fringe_coefficients(s_x, s_y, s_z, unitary, beta) -> tuple[np.ndarray, np.n
     p00, p22, p02_re, p02_im, a20, a21 = _prepared(s_x, s_y, s_z)
     p20_re, p20_im = a20 * _H00 + a21 * _H01, -p02_im
     s, c = _sin_cos(0.5 * beta)
-    t0_re, t0_im, t1_re, t1_im = (c * m for m in _first_column(unitary))
+    t0_re, t0_im, t1_re, t1_im = (c * m for m in marked)
     q_re, q_im = s * t0_re, s * t0_im  # Q20
     c0 = p00 * (s * s) + p22 * ((t0_re * t0_re + t0_im * t0_im) + (t1_re * t1_re + t1_im * t1_im))
     c2_re = (p02_re * q_re + p02_im * q_im) + (p20_re * q_re - p20_im * q_im) + 0.0
@@ -488,7 +477,7 @@ def phase_probe(state: BlochState, det: DetectorConfig, beta: BeamSplitterAngle)
     coefficients, the ones whose extrema c0 +- |c2| duality.visibility_scans
     takes.
     """
-    c0, c2 = _fringe_coefficients(state.s_x, state.s_y, state.s_z, det.unitary, float(beta.beta))
+    c0, c2 = _fringe_coefficients(state.s_x, state.s_y, state.s_z, det.marked, float(beta.beta))
 
     def probe(phis: np.ndarray) -> np.ndarray:
         return c0 + (c2 * np.exp(-2j * np.asarray(phis, dtype=float))).real

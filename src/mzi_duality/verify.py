@@ -45,10 +45,17 @@ from .interferometer import (
     _evolve_closed_form,
     _port_a_closed,
     _port_a_probabilities,
-    marking_unitaries,
+    marked_states,
     port_terms,
 )
-from .linalg import _hermitian_eig2, check_densities, hermiticity_defect, trace_errors, trace_path
+from .linalg import (
+    _from_parts,
+    _hermitian_eig2,
+    check_densities,
+    hermiticity_defect,
+    trace_errors,
+    trace_path,
+)
 
 # Brute-force extremum searches walk the closed forms at this resolution and
 # must land within 1e-3 of the predicted locus.
@@ -158,8 +165,8 @@ def _none_skipped(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return errors, np.zeros(len(errors), dtype=bool)
 
 
-# Drawn points as columns, one entry per point, and their (n, 2, 2) marking unitaries.
-_Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma delta beta phi unitary")
+# Drawn points as columns, one entry per point, and their detectors' marked states.
+_Points = namedtuple("_Points", "s_x s_y s_z a_overlap gamma beta phi marked")
 
 
 def _uniform_columns(rng, draws, ranges) -> np.ndarray:
@@ -188,8 +195,8 @@ def _points(columns) -> _Points:
     radius = np.cbrt(u_radius)
     rho = radius * np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
     s_x, s_y, s_z = radius * cos_theta, rho * np.cos(azimuth), rho * np.sin(azimuth)
-    unitary = marking_unitaries(a_overlap, gamma, delta)
-    return _Points(s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi, unitary)
+    marked = marked_states(a_overlap, gamma, delta)
+    return _Points(s_x, s_y, s_z, a_overlap, gamma, beta, phi, marked)
 
 
 def _draw_points(rng, draws) -> _Points:
@@ -198,7 +205,7 @@ def _draw_points(rng, draws) -> _Points:
 
 def _pipeline(p: _Points) -> tuple:
     # _evolve's and _evolve_closed_form's arguments.
-    return p.s_x, p.s_y, p.s_z, p.unitary, p.beta, p.phi
+    return p.s_x, p.s_y, p.s_z, p.marked, p.beta, p.phi
 
 
 def _closed_columns(p: _Points) -> tuple:
@@ -207,14 +214,14 @@ def _closed_columns(p: _Points) -> tuple:
     return closed_form_columns(p.s_x, p.s_y, p.s_z, lam, p.a_overlap, p.beta)
 
 
-def _hermitian(a, c, b_re, b_im) -> np.ndarray:
-    # The stack of Hermitian [[a, b], [conj(b), c]], b = b_re + i b_im, of 1-D arrays.
-    b = b_re + 1j * b_im
-    return np.array([[a, b], [b.conj(), c]], dtype=complex).transpose(2, 0, 1)
-
-
 def _largest_entries(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(1, 2))
+
+
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x @ y of each pair of 2x2 matrices of two (n, 2, 2) stacks, as elementwise
+    # sums of products: no BLAS call, so no dependence on the BLAS kernel.
+    return x[:, :, :1] * y[:, :1] + x[:, :, 1:] * y[:, 1:]
 
 
 def _pipeline_equivalence(rng, draws):
@@ -241,9 +248,9 @@ def _state_validity(rng, draws):
 def _reduced_detector_state(rng, draws):
     p = _draw_points(rng, draws)
     reduced = check_densities(trace_path(_evolve(*_pipeline(p))))
-    # (1 - s_x)/2 r r^H + (1 + s_x)/2 U r r^H U^H, the start state r = (1, 0)
-    # and U r the first column of U, entry by entry.
-    marked = p.unitary[:, :, 0]
+    # (1 - s_x)/2 r r^H + (1 + s_x)/2 m m^H, the start state r = (1, 0) and
+    # the marked state m = U r as complex rows, entry by entry.
+    marked = _from_parts(p.marked)
     expected = 0.5 * (1.0 + p.s_x)[:, None, None] * (marked[:, :, None] * marked[:, None, :].conj())
     expected[:, 0, 0] += 0.5 * (1.0 - p.s_x)
     return _none_skipped(_largest_entries(reduced - expected))
@@ -251,14 +258,14 @@ def _reduced_detector_state(rng, draws):
 
 def _visibility_oracle(rng, draws):
     p = _draw_points(rng, draws)
-    scanned, _ = visibility_scans(p.s_x, p.s_y, p.s_z, p.unitary, p.beta)
+    scanned, _ = visibility_scans(p.s_x, p.s_y, p.s_z, p.marked, p.beta)
     return _none_skipped(np.abs(scanned - _closed_columns(p)[0]))
 
 
 def _distinguishability_oracle(rng, draws):
     p = _draw_points(rng, draws)
     _, d, _, omega_a, omega_b, _ = _closed_columns(p)
-    return _none_skipped(np.abs(distinguishability_trace_norms(p.unitary, omega_a, omega_b) - d))
+    return _none_skipped(np.abs(distinguishability_trace_norms(p.marked, omega_a, omega_b) - d))
 
 
 def _weights_identity(rng, draws):
@@ -274,19 +281,19 @@ def _weights_identity(rng, draws):
 
 
 def _phase_invariance(rng, draws):
-    # gamma and delta shift the fringe and the unobservable off-diagonal phase
-    # of the marking unitary; neither measured quantity may move. Each draw
-    # is scanned under its own and a re-phased detector: the draws, then
-    # their re-phased copies, 2 * draws points in one stacked scan. The
-    # re-phasing angles are each draw's two columns after its point's.
+    # gamma shifts the fringe and delta the phase of the marked state's second
+    # entry; neither measured quantity may move. Each draw is scanned under
+    # its own and a re-phased detector: the draws, then their re-phased
+    # copies, 2 * draws points in one stacked scan. The re-phasing angles are
+    # each draw's two columns after its point's.
     *columns, gamma, delta = _uniform_columns(rng, draws, _POINT_RANGES + ((0.0, TWO_PI),) * 2)
     p = _points(columns)
     s_x, s_y, s_z, beta, omega_a, omega_b = (
         np.concatenate([x, x]) for x in (p.s_x, p.s_y, p.s_z, p.beta, *_closed_columns(p)[3:5])
     )
-    unitary = np.concatenate([p.unitary, marking_unitaries(p.a_overlap, gamma, delta)])
-    scanned, _ = visibility_scans(s_x, s_y, s_z, unitary, beta)
-    norms = distinguishability_trace_norms(unitary, omega_a, omega_b)
+    marked = list(map(np.concatenate, zip(p.marked, marked_states(p.a_overlap, gamma, delta))))
+    scanned, _ = visibility_scans(s_x, s_y, s_z, marked, beta)
+    norms = distinguishability_trace_norms(marked, omega_a, omega_b)
     return _none_skipped(
         np.maximum(np.abs(scanned[:draws] - scanned[draws:]), np.abs(norms[:draws] - norms[draws:]))
     )
@@ -299,22 +306,26 @@ def _min_error_measurement(rng, draws):
     # path. Draws whose operator is degenerate (no basis singled out) skip.
     p = _draw_points(rng, draws)
     omega_a, omega_b = _closed_columns(p)[3:5]
-    entries = _discrimination_entries(p.unitary, omega_a, omega_b)
+    a, c, b_re, b_im = entries = _discrimination_entries(p.marked, omega_a, omega_b)
     values, vectors = _hermitian_eig2(*entries)
-    gamma_op = _hermitian(*entries)
-    eig_err = np.abs(gamma_op @ vectors - vectors * values[:, None, :]).max(axis=(1, 2))
+    # (H - value) v of each eigenpair of H = [[a, b], [conj(b), c]], row by row.
+    b, top, low = (b_re + 1j * b_im)[:, None], vectors[:, 0], vectors[:, 1]
+    eig_err = np.maximum(
+        np.abs(a[:, None] * top + b * low - top * values),
+        np.abs(b.conj() * top + c[:, None] * low - low * values),
+    ).max(axis=1)
     m_a, m_b = vectors[:, :, 0], vectors[:, :, 1]
     ortho_err = np.maximum(
         np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max(axis=1),
         np.abs((m_a.conj() * m_b).sum(axis=1)),
     )
     # <m_b|r> is the conjugate of m_b's first entry, r being the first basis
-    # state; the marked state U r is the first column of U.
+    # state; the marked state U r is taken as complex rows.
     success = omega_b * np.abs(m_b[:, 0]) ** 2 + omega_a * np.abs(
-        (m_a.conj() * p.unitary[:, :, 0]).sum(axis=1)
+        (m_a.conj() * _from_parts(p.marked)).sum(axis=1)
     ) ** 2
     helstrom_err = np.abs(
-        success - 0.5 * (1.0 + distinguishability_trace_norms(p.unitary, omega_a, omega_b))
+        success - 0.5 * (1.0 + distinguishability_trace_norms(p.marked, omega_a, omega_b))
     )
     prior_gap = np.maximum(omega_a, omega_b) - success
     errors = np.maximum(np.maximum(eig_err, ortho_err), np.maximum(helstrom_err, prior_gap - 1e-12))
@@ -374,9 +385,9 @@ def _measurement_basis_closed_form(rng, draws):
     a_overlap, delta, omega_a = _uniform_columns(rng, draws, ranges)
     omega_b = 1.0 - omega_a
     gamma = np.zeros(draws)
-    unitary = marking_unitaries(a_overlap, gamma, delta)
-    _, numeric = _hermitian_eig2(*_discrimination_entries(unitary, omega_a, omega_b))
-    literal = _min_error_basis_closed_form(a_overlap, gamma, unitary[:, :, 0], omega_a, omega_b)
+    marked = marked_states(a_overlap, gamma, delta)
+    _, numeric = _hermitian_eig2(*_discrimination_entries(marked, omega_a, omega_b))
+    literal = _min_error_basis_closed_form(a_overlap, gamma, _from_parts(marked), omega_a, omega_b)
     return _none_skipped(
         np.maximum(
             _phase_aligned_distances(numeric[:, :, 0], literal[0]),
@@ -404,14 +415,13 @@ def _complementarity(rng, draws):
 def _eig_reconstruction(rng, draws):
     # Per draw: the two diagonal entries, then the off-diagonal's real and
     # imaginary parts.
-    entries = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
-    h = _hermitian(*entries)
+    a, c, b_re, b_im = entries = _uniform_columns(rng, draws, [(-1.0, 1.0)] * 4)
     values, vectors = _hermitian_eig2(*entries)
     adjoint = vectors.conj().swapaxes(1, 2)
-    rebuilt = (vectors * values[:, None, :]) @ adjoint
-    return _none_skipped(
-        np.maximum(_largest_entries(rebuilt - h), _largest_entries(adjoint @ vectors - np.eye(2)))
-    )
+    h = _from_parts([a, 0.0 * a, b_re, b_im, b_re, -b_im, c, 0.0 * a], (2, 2))
+    rebuilt = _products(vectors * values[:, None, :], adjoint)
+    orthonormality = _largest_entries(_products(adjoint, vectors) - np.eye(2))
+    return _none_skipped(np.maximum(_largest_entries(rebuilt - h), orthonormality))
 
 
 def _extremum_loci(rng, draws):

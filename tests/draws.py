@@ -7,7 +7,8 @@ direction and the cube-root radius law), the detector, beta in
 draws, but not its stream: verify takes each suite's values from one
 generator call and maps them onto the ball in its own way (test_verify.py
 pins that). The marking phases at the end are the edge phases that the
-bit-for-bit tests of a detector against its stack row share.
+bit-for-bit tests of a detector against its stack row share, and
+stacked_marked stacks detectors' marked states as the routes take them.
 """
 
 import math
@@ -55,9 +56,16 @@ def draw_point(rng):
     return draw_bloch_state(rng), draw_detector(rng), draw_beta(rng), draw_phase(rng)
 
 
+def stacked_marked(dets):
+    # The detectors' marked states as one stack, the way the stacked routes
+    # take it: each of DetectorConfig.marked's four parts as a 1-D array, one
+    # entry per detector.
+    return tuple(np.array(part) for part in zip(*(det.marked for det in dets)))
+
+
 # Marking phases at the signed zeros, at the smallest subnormals and at tiny
 # and large magnitudes, where libm's sin and cos, under math (a detector's
-# unitary) and numpy (a stack's), take their small-argument and
+# marked state) and numpy (a stack's), take their small-argument and
 # argument-reduction paths.
 MARKING_PHASES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-8, math.pi, -math.pi, 1e3, -1e5, 1e6, -1e6]
 

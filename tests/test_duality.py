@@ -12,7 +12,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from draws import draw_beta, draw_bloch_state, draw_detector, draw_point, marking_phase_pairs
+from draws import (
+    draw_beta,
+    draw_bloch_state,
+    draw_detector,
+    draw_point,
+    marking_phase_pairs,
+    stacked_marked,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -250,7 +257,7 @@ def test_stacked_scan_equals_scalar_scans(n, a_overlap):
     det = DetectorConfig(a_overlap, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
     points = (EDGE_POINTS + [(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])[:n]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, code = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
+    visibility, code = visibility_scans(s_x, s_y, s_z, det.marked, betas)
     assert visibility.shape == (n,) and code.tolist() == [0] * n
     for (state, beta), v in zip(points, visibility):
         assert v == visibility_scan(state, det, beta)
@@ -283,18 +290,21 @@ def test_harmonic_identity_matches_the_pipeline():
         for a_overlap in (0.0, 1.0, 0.37)
         for state, beta in EDGE_POINTS
     ]
-    p = verify._draw_points(rng, 60)
+    columns = verify._uniform_columns(rng, 60, verify._POINT_RANGES)
+    p = verify._points(columns)
     cases += [
         (BlochState(x, y, z), DetectorConfig(a, g, d), BeamSplitterAngle(b))
-        for x, y, z, a, g, d, b in zip(*(c.tolist() for c in p[:7]))
+        for x, y, z, a, g, d, b in zip(
+            *(c.tolist() for c in (p.s_x, p.s_y, p.s_z, p.a_overlap, p.gamma, columns[5], p.beta))
+        )
     ]
     cases += [
         (BlochState(x, y, z), draw_detector(rng), BeamSplitterAngle(b))
         for x, y, z, b in zip(*(c.tolist() for c in dark_port_rows(30)))
     ]
     (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
-    unitary = np.stack([det.unitary for _, det, _ in cases])
-    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
+    marked = stacked_marked(det for _, det, _ in cases)
+    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, marked, betas)
     for (state, det, beta), k0, k2 in zip(cases, c0, c2):
         for phi in rng.uniform(-TWO_PI, 2 * TWO_PI, 5):
             value = k0 + (k2 * np.exp(-2j * phi)).real
@@ -329,12 +339,12 @@ def test_scan_of_a_point_is_its_stack_row_bit_for_bit():
         for s_x, beta in ((-1.0, 0.0), (1.0, math.pi))
     ]
     (s_x, s_y, s_z), betas = stack([(state, beta) for state, _, beta in cases])
-    unitary = np.stack([det.unitary for _, det, _ in cases])
-    rows = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
-    stacked = visibility_scans(s_x, s_y, s_z, unitary, betas)
+    marked = stacked_marked(det for _, det, _ in cases)
+    rows = interferometer._fringe_coefficients(s_x, s_y, s_z, marked, betas)
+    stacked = visibility_scans(s_x, s_y, s_z, marked, betas)
     assert np.count_nonzero(stacked[1]) == 2
     for i, (state, det, beta) in enumerate(cases):
-        point = (state.s_x, state.s_y, state.s_z, det.unitary, beta.beta)
+        point = (state.s_x, state.s_y, state.s_z, det.marked, beta.beta)
         for got, row in zip(
             (*interferometer._fringe_coefficients(*point), *visibility_scans(*point)),
             (*rows, *stacked),
@@ -350,7 +360,7 @@ def test_consecutive_scans_equal_fresh_calls_bit_for_bit():
     inputs = []
     for det, n in zip(dets, (513, 5)):
         (s_x, s_y, s_z), betas = stack([(draw_bloch_state(rng), draw_beta(rng)) for _ in range(n)])
-        inputs.append((s_x, s_y, s_z, det.unitary, betas))
+        inputs.append((s_x, s_y, s_z, det.marked, betas))
     first = [visibility_scans(*args) for args in inputs]
     second = [visibility_scans(*args) for args in reversed(inputs)][::-1]
     for (v1, d1), (v2, d2) in zip(first, second):
@@ -375,7 +385,7 @@ def test_scan_reuses_its_work_memory_across_calls():
 
         s_x = np.linspace(-0.6, 0.6, 241)
         s_z = np.sqrt(np.maximum(0.36 - s_x * s_x, 0.0))
-        args = (s_x, np.zeros(241), s_z, DetectorConfig(0.8, 0.3, 0.2).unitary, np.full(241, 1.5))
+        args = (s_x, np.zeros(241), s_z, DetectorConfig(0.8, 0.3, 0.2).marked, np.full(241, 1.5))
         for _ in range(2):
             visibility_scans(*args)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -393,7 +403,7 @@ def test_scan_reuses_its_work_memory_across_calls():
 
 def scan_and_columns(s_x, s_y, s_z, lam, det, beta):
     return (
-        *visibility_scans(s_x, s_y, s_z, det.unitary, beta),
+        *visibility_scans(s_x, s_y, s_z, det.marked, beta),
         *duality.closed_form_columns(s_x, s_y, s_z, lam, det.a_overlap, beta),
     )
 
@@ -425,7 +435,7 @@ def test_stacked_scan_flags_only_the_dark_port():
     points = [(BlochState(0.2, 0.3, 0.1), BeamSplitterAngle(1.0)),
               (BlochState(1.0, 0.0, 0.0), BeamSplitterAngle(math.pi))]
     (s_x, s_y, s_z), betas = stack(points)
-    visibility, code = visibility_scans(s_x, s_y, s_z, det.unitary, betas)
+    visibility, code = visibility_scans(s_x, s_y, s_z, det.marked, betas)
     assert code.tolist() == [0, 2]
     (lit, lit_beta), (dark, dark_beta) = points
     assert abs(visibility[0] - visibility_scan(lit, det, lit_beta)) <= 1e-15
@@ -687,19 +697,19 @@ def test_trace_norm_and_basis_of_a_point_are_its_stack_row():
     # The operator's entries, its trace norm and its eigenbasis: one
     # real-arithmetic formula on a point's floats and a stack's arrays, so
     # each point is its stack row to the bit, degenerate bases included. A
-    # shared (2, 2) unitary over arrays of weights, as the sweep passes it,
+    # shared marked state over arrays of weights, as the sweep passes it,
     # gives the same rows.
     rng = np.random.default_rng(101)
     cases = discrimination_cases(rng)
-    unitary = np.array([det.unitary for det, _ in cases])
+    marked = stacked_marked(det for det, _ in cases)
     omega_a, omega_b = (np.array([getattr(w, name) for _, w in cases]) for name in ("omega_a", "omega_b"))
-    entries = duality._discrimination_entries(unitary, omega_a, omega_b)
+    entries = duality._discrimination_entries(marked, omega_a, omega_b)
     rows = np.array(entries).T
-    norms = duality.distinguishability_trace_norms(unitary, omega_a, omega_b)
+    norms = duality.distinguishability_trace_norms(marked, omega_a, omega_b)
     values, vectors = _hermitian_eig2(*entries)
     degenerate = 0
     for i, (det, w) in enumerate(cases):
-        point = duality._discrimination_entries(det.unitary, w.omega_a, w.omega_b)
+        point = duality._discrimination_entries(det.marked, w.omega_a, w.omega_b)
         assert np.array(point).tobytes() == rows[i].tobytes()
         assert float(norms[i]).hex() == distinguishability_trace_norm(det, w).hex()
         try:
@@ -714,14 +724,14 @@ def test_trace_norm_and_basis_of_a_point_are_its_stack_row():
     assert 0 < degenerate < len(cases)
     for start in range(0, 40, 4):  # one detector's four cases
         shared = duality.distinguishability_trace_norms(
-            cases[start][0].unitary, omega_a[start : start + 4], omega_b[start : start + 4]
+            cases[start][0].marked, omega_a[start : start + 4], omega_b[start : start + 4]
         )
         assert shared.tobytes() == norms[start : start + 4].tobytes()
 
 
 def test_discrimination_entries_are_within_four_roundings_of_exact():
-    # An entry of omega_a U r r^H U^H - omega_b r r^H takes at most four
-    # rounded operations on the float parts of U r = (m0, m1) and the
+    # An entry of omega_a m m^H - omega_b r r^H takes at most four rounded
+    # operations on the float parts of the marked state m = U r = (m0, m1) and the
     # weights: two products, their sum, the product by omega_a and, for a,
     # the subtraction of omega_b. Every operand and partial result is at
     # most 1 + O(u) in magnitude, u = 2^-53 (|m0|^2 + |m1|^2 rounds to 1,
@@ -731,15 +741,14 @@ def test_discrimination_entries_are_within_four_roundings_of_exact():
     bound = Fraction(4, 2**53) * (1 + Fraction(1, 2**48))
     rng = np.random.default_rng(103)
     for det, w in discrimination_cases(rng):
-        (m0, _), (m1, _) = det.unitary.tolist()
-        x0, y0, x1, y1, wa, wb = map(Fraction, (m0.real, m0.imag, m1.real, m1.imag, w.omega_a, w.omega_b))
+        x0, y0, x1, y1, wa, wb = map(Fraction, (*det.marked, w.omega_a, w.omega_b))
         exact = (
             wa * (x0 * x0 + y0 * y0) - wb,
             wa * (x1 * x1 + y1 * y1),
             wa * (x0 * x1 + y0 * y1),
             wa * (y0 * x1 - x0 * y1),
         )
-        got = duality._discrimination_entries(det.unitary, w.omega_a, w.omega_b)
+        got = duality._discrimination_entries(det.marked, w.omega_a, w.omega_b)
         assert all(type(v) is float for v in got)
         assert max(abs(Fraction(v) - e) for v, e in zip(got, exact)) <= bound
 

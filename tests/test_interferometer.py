@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from draws import draw_point, marking_phase_pairs
+from draws import draw_point, marking_phase_pairs, stacked_marked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lifted import beam_splitters, kron2, lifted_tail
@@ -32,7 +32,7 @@ from mzi_duality.interferometer import (
     detection_probability_numeric,
     evolve,
     evolve_closed_form,
-    marking_unitaries,
+    marked_states,
     phase_probe,
     port_terms,
 )
@@ -169,9 +169,12 @@ def test_detector_config_trivial_and_orthogonal_marking():
     )
 
 
-def test_detector_unitary_is_built_once_and_read_only():
-    # Bit-equal to the marking-unitary formula, including the A = 0, 1 edges,
-    # at phases in [-10, 10] and on MARKING_PHASES and up to |1e6|.
+def test_detector_marked_state_is_one_product_per_part_and_its_unitary_read_only():
+    # The marked state (a e^{i gamma}, b e^{i delta}), each real and imaginary
+    # part one product, to the bit, including the A = 0, 1 edges, at phases in
+    # [-10, 10] and on MARKING_PHASES and up to |1e6|. The unitary is built
+    # once from the same parts: its first column is the marked state to the
+    # bit, and it stays read-only.
     rng = np.random.default_rng(29)
     overlaps = [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
     phases = [tuple(rng.uniform(-10.0, 10.0, 2).tolist()) for _ in overlaps]
@@ -179,12 +182,15 @@ def test_detector_unitary_is_built_once_and_read_only():
     for i, (gamma, delta) in enumerate(phases):
         a = overlaps[i % len(overlaps)]
         det = DetectorConfig(a, gamma, delta)
-        assert det.unitary is det.unitary
-        assert not det.unitary.flags.writeable
-        # [[a e^{i gamma}, -b e^{-i delta}], [b e^{i delta}, a e^{-i gamma}]],
-        # each real and imaginary part one product.
         b = math.sqrt(max(1.0 - a * a, 0.0))
         cg, sg, cd, sd = math.cos(gamma), math.sin(gamma), math.cos(delta), math.sin(delta)
+        assert det.marked is det.marked
+        assert all(type(part) is float for part in det.marked)
+        assert np.array(det.marked).tobytes() == np.array([a * cg, a * sg, b * cd, b * sd]).tobytes()
+        assert det.unitary is det.unitary
+        assert not det.unitary.flags.writeable
+        assert det.unitary[:, 0].tobytes() == np.array(det.marked).tobytes()
+        # [[a e^{i gamma}, -b e^{-i delta}], [b e^{i delta}, a e^{-i gamma}]].
         expected = np.array([
             [complex(a * cg, a * sg), complex(-b * cd, b * sd)],
             [complex(b * cd, b * sd), complex(a * cg, -a * sg)],
@@ -194,11 +200,11 @@ def test_detector_unitary_is_built_once_and_read_only():
         assert same == det and hash(same) == hash(det)
 
 
-def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
+def test_marked_states_of_a_stack_equal_each_detector_marked_state():
     # Bit for bit, a detector's math sin and cos and Python products against
     # the stack's numpy ones: at A in {0, 1}, at zero marking phases, on
-    # MARKING_PHASES (products that underflow included) and up to |1e6|, and
-    # on seeded draws.
+    # every pair of MARKING_PHASES (products that underflow included) and on
+    # seeded pairs up to |1e6|, and on seeded draws.
     rng = np.random.default_rng(31)
     dets = [
         DetectorConfig(a, gamma, delta)
@@ -207,12 +213,12 @@ def test_marking_unitaries_of_a_stack_equal_each_detector_unitary():
     ]
     dets += [DetectorConfig(0.37, gamma, delta) for gamma, delta in marking_phase_pairs(rng, 100)]
     dets += [draw_point(rng)[1] for _ in range(200)]
-    stack = marking_unitaries(
+    stack = marked_states(
         *(np.array([getattr(d, name) for d in dets]) for name in ("a_overlap", "gamma", "delta"))
     )
-    assert stack.shape == (len(dets), 2, 2)
-    for det, u in zip(dets, stack):
-        assert u.tobytes() == det.unitary.tobytes()
+    assert [part.shape for part in stack] == [(len(dets),)] * 4
+    for det, row in zip(dets, np.array(stack).T):
+        assert row.tobytes() == np.array(det.marked).tobytes()
 
 
 def test_detector_config_rejects_bad_overlap():
@@ -234,10 +240,12 @@ def test_detector_unitary_is_always_unitary(a, gamma, delta):
 # Bloch x = +1 and -1 are the inputs that H = R(pi/2) sends to path b and path a.
 
 START = np.diag([1.0, 0.0])
+# The marked state of the trivial marking U = 1: r itself.
+UNMARKED = DetectorConfig(1.0).marked
 
 
-def joint_state(s_x, s_y, s_z, unitary=I2, beta=0.0, phi=0.0):
-    return _evolve(s_x, s_y, s_z, unitary, beta, phi)
+def joint_state(s_x, s_y, s_z, marked=UNMARKED, beta=0.0, phi=0.0):
+    return _evolve(s_x, s_y, s_z, marked, beta, phi)
 
 
 def test_phase_shifter_values():
@@ -251,7 +259,7 @@ def test_phase_shifter_values():
     phis = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi, TWO_PI - 1e-9, 1e6]
     phis += np.random.default_rng(32).uniform(0, 7, 200).tolist()
     n = len(phis)
-    stack = _evolve([0.0] * n, [0.0] * n, [1.0] * n, I2, [0.0] * n, phis)
+    stack = _evolve([0.0] * n, [0.0] * n, [1.0] * n, UNMARKED, [0.0] * n, phis)
     assert stack.shape == (n, 4, 4)
     np.testing.assert_allclose(stack[:, 0, 2], 0.5 * np.exp(-2j * np.array(phis)), atol=1e-15)
     for phi, row in zip(phis, stack):
@@ -281,7 +289,7 @@ def test_marking_operator_block_structure():
     for a, unitary in [(1.0, I2), (0.0, np.array([[0, -1], [1, 0]]))]:
         marking = np.block([[I2, zero], [zero, unitary]])
         expected = marking @ np.kron(np.full((2, 2), 0.5), START) @ marking.T
-        np.testing.assert_allclose(joint_state(0.0, 0.0, 1.0, DetectorConfig(a).unitary), expected,
+        np.testing.assert_allclose(joint_state(0.0, 0.0, 1.0, DetectorConfig(a).marked), expected,
                                    atol=1e-15)
 
 
@@ -290,9 +298,9 @@ def test_marking_operator_block_structure():
 def test_pipeline_operators_are_unitary(beta, phi, a, gamma, delta):
     # A unitary pipeline keeps the input's trace and purity (1 + lam) / 2,
     # for a pure, a mixed and the maximally mixed input.
-    unitary = DetectorConfig(a, gamma, delta).unitary
+    marked = DetectorConfig(a, gamma, delta).marked
     for state in (BlochState(0.6, 0.0, 0.8), BlochState(-0.3, 0.2, -0.4), BlochState(0.0, 0.0, 0.0)):
-        m = joint_state(state.s_x, state.s_y, state.s_z, unitary, beta, phi)
+        m = joint_state(state.s_x, state.s_y, state.s_z, marked, beta, phi)
         assert abs(np.trace(m) - 1.0) <= 1e-12
         assert abs(np.vdot(m, m).real - 0.5 * (1.0 + state.lam)) <= 1e-12
 
@@ -380,7 +388,7 @@ def stacked_arguments(points):
     states, dets, betas, phis = zip(*points)
     return (
         [s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states],
-        np.stack([d.unitary for d in dets]), [b.beta for b in betas], [p.phi for p in phis],
+        stacked_marked(dets), [b.beta for b in betas], [p.phi for p in phis],
     )
 
 
@@ -420,17 +428,17 @@ def test_stacked_pipeline_equals_scalar_pipeline_at_edges_and_on_draws():
     assert_points_are_their_rows(points, stacked, closed)
 
 
-def test_stacked_pipeline_takes_one_shared_unitary():
+def test_stacked_pipeline_takes_one_shared_marked_state():
     rng = np.random.default_rng(25)
     for det in [DetectorConfig(0.4, 1.3, 2.1), *UNDERFLOW_DETECTORS]:
         points = [(state, det, beta, phi) for state, _, beta, phi in edge_points(rng)]
         s_x, s_y, s_z, _, beta, phi = stacked_arguments(points)
-        stacked = _evolve(s_x, s_y, s_z, det.unitary, beta, phi)
-        closed = _evolve_closed_form(s_x, s_y, s_z, det.unitary, beta, phi)
+        stacked = _evolve(s_x, s_y, s_z, det.marked, beta, phi)
+        closed = _evolve_closed_form(s_x, s_y, s_z, det.marked, beta, phi)
         assert_points_are_their_rows(points, stacked, closed)
 
 
-def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
+def kron_sum_closed_form(s_x, s_y, s_z, marked, beta, phi):
     # The closed form as four Kronecker products, path factor (x) detector
     # factor, weighted and summed in numpy: the reference for the library's
     # entry-by-entry real arithmetic.
@@ -440,9 +448,10 @@ def kron_sum_closed_form(s_x, s_y, s_z, unitary, beta, phi):
     trig = np.array([np.sin(beta), 1.0 + np.cos(beta), 1.0 - np.cos(beta)]).T
     paths = trig[:, path_entry] * path_sign
     # r r^H, r m^H, m r^H and m m^H of the start state r and m = U r.
+    m0_re, m0_im, m1_re, m1_im = marked
     kets = np.zeros((len(s_x), 2, 2), dtype=complex)
     kets[:, 0, 0] = 1.0
-    kets[:, 1] = np.asarray(unitary)[..., :, 0]
+    kets[:, 1] = np.array([m0_re + 1j * m0_im, m1_re + 1j * m1_im]).T
     detectors = (kets[:, :, None, :, None] * kets.conj()[:, None, :, None, :]).reshape(-1, 4, 2, 2)
     cross = -0.25 * np.exp(2j * phi) * (s_z + 1j * s_y)
     weights = np.array([0.25 * (1.0 - s_x), cross.conj(), cross, 0.25 * (1.0 + s_x)]).T
@@ -495,11 +504,11 @@ def test_stacked_pipeline_is_the_literal_product(name):
     rows = literal_rows(name, np.random.default_rng(26))
     states, dets, betas, phis = zip(*rows)
     stacked = _evolve([s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states],
-                      np.stack([d.unitary for d in dets]), betas, phis)
+                      stacked_marked(dets), betas, phis)
     assert_hermitian_to_the_bit(stacked)
     start, zero = np.diag([1.0, 0.0]), np.zeros((2, 2))
     for (state, det, beta, phi), m in zip(rows, stacked):
-        point = _evolve(state.s_x, state.s_y, state.s_z, det.unitary, beta, phi)
+        point = _evolve(state.s_x, state.s_y, state.s_z, det.marked, beta, phi)
         assert_hermitian_to_the_bit(point)
         assert point.tobytes() == m.tobytes()
         shifter = np.diag(np.exp(phi * np.array([-1j, 1j])))
@@ -514,8 +523,8 @@ def assert_tail_is_the_lifted_product(states, dets, betas, phis):
     # The joint state T_s P' T_s^H, with the tail's start columns T_s read off
     # the lift-and-multiply tail and P' = S H rho H^H S^H by matrix products:
     # of each point (Python floats), of the stack of them and of the stack
-    # with the first point's one shared unitary. Each is Hermitian to the bit
-    # and a point is its stack row.
+    # with the first point's one shared marked state. Each is Hermitian to
+    # the bit and a point is its stack row.
     h = beam_splitters(math.pi / 2)
     prepared = np.stack([
         np.diag(np.exp(phi * np.array([-1j, 1j]))) @ h @ bloch_to_density(state).matrix @ h.T
@@ -523,16 +532,13 @@ def assert_tail_is_the_lifted_product(states, dets, betas, phis):
         for state, phi in zip(states, phis)
     ])  # fmt: skip
     columns = [s.s_x for s in states], [s.s_y for s in states], [s.s_z for s in states]
-    unitaries = np.stack([det.unitary for det in dets])
-    for unitary in (unitaries, dets[0].unitary):
-        stack = _evolve(*columns, unitary, betas, phis)
+    for point_dets, marked in ((dets, stacked_marked(dets)), ([dets[0]] * len(dets), dets[0].marked)):
+        stack = _evolve(*columns, marked, betas, phis)
         assert_hermitian_to_the_bit(stack)
-        tail = lifted_tail(unitary, betas)[:, :, ::2]
+        tail = lifted_tail(np.stack([det.unitary for det in point_dets]), betas)[:, :, ::2]
         assert np.abs(stack - tail @ prepared @ tail.conj().swapaxes(1, 2)).max() <= 1e-15
-        for state, point_unitary, beta, phi, row in zip(
-            states, np.broadcast_to(unitary, stack.shape[:1] + (2, 2)), betas, phis, stack
-        ):
-            point = _evolve(state.s_x, state.s_y, state.s_z, point_unitary, beta, phi)
+        for state, det, beta, phi, row in zip(states, point_dets, betas, phis, stack):
+            point = _evolve(state.s_x, state.s_y, state.s_z, det.marked, beta, phi)
             assert point.tobytes() == row.tobytes()
 
 
@@ -754,10 +760,10 @@ def test_folded_probe_matches_pipeline_at_edges_and_on_draws():
             assert abs(p - scalar) <= 1e-14
 
 
-def fringe_extrema(s_x, s_y, s_z, unitary, beta):
+def fringe_extrema(s_x, s_y, s_z, marked, beta):
     # c0 +- |c2| of each point's fringe coefficients: the extrema over the
     # phase dial from which duality.visibility_scans forms its contrast.
-    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, beta)
+    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, marked, beta)
     return c0 + np.abs(c2), c0 - np.abs(c2)
 
 
@@ -769,15 +775,15 @@ def test_fringe_extrema_bound_every_probe_value():
     rng = np.random.default_rng(43)
     points = [draw_point(rng)[:3] for _ in range(257)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
-    unitary = np.stack([det.unitary for _, det, _ in points])
-    p_max, p_min = fringe_extrema(s_x, s_y, s_z, unitary, [p[2].beta for p in points])
+    marked = stacked_marked(det for _, det, _ in points)
+    p_max, p_min = fringe_extrema(s_x, s_y, s_z, marked, [p[2].beta for p in points])
     slack = 2 * 16 * np.finfo(float).eps
     for (state, det, beta), hi, lo in zip(points, p_max, p_min):
         phis = rng.uniform(0.0, 2 * math.pi, 300)
         values = phase_probe(state, det, beta)(phis)
         assert lo - slack <= values.min() and values.max() <= hi + slack
         point = (np.full(len(phis), x) for x in (state.s_x, state.s_y, state.s_z))
-        rho = _evolve(*point, det.unitary, np.full(len(phis), beta.beta), phis)
+        rho = _evolve(*point, det.marked, np.full(len(phis), beta.beta), phis)
         pipeline = interferometer._port_a_probabilities(rho)
         assert lo - 1e-14 <= pipeline.min() and pipeline.max() <= hi + 1e-14
 
@@ -796,10 +802,10 @@ def test_fringe_extrema_are_attained():
     ]
     points += [draw_point(rng)[:3] for _ in range(200)]
     s_x, s_y, s_z = (np.array([getattr(p[0], c) for p in points]) for c in ("s_x", "s_y", "s_z"))
-    unitary = np.stack([det.unitary for _, det, _ in points])
+    marked = stacked_marked(det for _, det, _ in points)
     betas = [beta.beta for _, _, beta in points]
-    p_max, p_min = fringe_extrema(s_x, s_y, s_z, unitary, betas)
-    _, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, unitary, betas)
+    p_max, p_min = fringe_extrema(s_x, s_y, s_z, marked, betas)
+    _, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, marked, betas)
     for (state, det, beta), hi, lo, k2 in zip(points, p_max, p_min, c2):
         peak = 0.5 * cmath.phase(k2)
         for phi, extremum in ((peak, hi), (peak + 0.5 * math.pi, lo)):
@@ -842,9 +848,15 @@ def block_fold(s_x, s_y, s_z, unitary, beta):
     return b_re[:, 0, 0] + b_re[:, 1, 1], b_re[:, 0, 1] + b_re[:, 1, 0], b_im[:, 0, 1] - b_im[:, 1, 0]
 
 
-def assert_fold_is_the_block_fold(*args):
-    c0, c2 = interferometer._fringe_coefficients(*args)
-    ref0, ref2_re, ref2_im = block_fold(*args)
+def assert_fold_is_the_block_fold(s_x, s_y, s_z, dets, beta):
+    # The fold of the detectors' marked states against the block fold of their
+    # unitaries: one detector per point, or one DetectorConfig for every point.
+    if isinstance(dets, DetectorConfig):
+        marked, unitary = dets.marked, dets.unitary
+    else:
+        marked, unitary = stacked_marked(dets), np.stack([det.unitary for det in dets])
+    c0, c2 = interferometer._fringe_coefficients(s_x, s_y, s_z, marked, beta)
+    ref0, ref2_re, ref2_im = block_fold(s_x, s_y, s_z, unitary, beta)
     assert c0.tobytes() == ref0.tobytes()
     assert c2.real.tobytes() == ref2_re.tobytes()
     assert c2.imag.tobytes() == ref2_im.tobytes()
@@ -854,19 +866,19 @@ def assert_fold_is_the_block_fold(*args):
 def test_fold_on_the_start_support_is_the_block_fold(n):
     # The prepared state is zero off the detector's start rows and columns,
     # so the fold reads only those entries: to the bit, on seeded stacks with
-    # one unitary per point and with one shared (2, 2) unitary.
+    # one detector per point and with one shared detector.
     rng = np.random.default_rng(500 + n)
     points = [draw_point(rng) for _ in range(n)]
-    s_x, s_y, s_z, unitary, beta, _ = stacked_arguments(points)
-    assert_fold_is_the_block_fold(s_x, s_y, s_z, unitary, beta)
-    assert_fold_is_the_block_fold(s_x, s_y, s_z, points[0][1].unitary, beta)
+    s_x, s_y, s_z, _, beta, _ = stacked_arguments(points)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, [det for _, det, _, _ in points], beta)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, points[0][1], beta)
 
 
 def test_fold_on_the_start_support_is_the_block_fold_at_the_edges():
     # EDGE_STATES x A in {0, 1} x beta in {0, pi/2, pi}, with a stack of
-    # unitaries and with one shared unitary per overlap.
+    # detectors and with one shared detector per overlap.
     points = edge_points(np.random.default_rng(501))
-    s_x, s_y, s_z, unitary, beta, _ = stacked_arguments(points)
-    assert_fold_is_the_block_fold(s_x, s_y, s_z, unitary, beta)
+    s_x, s_y, s_z, _, beta, _ = stacked_arguments(points)
+    assert_fold_is_the_block_fold(s_x, s_y, s_z, [det for _, det, _, _ in points], beta)
     for a in (0.0, 1.0):
-        assert_fold_is_the_block_fold(s_x, s_y, s_z, DetectorConfig(a, 0.4, 1.3).unitary, beta)
+        assert_fold_is_the_block_fold(s_x, s_y, s_z, DetectorConfig(a, 0.4, 1.3), beta)

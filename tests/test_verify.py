@@ -12,6 +12,7 @@ from mzi_duality.interferometer import (
     BlochState,
     DetectorConfig,
     PhaseShift,
+    marked_states,
     port_terms,
 )
 from mzi_duality.verify import (
@@ -207,7 +208,7 @@ def test_draw_point_stream_is_pinned(seed):
         expected = reference_columns(old, draws, POINT_RANGES)
         drawn, reference = verify._draw_points(new, draws), verify._points(expected)
         for name, a, b in zip(drawn._fields, drawn, reference):
-            assert a.tobytes() == b.tobytes(), name
+            assert np.array(a).tobytes() == np.array(b).tobytes(), name
     assert new.bit_generator.state == old.bit_generator.state
     # _points is the ball's map, within a few ulps of the same map in math.
     cos_theta, azimuth, u_radius = expected[:3]
@@ -217,8 +218,9 @@ def test_draw_point_stream_is_pinned(seed):
         rho = r * math.sqrt((1.0 - cos_theta[i]) * (1.0 + cos_theta[i]))
         s = (r * cos_theta[i], rho * math.cos(azimuth[i]), rho * math.sin(azimuth[i]))
         assert max(abs(a - b) for a, b in zip(s, (p.s_x[i], p.s_y[i], p.s_z[i]))) <= 4 * 2.0**-52
-    for name, column in zip(p._fields[3:8], expected[3:]):
+    for name, column in zip(("a_overlap", "gamma", "beta", "phi"), expected[[3, 4, 6, 7]]):
         assert getattr(p, name).tobytes() == column.tobytes()
+    assert np.array(p.marked).tobytes() == np.array(marked_states(*expected[3:6])).tobytes()
 
 
 # Each suite's ranges for verify._uniform_columns, in its per-draw order.
@@ -244,13 +246,12 @@ def test_uniform_columns_stream_is_pinned(ranges, batches):
 def test_phase_invariance_angles_are_pinned(monkeypatch):
     # Each draw's point, then its two re-phasing angles, each one rng.uniform(0, TWO_PI) call.
     calls = []
-    marking_unitaries = verify.marking_unitaries
 
     def recording(*args):
         calls.append(args)
-        return marking_unitaries(*args)
+        return marked_states(*args)
 
-    monkeypatch.setattr(verify, "marking_unitaries", recording)
+    monkeypatch.setattr(verify, "marked_states", recording)
     draws = 40
     new, old = np.random.default_rng(6), np.random.default_rng(6)
     verify.CHECKS["phase_invariance"].errors(new, draws)
@@ -268,8 +269,9 @@ def test_points_of_extreme_uniforms_are_accepted_unchanged():
     ends[0] += (0.0, 1.0)
     columns = np.array(list(itertools.product(*ends))).T.copy()
     p = verify._points(columns)
-    assert np.isfinite(np.array(p[:8])).all()
-    for s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi in zip(*(c.tolist() for c in p[:8])):
+    assert np.isfinite(np.array([*p[:7], *p.marked])).all()
+    values = (p.s_x, p.s_y, p.s_z, p.a_overlap, p.gamma, columns[5], p.beta, p.phi)
+    for s_x, s_y, s_z, a_overlap, gamma, delta, beta, phi in zip(*(c.tolist() for c in values)):
         state = BlochState(s_x, s_y, s_z)
         assert (state.s_x, state.s_y, state.s_z) == (s_x, s_y, s_z)
         detector = DetectorConfig(a_overlap, gamma, delta)
